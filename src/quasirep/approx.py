@@ -65,7 +65,6 @@ class MatrixFunction:
     group: FiniteGroup
     dim: int
     matrices: np.ndarray
-    support_projector: np.ndarray | None = None
 
     def __post_init__(self):
         self.matrices = np.ascontiguousarray(self.matrices, dtype=np.complex128)
@@ -143,7 +142,9 @@ def _pair_scan(psi: MatrixFunction, agree_tol: float) -> tuple[float, float, com
     mats = psi.matrices
     table = psi.group.table
     n, d = psi.group.order, psi.dim
-    # chunk so the two (c, n, d, d) temporaries stay around 64 MB
+    # chunk so each (c, n, d, d) temporary stays around 32 MB; at most three
+    # are live at once, because the difference overwrites prod and each
+    # temporary is dropped as soon as it is used
     chunk = max(1, (1 << 21) // max(1, n * d * d))
     total = 0.0
     agree = 0
@@ -153,11 +154,13 @@ def _pair_scan(psi: MatrixFunction, agree_tol: float) -> tuple[float, float, com
         hi = min(n, x0 + chunk)
         prod = np.einsum("xab,ybc->xyac", mats[x0:hi], mats)
         at_xy = mats[table[x0:hi]]
-        diff = at_xy - prod
+        triple += complex(np.einsum("xyab,xyab->", at_xy.conj(), prod))
+        diff = np.subtract(at_xy, prod, out=prod)
+        del at_xy, prod
         sq = np.einsum("xyab,xyab->xy", diff, diff.conj()).real
+        del diff
         total += float(sq.sum())
         agree += int((sq <= tol2).sum())
-        triple += complex(np.einsum("xyab,xyab->", at_xy.conj(), prod))
     n2 = n * n
     return total / n2, agree / n2, triple / n2
 
@@ -266,9 +269,7 @@ def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
         raise ValueError(f"unknown subspace {subspace!r}; use 'leading' or 'haar'")
     scale = np.sqrt(rho.dim / d_psi)
     mats = scale * np.einsum("ai,xab,bj->xij", basis.conj(), rho.matrices, basis)
-    out = MinorFunction(rho.group, d_psi, mats,
-                        support_projector=np.eye(d_psi, dtype=np.complex128),
-                        parent=rho, basis=basis)
+    out = MinorFunction(rho.group, d_psi, mats, parent=rho, basis=basis)
     # the mean must agree with the compressed parent mean, which is zero
     # exactly when the parent is nontrivial
     expected = scale * basis.conj().T @ rho.matrices.mean(axis=0) @ basis
@@ -283,12 +284,15 @@ def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
 
 def polar_unitary(matrix: np.ndarray,
                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Nearest unitary (polar factor) via SVD; rejects numerically singular input."""
+    """Nearest unitary (polar factor) via SVD of a (..., d, d) stack.
+
+    Rejects input with any numerically singular matrix.
+    """
     u, s, vh = np.linalg.svd(matrix)
     if s.min() < tolerances.min_singular:
         raise RankDeficient(
             f"smallest singular value {s.min():.3e} below {tolerances.min_singular:.0e}")
-    return u @ vh
+    return np.einsum("...ab,...bc->...ac", u, vh)
 
 
 def polar_construction(rho: UnitaryRep, d_psi: int, seed,
@@ -298,18 +302,17 @@ def polar_construction(rho: UnitaryRep, d_psi: int, seed,
     Retries with derived seeds (up to 8) when some element of the minor is
     numerically rank deficient, then gives up with RankDeficient.
     """
-    last = None
     for attempt in range(8):
         minor = minor_construction(rho, d_psi, subspace="haar",
                                    seed=[seed, attempt] if np.isscalar(seed) else list(seed) + [attempt],
                                    tolerances=tolerances)
-        u, s, vh = np.linalg.svd(minor.matrices)
-        if s.min() >= tolerances.min_singular:
-            mats = np.einsum("xab,xbc->xac", u, vh)
-            return PolarFunction(rho.group, d_psi, mats, parent_minor=minor)
-        last = float(s.min())
-    raise RankDeficient(
-        f"minor stayed rank deficient over 8 seeds (last min singular value {last:.3e})")
+        try:
+            mats = polar_unitary(minor.matrices, tolerances)
+        except RankDeficient as exc:
+            last = exc
+            continue
+        return PolarFunction(rho.group, d_psi, mats, parent_minor=minor)
+    raise RankDeficient(f"minor stayed rank deficient over 8 seeds (last: {last})")
 
 
 def polar_residual(psi: PolarFunction) -> float:

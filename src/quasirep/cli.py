@@ -34,6 +34,7 @@ from .homs import (
     random_map,
 )
 from .irreps import IrrepTable, decompose, frobenius_schur, load_irreps, save_irreps
+from .textfile import write_atomic
 from .twirl import CLASS_NAMES, twirl_exact, twirl_monte_carlo
 from .verify import run_battery
 
@@ -68,19 +69,12 @@ def _tolerances(args) -> Tolerances:
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        return
-    tmp = f"{out}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
-
-
-def _slug(tokens) -> str:
-    return "-".join(str(t) for t in tokens)
+    else:
+        write_atomic(out, text)
 
 
 def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
-    """Build or load a group. `file <path>` bypasses the cache entirely."""
+    """Build or load a group. `file <path>` bypasses the group cache."""
     if not tokens:
         raise ValueError("empty group spec")
     if tokens[0] == "file":
@@ -94,7 +88,7 @@ def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
             params.append(int(t))
         except ValueError:
             raise ValueError(f"group parameter {t!r} is not an integer") from None
-    path = os.path.join(cache, _slug(tokens) + ".grp")
+    path = os.path.join(cache, "-".join(tokens) + ".grp")
     if os.path.exists(path):
         try:
             return load_group(path)
@@ -106,10 +100,9 @@ def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
     return g
 
 
-def _table_for(g: FiniteGroup, tokens: list[str], cache: str,
-               seed: int) -> IrrepTable:
-    """Decompose with a per-(spec, seed) disk cache; reload is revalidated."""
-    path = os.path.join(cache, _slug(tokens) + f".s{seed}.irr")
+def _table_for(g: FiniteGroup, cache: str, seed: int) -> IrrepTable:
+    """Decompose with a per-(group hash, seed) disk cache; reload is revalidated."""
+    path = os.path.join(cache, f"{group_hash(g)}.s{seed}.irr")
     if os.path.exists(path):
         try:
             return load_irreps(g, path)
@@ -165,7 +158,7 @@ def cmd_group(args) -> int:
 def cmd_irreps(args) -> int:
     cache = _cache_dir(args)
     g = _group_from_spec(args.spec, cache)
-    table = _table_for(g, args.spec, cache, args.seed)
+    table = _table_for(g, cache, args.seed)
     indicators = [frobenius_schur(r) for r in table]
     info = {
         "group": g.name,
@@ -190,7 +183,7 @@ def cmd_sweep(args) -> int:
     cache = _cache_dir(args)
     tol = _tolerances(args)
     g = _group_from_spec(args.group, cache)
-    table = _table_for(g, args.group, cache, args.seed)
+    table = _table_for(g, cache, args.seed)
     d_psis = _parse_range(args.dpsi)
     rows = []
     for ri, rho in enumerate(table):
@@ -241,6 +234,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _cyclic_generator(g: FiniteGroup) -> int | None:
+    """Smallest element of order |g|, or None when g is not cyclic."""
+    power = elements = np.arange(g.order)
+    full = np.ones(g.order, dtype=bool)
+    for _ in range(g.order - 1):
+        full &= power != g.identity
+        power = g.table[power, elements]
+    return int(np.argmax(full)) if full.any() else None
+
+
 def _hom_map(kind: str, source: FiniteGroup, target: FiniteGroup, seed):
     if kind == "balanced":
         return balanced_random_map(source, target, seed)
@@ -251,12 +254,11 @@ def _hom_map(kind: str, source: FiniteGroup, target: FiniteGroup, seed):
             raise ValueError("identity maps need identical source and target")
         return make_group_map(source, target, np.arange(source.order))
     if kind == "genuine":
-        if not (source.name.startswith("cyclic") and target.name.startswith("cyclic")):
+        generator, image = _cyclic_generator(source), _cyclic_generator(target)
+        if generator is None or image is None:
             raise ValueError("genuine homs are built for cyclic -> cyclic only")
         if source.order % target.order:
             raise ValueError("genuine reduction needs |target| dividing |source|")
-        image = 1 % target.order
-        generator = 1 if source.order > 1 else 0
         return genuine_hom(source, target, {generator: image})
     raise ValueError(f"unknown map kind {kind!r}")
 
@@ -265,8 +267,8 @@ def cmd_hom(args) -> int:
     cache = _cache_dir(args)
     src = _group_from_spec(args.source, cache)
     tgt = _group_from_spec(args.target, cache)
-    ts = _table_for(src, args.source, cache, args.seed)
-    tt = _table_for(tgt, args.target, cache, args.seed)
+    ts = _table_for(src, cache, args.seed)
+    tt = _table_for(tgt, cache, args.seed)
     seeds = 1 if args.kind in ("identity", "genuine") else args.seeds
     rows = []
     for s in range(seeds):

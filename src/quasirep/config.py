@@ -21,20 +21,12 @@ class Tolerances:
     irreducibility: float = 1e-6
     # two characters within this (per class, sup norm) are the same irrep
     character_match: float = 1e-6
-    # Schur orthogonality residual cap
-    schur: float = 1e-7
     # eigenvalue clustering width, relative to the operator norm of the average
     eigengap: float = 1e-7
     # ||E psi' psi - 1||_F cap for admissibility
     admissibility: float = 1e-8
     # singular values below this count as rank deficiency
     min_singular: float = 1e-10
-    # relative mismatch allowed between direct and spectral defect routes
-    oracle_match: float = 1e-7
-    # sup-norm cap for transform/inversion round trips
-    roundtrip: float = 1e-10
-    # relative cap for norm-identity comparisons
-    plancherel: float = 1e-8
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -12,7 +12,6 @@ the defect machinery.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .groups import FiniteGroup, group_hash
 from .irreps import IrrepTable, UnitaryRep
 from .approx import MatrixFunction
 from .sampling import rng_from
+from .textfile import read_lines, write_atomic
 
 __all__ = [
     "GroupMap",
@@ -225,20 +225,12 @@ def save_map(f: GroupMap, path: str) -> None:
              f"source_hash={group_hash(f.source)}",
              f"target_hash={group_hash(f.target)}"]
     lines.extend(str(int(v)) for v in f.values)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_map(path: str, source: FiniteGroup, target: FiniteGroup) -> GroupMap:
     """Strict loader; the recorded hashes must match the supplied groups."""
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != MAP_MAGIC:
-        raise FileFormatError(f"expected header {MAP_MAGIC!r}", line=1)
+    lines = read_lines(path, MAP_MAGIC)
     if len(lines) < 3:
         raise FileFormatError("missing hash lines", line=len(lines))
     if not lines[1].startswith("source_hash="):

@@ -16,7 +16,6 @@ conjugacy classes.
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, group_hash
 from .sampling import hermitian_gaussian
+from .textfile import read_lines, write_atomic
 
 __all__ = [
     "UnitaryRep",
@@ -369,21 +369,13 @@ def save_irreps(table: IrrepTable, path: str) -> None:
         for x in range(table.group.order):
             for row in rep.matrices[x]:
                 lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_irreps(group: FiniteGroup, path: str,
                 tolerances: Tolerances = DEFAULT_TOLERANCES) -> IrrepTable:
     """Strict loader for the irrep cache; validates the group hash and shape."""
-    with open(path) as fh:
-        lines = fh.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != IRREPS_MAGIC:
-        raise FileFormatError(f"expected header {IRREPS_MAGIC!r}", line=1)
+    lines = read_lines(path, IRREPS_MAGIC)
     if len(lines) < 3:
         raise FileFormatError("truncated irreps file", line=len(lines))
     expect_hash = group_hash(group)

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from quasirep import cli, groups, verify
@@ -141,6 +142,26 @@ def test_hom_genuine_reduction(capsys, cache):
     assert "agreement=1.000000" in out
 
 
+def save_relabelled(group, path, name):
+    """Save group with its element labels permuted so 1 is not a generator."""
+    perm = np.roll(np.arange(group.order), 2)        # new label of old x
+    inverse = np.argsort(perm)
+    table = perm[group.table[inverse][:, inverse]]
+    groups.save_group(groups.from_table(table, name=name), str(path))
+
+
+def test_hom_genuine_relabelled_cyclic_files(tmp_path, capsys, cache):
+    # cyclicity and the generator come from the table, not the name
+    for name in ("cyclic(6)", "z6-relabelled"):
+        path = tmp_path / f"{name}.grp"
+        save_relabelled(groups.named("cyclic", 6), path, name)
+        code = cli.main(["hom", "--source", "file", str(path), "--target",
+                         "cyclic", "3", "--kind", "genuine", "--cache-dir", cache])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert "agreement=1.000000" in captured.out
+
+
 def test_hom_genuine_needs_cyclic_groups(capsys, cache):
     code = cli.main(["hom", "--source", "symmetric", "3", "--target", "cyclic", "3",
                      "--kind", "genuine", "--cache-dir", cache])
@@ -185,6 +206,15 @@ def test_twirl_degenerate_dimension(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def flip_first_digit(text):
+    """Change the first digit of the first matrix row (line 5)."""
+    lines = text.split("\n")
+    row = lines[4]
+    i = next(i for i, c in enumerate(row) if c.isdigit())
+    lines[4] = row[:i] + str((int(row[i]) + 1) % 10) + row[i + 1:]
+    return "\n".join(lines)
+
+
 def test_cache_survives_corruption(tmp_path, capsys):
     cache_dir = tmp_path / "c"
     assert cli.main(["group", "dihedral", "4", "--cache-dir", str(cache_dir)]) == 0
@@ -197,6 +227,56 @@ def test_cache_survives_corruption(tmp_path, capsys):
     assert "rebuilding stale cache" in captured.err
     assert captured.out == first
     assert groups.load_group(str(cached)).order == 8
+
+    # the irrep entry: a truncated file and one flipped digit
+    argv = ["irreps", "dihedral", "4", "--cache-dir", str(cache_dir)]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    (irr,) = cache_dir.glob("*.irr")
+    good = irr.read_text()
+    for bad in (good[: len(good) // 2], flip_first_digit(good)):
+        irr.write_text(bad)
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert "rebuilding stale cache" in captured.err
+        assert captured.out == first
+        assert irr.read_text() == good
+
+
+def snapshot(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["irreps"],
+    ["sweep", "--dpsi", "1:2", "--group"],
+    ["hom", "--target", "cyclic", "2", "--seeds", "2", "--source"],
+])
+def test_file_spec_commands_use_the_cache(tmp_path, capsys, argv):
+    path = tmp_path / "s3.grp"
+    groups.save_group(groups.named("symmetric", 3), str(path))
+    cache_dir = tmp_path / "c"
+    full = argv + ["file", str(path.resolve()), "--cache-dir", str(cache_dir)]
+    assert cli.main(full) == 0
+    first = capsys.readouterr().out
+    before = snapshot(cache_dir)
+    assert cli.main(full) == 0
+    assert capsys.readouterr().out == first
+    assert snapshot(cache_dir) == before
+
+
+def test_irrep_cache_is_keyed_by_group(tmp_path, capsys):
+    # one group reached through two files and a named spec shares one entry
+    cache_dir = tmp_path / "c"
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        groups.save_group(groups.named("symmetric", 3), str(tmp_path / sub / "s3.grp"))
+        assert cli.main(["irreps", "file", str(tmp_path / sub / "s3.grp"),
+                         "--cache-dir", str(cache_dir)]) == 0
+    assert cli.main(["irreps", "symmetric", "3", "--cache-dir", str(cache_dir)]) == 0
+    capsys.readouterr()
+    digest = groups.group_hash(groups.named("symmetric", 3))
+    assert sorted(p.name for p in cache_dir.glob("*.irr")) == [f"{digest}.s0.irr"]
 
 
 def test_cache_env_variable(tmp_path, monkeypatch, capsys):

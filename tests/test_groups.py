@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,8 +164,17 @@ def test_from_table_rejects_missing_identity():
 
 
 def test_from_table_rejects_nonassociative_loop():
-    with pytest.raises(NotAGroup, match="associativity"):
-        groups.from_table(NONASSOC_LOOP)
+    # the loop itself, and the loop times cyclic(103), above order 512
+    loop = np.array(NONASSOC_LOOP)
+    m = 103
+    big = (loop[:, None, :, None] * m
+           + np.add.outer(np.arange(m), np.arange(m))[None, :, None, :] % m
+           ).reshape(5 * m, 5 * m)
+    for table in (loop, big):
+        with pytest.raises(NotAGroup, match="associativity") as err:
+            groups.from_table(table)
+        x, y, z = (int(v) for v in re.findall(r"\d+", str(err.value))[-3:])
+        assert table[table[x, y], z] != table[x, table[y, z]]
 
 
 def test_from_permutation_generators_s3():
@@ -187,6 +198,12 @@ def test_deterministic_element_order():
     t2 = groups.named("symmetric", 4)
     assert np.array_equal(t1.table, t2.table)
     assert groups.group_hash(t1) == groups.group_hash(t2)
+
+
+def test_group_hash_is_pinned():
+    # the hash names the irrep cache files; a change would orphan every cache
+    assert groups.group_hash(groups.named("alternating", 5)) == (
+        "bdb4e29156d5d71384a31bbdf4becea6c944af68dc1db5e0acd469d98de3b5b4")
 
 
 def test_group_hash_distinguishes_groups():
