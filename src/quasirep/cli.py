@@ -82,13 +82,16 @@ def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
             raise ValueError("group spec 'file' takes exactly one path")
         return load_group(tokens[1])
     family = tokens[0]
+    if family == "product":
+        raise ValueError("family 'product' takes two groups, not integers, "
+                         "and has no group spec")
     params = []
     for t in tokens[1:]:
         try:
             params.append(int(t))
         except ValueError:
             raise ValueError(f"group parameter {t!r} is not an integer") from None
-    path = os.path.join(cache, "-".join(tokens) + ".grp")
+    path = os.path.join(cache, "-".join([family, *map(str, params)]) + ".grp")
     if os.path.exists(path):
         try:
             return load_group(path)

@@ -14,6 +14,7 @@ to disk, and a SHA-256 digest of the table keys derived caches.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -98,22 +99,18 @@ class FiniteGroup:
 
 def _check_latin(table: np.ndarray) -> None:
     n = len(table)
-    want = np.arange(n)
-    for x in range(n):
-        if not np.array_equal(np.sort(table[x]), want):
-            raise NotAGroup(f"row {x} is not a permutation of 0..{n - 1}")
-    for y in range(n):
-        if not np.array_equal(np.sort(table[:, y]), want):
-            raise NotAGroup(f"column {y} is not a permutation of 0..{n - 1}")
+    for what, lines in (("row", table), ("column", table.T)):
+        bad = np.flatnonzero((np.sort(lines, axis=1) != np.arange(n)).any(axis=1))
+        if len(bad):
+            raise NotAGroup(f"{what} {bad[0]} is not a permutation of 0..{n - 1}")
 
 
 def _find_identity(table: np.ndarray) -> int:
-    n = len(table)
-    want = np.arange(n)
-    for e in range(n):
-        if np.array_equal(table[e], want) and np.array_equal(table[:, e], want):
-            return e
-    raise NotAGroup("no two-sided identity element")
+    want = np.arange(len(table))
+    both = (table == want).all(axis=1) & (table.T == want).all(axis=1)
+    if not both.any():
+        raise NotAGroup("no two-sided identity element")
+    return int(np.argmax(both))
 
 
 def _check_associativity(table: np.ndarray, identity: int) -> None:
@@ -144,18 +141,10 @@ def _check_associativity(table: np.ndarray, identity: int) -> None:
 
 def _conjugacy_partition(table: np.ndarray, inverses: np.ndarray,
                          identity: int) -> tuple[tuple[int, ...], ...]:
-    n = len(table)
-    seen = np.zeros(n, dtype=bool)
-    classes: list[tuple[int, ...]] = []
-    order = [identity] + [x for x in range(n) if x != identity]
-    for x in order:
-        if seen[x]:
-            continue
-        conj = table[table[:, x], inverses]      # g*x*g^-1 for every g
-        members = np.unique(conj)
-        seen[members] = True
-        classes.append(tuple(int(m) for m in members))
-    return tuple(classes)
+    """Classes as sorted tuples: the identity's first, then by smallest member."""
+    smallest = table[table, inverses[:, None]].min(axis=0)   # min over g of g*x*g^-1
+    reps = [identity, *(r for r in np.unique(smallest) if r != identity)]
+    return tuple(tuple(int(m) for m in np.flatnonzero(smallest == r)) for r in reps)
 
 
 def from_table(table, name: str = "table") -> FiniteGroup:
@@ -175,44 +164,51 @@ def from_table(table, name: str = "table") -> FiniteGroup:
         raise NotAGroup(f"entry at ({bad[0]}, {bad[1]}) is outside 0..{n - 1}")
     _check_latin(arr)
     identity = _find_identity(arr)
-    inverses = np.empty(n, dtype=np.int64)
-    for x in range(n):
-        ys = np.nonzero(arr[x] == identity)[0]
-        y = int(ys[0])
-        if arr[y, x] != identity:
-            raise NotAGroup(f"element {x} has no two-sided inverse")
-        inverses[x] = y
+    inverses = np.argmax(arr == identity, axis=1)
+    bad = np.flatnonzero(arr[inverses, np.arange(n)] != identity)
+    if len(bad):
+        raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
     _check_associativity(arr, identity)
     classes = _conjugacy_partition(arr, inverses, identity)
     return FiniteGroup(name, arr, identity, inverses, classes)
 
 
-def _bfs_closure(generators: Sequence, identity, mul: Callable, cap: int) -> list:
-    """Deterministic closure: breadth-first discovery by right multiplication."""
+def _closure_table(generators: Sequence, identity, mul: Callable, cap: int,
+                   name: str) -> FiniteGroup:
+    """Close the generators under right multiplication and fill the table.
+
+    Breadth-first discovery records, for each element j > 0, the element p and
+    generator s that first reached it (j = p * s), and right[i, k], the index
+    of element i times generator k. Since x * (p * s) = (x * p) * s, column j
+    of the table is right[table[:, p], s]; the parents of a breadth-first level
+    lie in earlier levels, so each level is one gather. mul runs
+    order * len(generators) times.
+    """
     elements = [identity]
     index = {identity: 0}
+    parent, gen, depth, right = [0], [0], [0], []
     i = 0
     while i < len(elements):
-        g = elements[i]
-        for s in generators:
-            p = mul(g, s)
+        for k, s in enumerate(generators):
+            p = mul(elements[i], s)
             if p not in index:
                 if len(elements) >= cap:
                     raise ClosureCapExceeded(f"closure exceeded cap of {cap} elements")
                 index[p] = len(elements)
                 elements.append(p)
+                parent.append(i)
+                gen.append(k)
+                depth.append(depth[i] + 1)
+            right.append(index[p])
         i += 1
-    return elements
-
-
-def _table_from_elements(elements: list, mul: Callable, name: str) -> FiniteGroup:
-    index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
+    right = np.array(right, dtype=np.int64).reshape(n, len(generators))
+    parent, gen = np.array(parent), np.array(gen)
     table = np.empty((n, n), dtype=np.int64)
-    for i, a in enumerate(elements):
-        row = table[i]
-        for j, b in enumerate(elements):
-            row[j] = index[mul(a, b)]
+    table[:, 0] = np.arange(n)
+    starts = [*(np.flatnonzero(np.diff(depth)) + 1), n]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        table[:, lo:hi] = right[table[:, parent[lo:hi]], gen[lo:hi]]
     return from_table(table, name=name)
 
 
@@ -231,9 +227,7 @@ def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]]
         if sorted(t) != list(range(degree)):
             raise UnsupportedParameter(f"{t} is not a permutation of 0..{degree - 1}")
         gens.append(t)
-    identity = tuple(range(degree))
-    elements = _bfs_closure(gens, identity, _compose_perm, cap)
-    return _table_from_elements(elements, _compose_perm, name)
+    return _closure_table(gens, tuple(range(degree)), _compose_perm, cap, name)
 
 
 def _matmul_mod(p: int, size: int):
@@ -275,10 +269,10 @@ def _sl2(p: int, projective: bool) -> FiniteGroup:
         identity = (1, 0, 0, 1)
         name = f"sl2({p})"
         expected = p * (p - 1) * (p + 1)
-    elements = _bfs_closure(gens, identity, mul, CLOSURE_CAP)
-    if len(elements) != expected:
-        raise NotAGroup(f"{name} closure has {len(elements)} elements, expected {expected}")
-    return _table_from_elements(elements, mul, name)
+    group = _closure_table(gens, identity, mul, CLOSURE_CAP, name)
+    if group.order != expected:
+        raise NotAGroup(f"{name} closure has {group.order} elements, expected {expected}")
+    return group
 
 
 def _heisenberg(p: int) -> FiniteGroup:
@@ -288,10 +282,10 @@ def _heisenberg(p: int) -> FiniteGroup:
     eye = (1, 0, 0, 0, 1, 0, 0, 0, 1)
     x = (1, 1, 0, 0, 1, 0, 0, 0, 1)
     y = (1, 0, 0, 0, 1, 1, 0, 0, 1)
-    elements = _bfs_closure([x, y], eye, mul, CLOSURE_CAP)
-    if len(elements) != p ** 3:
-        raise NotAGroup(f"heisenberg({p}) closure has {len(elements)} elements")
-    return _table_from_elements(elements, mul, f"heisenberg({p})")
+    group = _closure_table([x, y], eye, mul, CLOSURE_CAP, f"heisenberg({p})")
+    if group.order != p ** 3:
+        raise NotAGroup(f"heisenberg({p}) closure has {group.order} elements")
+    return group
 
 
 def _quaternion8() -> FiniteGroup:
@@ -307,10 +301,10 @@ def _quaternion8() -> FiniteGroup:
     one = (1, 0, 0, 0)
     i = (0, 1, 0, 0)
     j = (0, 0, 1, 0)
-    elements = _bfs_closure([i, j], one, mul, 16)
-    if len(elements) != 8:
-        raise NotAGroup(f"quaternion closure has {len(elements)} elements")
-    return _table_from_elements(elements, mul, "quaternion8")
+    group = _closure_table([i, j], one, mul, 16, "quaternion8")
+    if group.order != 8:
+        raise NotAGroup(f"quaternion closure has {group.order} elements")
+    return group
 
 
 def _cyclic(n: int) -> FiniteGroup:
@@ -408,7 +402,16 @@ def named(family: str, *params) -> FiniteGroup:
     except KeyError:
         raise UnsupportedParameter(
             f"unknown family {family!r}; know {sorted(_FAMILIES)}") from None
+    arity = len(inspect.signature(builder).parameters)
+    if len(params) != arity:
+        raise UnsupportedParameter(
+            f"{family} takes {arity} parameter(s), got {len(params)}")
     return builder(*params)
+
+
+def _table_rows(table: np.ndarray) -> str:
+    """The table as space-joined rows, each ending in a newline."""
+    return "".join(" ".join(map(str, row.tolist())) + "\n" for row in table)
 
 
 def group_hash(group: FiniteGroup) -> str:
@@ -417,22 +420,15 @@ def group_hash(group: FiniteGroup) -> str:
     Computed once per group object and remembered on it.
     """
     if group._digest is None:
-        h = hashlib.sha256()
-        h.update(b"quasirep-group\n")
-        h.update(str(group.order).encode())
-        h.update(b"\n")
-        for row in group.table:
-            h.update(" ".join(str(int(v)) for v in row).encode())
-            h.update(b"\n")
-        group._digest = h.hexdigest()
+        text = f"quasirep-group\n{group.order}\n" + _table_rows(group.table)
+        group._digest = hashlib.sha256(text.encode()).hexdigest()
     return group._digest
 
 
 def save_group(group: FiniteGroup, path: str) -> None:
     """Write the line-oriented group format (atomic: write then rename)."""
-    lines = [GROUP_MAGIC, f"name={group.name}", f"order={group.order}"]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in group.table)
-    write_atomic(path, "\n".join(lines) + "\n")
+    header = f"{GROUP_MAGIC}\nname={group.name}\norder={group.order}\n"
+    write_atomic(path, header + _table_rows(group.table))
 
 
 def load_group(path: str) -> FiniteGroup:

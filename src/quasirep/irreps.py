@@ -1,12 +1,15 @@
 """Numerical unitary irreducible representations.
 
 The decomposition works on the regular representation without materializing
-it: conjugating a matrix M by the permutation matrix of left translation and
-averaging over the group is an index gather, T[z, w] = E_x M[x^-1 z, x^-1 w].
-Eigenspaces of the averaged matrix T are invariant subspaces; restricting the
-regular representation to an eigenbasis gives a unitary subrepresentation
-whose character decides irreducibility (E|chi|^2 = 1). Reducible pieces are
-refined recursively with fresh probe matrices.
+it. A matrix that commutes with every left translation is a right convolution,
+T[z, w] = f(z^-1 w), and it is Hermitian when f(x^-1) = conj f(x). The probe is
+such a T for a random f (Dixon's random commutant element; J. D. Dixon,
+"Computing irreducible representations of groups", Math. Comp. 24, 1970), an
+index gather with no averaging. Its eigenspaces are invariant subspaces;
+restricting the regular representation to an eigenbasis B gives a unitary
+subrepresentation B' R(x) B whose character decides irreducibility
+(E|chi|^2 = 1). A reducible piece is refined recursively by a fresh probe
+compressed to it, B' T B, which commutes with the restricted representation.
 
 The resulting table is deduplicated by character, ordered canonically (trivial
 first, then by dimension and character), and checked for completeness: the
@@ -28,7 +31,6 @@ from .errors import (
     ToleranceViolation,
 )
 from .groups import FiniteGroup, group_hash
-from .sampling import hermitian_gaussian
 from .textfile import read_lines, write_atomic
 
 __all__ = [
@@ -44,7 +46,7 @@ __all__ = [
 ]
 
 ORDER_CAP = 700
-IRREPS_MAGIC = "quasirep-irreps v1"
+IRREPS_MAGIC = "quasirep-irreps v2"
 
 _RETRY_BUDGET = 8
 
@@ -193,17 +195,33 @@ def _cluster_slices(eigenvalues: np.ndarray, width: float) -> list[slice]:
 
 
 def _subspace_character(basis: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """chi(x) = tr(B' R(x) B) via row gathers, for every x."""
-    n = left.shape[0]
-    chi = np.empty(n, dtype=np.complex128)
-    bc = basis.conj()
-    for x in range(n):
-        chi[x] = np.sum(bc * basis[left[x]])
-    return chi
+    """chi(x) = tr(B' R(x) B) = sum_z (B B')[x^-1 z, z], for every x, in one gather."""
+    proj = basis @ basis.conj().T
+    return proj[left, np.arange(len(left))].sum(axis=1)
 
 
-def _refine(left: np.ndarray, basis: np.ndarray, rng: np.random.Generator,
-            tolerances: Tolerances, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+def _split(group: FiniteGroup, left: np.ndarray, rng: np.random.Generator,
+           eigengap: float, basis: np.ndarray | None = None) -> list[np.ndarray]:
+    """Eigenspaces of a fresh probe, on span(basis) or, by default, everywhere.
+
+    The probe is the right convolution T[z, w] = f(z^-1 w) by a random f with
+    f(x^-1) = conj f(x): it commutes with every left translation and is exactly
+    Hermitian. Compressed to an invariant subspace, B' T B commutes with the
+    restricted representation, so its eigenspaces are invariant too.
+    """
+    n = group.order
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    probe = ((a + a[group.inverses].conj()) / 2.0)[left]
+    if basis is not None:
+        probe = basis.conj().T @ probe @ basis
+    w, v = np.linalg.eigh(probe)
+    slices = _cluster_slices(w, eigengap * max(np.abs(w).max(), 1e-300))
+    return [v[:, sl] if basis is None else basis @ v[:, sl] for sl in slices]
+
+
+def _refine(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
+            rng: np.random.Generator, tolerances: Tolerances,
+            depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the invariant subspace spanned by basis into irreducible pieces.
 
     Returns (basis, per-element character) pairs. Raises _SplitFailed when the
@@ -214,38 +232,16 @@ def _refine(left: np.ndarray, basis: np.ndarray, rng: np.random.Generator,
         return [(basis, chi)]
     if depth >= _RETRY_BUDGET:
         raise _SplitFailed(f"subspace of dim {basis.shape[1]} would not split")
-    n = left.shape[0]
-    d = basis.shape[1]
-    sub = np.stack([basis.conj().T @ basis[left[x]] for x in range(n)])
-    probe = hermitian_gaussian(rng, d)
-    avg = np.einsum("xab,bc,xdc->ad", sub, probe, sub.conj()) / n
-    avg = (avg + avg.conj().T) / 2.0
-    w, v = np.linalg.eigh(avg)
-    slices = _cluster_slices(w, tolerances.eigengap * max(np.abs(w).max(), 1e-300))
     pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    for sl in slices:
-        pieces.extend(_refine(left, basis @ v[:, sl], rng, tolerances, depth + 1))
+    for sub in _split(group, left, rng, tolerances.eigengap, basis):
+        pieces.extend(_refine(group, left, sub, rng, tolerances, depth + 1))
     return pieces
 
 
-def _commutant_average(probe: np.ndarray, left: np.ndarray) -> np.ndarray:
-    n = len(probe)
-    total = np.zeros_like(probe)
-    for x in range(n):
-        s = left[x]
-        total += probe[np.ix_(s, s)]
-    total /= n
-    return (total + total.conj().T) / 2.0
-
-
-def _extract_matrices(basis: np.ndarray, left: np.ndarray) -> np.ndarray:
-    n = left.shape[0]
-    d = basis.shape[1]
-    out = np.empty((n, d, d), dtype=np.complex128)
-    bh = basis.conj().T
-    for x in range(n):
-        out[x] = bh @ basis[left[x]]
-    return out
+def _restrict(basis: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """B' R(x) B for every x: column j is basis[left, j] @ B-bar, one gather each."""
+    bc = basis.conj()
+    return np.stack([basis[left, j] @ bc for j in range(basis.shape[1])], axis=-1)
 
 
 def _character_key(character: np.ndarray) -> tuple:
@@ -281,13 +277,9 @@ def _decompose_once(group: FiniteGroup, left: np.ndarray,
                     rng: np.random.Generator,
                     tolerances: Tolerances) -> IrrepTable:
     n = group.order
-    probe = hermitian_gaussian(rng, n)
-    avg = _commutant_average(probe, left)
-    w, v = np.linalg.eigh(avg)
-    slices = _cluster_slices(w, tolerances.eigengap * max(np.abs(w).max(), 1e-300))
     pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    for sl in slices:
-        pieces.extend(_refine(left, v[:, sl], rng, tolerances, depth=0))
+    for sub in _split(group, left, rng, tolerances.eigengap):
+        pieces.extend(_refine(group, left, sub, rng, tolerances, depth=0))
 
     # dedup isomorphic copies by class character
     kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (basis, chi_el, chi_cls)
@@ -308,8 +300,7 @@ def _decompose_once(group: FiniteGroup, left: np.ndarray,
 
     reps = []
     for basis, _, chi_cls in kept:
-        mats = _extract_matrices(basis, left)
-        reps.append(UnitaryRep(group, mats, character=chi_cls,
+        reps.append(UnitaryRep(group, _restrict(basis, left), character=chi_cls,
                                is_irreducible=True, tolerances=tolerances))
 
     trivial = [r for r in reps if r.is_trivial()]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rng_from", "haar_unitary", "haar_basis", "hermitian_gaussian"]
+__all__ = ["rng_from", "haar_unitary", "haar_basis"]
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -42,8 +42,3 @@ def haar_basis(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     d /= np.abs(d)
     return q * d
 
-
-def hermitian_gaussian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """GUE-style Hermitian matrix used to probe commutants."""
-    a = _ginibre(rng, dim, dim)
-    return (a + a.conj().T) / 2.0

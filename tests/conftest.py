@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from quasirep import groups, irreps
+
+# reproducible runs that leave no example database behind
+settings.register_profile("quasirep", derandomize=True, database=None)
+settings.load_profile("quasirep")
 
 
 @pytest.fixture(scope="session")

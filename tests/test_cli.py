@@ -64,6 +64,22 @@ def test_unknown_family_is_input_error(capsys, cache):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec", [
+    ["quaternion8", "5"], ["cyclic"], ["psl2", "7", "7"], ["product", "2", "3"],
+])
+def test_wrong_parameters_are_input_errors(capsys, cache, spec):
+    code = cli.main(["group", *spec, "--cache-dir", cache])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_group_cache_is_named_by_parsed_parameters(tmp_path, capsys):
+    for param in ("04", "+4", "4"):
+        assert cli.main(["group", "cyclic", param, "--cache-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert [p.name for p in tmp_path.glob("*.grp")] == ["cyclic-4.grp"]
+
+
 def test_irreps_text_output(capsys, cache):
     code = cli.main(["irreps", "cyclic", "2", "--cache-dir", cache])
     out = capsys.readouterr().out
@@ -228,13 +244,15 @@ def test_cache_survives_corruption(tmp_path, capsys):
     assert captured.out == first
     assert groups.load_group(str(cached)).order == 8
 
-    # the irrep entry: a truncated file and one flipped digit
+    # the irrep entry: a truncated file, one flipped digit, and an entry
+    # written by the previous decomposition (format v1)
     argv = ["irreps", "dihedral", "4", "--cache-dir", str(cache_dir)]
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
     (irr,) = cache_dir.glob("*.irr")
     good = irr.read_text()
-    for bad in (good[: len(good) // 2], flip_first_digit(good)):
+    old = good.replace("quasirep-irreps v2\n", "quasirep-irreps v1\n", 1)
+    for bad in (good[: len(good) // 2], flip_first_digit(good), old):
         irr.write_text(bad)
         assert cli.main(argv) == 0
         captured = capsys.readouterr()

@@ -146,6 +146,8 @@ def test_unknown_family_and_bad_parameters():
 def test_from_table_rejects_non_latin():
     with pytest.raises(NotAGroup, match="row|column"):
         groups.from_table([[0, 1], [1, 1]])
+    with pytest.raises(NotAGroup, match="column 0 "):
+        groups.from_table([[0, 1], [0, 1]])
 
 
 def test_from_table_rejects_shape_and_range():
@@ -161,6 +163,14 @@ def test_from_table_rejects_missing_identity():
     table = [[(i - j) % n for j in range(n)] for i in range(n)]
     with pytest.raises(NotAGroup, match="identity"):
         groups.from_table(table)
+
+
+def test_from_table_rejects_one_sided_inverse():
+    # a loop with identity 0 where 2 * 3 = 0 but 3 * 2 = 1
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+            [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    with pytest.raises(NotAGroup, match="element 2 has no two-sided inverse"):
+        groups.from_table(loop)
 
 
 def test_from_table_rejects_nonassociative_loop():
@@ -188,6 +198,29 @@ def test_from_permutation_generators_rejects_non_permutation():
         groups.from_permutation_generators(3, [(0, 0, 2)])
 
 
+def bfs_elements(degree, gens):
+    """Reference closure: breadth-first by right multiplication, as documented."""
+    elements = [tuple(range(degree))]
+    for g in elements:
+        for s in gens:
+            p = tuple(g[x] for x in s)
+            if p not in elements:
+                elements.append(p)
+    return elements
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.permutations(range(d)), max_size=3))))
+def test_closure_table_matches_brute_force(case):
+    degree, gens = case
+    elements = bfs_elements(degree, gens)
+    index = {e: i for i, e in enumerate(elements)}
+    brute = [[index[tuple(a[x] for x in b)] for b in elements] for a in elements]
+    g = groups.from_permutation_generators(degree, gens)
+    assert np.array_equal(g.table, brute)
+
+
 def test_closure_cap():
     with pytest.raises(ClosureCapExceeded):
         groups.from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)], cap=4)
@@ -200,10 +233,22 @@ def test_deterministic_element_order():
     assert groups.group_hash(t1) == groups.group_hash(t2)
 
 
+PINNED_DIGESTS = {
+    ("alternating", 5): "bdb4e29156d5d71384a31bbdf4becea6c944af68dc1db5e0acd469d98de3b5b4",
+    ("psl2", 11): "96f5406eb3f2ebcebde1ad5d4fb2dec55bc178f8945eb39d8eded6e4e0a2d002",
+    ("sl2", 7): "459ae8de9040eb1caae9dc0bd922bac4219efddabd6163344ea158755b5dfc23",
+    ("alternating", 6): "f49dc722fcf5db1c5ffee343d06ddc3eefa4b1c8fe3cc2db177a3d0932cc427e",
+    ("symmetric", 6): "9452c84eae299c021c6a2c77c4b3ca71945139a71f5f8ab3d833430632a0bdec",
+    ("heisenberg", 5): "9cfc7fbc45cd91eece1a0c8d86c675a13c43cf6d7b2a5aa524cbfa4d80b35198",
+    ("quaternion8",): "aefd81c5afc3c481749d29bd0f96356ffd06ef019691bb42af36f76f950b8f07",
+    ("dihedral", 7): "bf76114d95c0c3e6ddc513f8e086e238f8dce50ac517b3f9eb5c30e95388702a",
+}
+
+
 def test_group_hash_is_pinned():
     # the hash names the irrep cache files; a change would orphan every cache
-    assert groups.group_hash(groups.named("alternating", 5)) == (
-        "bdb4e29156d5d71384a31bbdf4becea6c944af68dc1db5e0acd469d98de3b5b4")
+    for spec, digest in PINNED_DIGESTS.items():
+        assert groups.group_hash(groups.named(*spec)) == digest, spec
 
 
 def test_group_hash_distinguishes_groups():
@@ -261,6 +306,18 @@ def test_inverse_and_class_invariants(a5):
         assert a5.mul(x, a5.inv(x)) == a5.identity
     assert sum(len(c) for c in a5.classes) == a5.order
     assert a5.classes[0] == (a5.identity,)
+
+
+def test_classes_start_with_the_identity():
+    # relabel S4 so that the identity is not element 0
+    g = groups.named("symmetric", 4)
+    perm = np.roll(np.arange(g.order), 5)        # new label of old x
+    inverse = np.argsort(perm)
+    h = groups.from_table(perm[g.table[inverse][:, inverse]])
+    assert h.identity == perm[g.identity] != 0
+    assert h.classes[0] == (h.identity,)
+    assert sorted(sorted(perm[list(c)]) for c in g.classes) == [
+        list(c) for c in sorted(h.classes)]
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasirep import groups, irreps
+from quasirep.config import DEFAULT_TOLERANCES
 from quasirep.errors import FileFormatError, OrderCapExceeded, ToleranceViolation
 
 
@@ -100,6 +105,46 @@ def test_seed_independence(s3):
     t1 = irreps.decompose(s3, seed=1)
     assert t0.dims == t1.dims
     assert np.max(np.abs(t0.character_table - t1.character_table)) < 1e-10
+
+
+def assert_same_table(table, ref):
+    assert table.dims == ref.dims
+    assert np.max(np.abs(table.character_table - ref.character_table)) < 1e-10
+
+
+@pytest.mark.parametrize("spec,eigengap", [
+    (("alternating", 5), 0.3),
+    (("cyclic", 12), 0.3),
+    (("quaternion8",), 0.3),
+    (("alternating", 6), 0.05),
+])
+def test_coarse_clusters_are_refined(monkeypatch, spec, eigengap):
+    # a wide merge width puts several irreducible pieces in one cluster, so
+    # the refine step must split them with compressed probes
+    g = groups.named(*spec)
+    ref = irreps.decompose(g)
+    compressed = []
+    split = irreps._split
+
+    def recording(group, left, rng, eigengap, basis=None):
+        compressed.append(basis is not None)
+        return split(group, left, rng, eigengap, basis)
+
+    monkeypatch.setattr(irreps, "_split", recording)
+    tol = dataclasses.replace(DEFAULT_TOLERANCES, eigengap=eigengap)
+    assert_same_table(irreps.decompose(g, tolerances=tol), ref)
+    assert any(compressed)
+
+
+SMALL_GROUPS = [("symmetric", 3), ("quaternion8",), ("dihedral", 4),
+                ("alternating", 4), ("cyclic", 5)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_GROUPS), st.integers(min_value=0, max_value=2**32 - 1))
+def test_decomposition_is_seed_independent(spec, seed):
+    g = groups.named(*spec)
+    assert_same_table(irreps.decompose(g, seed=seed), irreps.decompose(g))
 
 
 def test_validate_catches_tampering(s3_table):
