@@ -1,11 +1,15 @@
 """Matrix-valued functions on a group and how far they are from representations.
 
 The central quantity is the defect E_{x,y} ||psi(xy) - psi(x) psi(y)||_F^2,
-evaluated two independent ways: an exact double loop over pairs, and a
-spectral route through the blockwise transform (the triple product average
-E tr psi(xy)' psi(x) psi(y) equals sum_rho d_rho tr(W W' W)). Reports carry
-the defect, the exact-agreement fraction, the operator norm of the mean, and
-the reference lower bound on the defect / upper bound on agreement expressed
+evaluated two independent ways. The spectral route (defect_via_fourier)
+goes through the blockwise transform: the triple product average
+E tr psi(xy)' psi(x) psi(y) equals sum_rho d_rho tr(W W' W), and the defect
+follows from it and two second moments, at O(n^2 d^2 + sum (d d_rho)^3)
+cost. The pair scan (defect_direct) visits all |G|^2 pairs, one matrix
+product per chunk of rows, and is the only route that also gives the
+exact-agreement fraction, which is a property of each pair. Both reports
+carry the defect, the triple trace, the operator norm of the mean, and the
+reference lower bound on the defect / upper bound on agreement expressed
 through that norm and the smallest nontrivial irrep dimension d_min.
 
 Constructions: compressions of an irrep to a subspace (exact defect
@@ -113,12 +117,16 @@ class PolarFunction(MatrixFunction):
 
 @dataclass
 class DefectReport:
-    """Measured defect statistics and the reference bounds they must respect."""
+    """Measured defect statistics and the reference bounds they must respect.
+
+    agreement_prob is filled by the pair scan (defect_direct) and is None on
+    the spectral route (defect_via_fourier), which never visits the pairs.
+    """
 
     defect: float
     normalized_defect: float
     triple_trace: complex
-    agreement_prob: float
+    agreement_prob: float | None
     mean_opnorm: float
     thm1_bound: float
     cor1_bound: float
@@ -137,28 +145,37 @@ def _pair_scan(psi: MatrixFunction, agree_tol: float) -> tuple[float, float, com
     """One pass over all |G|^2 pairs.
 
     Returns (mean squared Frobenius defect, exact-agreement fraction,
-    mean triple product trace E tr psi(xy)' psi(x) psi(y)).
+    mean triple product trace E tr psi(xy)' psi(x) psi(y)). Each chunk of
+    rows x forms every product psi(x) psi(y) as one matrix product against
+    the (d, n d) array [psi(y)]_y laid side by side.
     """
     mats = psi.matrices
     table = psi.group.table
     n, d = psi.group.order, psi.dim
-    # chunk so each (c, n, d, d) temporary stays around 32 MB; at most three
+    # chunk so each (c, d, n, d) temporary stays around 32 MB; at most three
     # are live at once, because the difference overwrites prod and each
     # temporary is dropped as soon as it is used
     chunk = max(1, (1 << 21) // max(1, n * d * d))
+    right = np.ascontiguousarray(mats.transpose(1, 0, 2)).reshape(d, n * d)
     total = 0.0
     agree = 0
     triple = 0.0 + 0.0j
     tol2 = agree_tol * agree_tol
     for x0 in range(0, n, chunk):
         hi = min(n, x0 + chunk)
-        prod = np.einsum("xab,ybc->xyac", mats[x0:hi], mats)
-        at_xy = mats[table[x0:hi]]
-        triple += complex(np.einsum("xyab,xyab->", at_xy.conj(), prod))
+        c = hi - x0
+        prod = (mats[x0:hi].reshape(c * d, d) @ right).reshape(c, d, n, d)
+        at_xy = mats[table[x0:hi]].transpose(0, 2, 1, 3)
+        triple += complex(np.einsum("xayb,xayb->", at_xy.conj(), prod))
         diff = np.subtract(at_xy, prod, out=prod)
         del at_xy, prod
-        sq = np.einsum("xyab,xyab->xy", diff, diff.conj()).real
-        del diff
+        # squared moduli summed over the real and imaginary parts, read in
+        # place through a real view of the difference
+        parts = diff.view(np.float64).reshape(c, d, n, d, 2)
+        sq = np.einsum("xaybr,xaybr->xy", parts, parts)
+        del diff, parts
+        # agreement is decided on the per-pair difference: the expanded
+        # moment form would cancel far above the tol2 threshold
         total += float(sq.sum())
         agree += int((sq <= tol2).sum())
     n2 = n * n
@@ -203,11 +220,13 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
 
 def defect_via_fourier(psi: MatrixFunction, table: IrrepTable | None,
                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> DefectReport:
-    """Defect through the blockwise transform.
+    """Defect through the blockwise transform, without the pair scan.
 
     The triple product average is sum_rho d_rho tr(W W' W); the defect then
     follows from E||psi(z)||^2 and E||psi(x)psi(y)||^2, which are spectral-free
-    moments. Agrees with defect_direct on every input, admissible or not.
+    moments. The defect, triple trace and bounds agree with defect_direct on
+    every input, admissible or not; agreement_prob is None, since exact
+    agreement is a per-pair question only defect_direct answers.
     """
     table = _require_table(psi, table)
     residual = psi.admissibility_residual()
@@ -221,13 +240,12 @@ def defect_via_fourier(psi: MatrixFunction, table: IrrepTable | None,
     cogram = np.einsum("xab,xcb->ac", psi.matrices, psi.matrices.conj()) / psi.group.order
     defect = float(np.trace(gram).real + np.trace(gram @ cogram).real
                    - 2.0 * triple.real)
-    _, agreement, _ = _pair_scan(psi, tolerances.entry)
     m, thm1, cor1 = _bounds(psi, table)
     return DefectReport(
         defect=defect,
         normalized_defect=defect / (2.0 * psi.dim),
         triple_trace=triple,
-        agreement_prob=agreement,
+        agreement_prob=None,
         mean_opnorm=m,
         thm1_bound=thm1,
         cor1_bound=cor1,

@@ -25,7 +25,7 @@ from .approx import (
 )
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import FileFormatError, QuasirepError
-from .groups import FiniteGroup, group_hash, load_group, named, save_group
+from .groups import FiniteGroup, check_family, group_hash, load_group, named, save_group
 from .homs import (
     balanced_random_map,
     evaluate,
@@ -70,7 +70,7 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        write_atomic(out, text)
+        write_atomic(out, [text])
 
 
 def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
@@ -91,6 +91,8 @@ def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
             params.append(int(t))
         except ValueError:
             raise ValueError(f"group parameter {t!r} is not an integer") from None
+    # the family names the cache file, so it must be known before any lookup
+    check_family(family, len(params))
     path = os.path.join(cache, "-".join([family, *map(str, params)]) + ".grp")
     if os.path.exists(path):
         try:

@@ -33,6 +33,7 @@ __all__ = [
     "from_table",
     "from_permutation_generators",
     "named",
+    "check_family",
     "product",
     "save_group",
     "load_group",
@@ -397,16 +398,19 @@ def named(family: str, *params) -> FiniteGroup:
     quaternion8, heisenberg(p in {3,5}), sl2(p in {3,5,7}), psl2(p in {5,7,11}),
     product(g1, g2).
     """
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
+    check_family(family, len(params))
+    return _FAMILIES[family](*params)
+
+
+def check_family(family: str, count: int) -> None:
+    """Raise UnsupportedParameter unless family is known and takes count parameters."""
+    if family not in _FAMILIES:
         raise UnsupportedParameter(
-            f"unknown family {family!r}; know {sorted(_FAMILIES)}") from None
-    arity = len(inspect.signature(builder).parameters)
-    if len(params) != arity:
+            f"unknown family {family!r}; know {sorted(_FAMILIES)}")
+    arity = len(inspect.signature(_FAMILIES[family]).parameters)
+    if count != arity:
         raise UnsupportedParameter(
-            f"{family} takes {arity} parameter(s), got {len(params)}")
-    return builder(*params)
+            f"{family} takes {arity} parameter(s), got {count}")
 
 
 def _table_rows(table: np.ndarray) -> str:
@@ -428,7 +432,7 @@ def group_hash(group: FiniteGroup) -> str:
 def save_group(group: FiniteGroup, path: str) -> None:
     """Write the line-oriented group format (atomic: write then rename)."""
     header = f"{GROUP_MAGIC}\nname={group.name}\norder={group.order}\n"
-    write_atomic(path, header + _table_rows(group.table))
+    write_atomic(path, [header, _table_rows(group.table)])
 
 
 def load_group(path: str) -> FiniteGroup:

@@ -225,7 +225,7 @@ def save_map(f: GroupMap, path: str) -> None:
              f"source_hash={group_hash(f.source)}",
              f"target_hash={group_hash(f.target)}"]
     lines.extend(str(int(v)) for v in f.values)
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic(path, ["\n".join(lines) + "\n"])
 
 
 def load_map(path: str, source: FiniteGroup, target: FiniteGroup) -> GroupMap:

@@ -352,15 +352,18 @@ def save_irreps(table: IrrepTable, path: str) -> None:
     """Write the irrep cache format; complex entries at 17 significant digits.
 
     The %.17g rendering is lossless for doubles, so load(save(t)) is
-    bit-exact. Writes are atomic (temp file then rename).
+    bit-exact. Writes are atomic (temp file then rename) and streamed, one
+    matrix at a time.
     """
-    lines = [IRREPS_MAGIC, group_hash(table.group), str(len(table.irreps))]
-    for rep in table.irreps:
-        lines.append(f"dim={rep.dim}")
-        for x in range(table.group.order):
-            for row in rep.matrices[x]:
-                lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-    write_atomic(path, "\n".join(lines) + "\n")
+    def chunks():
+        yield f"{IRREPS_MAGIC}\n{group_hash(table.group)}\n{len(table.irreps)}\n"
+        for rep in table.irreps:
+            yield f"dim={rep.dim}\n"
+            for matrix in rep.matrices.tolist():
+                yield "".join(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row)
+                              + "\n" for row in matrix)
+
+    write_atomic(path, chunks())
 
 
 def load_irreps(group: FiniteGroup, path: str,

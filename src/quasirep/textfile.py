@@ -4,17 +4,22 @@ atomic writes (temp file, then rename) and header-checked line reads."""
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 
 from .errors import FileFormatError
 
 __all__ = ["write_atomic", "read_lines"]
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write text to a temp file, then rename it over path."""
+def write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks in order to a temp file, then rename it over path.
+
+    Chunks are written as they are produced, so a generator keeps only one
+    chunk of a large file in memory.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 

@@ -325,7 +325,7 @@ def _check_a4(ctx: VerifyContext) -> list[Comparison]:
                 for sub in ("leading", "haar"):
                     seed = [ctx.seed, 4, gi, ri, d_psi] if sub == "haar" else None
                     psi = minor_construction(rho, d_psi, subspace=sub, seed=seed)
-                    rep = defect_direct(psi, table)
+                    rep = defect_via_fourier(psi, table)
                     gap = abs(rep.defect - thm4_defect(d_psi, rho.dim))
                     worst = max(worst, gap)
                     cases += 1
@@ -522,7 +522,7 @@ def _check_a9(ctx: VerifyContext) -> list[Comparison]:
     residuals = []
     for i in range(20):
         psi = polar_construction(rho, 9, seed=[ctx.seed, 9, i])
-        normalized.append(defect_direct(psi, table).normalized_defect)
+        normalized.append(defect_via_fourier(psi, table).normalized_defect)
         residuals.append(polar_residual(psi))
     ratio = 9 / 10
     margin = 1.15

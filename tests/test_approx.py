@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasirep import approx, groups, irreps
+from quasirep.config import DEFAULT_TOLERANCES
 from quasirep.errors import DimensionError, MissingIrrepTable, OddOrder, RankDeficient
 
 
@@ -82,6 +83,53 @@ def test_direct_matches_fourier(s3, s3_table, a5_table):
         scale = max(1.0, direct.defect)
         assert abs(direct.defect - spectral.defect) <= 1e-7 * scale
         assert spectral.triple_trace == pytest.approx(direct.triple_trace, abs=1e-8)
+
+
+def brute_force_scan(psi, tol):
+    """(defect, agreement, triple trace) by a double loop over all pairs."""
+    m, t, n = psi.matrices, psi.group.table, psi.group.order
+    total, agree, triple = 0.0, 0, 0j
+    for x in range(n):
+        for y in range(n):
+            prod = m[x] @ m[y]
+            sq = float(np.linalg.norm(m[t[x, y]] - prod) ** 2)
+            total += sq
+            agree += sq <= tol * tol
+            triple += np.trace(m[t[x, y]].conj().T @ prod)
+    return total / n**2, agree / n**2, triple / n**2
+
+
+@pytest.mark.parametrize("spec", [("symmetric", 3), ("quaternion8",), ("alternating", 4)])
+def test_pair_scan_matches_brute_force(spec):
+    g = groups.named(*spec)
+    table = irreps.decompose(g)
+    rho = max(table, key=lambda r: r.dim)
+    cases = [("genuine", approx.as_matrix_function(rho)),
+             ("perturbed", approx.perturbed_irrep(rho, 0.25, seed=1)),
+             ("sign", approx.random_sign_function(g, seed=2))]
+    cases += [(f"haar d{d}", approx.haar_baseline(g, d, seed=d)) for d in range(1, 5)]
+    tol = DEFAULT_TOLERANCES.entry
+    for label, psi in cases:
+        report = approx.defect_direct(psi, table)
+        defect, agreement, triple = brute_force_scan(psi, tol)
+        assert report.agreement_prob == agreement, label
+        assert report.defect == pytest.approx(defect, abs=1e-12), label
+        assert report.triple_trace == pytest.approx(triple, abs=1e-12), label
+        if label == "genuine":
+            assert agreement == 1.0
+        elif label == "perturbed":
+            assert 0.0 < agreement < 1.0
+
+
+def test_spectral_route_skips_the_pair_scan(monkeypatch, a5_table):
+    def refuse(*args):
+        raise AssertionError("defect_via_fourier ran the pair scan")
+
+    psi = approx.minor_construction(irrep_of_dim(a5_table, 5), 3)
+    monkeypatch.setattr(approx, "_pair_scan", refuse)
+    report = approx.defect_via_fourier(psi, a5_table)
+    assert report.agreement_prob is None
+    assert report.defect == pytest.approx(approx.thm4_defect(3, 5), abs=1e-10)
 
 
 def test_report_bounds_are_consistent(a5, a5_table):

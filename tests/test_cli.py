@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -71,6 +74,22 @@ def test_wrong_parameters_are_input_errors(capsys, cache, spec):
     code = cli.main(["group", *spec, "--cache-dir", cache])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_family_is_checked_before_the_cache(tmp_path, monkeypatch, capsys):
+    # valid groups saved where an unknown family or a wrong arity would point
+    # the group cache lookup
+    cache = tmp_path / "c"
+    cache.mkdir()
+    d3 = groups.named("dihedral", 3)
+    groups.save_group(d3, str(tmp_path / "x-4.grp"))
+    groups.save_group(d3, str(cache / "cyclic-4-4.grp"))
+    read = []
+    monkeypatch.setattr(cli, "load_group", read.append)
+    for spec in (["../x", "4"], ["cyclic", "4", "4"]):
+        assert cli.main(["group", *spec, "--cache-dir", str(cache)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert read == []
 
 
 def test_group_cache_is_named_by_parsed_parameters(tmp_path, capsys):
@@ -355,3 +374,14 @@ def test_verify_failure_names_first_check(monkeypatch, capsys):
     assert "A2 FAIL" in captured.out
     assert "first failing check: A2" in captured.err
     assert "residual" in captured.err
+
+
+def test_python_m_runs_the_cli(tmp_path, capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["group", "cyclic", "4", "--cache-dir", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-m", "quasirep", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert cli.main(argv) == 0
+    assert done.stdout == capsys.readouterr().out

@@ -174,6 +174,18 @@ def test_save_load_bit_exact(tmp_path, s3, s3_table):
         assert np.array_equal(orig.matrices, loaded.matrices)
 
 
+def test_saved_irreps_match_the_line_rendering(tmp_path, a5, a5_table):
+    lines = [irreps.IRREPS_MAGIC, groups.group_hash(a5), str(len(a5_table))]
+    for rep in a5_table:
+        lines.append(f"dim={rep.dim}")
+        for x in range(a5.order):
+            for row in rep.matrices[x]:
+                lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
+    path = tmp_path / "a5.irr"
+    irreps.save_irreps(a5_table, str(path))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_load_rejects_wrong_group(tmp_path, s3, s3_table):
     path = tmp_path / "s3.irr"
     irreps.save_irreps(s3_table, str(path))
