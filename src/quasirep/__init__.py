@@ -91,9 +91,7 @@ from .irreps import (
     UnitaryRep,
     decompose,
     frobenius_schur,
-    load_irreps,
     regular_representation,
-    save_irreps,
     tensor_square_stats,
 )
 from .twirl import (
@@ -121,7 +119,7 @@ __all__ = [
     "product", "group_hash", "save_group", "load_group",
     # irreps
     "UnitaryRep", "IrrepTable", "decompose", "regular_representation",
-    "frobenius_schur", "tensor_square_stats", "save_irreps", "load_irreps",
+    "frobenius_schur", "tensor_square_stats",
     # fourier
     "ScalarFunction", "ScalarSpectrum", "MatrixSpectrum", "transform_scalar",
     "invert_scalar", "plancherel_check", "transform_matrix",

@@ -33,7 +33,7 @@ from .errors import (
     RankDeficient,
     ToleranceViolation,
 )
-from .fourier import transform_matrix
+from .fourier import _tensor_block, transform_matrix
 from .groups import FiniteGroup
 from .irreps import IrrepTable, UnitaryRep
 from .sampling import haar_basis, haar_unitary, rng_from
@@ -257,10 +257,7 @@ def opnorm_fourier_block(psi: MatrixFunction, rho: UnitaryRep) -> float:
     """Operator norm of E_x psi(x) (x) rho(x); at most sqrt(d_psi / d_rho)."""
     if rho.group is not psi.group:
         raise ValueError("irrep belongs to a different group")
-    n = psi.group.order
-    w = np.einsum("xab,xcd->acbd", psi.matrices, rho.matrices) / n
-    w = w.reshape(psi.dim * rho.dim, psi.dim * rho.dim)
-    return float(np.linalg.norm(w, 2))
+    return float(np.linalg.norm(_tensor_block(psi.matrices, rho.matrices), 2))
 
 
 def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",

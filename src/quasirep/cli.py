@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: group, irreps, sweep, hom, twirl, verify. Groups and irrep
-tables are cached on disk (--cache-dir, then QUASIREP_CACHE, then
-./.quasirep) because decomposition dominates runtime. Exit codes: 0 on
-success, 1 when a check or bound fails, 2 on input errors.
+Subcommands: group, irreps, sweep, hom, twirl, verify. Named groups are
+cached on disk (--cache-dir, then QUASIREP_CACHE, then ./.quasirep). Irrep
+tables are decomposed in memory on every run: that costs about what reading a
+saved table back from disk would. Exit codes: 0 on success, 1 when a check or
+bound fails, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .homs import (
     make_group_map,
     random_map,
 )
-from .irreps import IrrepTable, decompose, frobenius_schur, load_irreps, save_irreps
+from .irreps import decompose, frobenius_schur
 from .textfile import write_atomic
 from .twirl import CLASS_NAMES, twirl_exact, twirl_monte_carlo
 from .verify import run_battery
@@ -105,20 +106,6 @@ def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
     return g
 
 
-def _table_for(g: FiniteGroup, cache: str, seed: int) -> IrrepTable:
-    """Decompose with a per-(group hash, seed) disk cache; reload is revalidated."""
-    path = os.path.join(cache, f"{group_hash(g)}.s{seed}.irr")
-    if os.path.exists(path):
-        try:
-            return load_irreps(g, path)
-        except (FileFormatError, QuasirepError) as exc:
-            print(f"note: rebuilding stale cache {path}: {exc}", file=sys.stderr)
-    table = decompose(g, seed=seed)
-    os.makedirs(cache, exist_ok=True)
-    save_irreps(table, path)
-    return table
-
-
 def _parse_range(text: str) -> list[int]:
     """'2:5' -> [2, 3, 4, 5]; '3' -> [3]; '5:4' -> [] (empty sweep)."""
     if ":" in text:
@@ -161,9 +148,8 @@ def cmd_group(args) -> int:
 
 
 def cmd_irreps(args) -> int:
-    cache = _cache_dir(args)
-    g = _group_from_spec(args.spec, cache)
-    table = _table_for(g, cache, args.seed)
+    g = _group_from_spec(args.spec, _cache_dir(args))
+    table = decompose(g, seed=args.seed)
     indicators = [frobenius_schur(r) for r in table]
     info = {
         "group": g.name,
@@ -185,10 +171,9 @@ def cmd_irreps(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cache = _cache_dir(args)
     tol = _tolerances(args)
-    g = _group_from_spec(args.group, cache)
-    table = _table_for(g, cache, args.seed)
+    g = _group_from_spec(args.group, _cache_dir(args))
+    table = decompose(g, seed=args.seed)
     d_psis = _parse_range(args.dpsi)
     rows = []
     for ri, rho in enumerate(table):
@@ -272,8 +257,8 @@ def cmd_hom(args) -> int:
     cache = _cache_dir(args)
     src = _group_from_spec(args.source, cache)
     tgt = _group_from_spec(args.target, cache)
-    ts = _table_for(src, cache, args.seed)
-    tt = _table_for(tgt, cache, args.seed)
+    ts = decompose(src, seed=args.seed)
+    tt = decompose(tgt, seed=args.seed)
     seeds = 1 if args.kind in ("identity", "genuine") else args.seeds
     rows = []
     for s in range(seeds):
@@ -375,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tolerance", type=float, default=None,
                         help="override the entrywise agreement threshold")
     common.add_argument("--cache-dir", default=None,
-                        help="cache directory (default $QUASIREP_CACHE or ./.quasirep)")
+                        help="group cache directory (default $QUASIREP_CACHE or ./.quasirep)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
                         help="structured output format (default: plain text)")
     common.add_argument("--out", default=None,

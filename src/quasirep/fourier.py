@@ -117,10 +117,12 @@ def plancherel_check(f: ScalarFunction, spectrum: ScalarSpectrum) -> tuple[float
 def transform_matrix(psi: "MatrixFunction", table: IrrepTable) -> MatrixSpectrum:
     """Blockwise transform W_rho = E_x psi(x) (x) rho(x) of a matrix function."""
     _check_alignment(psi.group, table)
-    n = psi.group.order
-    d = psi.dim
-    blocks = []
-    for rho in table.irreps:
-        w = np.einsum("xab,xcd->acbd", psi.matrices, rho.matrices) / n
-        blocks.append(w.reshape(d * rho.dim, d * rho.dim))
-    return MatrixSpectrum(table, d, tuple(blocks))
+    blocks = tuple(_tensor_block(psi.matrices, rho.matrices) for rho in table.irreps)
+    return MatrixSpectrum(table, psi.dim, blocks)
+
+
+def _tensor_block(psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """E_x psi(x) (x) rho(x) as one GEMM over x, rows (a, c) and columns (b, d)."""
+    n, d, e = len(psi), psi.shape[1], rho.shape[1]
+    w = (psi.reshape(n, d * d).T @ rho.reshape(n, e * e) / n).reshape(d, d, e, e)
+    return w.transpose(0, 2, 1, 3).reshape(d * e, d * e)

@@ -8,7 +8,7 @@ immutable: the backing arrays are marked read-only.
 Construction routes: a raw table, closure of explicit generators (permutations
 or matrices over a prime field), a handful of named families, and direct
 products. A line-oriented text format with a strict loader round-trips tables
-to disk, and a SHA-256 digest of the table keys derived caches.
+to disk, and a SHA-256 digest of the table identifies a group in saved maps.
 """
 
 from __future__ import annotations
@@ -58,15 +58,19 @@ class FiniteGroup:
         classes: tuple of tuples, conjugacy classes as sorted index tuples,
             the class of the identity first.
         class_of: int array mapping each element to its class index.
+        generators: element indices that generate the group, the ones
+            Light's associativity test checked (see _check_associativity).
     """
 
     def __init__(self, name: str, table: np.ndarray, identity: int,
-                 inverses: np.ndarray, classes: tuple[tuple[int, ...], ...]):
+                 inverses: np.ndarray, classes: tuple[tuple[int, ...], ...],
+                 generators: tuple[int, ...]):
         self.name = name
         self.table = table
         self.identity = int(identity)
         self.inverses = inverses
         self.classes = classes
+        self.generators = generators
         class_of = np.empty(len(table), dtype=np.int64)
         for ci, cls in enumerate(classes):
             class_of[list(cls)] = ci
@@ -114,13 +118,14 @@ def _find_identity(table: np.ndarray) -> int:
     return int(np.argmax(both))
 
 
-def _check_associativity(table: np.ndarray, identity: int) -> None:
+def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
     """Light's test: (x*s)*y = x*(s*y) for all x, y and each s of a generating set.
 
     The passing s are closed under products and include the identity, so it
     suffices that the s reach every element from the identity. Each s (the
     smallest element not yet reached) is checked before it extends the reached
     set, a subgroup that thus at least doubles: at most log2(n) + 1 checks.
+    Returns the generating set.
     """
     reached = np.zeros(len(table), dtype=bool)
     reached[identity] = True
@@ -138,6 +143,7 @@ def _check_associativity(table: np.ndarray, identity: int) -> None:
             step = np.unique(table[np.ix_(frontier, gens)])
             frontier = step[~reached[step]]
             reached[frontier] = True
+    return tuple(gens)
 
 
 def _conjugacy_partition(table: np.ndarray, inverses: np.ndarray,
@@ -169,9 +175,9 @@ def from_table(table, name: str = "table") -> FiniteGroup:
     bad = np.flatnonzero(arr[inverses, np.arange(n)] != identity)
     if len(bad):
         raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
-    _check_associativity(arr, identity)
+    generators = _check_associativity(arr, identity)
     classes = _conjugacy_partition(arr, inverses, identity)
-    return FiniteGroup(name, arr, identity, inverses, classes)
+    return FiniteGroup(name, arr, identity, inverses, classes, generators)
 
 
 def _closure_table(generators: Sequence, identity, mul: Callable, cap: int,
@@ -325,11 +331,11 @@ def _dihedral(n: int) -> FiniteGroup:
     if n == 1:
         g = _cyclic(2)
         return FiniteGroup(f"dihedral({n})", g.table.copy(), g.identity,
-                           g.inverses.copy(), g.classes)
+                           g.inverses.copy(), g.classes, g.generators)
     if n == 2:
         g = product(_cyclic(2), _cyclic(2))
         return FiniteGroup(f"dihedral({n})", g.table.copy(), g.identity,
-                           g.inverses.copy(), g.classes)
+                           g.inverses.copy(), g.classes, g.generators)
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((n - i) % n for i in range(n))
     group = from_permutation_generators(n, [rot, ref], name=f"dihedral({n})")

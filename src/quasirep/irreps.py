@@ -24,14 +24,8 @@ from typing import Iterator
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import (
-    DecompositionFailed,
-    FileFormatError,
-    OrderCapExceeded,
-    ToleranceViolation,
-)
-from .groups import FiniteGroup, group_hash
-from .textfile import read_lines, write_atomic
+from .errors import DecompositionFailed, OrderCapExceeded, ToleranceViolation
+from .groups import FiniteGroup
 
 __all__ = [
     "UnitaryRep",
@@ -40,13 +34,10 @@ __all__ = [
     "decompose",
     "frobenius_schur",
     "tensor_square_stats",
-    "save_irreps",
-    "load_irreps",
     "ORDER_CAP",
 ]
 
 ORDER_CAP = 700
-IRREPS_MAGIC = "quasirep-irreps v2"
 
 _RETRY_BUDGET = 8
 
@@ -90,12 +81,14 @@ class UnitaryRep:
     def is_trivial(self) -> bool:
         return self.dim == 1 and np.max(np.abs(self.character - 1.0)) < 1e-6
 
-    def validate(self, tolerances: Tolerances = DEFAULT_TOLERANCES,
-                 seed: int = 0) -> None:
+    def validate(self, tolerances: Tolerances = DEFAULT_TOLERANCES) -> None:
         """Check unitarity everywhere and the product law on pairs.
 
-        The product law is exhaustive for |G| <= 128 and spot-checked on 10^3
-        seeded random pairs beyond that. Raises ToleranceViolation.
+        The product law is checked on all pairs for |G| <= 128 and on every
+        pair (x, s), s in group.generators, beyond that. Both are exhaustive:
+        the y with R(x y) = R(x) R(y) for all x are closed under products, so
+        passing on the generators means passing everywhere. Raises
+        ToleranceViolation.
         """
         g, m = self.group, self.matrices
         eye = np.eye(self.dim)
@@ -111,9 +104,8 @@ class UnitaryRep:
             xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
             xs, ys = xs.ravel(), ys.ravel()
         else:
-            rng = np.random.default_rng(seed)
-            xs = rng.integers(0, n, 1000)
-            ys = rng.integers(0, n, 1000)
+            xs = np.repeat(np.arange(n), len(g.generators))
+            ys = np.tile(g.generators, n)
         prod = np.einsum("pab,pbc->pac", m[xs], m[ys])
         err = np.linalg.norm(prod - m[g.table[xs, ys]], axis=(1, 2))
         if err.max() > tolerances.entry:
@@ -310,7 +302,7 @@ def _decompose_once(group: FiniteGroup, left: np.ndarray,
                   key=lambda r: (r.dim, _character_key(r.character)))
     ordered = tuple(trivial + rest)
     for rep in ordered:
-        rep.validate(tolerances=tolerances, seed=0)
+        rep.validate(tolerances=tolerances)
     return IrrepTable(group, ordered)
 
 
@@ -346,76 +338,3 @@ def tensor_square_stats(rho: UnitaryRep) -> tuple[float, float]:
         raise ToleranceViolation(
             f"E|chi(x^2)|^2 = {square} exceeds E|chi|^4 = {fourth}")
     return fourth, square
-
-
-def save_irreps(table: IrrepTable, path: str) -> None:
-    """Write the irrep cache format; complex entries at 17 significant digits.
-
-    The %.17g rendering is lossless for doubles, so load(save(t)) is
-    bit-exact. Writes are atomic (temp file then rename) and streamed, one
-    matrix at a time.
-    """
-    def chunks():
-        yield f"{IRREPS_MAGIC}\n{group_hash(table.group)}\n{len(table.irreps)}\n"
-        for rep in table.irreps:
-            yield f"dim={rep.dim}\n"
-            for matrix in rep.matrices.tolist():
-                yield "".join(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row)
-                              + "\n" for row in matrix)
-
-    write_atomic(path, chunks())
-
-
-def load_irreps(group: FiniteGroup, path: str,
-                tolerances: Tolerances = DEFAULT_TOLERANCES) -> IrrepTable:
-    """Strict loader for the irrep cache; validates the group hash and shape."""
-    lines = read_lines(path, IRREPS_MAGIC)
-    if len(lines) < 3:
-        raise FileFormatError("truncated irreps file", line=len(lines))
-    expect_hash = group_hash(group)
-    if lines[1] != expect_hash:
-        raise FileFormatError(
-            f"group hash {lines[1][:12]}... does not match {expect_hash[:12]}...", line=2)
-    try:
-        count = int(lines[2])
-    except ValueError:
-        raise FileFormatError("irrep count is not an integer", line=3) from None
-    n = group.order
-    pos = 3
-    reps = []
-    for k in range(count):
-        if pos >= len(lines) or not lines[pos].startswith("dim="):
-            raise FileFormatError(f"expected dim=<d> for irrep {k}", line=pos + 1)
-        try:
-            dim = int(lines[pos][len("dim="):])
-        except ValueError:
-            raise FileFormatError("dim is not an integer", line=pos + 1) from None
-        if dim < 1:
-            raise FileFormatError(f"dim must be positive, got {dim}", line=pos + 1)
-        pos += 1
-        need = n * dim
-        if pos + need > len(lines):
-            raise FileFormatError(
-                f"irrep {k} needs {need} matrix rows, file ends early", line=len(lines))
-        mats = np.empty((n, dim, dim), dtype=np.complex128)
-        for x in range(n):
-            for r in range(dim):
-                parts = lines[pos].split()
-                if len(parts) != 2 * dim:
-                    raise FileFormatError(
-                        f"row has {len(parts)} numbers, expected {2 * dim}", line=pos + 1)
-                try:
-                    vals = [float(p) for p in parts]
-                except ValueError:
-                    raise FileFormatError("non-numeric matrix entry", line=pos + 1) from None
-                mats[x, r] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-                pos += 1
-        reps.append(UnitaryRep(group, mats, tolerances=tolerances))
-    if pos != len(lines):
-        raise FileFormatError(f"{len(lines) - pos} trailing lines", line=pos + 1)
-    if sum(r.dim ** 2 for r in reps) != n:
-        raise FileFormatError("cached irreps do not span the group algebra")
-    table = IrrepTable(group, tuple(reps))
-    for rep in table.irreps:
-        rep.validate(tolerances=tolerances, seed=0)
-    return table

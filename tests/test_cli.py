@@ -17,7 +17,7 @@ from quasirep import cli, groups, verify
 
 @pytest.fixture(scope="module")
 def cache(tmp_path_factory):
-    """Shared cache directory so the A5 decomposition happens once."""
+    """Shared cache directory so each named group is built once."""
     return str(tmp_path_factory.mktemp("clicache"))
 
 
@@ -241,15 +241,6 @@ def test_twirl_degenerate_dimension(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def flip_first_digit(text):
-    """Change the first digit of the first matrix row (line 5)."""
-    lines = text.split("\n")
-    row = lines[4]
-    i = next(i for i, c in enumerate(row) if c.isdigit())
-    lines[4] = row[:i] + str((int(row[i]) + 1) % 10) + row[i + 1:]
-    return "\n".join(lines)
-
-
 def test_cache_survives_corruption(tmp_path, capsys):
     cache_dir = tmp_path / "c"
     assert cli.main(["group", "dihedral", "4", "--cache-dir", str(cache_dir)]) == 0
@@ -263,26 +254,6 @@ def test_cache_survives_corruption(tmp_path, capsys):
     assert captured.out == first
     assert groups.load_group(str(cached)).order == 8
 
-    # the irrep entry: a truncated file, one flipped digit, and an entry
-    # written by the previous decomposition (format v1)
-    argv = ["irreps", "dihedral", "4", "--cache-dir", str(cache_dir)]
-    assert cli.main(argv) == 0
-    first = capsys.readouterr().out
-    (irr,) = cache_dir.glob("*.irr")
-    good = irr.read_text()
-    old = good.replace("quasirep-irreps v2\n", "quasirep-irreps v1\n", 1)
-    for bad in (good[: len(good) // 2], flip_first_digit(good), old):
-        irr.write_text(bad)
-        assert cli.main(argv) == 0
-        captured = capsys.readouterr()
-        assert "rebuilding stale cache" in captured.err
-        assert captured.out == first
-        assert irr.read_text() == good
-
-
-def snapshot(directory):
-    return {p.name: p.read_bytes() for p in directory.iterdir()}
-
 
 @pytest.mark.parametrize("argv", [
     ["irreps"],
@@ -290,30 +261,38 @@ def snapshot(directory):
     ["hom", "--target", "cyclic", "2", "--seeds", "2", "--source"],
 ])
 def test_file_spec_commands_use_the_cache(tmp_path, capsys, argv):
+    # a file spec and a named spec of one group: repeated runs print the same
+    # bytes, and the cache holds groups only, never irrep tables
     path = tmp_path / "s3.grp"
     groups.save_group(groups.named("symmetric", 3), str(path))
     cache_dir = tmp_path / "c"
-    full = argv + ["file", str(path.resolve()), "--cache-dir", str(cache_dir)]
-    assert cli.main(full) == 0
-    first = capsys.readouterr().out
-    before = snapshot(cache_dir)
-    assert cli.main(full) == 0
-    assert capsys.readouterr().out == first
-    assert snapshot(cache_dir) == before
+    for spec in (["file", str(path.resolve())], ["symmetric", "3"]):
+        full = argv + spec + ["--cache-dir", str(cache_dir)]
+        assert cli.main(full) == 0
+        first = capsys.readouterr().out
+        assert cli.main(full) == 0
+        assert capsys.readouterr().out == first
+    names = sorted(p.name for p in cache_dir.iterdir())
+    assert names and all(name.endswith(".grp") for name in names), names
 
 
-def test_irrep_cache_is_keyed_by_group(tmp_path, capsys):
-    # one group reached through two files and a named spec shares one entry
+def test_stale_irrep_files_are_ignored(tmp_path, capsys):
+    # irrep tables saved by earlier versions, hash- or spec-named, are never read
+    argv = ["irreps", "symmetric", "3", "--cache-dir", str(tmp_path / "fresh")]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
     cache_dir = tmp_path / "c"
-    for sub in ("a", "b"):
-        (tmp_path / sub).mkdir()
-        groups.save_group(groups.named("symmetric", 3), str(tmp_path / sub / "s3.grp"))
-        assert cli.main(["irreps", "file", str(tmp_path / sub / "s3.grp"),
-                         "--cache-dir", str(cache_dir)]) == 0
-    assert cli.main(["irreps", "symmetric", "3", "--cache-dir", str(cache_dir)]) == 0
-    capsys.readouterr()
+    cache_dir.mkdir()
     digest = groups.group_hash(groups.named("symmetric", 3))
-    assert sorted(p.name for p in cache_dir.glob("*.irr")) == [f"{digest}.s0.irr"]
+    stale = [cache_dir / f"{digest}.s0.irr", cache_dir / "symmetric-3.s0.irr"]
+    for path in stale:
+        path.write_text("quasirep-irreps v2\nnot a table\n")
+    assert cli.main(argv[:-1] + [str(cache_dir)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+    for path in stale:
+        assert path.read_text() == "quasirep-irreps v2\nnot a table\n"
 
 
 def test_cache_env_variable(tmp_path, monkeypatch, capsys):

@@ -246,7 +246,8 @@ PINNED_DIGESTS = {
 
 
 def test_group_hash_is_pinned():
-    # the hash names the irrep cache files; a change would orphan every cache
+    # `group` and `irreps` print the hash and saved maps record it; a change
+    # would make every saved map unreadable
     for spec, digest in PINNED_DIGESTS.items():
         assert groups.group_hash(groups.named(*spec)) == digest, spec
 

@@ -1,4 +1,4 @@
-"""Decomposition into unitary irreducibles and the irrep cache format."""
+"""Decomposition into unitary irreducibles and the checks on the result."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from quasirep import groups, irreps
 from quasirep.config import DEFAULT_TOLERANCES
-from quasirep.errors import FileFormatError, OrderCapExceeded, ToleranceViolation
+from quasirep.errors import OrderCapExceeded, ToleranceViolation
 
 
 def class_by_size(group, size):
@@ -157,66 +157,28 @@ def test_validate_catches_tampering(s3_table):
         bad.validate()
 
 
+def test_validate_reaches_every_element_above_the_pair_cap():
+    # one sign-flipped matrix, a unitary, at an element that 1000 seeded
+    # random pairs (seed 0) never touch as x, y or x*y: only a product law
+    # checked against every x and a generating set must see it
+    g = groups.named("psl2", 11)
+    rep = next(r for r in irreps.decompose(g) if r.dim == 5)
+    rep.validate()
+    rng = np.random.default_rng(0)
+    xs = rng.integers(0, g.order, 1000)
+    ys = rng.integers(0, g.order, 1000)
+    untouched = set(range(g.order)) - set(xs) - set(ys) - set(g.table[xs, ys])
+    z = min(untouched - {g.identity})
+    mats = rep.matrices.copy()
+    mats[z] *= -1.0
+    bad = irreps.UnitaryRep(g, mats, character=rep.character, is_irreducible=True)
+    with pytest.raises(ToleranceViolation, match="product law"):
+        bad.validate()
+
+
 def test_tensor_square_stats(s3_table):
     fourth, square = irreps.tensor_square_stats(s3_table.irreps[2])
     assert fourth == pytest.approx(3.0, abs=1e-10)
     assert square == pytest.approx(3.0, abs=1e-10)
     with pytest.raises(ValueError):
         irreps.tensor_square_stats(irreps.regular_representation(s3_table.group))
-
-
-def test_save_load_bit_exact(tmp_path, s3, s3_table):
-    path = tmp_path / "s3.irr"
-    irreps.save_irreps(s3_table, str(path))
-    back = irreps.load_irreps(s3, str(path))
-    assert back.dims == s3_table.dims
-    for orig, loaded in zip(s3_table, back):
-        assert np.array_equal(orig.matrices, loaded.matrices)
-
-
-def test_saved_irreps_match_the_line_rendering(tmp_path, a5, a5_table):
-    lines = [irreps.IRREPS_MAGIC, groups.group_hash(a5), str(len(a5_table))]
-    for rep in a5_table:
-        lines.append(f"dim={rep.dim}")
-        for x in range(a5.order):
-            for row in rep.matrices[x]:
-                lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-    path = tmp_path / "a5.irr"
-    irreps.save_irreps(a5_table, str(path))
-    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
-
-
-def test_load_rejects_wrong_group(tmp_path, s3, s3_table):
-    path = tmp_path / "s3.irr"
-    irreps.save_irreps(s3_table, str(path))
-    with pytest.raises(FileFormatError) as err:
-        irreps.load_irreps(groups.named("cyclic", 6), str(path))
-    assert err.value.line == 2
-
-
-def test_load_rejects_bad_header(tmp_path, s3):
-    path = tmp_path / "bad.irr"
-    path.write_text("not an irreps file\n")
-    with pytest.raises(FileFormatError) as err:
-        irreps.load_irreps(s3, str(path))
-    assert err.value.line == 1
-
-
-def test_load_rejects_truncation(tmp_path, s3, s3_table):
-    path = tmp_path / "s3.irr"
-    irreps.save_irreps(s3_table, str(path))
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:-4]) + "\n")
-    with pytest.raises(FileFormatError):
-        irreps.load_irreps(s3, str(path))
-
-
-def test_load_rejects_non_numeric(tmp_path, s3, s3_table):
-    path = tmp_path / "s3.irr"
-    irreps.save_irreps(s3_table, str(path))
-    lines = path.read_text().splitlines()
-    lines[4] = "zero one"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FileFormatError) as err:
-        irreps.load_irreps(s3, str(path))
-    assert err.value.line == 5
