@@ -276,6 +276,23 @@ def test_file_spec_commands_use_the_cache(tmp_path, capsys, argv):
     assert names and all(name.endswith(".grp") for name in names), names
 
 
+def test_irrep_cache_is_keyed_by_group(tmp_path, capsys):
+    # one group reached through two files and a named spec prints one table,
+    # and the only cache entry is the named group itself
+    cache_dir = tmp_path / "c"
+    outputs = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        groups.save_group(groups.named("symmetric", 3), str(tmp_path / sub / "s3.grp"))
+        assert cli.main(["irreps", "file", str(tmp_path / sub / "s3.grp"),
+                         "--cache-dir", str(cache_dir)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert cli.main(["irreps", "symmetric", "3", "--cache-dir", str(cache_dir)]) == 0
+    outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs.count(outputs[0]) == 3
+    assert sorted(p.name for p in cache_dir.iterdir()) == ["symmetric-3.grp"]
+
+
 def test_stale_irrep_files_are_ignored(tmp_path, capsys):
     # irrep tables saved by earlier versions, hash- or spec-named, are never read
     argv = ["irreps", "symmetric", "3", "--cache-dir", str(tmp_path / "fresh")]
