@@ -81,7 +81,6 @@ from .homs import (
     lift_through_irrep,
     load_map,
     make_group_map,
-    perturbed_hom,
     r_h,
     random_map,
     save_map,
@@ -91,8 +90,6 @@ from .irreps import (
     UnitaryRep,
     decompose,
     frobenius_schur,
-    regular_representation,
-    tensor_square_stats,
 )
 from .twirl import (
     TwirlAudit,
@@ -100,9 +97,8 @@ from .twirl import (
     error_term_audit,
     moment_trace,
     tableau_count,
-    transposition_distance,
     twirl_exact,
-    twirl_monte_carlo,
+    twirl_gram,
 )
 from .verify import (
     RunManifest,
@@ -118,8 +114,7 @@ __all__ = [
     "FiniteGroup", "from_table", "from_permutation_generators", "named",
     "product", "group_hash", "save_group", "load_group",
     # irreps
-    "UnitaryRep", "IrrepTable", "decompose", "regular_representation",
-    "frobenius_schur", "tensor_square_stats",
+    "UnitaryRep", "IrrepTable", "decompose", "frobenius_schur",
     # fourier
     "ScalarFunction", "ScalarSpectrum", "MatrixSpectrum", "transform_scalar",
     "invert_scalar", "plancherel_check", "transform_matrix",
@@ -133,12 +128,10 @@ __all__ = [
     # maps between groups
     "GroupMap", "HomReport", "make_group_map", "agreement_probability",
     "r_h", "evaluate", "lift_through_irrep", "random_map",
-    "balanced_random_map", "genuine_hom", "perturbed_hom", "save_map",
-    "load_map",
+    "balanced_random_map", "genuine_hom", "save_map", "load_map",
     # twirl
-    "TwirlExpansion", "TwirlAudit", "twirl_exact", "twirl_monte_carlo",
+    "TwirlExpansion", "TwirlAudit", "twirl_exact", "twirl_gram",
     "error_term_audit", "tableau_count", "moment_trace",
-    "transposition_distance",
     # verification
     "RunManifest", "VerifyContext", "run_battery", "run_check",
     "deterministic_manifest_dict",

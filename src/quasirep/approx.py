@@ -152,10 +152,12 @@ def _pair_scan(psi: MatrixFunction, agree_tol: float) -> tuple[float, float, com
     mats = psi.matrices
     table = psi.group.table
     n, d = psi.group.order, psi.dim
-    # chunk so each (c, d, n, d) temporary stays around 32 MB; at most three
-    # are live at once, because the difference overwrites prod and each
+    # chunk so each (c, d, n, d) complex temporary stays around 4 MiB, far
+    # below the 32 MiB ceiling of glibc's dynamic mmap threshold, so peak
+    # memory does not depend on how many scans ran before; at most three are
+    # live at once, because the difference overwrites prod and each
     # temporary is dropped as soon as it is used
-    chunk = max(1, (1 << 21) // max(1, n * d * d))
+    chunk = max(1, (1 << 18) // max(1, n * d * d))
     right = np.ascontiguousarray(mats.transpose(1, 0, 2)).reshape(d, n * d)
     total = 0.0
     agree = 0

@@ -36,7 +36,7 @@ from .homs import (
 )
 from .irreps import decompose, frobenius_schur
 from .textfile import write_atomic
-from .twirl import CLASS_NAMES, twirl_exact, twirl_monte_carlo
+from .twirl import CLASS_NAMES, twirl_exact, twirl_gram
 from .verify import run_battery
 
 __all__ = ["main"]
@@ -308,23 +308,21 @@ def cmd_hom(args) -> int:
 
 def cmd_twirl(args) -> int:
     exact = twirl_exact(args.d_rho, args.d_psi)
-    payload = {"exact": exact.to_json_dict()}
-    mc = None
-    if args.samples:
-        mc = twirl_monte_carlo(args.d_rho, args.d_psi, args.samples, args.seed)
-        payload["monte_carlo"] = mc.to_json_dict()
-        payload["max_abs_difference"] = max(
-            abs(exact.coefficients[n] - mc.coefficients[n]) for n in CLASS_NAMES)
+    gram = twirl_gram(args.d_rho, args.d_psi)
+    payload = {
+        "exact": exact.to_json_dict(),
+        "gram": gram.to_json_dict(),
+        "max_abs_difference": max(
+            abs(exact.coefficients[n] - gram.coefficients[n]) for n in CLASS_NAMES),
+    }
     if args.format == "json":
         _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = [f"d_rho={args.d_rho} d_psi={args.d_psi}"]
-        for name in CLASS_NAMES:
-            line = f"  {name:10s} exact={exact.coefficients[name]:+.12e}"
-            if mc is not None:
-                line += (f" mc={mc.coefficients[name]:+.12e}"
-                         f" stderr={mc.stderr[name]:.2e}")
-            lines.append(line)
+        lines.extend(
+            f"  {name:10s} exact={exact.coefficients[name]:+.12e}"
+            f" gram={gram.coefficients[name]:+.12e}"
+            for name in CLASS_NAMES)
         _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -355,8 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="base seed; every randomized output derives from it")
-    common.add_argument("--samples", type=int, default=None,
-                        help="Monte Carlo sample count where applicable")
     common.add_argument("--tolerance", type=float, default=None,
                         help="override the entrywise agreement threshold")
     common.add_argument("--cache-dir", default=None,
@@ -406,7 +402,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("twirl", parents=[common],
-                       help="fourth-moment twirl coefficients, exact and sampled")
+                       help="fourth-moment twirl coefficients by character sum and "
+                            "by Gram solve")
     p.add_argument("--d-rho", type=int, required=True)
     p.add_argument("--d-psi", type=int, required=True)
     p.set_defaults(func=cmd_twirl)

@@ -34,7 +34,6 @@ __all__ = [
     "random_map",
     "balanced_random_map",
     "genuine_hom",
-    "perturbed_hom",
     "save_map",
     "load_map",
 ]
@@ -197,25 +196,6 @@ def genuine_hom(source: FiniteGroup, target: FiniteGroup,
         raise NotAHomomorphism(
             f"images are inconsistent: f({x}*{y}) = {int(lhs[x, y])} but "
             f"f({x})f({y}) = {int(rhs[x, y])}")
-    return make_group_map(source, target, values)
-
-
-def perturbed_hom(source: FiniteGroup, target: FiniteGroup, images: dict[int, int],
-                  flip_fraction: float, seed) -> GroupMap:
-    """A genuine homomorphism with a seeded fraction of values rerolled.
-
-    Each flipped element gets a uniformly random wrong value, so the flips are
-    guaranteed to change the map.
-    """
-    if not 0.0 <= flip_fraction <= 1.0:
-        raise ValueError(f"flip_fraction must be in [0, 1], got {flip_fraction}")
-    base = genuine_hom(source, target, images)
-    rng = rng_from(seed)
-    values = base.values.copy()
-    count = int(round(flip_fraction * source.order))
-    for idx in rng.choice(source.order, size=count, replace=False):
-        shift = rng.integers(1, target.order)
-        values[idx] = (values[idx] + shift) % target.order
     return make_group_map(source, target, values)
 
 

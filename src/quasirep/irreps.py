@@ -30,10 +30,8 @@ from .groups import FiniteGroup
 __all__ = [
     "UnitaryRep",
     "IrrepTable",
-    "regular_representation",
     "decompose",
     "frobenius_schur",
-    "tensor_square_stats",
     "ORDER_CAP",
 ]
 
@@ -157,22 +155,6 @@ def _class_average(group: FiniteGroup, values: np.ndarray,
                 f"character varies within class {ci} by "
                 f"{np.max(np.abs(vals - out[ci])):.3e}")
     return out
-
-
-def regular_representation(group: FiniteGroup) -> UnitaryRep:
-    """Dense left regular representation, R(x) e_y = e_{x y}.
-
-    Memory is |G|^3 complex entries, so this is meant for small groups; the
-    decomposition below never calls it.
-    """
-    n = group.order
-    if n > ORDER_CAP:
-        raise OrderCapExceeded(f"order {n} above dense cap {ORDER_CAP}")
-    mats = np.zeros((n, n, n), dtype=np.complex128)
-    xs = np.repeat(np.arange(n), n)
-    ys = np.tile(np.arange(n), n)
-    mats[xs, group.table[xs, ys], ys] = 1.0
-    return UnitaryRep(group, mats, is_irreducible=(n == 1))
 
 
 class _SplitFailed(Exception):
@@ -321,20 +303,3 @@ def frobenius_schur(rho: UnitaryRep,
     if snapped not in (-1, 0, 1) or abs(raw - snapped) > 1e-6:
         raise ToleranceViolation(f"indicator average {raw} is not near -1, 0, or +1")
     return snapped
-
-
-def tensor_square_stats(rho: UnitaryRep) -> tuple[float, float]:
-    """(E|chi(x)|^4, E|chi(x^2)|^2) for an irreducible rep.
-
-    The second moment never exceeds the first; that inequality is asserted
-    here with a 1e-9 slack.
-    """
-    if not rho.is_irreducible:
-        raise ValueError("tensor square stats need an irreducible rep")
-    chi = rho.character_on_elements()
-    fourth = float(np.mean(np.abs(chi) ** 4))
-    square = float(np.mean(np.abs(chi[rho.group.squares()]) ** 2))
-    if square > fourth + 1e-9:
-        raise ToleranceViolation(
-            f"E|chi(x^2)|^2 = {square} exceeds E|chi|^4 = {fourth}")
-    return fourth, square

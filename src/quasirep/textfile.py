@@ -24,9 +24,20 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
 
 
 def read_lines(path: str, magic: str) -> list[str]:
-    """The file's lines, no trailing empty one; line 1 must equal magic."""
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    """The file's lines, no trailing empty one; line 1 must equal magic.
+
+    A byte that is not UTF-8 raises FileFormatError naming its line.
+    """
+    # undecodable bytes become lone surrogates, which encoding back rejects
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(text[exc.start]) - 0xDC00
+        raise FileFormatError(f"byte 0x{byte:02x} is not UTF-8",
+                              line=text.count("\n", 0, exc.start) + 1) from None
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or lines[0] != magic:

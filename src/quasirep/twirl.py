@@ -5,20 +5,20 @@ fourth moment E(Pi)^{(x)4} is a combination sum_pi v(pi) P_pi of the 24
 permutation operators on the four tensor factors. The coefficients are class
 functions on S4 and come in closed form from a character sum over the five
 partitions of 4, with hook-content tableau counts supplying the dimension
-data; they also solve the linear system obtained by pairing both sides with
-permutation operators, tr(Pi^{(x)4} P_sigma) = d_psi^{c(sigma)}, which is what
-the Monte Carlo estimator samples.
+data. They also solve the linear system obtained by pairing both sides with
+permutation operators, tr(Pi^{(x)4} P_sigma) = d_psi^{c(sigma)} for every
+projector, and that Gram solve is a second exact route to the same numbers.
 
 The audit contraction E_{Pi,x} tr[(Pi rho(x)' Pi rho(x))^2] is evaluated both
 by Monte Carlo over the subspace (exact average over the group) and through
 the twirl expansion, where each permutation term collapses to products of
-character power-moments of rho.
+character power-moments of rho. Only that Monte Carlo has sampling variance.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import prod
@@ -36,12 +36,11 @@ __all__ = [
     "all_permutations",
     "cycle_count",
     "class_name",
-    "transposition_distance",
     "tableau_count",
     "moment_trace",
     "TwirlExpansion",
     "twirl_exact",
-    "twirl_monte_carlo",
+    "twirl_gram",
     "TwirlAudit",
     "error_term_audit",
 ]
@@ -106,11 +105,6 @@ def class_name(perm: tuple[int, ...]) -> str:
     return _TYPE_TO_NAME[tuple(sorted(len(c) for c in _cycles(perm)))]
 
 
-def transposition_distance(perm: tuple[int, ...]) -> int:
-    """Minimal number of transpositions writing perm: 4 - cycle count."""
-    return 4 - cycle_count(perm)
-
-
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a[x] for x in b)
 
@@ -161,10 +155,6 @@ class TwirlExpansion:
     d_rho: int
     d_psi: int
     coefficients: dict[str, float]
-    stderr: dict[str, float] | None = None
-    samples: int | None = None
-    seed: int | None = None
-    raw_traces: dict[str, tuple[float, float]] | None = field(default=None, repr=False)
 
     def coefficient(self, perm: tuple[int, ...]) -> float:
         return self.coefficients[class_name(perm)]
@@ -182,9 +172,6 @@ class TwirlExpansion:
             "d_rho": self.d_rho,
             "d_psi": self.d_psi,
             "coefficients": dict(self.coefficients),
-            "stderr": dict(self.stderr) if self.stderr is not None else None,
-            "samples": self.samples,
-            "seed": self.seed,
         }
 
     def to_json(self) -> str:
@@ -221,69 +208,32 @@ def twirl_exact(d_rho: int, d_psi: int) -> TwirlExpansion:
     return TwirlExpansion(d_rho=d_rho, d_psi=d_psi, coefficients=coeffs)
 
 
-def twirl_monte_carlo(d_rho: int, d_psi: int, samples: int, seed,
-                      representatives: dict[str, tuple[int, ...]] | None = None,
-                      ) -> TwirlExpansion:
-    """Estimate the twirl coefficients from sampled projector traces.
+def twirl_gram(d_rho: int, d_psi: int) -> TwirlExpansion:
+    """Twirl coefficients from the class-collapsed Gram system.
 
-    For each class representative sigma the estimator averages
-    tr((B B')^{(x)4} P_{sigma^-1}) over Haar-random bases B, then solves the
-    class-collapsed Gram system against the permutation-operator overlaps.
-
-    Note: each sampled trace is a product of traces of powers of an exact
-    projector, so the estimator has zero intrinsic variance; reported standard
-    errors measure floating-point roundoff only. See also twirl_exact, which
-    this reproduces to roundoff at any sample count.
+    Pairing sum_pi v(pi) P_pi with P_sigma for one representative sigma per
+    class gives sum_pi v(pi) d_rho^{c(pi sigma^-1)} = moment_trace(sigma),
+    five equations in the five class coefficients, solved in floating point.
     """
     _check_dims(d_rho, d_psi)
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
-    reps = dict(CLASS_REPRESENTATIVES)
-    if representatives:
-        for name, perm in representatives.items():
-            if class_name(tuple(perm)) != name:
-                raise ValueError(f"{perm} is not in class {name}")
-            reps[name] = tuple(perm)
-    rng = rng_from(seed)
-    traces = np.empty((samples, len(CLASS_NAMES)))
-    cycle_lists = {name: _cycles(_inverse(reps[name])) for name in CLASS_NAMES}
-    for s in range(samples):
-        b = haar_basis(rng, d_rho, d_psi)
-        q = b @ b.conj().T
-        powers = {1: q}
-        for k in (2, 3, 4):
-            powers[k] = powers[k - 1] @ q
-        for ci, name in enumerate(CLASS_NAMES):
-            val = 1.0 + 0.0j
-            for cyc in cycle_lists[name]:
-                val *= np.trace(powers[len(cyc)])
-            traces[s, ci] = val.real
-    means = traces.mean(axis=0)
-    ses = traces.std(axis=0, ddof=1) / np.sqrt(samples)
-
-    # Gram overlaps, collapsed over classes: G[a, b] = sum over pi in class b
-    # of d_rho^{c(pi sigma_a^-1)}
+    # G[a, b] = sum over pi in class b of d_rho^{c(pi sigma_a^-1)}
     gram = np.zeros((len(CLASS_NAMES), len(CLASS_NAMES)))
+    traces = np.empty(len(CLASS_NAMES))
     for a, name in enumerate(CLASS_NAMES):
-        inv = _inverse(reps[name])
+        rep = CLASS_REPRESENTATIVES[name]
+        inv = _inverse(rep)
         for pi in all_permutations():
             b = CLASS_NAMES.index(class_name(pi))
             gram[a, b] += float(d_rho) ** cycle_count(_compose(pi, inv))
+        traces[a] = moment_trace(rep, d_psi)
     cond = float(np.linalg.cond(gram))
     if cond > 1e10:
         raise IllConditionedGram(f"Gram condition number {cond:.3e} above 1e10")
-    coeffs = np.linalg.solve(gram, means)
-    gram_inv = np.linalg.inv(gram)
-    coeff_se = np.sqrt((gram_inv ** 2) @ (ses ** 2))
+    coeffs = np.linalg.solve(gram, traces)
     return TwirlExpansion(
         d_rho=d_rho,
         d_psi=d_psi,
         coefficients={n: float(c) for n, c in zip(CLASS_NAMES, coeffs)},
-        stderr={n: float(s) for n, s in zip(CLASS_NAMES, coeff_se)},
-        samples=samples,
-        seed=seed if np.isscalar(seed) else None,
-        raw_traces={n: (float(m), float(s))
-                    for n, m, s in zip(CLASS_NAMES, means, ses)},
     )
 
 

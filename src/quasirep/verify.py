@@ -6,8 +6,8 @@ sides (measured value and bound), never a bare boolean, so a failing run can
 be diagnosed from the report alone.
 
 The fast scope (A1..A7) finishes in well under two minutes; the full scope
-adds the Monte Carlo twirl, the polar-minor study, and the threshold identity
-(A8..A10).
+adds the twirl checks (two exact coefficient routes and the error-term audit's
+Monte Carlo), the polar-minor study, and the threshold identity (A8..A10).
 """
 
 from __future__ import annotations
@@ -483,15 +483,18 @@ _A8_EXPONENTS = {"e": 0, "(12)": 1, "(123)": 4, "(12)(34)": 2, "(1234)": 3}
 def _check_a8(ctx: VerifyContext) -> list[Comparison]:
     t0 = time.perf_counter()
     exact = twirl.twirl_exact(6, 3)
-    mc = twirl.twirl_monte_carlo(6, 3, samples=20_000, seed=[ctx.seed, 8])
+    gram = twirl.twirl_gram(6, 3)
     out = []
     for name in twirl.CLASS_NAMES:
-        diff = abs(exact.coefficients[name] - mc.coefficients[name])
-        # the estimator has zero intrinsic variance, so the 3-sigma allowance
-        # gets a roundoff floor
-        allowance = max(3.0 * mc.stderr[name], 1e-9)
-        out.append(Comparison(f"|exact - MC| for class {name}", "<=",
-                              diff, allowance))
+        diff = abs(exact.coefficients[name] - gram.coefficients[name])
+        out.append(Comparison(f"|character sum - Gram solve| for class {name}",
+                              "<=", diff, 1e-12))
+    # the audit's Monte Carlo route is the one with sampling variance
+    rho = next(r for r in ctx.table("alternating", 5) if r.dim == 5)
+    audit = twirl.error_term_audit(rho, 2, samples=200, seed=[ctx.seed, 8])
+    out.append(Comparison("|audit MC - twirl expansion|, A5 d_rho=5 d_psi=2", "<=",
+                          abs(audit.monte_carlo - audit.expansion),
+                          5.0 * audit.monte_carlo_stderr))
     trivial = twirl.twirl_exact(6, 6)
     out.append(Comparison("trivial compression: coefficient of e", "~=",
                           trivial.coefficients["e"], 1.0, 1e-12))
@@ -557,7 +560,8 @@ CHECKS: dict[str, tuple[str, object]] = {
     "A5": ("defect floor and agreement ceiling dominate the corpus", _check_a5),
     "A6": ("sign functions sit near half agreement, under the ceiling", _check_a6),
     "A7": ("map agreement ceilings hold; identity map is the edge case", _check_a7),
-    "A8": ("twirl coefficients: exact vs Monte Carlo, decay exponents", _check_a8),
+    "A8": ("twirl coefficients: two exact routes, audit Monte Carlo, decay exponents",
+           _check_a8),
     "A9": ("polar minors at ratio 0.9 beat the random baseline", _check_a9),
     "A10": ("closed-form threshold solves bound(r) = 1", _check_a10),
 }

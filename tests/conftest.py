@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -20,6 +21,17 @@ def s3():
 @pytest.fixture(scope="session")
 def s3_table(s3):
     return irreps.decompose(s3)
+
+
+@pytest.fixture(scope="session")
+def s3_reducible(s3_table):
+    """The direct sum of the sign and the 2-dim irrep of S3: reducible, dim 3."""
+    sign, two = s3_table.irreps[1], s3_table.irreps[2]
+    assert (sign.dim, two.dim) == (1, 2)
+    mats = np.zeros((s3_table.group.order, 3, 3), dtype=np.complex128)
+    mats[:, :1, :1] = sign.matrices
+    mats[:, 1:, 1:] = two.matrices
+    return irreps.UnitaryRep(s3_table.group, mats)
 
 
 @pytest.fixture(scope="session")

@@ -6,10 +6,12 @@ lines carry the measured values and bounds for the log.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from quasirep import fourier, groups, irreps, verify
+from quasirep import fourier, groups, irreps, twirl, verify
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,34 @@ def test_negative_control_tampered_plancherel(ctx):
     bad = verify.Comparison("Plancherel relative error", "<=",
                             abs(tampered - lhs) / lhs, 1e-8)
     assert not bad.passed
+
+
+def test_a8_catches_a_wrong_gram_coefficient(ctx, monkeypatch):
+    honest = twirl.twirl_gram
+
+    def one_coefficient_off(d_rho, d_psi):
+        expansion = honest(d_rho, d_psi)
+        expansion.coefficients["(123)"] += 1e-10
+        return expansion
+
+    monkeypatch.setattr(twirl, "twirl_gram", one_coefficient_off)
+    result = verify.run_check("A8", ctx)
+    assert [c.label for c in result.failures()] == [
+        "|character sum - Gram solve| for class (123)"]
+
+
+def test_a8_catches_a_shifted_audit_expansion(ctx, monkeypatch):
+    honest = twirl.error_term_audit
+
+    def shifted(rho, d_psi, samples=200, seed=0):
+        audit = honest(rho, d_psi, samples=samples, seed=seed)
+        return dataclasses.replace(
+            audit, expansion=audit.expansion + 10 * audit.monte_carlo_stderr)
+
+    monkeypatch.setattr(twirl, "error_term_audit", shifted)
+    result = verify.run_check("A8", ctx)
+    assert [c.label for c in result.failures()] == [
+        "|audit MC - twirl expansion|, A5 d_rho=5 d_psi=2"]
 
 
 def test_cheap_checks_are_deterministic():

@@ -55,7 +55,7 @@ def test_minor_mean_and_admissibility(a5_table):
     assert np.allclose(trivial.matrices, 1.0)
 
 
-def test_minor_rejects_bad_dimensions(a5_table, s3):
+def test_minor_rejects_bad_dimensions(a5_table, s3_reducible):
     rho = irrep_of_dim(a5_table, 3)
     with pytest.raises(DimensionError):
         approx.minor_construction(rho, 0)
@@ -66,7 +66,7 @@ def test_minor_rejects_bad_dimensions(a5_table, s3):
     with pytest.raises(ValueError):
         approx.minor_construction(rho, 2, subspace="diagonal")
     with pytest.raises(ValueError):
-        approx.minor_construction(irreps.regular_representation(s3), 2)
+        approx.minor_construction(s3_reducible, 2)
 
 
 def test_direct_matches_fourier(s3, s3_table, a5_table):

@@ -222,17 +222,28 @@ def test_twirl_text(capsys):
     code = cli.main(["twirl", "--d-rho", "6", "--d-psi", "3"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "d_rho=6 d_psi=3" in out
-    assert "exact=" in out
+    lines = out.splitlines()
+    assert lines[0] == "d_rho=6 d_psi=3"
+    assert len(lines) == 6
+    for line in lines[1:]:
+        exact, gram = (float(field.split("=")[1]) for field in line.split()[1:])
+        assert abs(exact - gram) <= 1e-12
 
 
-def test_twirl_json_with_sampling(capsys):
-    code = cli.main(["twirl", "--d-rho", "6", "--d-psi", "3",
-                     "--samples", "30", "--format", "json"])
+def test_twirl_json_shows_gram(capsys):
+    code = cli.main(["twirl", "--d-rho", "6", "--d-psi", "3", "--format", "json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["max_abs_difference"] < 1e-10
-    assert payload["monte_carlo"]["samples"] == 30
+    assert set(payload) == {"exact", "gram", "max_abs_difference"}
+    assert payload["max_abs_difference"] <= 1e-12
+    assert set(payload["gram"]) == {"d_rho", "d_psi", "coefficients"}
+
+
+def test_samples_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["twirl", "--d-rho", "6", "--d-psi", "3", "--samples", "30"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
 
 
 def test_twirl_degenerate_dimension(capsys):
@@ -253,6 +264,23 @@ def test_cache_survives_corruption(tmp_path, capsys):
     assert "rebuilding stale cache" in captured.err
     assert captured.out == first
     assert groups.load_group(str(cached)).order == 8
+
+
+def test_non_utf8_cache_entry_is_rebuilt(tmp_path, capsys):
+    cache_dir = tmp_path / "c"
+    argv = ["group", "symmetric", "3", "--cache-dir", str(cache_dir)]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    cached = cache_dir / "symmetric-3.grp"
+    data = bytearray(cached.read_bytes())
+    data[data.index(b"order=")] = 0xFF
+    cached.write_bytes(bytes(data))
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert "rebuilding stale cache" in captured.err
+    assert "line 3: byte 0xff is not UTF-8" in captured.err
+    assert captured.out == first
+    assert groups.load_group(str(cached)).order == 6
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quasirep import groups
@@ -299,6 +299,45 @@ def test_load_revalidates_table(tmp_path):
     path.write_text(f"quasirep-group v1\nname=loop\norder=5\n{rows}\n")
     with pytest.raises(FileFormatError, match="not a group"):
         groups.load_group(str(path))
+
+
+def test_load_names_the_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "bad.grp"
+    groups.save_group(groups.named("symmetric", 3), str(path))
+    data = bytearray(path.read_bytes())
+    fifth_line = [i for i, b in enumerate(data) if b == ord("\n")][3] + 1
+    data[fifth_line + 2] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(FileFormatError, match="byte 0xff is not UTF-8") as err:
+        groups.load_group(str(path))
+    assert err.value.line == 5
+
+
+@pytest.fixture(scope="module")
+def s3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("grp") / "s3.grp"
+    groups.save_group(groups.named("symmetric", 3), str(path))
+    return path.read_bytes()
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_group_file_is_rejected_or_unchanged(tmp_path, s3_file, data):
+    # every truncation or single-byte overwrite of a saved group either
+    # raises FileFormatError or still loads the original table
+    at = data.draw(st.integers(0, len(s3_file) - 1), label="at")
+    byte = data.draw(st.none() | st.integers(0, 255), label="byte")
+    if byte is None:
+        damaged = s3_file[:at]
+    else:
+        damaged = s3_file[:at] + bytes([byte]) + s3_file[at + 1:]
+    path = tmp_path / "s3.grp"
+    path.write_bytes(damaged)
+    try:
+        back = groups.load_group(str(path))
+    except FileFormatError:
+        return
+    assert np.array_equal(back.table, groups.named("symmetric", 3).table)
 
 
 def test_inverse_and_class_invariants(a5):

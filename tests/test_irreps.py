@@ -21,19 +21,8 @@ def class_by_size(group, size):
     return hits[0]
 
 
-def test_regular_representation_character(s3):
-    reg = irreps.regular_representation(s3)
-    reg.validate()
-    chi = reg.character
-    assert chi[0] == pytest.approx(6.0)
-    assert np.max(np.abs(chi[1:])) < 1e-12
-    assert not reg.is_irreducible
-
-
-def test_regular_representation_order_cap():
+def test_decompose_order_cap():
     big = groups.product(groups.named("cyclic", 27), groups.named("cyclic", 27))
-    with pytest.raises(OrderCapExceeded):
-        irreps.regular_representation(big)
     with pytest.raises(OrderCapExceeded):
         irreps.decompose(big)
 
@@ -72,9 +61,11 @@ def test_frobenius_schur_values(a5_table):
     assert indicators == [0, 0, 1]
 
 
-def test_frobenius_schur_rejects_reducible(s3):
+def test_frobenius_schur_rejects_reducible(s3_reducible):
+    s3_reducible.validate()
+    assert not s3_reducible.is_irreducible
     with pytest.raises(ValueError):
-        irreps.frobenius_schur(irreps.regular_representation(s3))
+        irreps.frobenius_schur(s3_reducible)
 
 
 def test_a5_dimensions(a5_table):
@@ -174,11 +165,3 @@ def test_validate_reaches_every_element_above_the_pair_cap():
     bad = irreps.UnitaryRep(g, mats, character=rep.character, is_irreducible=True)
     with pytest.raises(ToleranceViolation, match="product law"):
         bad.validate()
-
-
-def test_tensor_square_stats(s3_table):
-    fourth, square = irreps.tensor_square_stats(s3_table.irreps[2])
-    assert fourth == pytest.approx(3.0, abs=1e-10)
-    assert square == pytest.approx(3.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        irreps.tensor_square_stats(irreps.regular_representation(s3_table.group))

@@ -38,14 +38,37 @@ def test_all_permutations_and_classes():
     assert counts == {"e": 1, "(12)": 6, "(123)": 8, "(12)(34)": 3, "(1234)": 6}
 
 
+def transposition_distances():
+    """Fewest transpositions writing each permutation, by breadth-first search."""
+    swaps = [tuple(j if k == i else i if k == j else k for k in range(4))
+             for i in range(4) for j in range(i + 1, 4)]
+    dist = {(0, 1, 2, 3): 0}
+    frontier = [(0, 1, 2, 3)]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for t in swaps:
+                q = tuple(p[k] for k in t)
+                if q not in dist:
+                    dist[q] = dist[p] + 1
+                    nxt.append(q)
+        frontier = nxt
+    return dist
+
+
 def test_cycle_and_transposition_counts():
     expect = {"e": (4, 0), "(12)": (3, 1), "(123)": (2, 2),
               "(12)(34)": (2, 2), "(1234)": (1, 3)}
+    distances = transposition_distances()
     for name, rep in twirl.CLASS_REPRESENTATIVES.items():
         cycles, distance = expect[name]
         assert twirl.cycle_count(rep) == cycles
-        assert twirl.transposition_distance(rep) == distance
+        assert distances[rep] == distance
         assert twirl.class_name(rep) == name
+    # the twirl's decay exponents rest on distance = 4 - cycle count
+    assert len(distances) == 24
+    for perm, distance in distances.items():
+        assert distance == 4 - twirl.cycle_count(perm)
 
 
 @pytest.mark.parametrize("shape", twirl.PARTITIONS)
@@ -101,29 +124,33 @@ def test_full_rank_projector_is_trivial():
         assert expansion.coefficients[name] == 0.0
 
 
-def test_monte_carlo_matches_exact():
-    exact = twirl.twirl_exact(6, 3)
-    mc = twirl.twirl_monte_carlo(6, 3, samples=50, seed=0)
-    for name in twirl.CLASS_NAMES:
-        # the sampled traces are deterministic, so agreement is to roundoff
-        assert abs(mc.coefficients[name] - exact.coefficients[name]) < 1e-12
-        assert mc.stderr[name] < 1e-12
-        mean, _ = mc.raw_traces[name]
-        assert mean == pytest.approx(
-            twirl.moment_trace(twirl.CLASS_REPRESENTATIVES[name], 3), abs=1e-10)
-    assert mc.samples == 50
+@pytest.mark.parametrize("d_rho", range(4, 15))
+def test_gram_matches_exact(d_rho):
+    for d_psi in range(1, d_rho + 1):
+        exact = twirl.twirl_exact(d_rho, d_psi)
+        gram = twirl.twirl_gram(d_rho, d_psi)
+        for name in twirl.CLASS_NAMES:
+            assert abs(gram.coefficients[name] - exact.coefficients[name]) <= 1e-12
 
 
-def test_monte_carlo_representative_invariance():
-    default = twirl.twirl_monte_carlo(6, 2, samples=20, seed=1)
-    other = twirl.twirl_monte_carlo(6, 2, samples=20, seed=1,
-                                    representatives={"(123)": (0, 2, 3, 1)})
-    for name in twirl.CLASS_NAMES:
-        assert other.coefficients[name] == pytest.approx(
-            default.coefficients[name], abs=1e-12)
-    with pytest.raises(ValueError):
-        twirl.twirl_monte_carlo(6, 2, samples=20, seed=1,
-                                representatives={"(12)": (1, 2, 0, 3)})
+def test_gram_holds_for_every_class_representative():
+    # the Gram system pairs with one representative per class; its solution
+    # must satisfy the pairing for all 24 permutations
+    for d_rho, d_psi in [(6, 2), (9, 4), (14, 13)]:
+        gram = twirl.twirl_gram(d_rho, d_psi)
+        for sigma in twirl.all_permutations():
+            assert gram.reconstruct_trace(sigma) == pytest.approx(
+                twirl.moment_trace(sigma, d_psi), rel=1e-10)
+
+
+def test_monte_carlo_matches_exact(a5_table):
+    # the audit's Monte Carlo route against its exact twirl expansion, at
+    # the case A8 runs, over a few seeds
+    rho = next(r for r in a5_table if r.dim == 5)
+    for seed in range(3):
+        audit = twirl.error_term_audit(rho, 2, samples=200, seed=[seed, 8])
+        assert audit.monte_carlo_stderr > 0.0
+        assert abs(audit.monte_carlo - audit.expansion) <= 5 * audit.monte_carlo_stderr
 
 
 def test_dimension_validation():
@@ -135,8 +162,12 @@ def test_dimension_validation():
         twirl.twirl_exact(6, 0)
     with pytest.raises(ValueError):
         twirl.twirl_exact(6, 7)
+    with pytest.raises(DegenerateDimension):
+        twirl.twirl_gram(3, 1)
     with pytest.raises(ValueError):
-        twirl.twirl_monte_carlo(6, 3, samples=1, seed=0)
+        twirl.twirl_gram(15, 3)
+    with pytest.raises(ValueError):
+        twirl.twirl_gram(6, 0)
 
 
 def test_error_term_audit(a5_table):
@@ -155,4 +186,6 @@ def test_error_term_audit(a5_table):
 
 def test_expansion_json_round_trip():
     expansion = twirl.twirl_exact(8, 4)
-    assert json.loads(expansion.to_json()) == expansion.to_json_dict()
+    payload = json.loads(expansion.to_json())
+    assert payload == expansion.to_json_dict()
+    assert set(payload) == {"d_rho", "d_psi", "coefficients"}
