@@ -5,20 +5,38 @@ it. A matrix that commutes with every left translation is a right convolution,
 T[z, w] = f(z^-1 w), and it is Hermitian when f(x^-1) = conj f(x). The probe is
 such a T for a random f (Dixon's random commutant element; J. D. Dixon,
 "Computing irreducible representations of groups", Math. Comp. 24, 1970), an
-index gather with no averaging. Its eigenspaces are invariant subspaces;
-restricting the regular representation to an eigenbasis B gives a unitary
-subrepresentation B' R(x) B whose character decides irreducibility
-(E|chi|^2 = 1). A reducible piece is refined recursively by a fresh probe
-compressed to it, B' T B, which commutes with the restricted representation.
+index gather with no averaging. Its eigenspaces are invariant subspaces.
 
-The resulting table is deduplicated by character, ordered canonically (trivial
-first, then by dimension and character), and checked for completeness: the
-squared dimensions must sum to |G| and the count must equal the number of
-conjugacy classes.
+The first probe takes f real with f(x^-1) = f(x), so T is real symmetric and
+its eigendecomposition is real. A real probe cannot tell an irrep rho of
+complex type (Frobenius-Schur 0) from its conjugate, and gives irreps of
+quaternionic type (-1) in doubled clusters, so some of its eigenspaces are
+reducible, at most 2 dim(rho) wide. A reducible piece is refined recursively
+by a fresh complex probe compressed to it, B' T B, which commutes with the
+restricted representation.
+
+On an invariant subspace with orthonormal basis B the character of
+B' R(x) B is a class function, read at one representative c per class as
+chi(c) = sum_z <B[c^-1 z], B[z]>, and the piece is irreducible when
+sum_c |C| |chi(c)|^2 / |G| = 1. Pieces are deduplicated by this character.
+Each kept basis is gauge fixed, B -> B polar(B' E) for one seeded matrix E,
+which depends only on span(B): the matrices do not depend on the basis the
+eigensolver returned, so BLAS summation order moves them by roundoff only.
+The restriction B' R(s) B is computed for the generators s only; every other
+element is reached along a breadth-first Cayley-graph tree, rho(x s) =
+rho(x) rho(s), one batched product per layer.
+
+The final representations are checked on every element: their traces must be
+constant on classes, irreducible, and equal to the refine character, and the
+product law is validated exhaustively. The table is ordered canonically
+(trivial first, then by dimension and character) and checked for
+completeness: the squared dimensions must sum to |G| and the count must equal
+the number of conjugacy classes.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -90,8 +108,7 @@ class UnitaryRep:
         """
         g, m = self.group, self.matrices
         eye = np.eye(self.dim)
-        uerr = np.linalg.norm(
-            np.einsum("xba,xbc->xac", m.conj(), m) - eye, axis=(1, 2))
+        uerr = np.linalg.norm(m.conj().transpose(0, 2, 1) @ m - eye, axis=(1, 2))
         if uerr.max() > tolerances.unitarity:
             raise ToleranceViolation(
                 f"unitarity residual {uerr.max():.3e} above {tolerances.unitarity:.0e}")
@@ -104,8 +121,7 @@ class UnitaryRep:
         else:
             xs = np.repeat(np.arange(n), len(g.generators))
             ys = np.tile(g.generators, n)
-        prod = np.einsum("pab,pbc->pac", m[xs], m[ys])
-        err = np.linalg.norm(prod - m[g.table[xs, ys]], axis=(1, 2))
+        err = np.linalg.norm(m[xs] @ m[ys] - m[g.table[xs, ys]], axis=(1, 2))
         if err.max() > tolerances.entry:
             i = int(err.argmax())
             raise ToleranceViolation(
@@ -168,10 +184,12 @@ def _cluster_slices(eigenvalues: np.ndarray, width: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _subspace_character(basis: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """chi(x) = tr(B' R(x) B) = sum_z (B B')[x^-1 z, z], for every x, in one gather."""
-    proj = basis @ basis.conj().T
-    return proj[left, np.arange(len(left))].sum(axis=1)
+def _class_character(group: FiniteGroup, left: np.ndarray,
+                     basis: np.ndarray) -> np.ndarray:
+    """chi(c) = tr(B' R(c) B) = sum_z <B[c^-1 z], B[z]> at one c per class."""
+    reps = [cls[0] for cls in group.classes]
+    n, d = basis.shape
+    return basis[left[reps]].reshape(len(reps), n * d) @ basis.conj().ravel()
 
 
 def _split(group: FiniteGroup, left: np.ndarray, rng: np.random.Generator,
@@ -180,14 +198,17 @@ def _split(group: FiniteGroup, left: np.ndarray, rng: np.random.Generator,
 
     The probe is the right convolution T[z, w] = f(z^-1 w) by a random f with
     f(x^-1) = conj f(x): it commutes with every left translation and is exactly
-    Hermitian. Compressed to an invariant subspace, B' T B commutes with the
+    Hermitian. On the whole space f is real, so T is real symmetric; compressed
+    to an invariant subspace, f is complex and B' T B commutes with the
     restricted representation, so its eigenspaces are invariant too.
     """
     n = group.order
-    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = rng.standard_normal(n)
+    if basis is not None:
+        a = a + 1j * rng.standard_normal(n)
     probe = ((a + a[group.inverses].conj()) / 2.0)[left]
     if basis is not None:
-        probe = basis.conj().T @ probe @ basis
+        probe = basis.conj().T @ (probe @ basis)
     w, v = np.linalg.eigh(probe)
     slices = _cluster_slices(w, eigengap * max(np.abs(w).max(), 1e-300))
     return [v[:, sl] if basis is None else basis @ v[:, sl] for sl in slices]
@@ -198,11 +219,12 @@ def _refine(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
             depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the invariant subspace spanned by basis into irreducible pieces.
 
-    Returns (basis, per-element character) pairs. Raises _SplitFailed when the
-    depth budget runs out before everything is irreducible.
+    Returns (basis, class character) pairs. Raises _SplitFailed when the depth
+    budget runs out before everything is irreducible.
     """
-    chi = _subspace_character(basis, left)
-    if abs(np.mean(np.abs(chi) ** 2) - 1.0) <= tolerances.irreducibility:
+    chi = _class_character(group, left, basis)
+    norm = np.dot(group.class_sizes, np.abs(chi) ** 2) / group.order
+    if abs(norm - 1.0) <= tolerances.irreducibility:
         return [(basis, chi)]
     if depth >= _RETRY_BUDGET:
         raise _SplitFailed(f"subspace of dim {basis.shape[1]} would not split")
@@ -212,10 +234,51 @@ def _refine(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
     return pieces
 
 
-def _restrict(basis: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """B' R(x) B for every x: column j is basis[left, j] @ B-bar, one gather each."""
-    bc = basis.conj()
-    return np.stack([basis[left, j] @ bc for j in range(basis.shape[1])], axis=-1)
+def _generator_tree(group: FiniteGroup) -> list[tuple[np.ndarray, ...]]:
+    """Breadth-first Cayley-graph tree from the identity over group.generators.
+
+    One (children, parents, generator positions) triple per layer, with
+    child = parent * generator and every parent in an earlier layer.
+    """
+    gens = np.asarray(group.generators, dtype=np.int64)
+    reached = np.zeros(group.order, dtype=bool)
+    reached[group.identity] = True
+    frontier = np.array([group.identity])
+    layers = []
+    while len(frontier) and len(gens):
+        step = group.table[np.ix_(frontier, gens)].ravel()
+        children, first = np.unique(step, return_index=True)
+        new = ~reached[children]
+        children, first = children[new], first[new]
+        reached[children] = True
+        layers.append((children, frontier[first // len(gens)], first % len(gens)))
+        frontier = children
+    return layers
+
+
+def _restrict(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
+              tree: list[tuple[np.ndarray, ...]]) -> np.ndarray:
+    """B' R(x) B for every x: computed on the generators, filled along the tree."""
+    n, d = basis.shape
+    bc = basis.conj().T
+    images = np.array([bc @ basis[left[s]] for s in group.generators],
+                      dtype=np.complex128).reshape(-1, d, d)
+    mats = np.empty((n, d, d), dtype=np.complex128)
+    mats[group.identity] = np.eye(d)
+    for children, parents, steps in tree:
+        mats[children] = mats[parents] @ images[steps]
+    return mats
+
+
+def _gauge_fix(basis: np.ndarray, anchor: np.ndarray,
+               tolerances: Tolerances) -> np.ndarray:
+    """B polar(B' E): the same for every orthonormal basis of span(B)."""
+    u, s, vh = np.linalg.svd(basis.conj().T @ anchor[:, :basis.shape[1]])
+    if s.min() < tolerances.min_singular:
+        raise ToleranceViolation(
+            f"gauge anchor is degenerate on a piece of dim {basis.shape[1]}: "
+            f"smallest singular value {s.min():.3e}")
+    return basis @ (u @ vh)
 
 
 def _character_key(character: np.ndarray) -> tuple:
@@ -235,11 +298,18 @@ def decompose(group: FiniteGroup, seed: int = 0,
     if n > ORDER_CAP:
         raise OrderCapExceeded(f"order {n} above decomposition cap {ORDER_CAP}")
     left = group.table[group.inverses]          # left[x][z] = x^-1 * z
+    tree = _generator_tree(group)
+    # the gauge anchor E: no irrep is wider than isqrt(n), and its stream
+    # [seed, _RETRY_BUDGET] is none of the attempts' [seed, attempt]
+    gauge = np.random.default_rng([seed, _RETRY_BUDGET])
+    width = math.isqrt(n)
+    anchor = (gauge.standard_normal((n, width))
+              + 1j * gauge.standard_normal((n, width)))
     last: Exception | None = None
     for attempt in range(_RETRY_BUDGET):
         rng = np.random.default_rng([seed, attempt])
         try:
-            return _decompose_once(group, left, rng, tolerances)
+            return _decompose_once(group, left, tree, anchor, rng, tolerances)
         except _SplitFailed as exc:
             last = exc
     raise DecompositionFailed(
@@ -248,6 +318,7 @@ def decompose(group: FiniteGroup, seed: int = 0,
 
 
 def _decompose_once(group: FiniteGroup, left: np.ndarray,
+                    tree: list[tuple[np.ndarray, ...]], anchor: np.ndarray,
                     rng: np.random.Generator,
                     tolerances: Tolerances) -> IrrepTable:
     n = group.order
@@ -256,15 +327,14 @@ def _decompose_once(group: FiniteGroup, left: np.ndarray,
         pieces.extend(_refine(group, left, sub, rng, tolerances, depth=0))
 
     # dedup isomorphic copies by class character
-    kept: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (basis, chi_el, chi_cls)
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
     for basis, chi in pieces:
-        chi_cls = _class_average(group, chi, tolerances)
-        if any(np.max(np.abs(chi_cls - k[2])) <= tolerances.character_match
-               for k in kept):
+        if any(np.max(np.abs(chi - k)) <= tolerances.character_match
+               for _, k in kept):
             continue
-        kept.append((basis, chi, chi_cls))
+        kept.append((basis, chi))
 
-    dims = [b.shape[1] for b, _, _ in kept]
+    dims = [b.shape[1] for b, _ in kept]
     if sum(d * d for d in dims) != n:
         raise ToleranceViolation(
             f"irrep dimensions {sorted(dims)} do not satisfy sum d^2 = {n}")
@@ -273,9 +343,20 @@ def _decompose_once(group: FiniteGroup, left: np.ndarray,
             f"found {len(kept)} irreps but {len(group.classes)} classes")
 
     reps = []
-    for basis, _, chi_cls in kept:
-        reps.append(UnitaryRep(group, _restrict(basis, left), character=chi_cls,
-                               is_irreducible=True, tolerances=tolerances))
+    for basis, chi in kept:
+        basis = _gauge_fix(basis, anchor, tolerances)
+        # character=None: the traces of every element are class averaged with
+        # their spread checked, and irreducibility is read on every element
+        rep = UnitaryRep(group, _restrict(group, left, basis, tree),
+                         tolerances=tolerances)
+        if not rep.is_irreducible:
+            raise ToleranceViolation(f"piece of dim {rep.dim} is reducible")
+        gap = np.max(np.abs(rep.character - chi))
+        if gap > tolerances.character_match:
+            raise ToleranceViolation(
+                f"piece of dim {rep.dim}: traces differ from its class "
+                f"character by {gap:.3e}")
+        reps.append(rep)
 
     trivial = [r for r in reps if r.is_trivial()]
     if len(trivial) != 1:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from hypothesis import strategies as st
 
 from quasirep import groups, irreps
 from quasirep.config import DEFAULT_TOLERANCES
-from quasirep.errors import OrderCapExceeded, ToleranceViolation
+from quasirep.errors import (DecompositionFailed, OrderCapExceeded,
+                             ToleranceViolation)
 
 
 def class_by_size(group, size):
@@ -136,6 +140,123 @@ SMALL_GROUPS = [("symmetric", 3), ("quaternion8",), ("dihedral", 4),
 def test_decomposition_is_seed_independent(spec, seed):
     g = groups.named(*spec)
     assert_same_table(irreps.decompose(g, seed=seed), irreps.decompose(g))
+
+
+SMALL_FACTORS = st.one_of(
+    st.sampled_from(SMALL_GROUPS),
+    st.builds(lambda n: ("cyclic", n), st.integers(min_value=1, max_value=12)),
+    st.builds(lambda n: ("dihedral", n), st.integers(min_value=1, max_value=6)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(SMALL_FACTORS, SMALL_FACTORS, st.integers(min_value=0, max_value=2**32 - 1))
+def test_direct_product_irreps_are_tensor_products(spec1, spec2, seed):
+    # the irreps of G1 x G2 are the rho1 (x) rho2: dims multiply, indicators
+    # multiply and characters are Kronecker products on elements (the product
+    # indexes (a1, a2) as a1 |G2| + a2)
+    g1, g2 = groups.named(*spec1), groups.named(*spec2)
+    t1, t2 = irreps.decompose(g1), irreps.decompose(g2)
+    table = irreps.decompose(groups.product(g1, g2), seed=seed)
+    assert len(table) == len(t1) * len(t2)
+    rows = np.array([r.character_on_elements() for r in table])
+    unmatched = set(range(len(table)))
+    for r1 in t1:
+        for r2 in t2:
+            want = np.kron(r1.character_on_elements(), r2.character_on_elements())
+            hits = [i for i in unmatched if np.max(np.abs(rows[i] - want)) <= 1e-8]
+            assert len(hits) == 1
+            rep = table.irreps[hits[0]]
+            unmatched.discard(hits[0])
+            assert rep.dim == r1.dim * r2.dim
+            assert (irreps.frobenius_schur(rep)
+                    == irreps.frobenius_schur(r1) * irreps.frobenius_schur(r2))
+    assert not unmatched
+
+
+@pytest.mark.parametrize("spec", [("alternating", 5), ("quaternion8",), ("cyclic", 6)])
+def test_non_invariant_piece_is_rejected(monkeypatch, spec):
+    # the first probe of every attempt cuts its first wide cluster in two;
+    # half of a probe eigenspace is not invariant, no compressed probe splits
+    # it into irreducible pieces, so no table may come back
+    g = groups.named(*spec)
+    cut = irreps._cluster_slices
+
+    def cutting(eigenvalues, width):
+        slices = cut(eigenvalues, width)
+        if len(eigenvalues) == g.order:
+            i = next(i for i, sl in enumerate(slices) if sl.stop - sl.start > 1)
+            a, b = slices[i].start, slices[i].stop
+            slices[i:i + 1] = [slice(a, a + 1), slice(a + 1, b)]
+        return slices
+
+    monkeypatch.setattr(irreps, "_cluster_slices", cutting)
+    with pytest.raises((ToleranceViolation, DecompositionFailed)):
+        irreps.decompose(g)
+
+
+def test_tilted_basis_is_rejected_by_the_final_reps(monkeypatch):
+    # a kept basis tilted out of its invariant subspace after refinement
+    # reaches the final reps, whose traces are no longer class functions
+    g = groups.named("alternating", 5)
+    fix = irreps._gauge_fix
+    rng = np.random.default_rng(0)
+
+    def tilting(basis, anchor, tolerances):
+        basis = fix(basis, anchor, tolerances)
+        if basis.shape[1] == 5:
+            basis, _ = np.linalg.qr(basis + 1e-3 * rng.standard_normal(basis.shape))
+        return basis
+
+    monkeypatch.setattr(irreps, "_gauge_fix", tilting)
+    with pytest.raises(ToleranceViolation, match="character varies within class"):
+        irreps.decompose(g)
+
+
+def test_gauge_fix_ignores_the_basis_choice():
+    # B polar(B' E) is a function of span(B): any unitary change of basis
+    # inside the span gives the same result
+    rng = np.random.default_rng(1)
+    basis, _ = np.linalg.qr(rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4)))
+    anchor = rng.standard_normal((60, 7)) + 1j * rng.standard_normal((60, 7))
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    fixed = irreps._gauge_fix(basis, anchor, DEFAULT_TOLERANCES)
+    assert np.max(np.abs(irreps._gauge_fix(basis @ u, anchor, DEFAULT_TOLERANCES)
+                         - fixed)) < 1e-12
+    assert np.max(np.abs(fixed.conj().T @ fixed - np.eye(4))) < 1e-12
+    with pytest.raises(ToleranceViolation, match="gauge anchor"):
+        irreps._gauge_fix(basis, np.zeros_like(anchor), DEFAULT_TOLERANCES)
+
+
+_DECOMPOSE_AND_SAVE = """
+import sys
+import numpy as np
+from quasirep import groups, irreps
+out = {}
+for spec in (("psl2", 7), ("alternating", 6), ("psl2", 11)):
+    for i, rep in enumerate(irreps.decompose(groups.named(*spec))):
+        out[f"{spec[0]}{spec[1]}_{i}"] = rep.matrices
+np.savez(sys.argv[1], **out)
+"""
+
+
+def test_bases_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # each irrep basis is gauge fixed against a seeded anchor, so BLAS
+    # summation order moves the matrices by roundoff only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(irreps.__file__)))
+    saved = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        path = tmp_path / f"threads{threads}.npz"
+        done = subprocess.run([sys.executable, "-c", _DECOMPOSE_AND_SAVE, str(path)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        saved.append(np.load(path))
+    one, two = saved
+    assert sorted(one.files) == sorted(two.files)
+    assert len(one.files) == 6 + 7 + 8
+    for key in one.files:
+        assert np.max(np.abs(one[key] - two[key])) <= 1e-10, key
 
 
 def test_validate_catches_tampering(s3_table):
