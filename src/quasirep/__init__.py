@@ -33,7 +33,6 @@ from .approx import (
     thm5_bound,
     thm5_normalized_bound,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     ClosureCapExceeded,
     DecompositionFailed,
@@ -79,11 +78,9 @@ from .homs import (
     evaluate,
     genuine_hom,
     lift_through_irrep,
-    load_map,
     make_group_map,
     r_h,
     random_map,
-    save_map,
 )
 from .irreps import (
     IrrepTable,
@@ -128,15 +125,15 @@ __all__ = [
     # maps between groups
     "GroupMap", "HomReport", "make_group_map", "agreement_probability",
     "r_h", "evaluate", "lift_through_irrep", "random_map",
-    "balanced_random_map", "genuine_hom", "save_map", "load_map",
+    "balanced_random_map", "genuine_hom",
     # twirl
     "TwirlExpansion", "TwirlAudit", "twirl_exact", "twirl_gram",
     "error_term_audit", "tableau_count", "moment_trace",
     # verification
     "RunManifest", "VerifyContext", "run_battery", "run_check",
     "deterministic_manifest_dict",
-    # configuration and errors
-    "Tolerances", "DEFAULT_TOLERANCES", "QuasirepError", "NotAGroup",
+    # errors
+    "QuasirepError", "NotAGroup",
     "ClosureCapExceeded", "OrderCapExceeded", "UnsupportedParameter",
     "DecompositionFailed", "ToleranceViolation", "IncompleteTable",
     "MissingIrrepTable", "DimensionError", "RankDeficient", "OddOrder",

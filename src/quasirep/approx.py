@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import (
     DimensionError,
     MissingIrrepTable,
@@ -39,6 +38,7 @@ from .irreps import IrrepTable, UnitaryRep
 from .sampling import haar_basis, haar_unitary, rng_from
 
 __all__ = [
+    "AGREEMENT_TOL",
     "MatrixFunction",
     "MinorFunction",
     "PolarFunction",
@@ -60,6 +60,13 @@ __all__ = [
     "thm5_bound",
     "beating_random_threshold",
 ]
+
+# default Frobenius threshold under which psi(xy) and psi(x) psi(y) agree
+AGREEMENT_TOL = 1e-9
+# cap on ||E psi' psi - 1||_F for admissibility, and on a minor's mean error
+_ADMISSIBILITY = 1e-8
+# singular values below this make a matrix rank deficient for the polar part
+_MIN_SINGULAR = 1e-10
 
 
 @dataclass(eq=False)
@@ -88,8 +95,8 @@ class MatrixFunction:
         """Frobenius distance of E psi' psi from the identity."""
         return float(np.linalg.norm(self.mean_gram() - np.eye(self.dim)))
 
-    def is_admissible(self, tolerances: Tolerances = DEFAULT_TOLERANCES) -> bool:
-        return self.admissibility_residual() <= tolerances.admissibility
+    def is_admissible(self) -> bool:
+        return self.admissibility_residual() <= _ADMISSIBILITY
 
 
 @dataclass(eq=False)
@@ -192,21 +199,27 @@ def _bounds(psi: MatrixFunction, table: IrrepTable) -> tuple[float, float, float
     return m, thm1, cor1
 
 
-def _warn_inadmissible(psi: MatrixFunction, residual: float,
-                       tolerances: Tolerances) -> None:
-    if residual > tolerances.admissibility:
+def _warn_inadmissible(psi: MatrixFunction, residual: float) -> None:
+    if residual > _ADMISSIBILITY:
         warnings.warn(
             f"psi is not admissible (||E psi' psi - 1||_F = {residual:.3e}); "
             "bounds assume admissibility", RuntimeWarning, stacklevel=3)
 
 
 def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> DefectReport:
-    """Exact defect by the double loop over all pairs, plus bounds."""
+                  agreement_tol: float = AGREEMENT_TOL) -> DefectReport:
+    """Exact defect by the double loop over all pairs, plus bounds.
+
+    A pair (x, y) agrees when ||psi(xy) - psi(x) psi(y)||_F <= agreement_tol,
+    which must be finite and non-negative.
+    """
+    if not 0.0 <= agreement_tol < np.inf:
+        raise ValueError(f"agreement tolerance must be finite and non-negative, "
+                         f"got {agreement_tol}")
     table = _require_table(psi, table)
     residual = psi.admissibility_residual()
-    _warn_inadmissible(psi, residual, tolerances)
-    defect, agreement, triple = _pair_scan(psi, tolerances.entry)
+    _warn_inadmissible(psi, residual)
+    defect, agreement, triple = _pair_scan(psi, agreement_tol)
     m, thm1, cor1 = _bounds(psi, table)
     return DefectReport(
         defect=defect,
@@ -220,8 +233,7 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
     )
 
 
-def defect_via_fourier(psi: MatrixFunction, table: IrrepTable | None,
-                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> DefectReport:
+def defect_via_fourier(psi: MatrixFunction, table: IrrepTable | None) -> DefectReport:
     """Defect through the blockwise transform, without the pair scan.
 
     The triple product average is sum_rho d_rho tr(W W' W); the defect then
@@ -232,7 +244,7 @@ def defect_via_fourier(psi: MatrixFunction, table: IrrepTable | None,
     """
     table = _require_table(psi, table)
     residual = psi.admissibility_residual()
-    _warn_inadmissible(psi, residual, tolerances)
+    _warn_inadmissible(psi, residual)
     spectrum = transform_matrix(psi, table)
     triple = sum(
         rho.dim * complex(np.trace(w @ w.conj().T @ w))
@@ -263,8 +275,7 @@ def opnorm_fourier_block(psi: MatrixFunction, rho: UnitaryRep) -> float:
 
 
 def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
-                       seed=None,
-                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> MinorFunction:
+                       seed=None) -> MinorFunction:
     """Compress an irrep to a d_psi-dimensional subspace, rescaled to admissibility.
 
     subspace: "leading" takes the first d_psi coordinates; "haar" draws a
@@ -292,39 +303,37 @@ def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
     expected = scale * basis.conj().T @ rho.matrices.mean(axis=0) @ basis
     mean_err = float(np.linalg.norm(out.mean() - expected))
     residual = out.admissibility_residual()
-    if mean_err > tolerances.admissibility or residual > tolerances.admissibility:
+    if mean_err > _ADMISSIBILITY or residual > _ADMISSIBILITY:
         raise ToleranceViolation(
             f"minor violates its guarantees: mean error {mean_err:.3e}, "
             f"admissibility residual {residual:.3e}")
     return out
 
 
-def polar_unitary(matrix: np.ndarray,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def polar_unitary(matrix: np.ndarray) -> np.ndarray:
     """Nearest unitary (polar factor) via SVD of a (..., d, d) stack.
 
     Rejects input with any numerically singular matrix.
     """
     u, s, vh = np.linalg.svd(matrix)
-    if s.min() < tolerances.min_singular:
+    if s.min() < _MIN_SINGULAR:
         raise RankDeficient(
-            f"smallest singular value {s.min():.3e} below {tolerances.min_singular:.0e}")
+            f"smallest singular value {s.min():.3e} below {_MIN_SINGULAR:.0e}")
     return np.einsum("...ab,...bc->...ac", u, vh)
 
 
-def polar_construction(rho: UnitaryRep, d_psi: int, seed,
-                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> PolarFunction:
+def polar_construction(rho: UnitaryRep, d_psi: int, seed) -> PolarFunction:
     """Elementwise polar part of a Haar-subspace minor of rho.
 
     Retries with derived seeds (up to 8) when some element of the minor is
     numerically rank deficient, then gives up with RankDeficient.
     """
     for attempt in range(8):
-        minor = minor_construction(rho, d_psi, subspace="haar",
-                                   seed=[seed, attempt] if np.isscalar(seed) else list(seed) + [attempt],
-                                   tolerances=tolerances)
+        minor = minor_construction(
+            rho, d_psi, subspace="haar",
+            seed=[seed, attempt] if np.isscalar(seed) else list(seed) + [attempt])
         try:
-            mats = polar_unitary(minor.matrices, tolerances)
+            mats = polar_unitary(minor.matrices)
         except RankDeficient as exc:
             last = exc
             continue

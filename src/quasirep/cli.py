@@ -10,7 +10,6 @@ bound fails, 2 on input errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -18,13 +17,13 @@ import sys
 import numpy as np
 
 from .approx import (
+    AGREEMENT_TOL,
     defect_direct,
     minor_construction,
     polar_construction,
     thm4_defect,
     thm5_bound,
 )
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import FileFormatError, QuasirepError
 from .groups import FiniteGroup, check_family, group_hash, load_group, named, save_group
 from .homs import (
@@ -58,13 +57,6 @@ def _cache_dir(args) -> str:
     if args.cache_dir:
         return args.cache_dir
     return os.environ.get("QUASIREP_CACHE") or ".quasirep"
-
-
-def _tolerances(args) -> Tolerances:
-    if args.tolerance is None:
-        return DEFAULT_TOLERANCES
-    # the single knob overrides the entrywise agreement threshold
-    return dataclasses.replace(DEFAULT_TOLERANCES, entry=args.tolerance)
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -171,7 +163,6 @@ def cmd_irreps(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    tol = _tolerances(args)
     g = _group_from_spec(args.group, _cache_dir(args))
     table = decompose(g, seed=args.seed)
     d_psis = _parse_range(args.dpsi)
@@ -188,12 +179,10 @@ def cmd_sweep(args) -> int:
                 seed = args.seed + s
                 if args.construction == "minor":
                     psi = minor_construction(rho, d_psi, subspace="haar",
-                                             seed=[seed, ri, d_psi],
-                                             tolerances=tol)
+                                             seed=[seed, ri, d_psi])
                 else:
-                    psi = polar_construction(rho, d_psi, seed=[seed, ri, d_psi],
-                                             tolerances=tol)
-                rep = defect_direct(psi, table, tolerances=tol)
+                    psi = polar_construction(rho, d_psi, seed=[seed, ri, d_psi])
+                rep = defect_direct(psi, table, agreement_tol=args.tolerance)
                 ratio = d_psi / rho.dim
                 rows.append({
                     "group": g.name,
@@ -353,8 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="base seed; every randomized output derives from it")
-    common.add_argument("--tolerance", type=float, default=None,
-                        help="override the entrywise agreement threshold")
     common.add_argument("--cache-dir", default=None,
                         help="group cache directory (default $QUASIREP_CACHE or ./.quasirep)")
     common.add_argument("--format", choices=("csv", "json"), default=None,
@@ -390,6 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to irreps of this dimension")
     p.add_argument("--seeds", type=int, default=1,
                    help="replicates per (irrep, d_psi) cell")
+    p.add_argument("--tolerance", type=float, default=AGREEMENT_TOL,
+                   help="Frobenius threshold under which a pair counts as "
+                        f"agreeing (default {AGREEMENT_TOL:g})")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("hom", parents=[common],

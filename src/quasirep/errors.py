@@ -83,7 +83,7 @@ class NotAHomomorphism(QuasirepError):
 
 
 class FileFormatError(QuasirepError):
-    """A serialized group/irreps/map file deviates from its format.
+    """A serialized group file deviates from its format.
 
     Carries the offending 1-based line number when one can be named.
     """

@@ -8,7 +8,7 @@ immutable: the backing arrays are marked read-only.
 Construction routes: a raw table, closure of explicit generators (permutations
 or matrices over a prime field), a handful of named families, and direct
 products. A line-oriented text format with a strict loader round-trips tables
-to disk, and a SHA-256 digest of the table identifies a group in saved maps.
+to disk, and a SHA-256 digest of the table identifies a group.
 """
 
 from __future__ import annotations

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FileFormatError, MissingIrrepTable, NotAHomomorphism
-from .groups import FiniteGroup, group_hash
+from .errors import MissingIrrepTable, NotAHomomorphism
+from .groups import FiniteGroup
 from .irreps import IrrepTable, UnitaryRep
 from .approx import MatrixFunction
 from .sampling import rng_from
-from .textfile import read_lines, write_atomic
 
 __all__ = [
     "GroupMap",
@@ -34,11 +33,7 @@ __all__ = [
     "random_map",
     "balanced_random_map",
     "genuine_hom",
-    "save_map",
-    "load_map",
 ]
-
-MAP_MAGIC = "quasirep-map v1"
 
 
 @dataclass(eq=False)
@@ -196,44 +191,4 @@ def genuine_hom(source: FiniteGroup, target: FiniteGroup,
         raise NotAHomomorphism(
             f"images are inconsistent: f({x}*{y}) = {int(lhs[x, y])} but "
             f"f({x})f({y}) = {int(rhs[x, y])}")
-    return make_group_map(source, target, values)
-
-
-def save_map(f: GroupMap, path: str) -> None:
-    """Write the map format: header, both group hashes, one image per line."""
-    lines = [MAP_MAGIC,
-             f"source_hash={group_hash(f.source)}",
-             f"target_hash={group_hash(f.target)}"]
-    lines.extend(str(int(v)) for v in f.values)
-    write_atomic(path, ["\n".join(lines) + "\n"])
-
-
-def load_map(path: str, source: FiniteGroup, target: FiniteGroup) -> GroupMap:
-    """Strict loader; the recorded hashes must match the supplied groups."""
-    lines = read_lines(path, MAP_MAGIC)
-    if len(lines) < 3:
-        raise FileFormatError("missing hash lines", line=len(lines))
-    if not lines[1].startswith("source_hash="):
-        raise FileFormatError("expected source_hash=<hex>", line=2)
-    if lines[1][len("source_hash="):] != group_hash(source):
-        raise FileFormatError("source hash does not match the supplied group", line=2)
-    if not lines[2].startswith("target_hash="):
-        raise FileFormatError("expected target_hash=<hex>", line=3)
-    if lines[2][len("target_hash="):] != group_hash(target):
-        raise FileFormatError("target hash does not match the supplied group", line=3)
-    if len(lines) != 3 + source.order:
-        raise FileFormatError(
-            f"expected {source.order} value lines, got {len(lines) - 3}",
-            line=len(lines))
-    values = np.empty(source.order, dtype=np.int64)
-    for i in range(source.order):
-        lineno = 4 + i
-        try:
-            v = int(lines[3 + i])
-        except ValueError:
-            raise FileFormatError("non-integer map value", line=lineno) from None
-        if not 0 <= v < target.order:
-            raise FileFormatError(
-                f"value {v} outside 0..{target.order - 1}", line=lineno)
-        values[i] = v
     return make_group_map(source, target, values)

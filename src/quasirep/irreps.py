@@ -41,7 +41,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DecompositionFailed, OrderCapExceeded, ToleranceViolation
 from .groups import FiniteGroup
 
@@ -57,6 +56,20 @@ ORDER_CAP = 700
 
 _RETRY_BUDGET = 8
 
+# cap on ||M' M - 1||_F for every matrix of a rep
+_UNITARITY = 1e-8
+# cap on ||R(x y) - R(x) R(y)||_F, and on ||R(e) - 1||_F
+_PRODUCT_LAW = 1e-9
+# |E|chi|^2 - 1| cutoff deciding irreducibility
+_IRREDUCIBILITY = 1e-6
+# two characters within this (per class, sup norm) are the same irrep; also
+# the allowed spread of traces within one class
+_CHARACTER_MATCH = 1e-6
+# eigenvalue clustering width, relative to the largest |eigenvalue| of a probe
+_EIGENGAP = 1e-7
+# smallest singular value of B' E accepted by the gauge fix
+_ANCHOR_MIN_SINGULAR = 1e-10
+
 
 class UnitaryRep:
     """A unitary representation given by one matrix per group element.
@@ -71,8 +84,7 @@ class UnitaryRep:
 
     def __init__(self, group: FiniteGroup, matrices: np.ndarray,
                  character: np.ndarray | None = None,
-                 is_irreducible: bool | None = None,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES):
+                 is_irreducible: bool | None = None):
         matrices = np.ascontiguousarray(matrices, dtype=np.complex128)
         if matrices.shape != (group.order, matrices.shape[1], matrices.shape[1]):
             raise ValueError(f"matrices must be (|G|, d, d), got {matrices.shape}")
@@ -81,11 +93,11 @@ class UnitaryRep:
         self.matrices = matrices
         if character is None:
             traces = np.trace(matrices, axis1=1, axis2=2)
-            character = _class_average(group, traces, tolerances)
+            character = _class_average(group, traces)
         self.character = np.asarray(character, dtype=np.complex128)
         if is_irreducible is None:
             chi = self.character_on_elements()
-            is_irreducible = abs(np.mean(np.abs(chi) ** 2) - 1.0) <= tolerances.irreducibility
+            is_irreducible = abs(np.mean(np.abs(chi) ** 2) - 1.0) <= _IRREDUCIBILITY
         self.is_irreducible = bool(is_irreducible)
         self.matrices.setflags(write=False)
         self.character.setflags(write=False)
@@ -97,32 +109,29 @@ class UnitaryRep:
     def is_trivial(self) -> bool:
         return self.dim == 1 and np.max(np.abs(self.character - 1.0)) < 1e-6
 
-    def validate(self, tolerances: Tolerances = DEFAULT_TOLERANCES) -> None:
+    def validate(self) -> None:
         """Check unitarity everywhere and the product law on pairs.
 
-        The product law is checked on all pairs for |G| <= 128 and on every
-        pair (x, s), s in group.generators, beyond that. Both are exhaustive:
-        the y with R(x y) = R(x) R(y) for all x are closed under products, so
-        passing on the generators means passing everywhere. Raises
-        ToleranceViolation.
+        The product law is checked on every pair (x, s), s in
+        group.generators. That is exhaustive: the y with R(x y) = R(x) R(y)
+        for all x are closed under products, so passing on the generators
+        means passing everywhere. Raises ToleranceViolation.
         """
         g, m = self.group, self.matrices
         eye = np.eye(self.dim)
         uerr = np.linalg.norm(m.conj().transpose(0, 2, 1) @ m - eye, axis=(1, 2))
-        if uerr.max() > tolerances.unitarity:
+        if uerr.max() > _UNITARITY:
             raise ToleranceViolation(
-                f"unitarity residual {uerr.max():.3e} above {tolerances.unitarity:.0e}")
-        if np.linalg.norm(m[g.identity] - eye) > tolerances.entry:
+                f"unitarity residual {uerr.max():.3e} above {_UNITARITY:.0e}")
+        if np.linalg.norm(m[g.identity] - eye) > _PRODUCT_LAW:
             raise ToleranceViolation("identity element is not the identity matrix")
         n = g.order
-        if n <= 128:
-            xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-            xs, ys = xs.ravel(), ys.ravel()
-        else:
-            xs = np.repeat(np.arange(n), len(g.generators))
-            ys = np.tile(g.generators, n)
+        gens = np.asarray(g.generators, dtype=np.int64)
+        xs = np.repeat(np.arange(n), len(gens))
+        ys = np.tile(gens, n)
         err = np.linalg.norm(m[xs] @ m[ys] - m[g.table[xs, ys]], axis=(1, 2))
-        if err.max() > tolerances.entry:
+        # the trivial group has no generators and nothing beyond the identity
+        if err.max(initial=0.0) > _PRODUCT_LAW:
             i = int(err.argmax())
             raise ToleranceViolation(
                 f"product law fails at pair ({int(xs[i])}, {int(ys[i])}): "
@@ -159,14 +168,13 @@ class IrrepTable:
         return f"IrrepTable(group={self.group.name!r}, dims={list(self.dims)})"
 
 
-def _class_average(group: FiniteGroup, values: np.ndarray,
-                   tolerances: Tolerances) -> np.ndarray:
+def _class_average(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
     """Average a per-element class function over classes, checking the spread."""
     out = np.empty(len(group.classes), dtype=np.complex128)
     for ci, cls in enumerate(group.classes):
         vals = values[list(cls)]
         out[ci] = vals.mean()
-        if np.max(np.abs(vals - out[ci])) > tolerances.character_match:
+        if np.max(np.abs(vals - out[ci])) > _CHARACTER_MATCH:
             raise ToleranceViolation(
                 f"character varies within class {ci} by "
                 f"{np.max(np.abs(vals - out[ci])):.3e}")
@@ -193,7 +201,7 @@ def _class_character(group: FiniteGroup, left: np.ndarray,
 
 
 def _split(group: FiniteGroup, left: np.ndarray, rng: np.random.Generator,
-           eigengap: float, basis: np.ndarray | None = None) -> list[np.ndarray]:
+           basis: np.ndarray | None = None) -> list[np.ndarray]:
     """Eigenspaces of a fresh probe, on span(basis) or, by default, everywhere.
 
     The probe is the right convolution T[z, w] = f(z^-1 w) by a random f with
@@ -210,13 +218,12 @@ def _split(group: FiniteGroup, left: np.ndarray, rng: np.random.Generator,
     if basis is not None:
         probe = basis.conj().T @ (probe @ basis)
     w, v = np.linalg.eigh(probe)
-    slices = _cluster_slices(w, eigengap * max(np.abs(w).max(), 1e-300))
+    slices = _cluster_slices(w, _EIGENGAP * max(np.abs(w).max(), 1e-300))
     return [v[:, sl] if basis is None else basis @ v[:, sl] for sl in slices]
 
 
 def _refine(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
-            rng: np.random.Generator, tolerances: Tolerances,
-            depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+            rng: np.random.Generator, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the invariant subspace spanned by basis into irreducible pieces.
 
     Returns (basis, class character) pairs. Raises _SplitFailed when the depth
@@ -224,13 +231,13 @@ def _refine(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
     """
     chi = _class_character(group, left, basis)
     norm = np.dot(group.class_sizes, np.abs(chi) ** 2) / group.order
-    if abs(norm - 1.0) <= tolerances.irreducibility:
+    if abs(norm - 1.0) <= _IRREDUCIBILITY:
         return [(basis, chi)]
     if depth >= _RETRY_BUDGET:
         raise _SplitFailed(f"subspace of dim {basis.shape[1]} would not split")
     pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    for sub in _split(group, left, rng, tolerances.eigengap, basis):
-        pieces.extend(_refine(group, left, sub, rng, tolerances, depth + 1))
+    for sub in _split(group, left, rng, basis):
+        pieces.extend(_refine(group, left, sub, rng, depth + 1))
     return pieces
 
 
@@ -270,11 +277,10 @@ def _restrict(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
     return mats
 
 
-def _gauge_fix(basis: np.ndarray, anchor: np.ndarray,
-               tolerances: Tolerances) -> np.ndarray:
+def _gauge_fix(basis: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     """B polar(B' E): the same for every orthonormal basis of span(B)."""
     u, s, vh = np.linalg.svd(basis.conj().T @ anchor[:, :basis.shape[1]])
-    if s.min() < tolerances.min_singular:
+    if s.min() < _ANCHOR_MIN_SINGULAR:
         raise ToleranceViolation(
             f"gauge anchor is degenerate on a piece of dim {basis.shape[1]}: "
             f"smallest singular value {s.min():.3e}")
@@ -286,8 +292,7 @@ def _character_key(character: np.ndarray) -> tuple:
                  for c in character)
 
 
-def decompose(group: FiniteGroup, seed: int = 0,
-              tolerances: Tolerances = DEFAULT_TOLERANCES) -> IrrepTable:
+def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
     """Compute the full unitary irrep table of a group of order <= 700.
 
     Deterministic given (group, seed). The result is seed independent up to
@@ -309,7 +314,7 @@ def decompose(group: FiniteGroup, seed: int = 0,
     for attempt in range(_RETRY_BUDGET):
         rng = np.random.default_rng([seed, attempt])
         try:
-            return _decompose_once(group, left, tree, anchor, rng, tolerances)
+            return _decompose_once(group, left, tree, anchor, rng)
         except _SplitFailed as exc:
             last = exc
     raise DecompositionFailed(
@@ -319,17 +324,16 @@ def decompose(group: FiniteGroup, seed: int = 0,
 
 def _decompose_once(group: FiniteGroup, left: np.ndarray,
                     tree: list[tuple[np.ndarray, ...]], anchor: np.ndarray,
-                    rng: np.random.Generator,
-                    tolerances: Tolerances) -> IrrepTable:
+                    rng: np.random.Generator) -> IrrepTable:
     n = group.order
     pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    for sub in _split(group, left, rng, tolerances.eigengap):
-        pieces.extend(_refine(group, left, sub, rng, tolerances, depth=0))
+    for sub in _split(group, left, rng):
+        pieces.extend(_refine(group, left, sub, rng, depth=0))
 
     # dedup isomorphic copies by class character
     kept: list[tuple[np.ndarray, np.ndarray]] = []
     for basis, chi in pieces:
-        if any(np.max(np.abs(chi - k)) <= tolerances.character_match
+        if any(np.max(np.abs(chi - k)) <= _CHARACTER_MATCH
                for _, k in kept):
             continue
         kept.append((basis, chi))
@@ -344,15 +348,14 @@ def _decompose_once(group: FiniteGroup, left: np.ndarray,
 
     reps = []
     for basis, chi in kept:
-        basis = _gauge_fix(basis, anchor, tolerances)
+        basis = _gauge_fix(basis, anchor)
         # character=None: the traces of every element are class averaged with
         # their spread checked, and irreducibility is read on every element
-        rep = UnitaryRep(group, _restrict(group, left, basis, tree),
-                         tolerances=tolerances)
+        rep = UnitaryRep(group, _restrict(group, left, basis, tree))
         if not rep.is_irreducible:
             raise ToleranceViolation(f"piece of dim {rep.dim} is reducible")
         gap = np.max(np.abs(rep.character - chi))
-        if gap > tolerances.character_match:
+        if gap > _CHARACTER_MATCH:
             raise ToleranceViolation(
                 f"piece of dim {rep.dim}: traces differ from its class "
                 f"character by {gap:.3e}")
@@ -365,12 +368,11 @@ def _decompose_once(group: FiniteGroup, left: np.ndarray,
                   key=lambda r: (r.dim, _character_key(r.character)))
     ordered = tuple(trivial + rest)
     for rep in ordered:
-        rep.validate(tolerances=tolerances)
+        rep.validate()
     return IrrepTable(group, ordered)
 
 
-def frobenius_schur(rho: UnitaryRep,
-                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> int:
+def frobenius_schur(rho: UnitaryRep) -> int:
     """E_x chi(x^2), snapped to {-1, 0, +1}.
 
     Raises ToleranceViolation when the average is not within 1e-6 of an

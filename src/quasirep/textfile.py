@@ -1,4 +1,4 @@
-"""The text-file layer of the group and map formats and of --out:
+"""The text-file layer of the group format and of --out:
 atomic writes (temp file, then rename) and header-checked line reads."""
 
 from __future__ import annotations

@@ -210,24 +210,23 @@ def _unitarity_residual(table: IrrepTable) -> float:
     worst = 0.0
     for rho in table:
         m = rho.matrices
-        gram = np.einsum("xba,xbc->xac", m.conj(), m)
+        gram = m.conj().transpose(0, 2, 1) @ m
         worst = max(worst, float(np.abs(gram - np.eye(rho.dim)).max()))
     return worst
 
 
 def _schur_residual(table: IrrepTable) -> float:
-    """Largest deviation from E rho_ab conj(sigma_cd) = [rho=sigma] d_ac d_bd / d."""
+    """Largest deviation from E rho_ab conj(sigma_cd) = [rho=sigma] d_ac d_bd / d.
+
+    One Gram matrix over the columns x -> rho(x)_ab of every irrep at once;
+    the target is diagonal, 1/d on the columns of a d-dimensional irrep.
+    """
     n = table.group.order
-    worst = 0.0
-    reps = table.irreps
-    for i, rho in enumerate(reps):
-        for sig in reps[i:]:
-            overlap = np.einsum("xab,xcd->abcd", rho.matrices, sig.matrices.conj()) / n
-            if sig is rho:
-                d = rho.dim
-                overlap = overlap - np.einsum("ac,bd->abcd", np.eye(d), np.eye(d)) / d
-            worst = max(worst, float(np.abs(overlap).max()))
-    return worst
+    cols = np.hstack([rho.matrices.reshape(n, -1) for rho in table])
+    gram = cols.T @ cols.conj() / n
+    gram[np.diag_indices_from(gram)] -= np.repeat(
+        [1.0 / rho.dim for rho in table], [rho.dim ** 2 for rho in table])
+    return float(np.abs(gram).max())
 
 
 _A1_SPECS = (

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasirep import approx, groups, irreps
-from quasirep.config import DEFAULT_TOLERANCES
 from quasirep.errors import DimensionError, MissingIrrepTable, OddOrder, RankDeficient
 
 
@@ -108,7 +107,7 @@ def test_pair_scan_matches_brute_force(spec):
              ("perturbed", approx.perturbed_irrep(rho, 0.25, seed=1)),
              ("sign", approx.random_sign_function(g, seed=2))]
     cases += [(f"haar d{d}", approx.haar_baseline(g, d, seed=d)) for d in range(1, 5)]
-    tol = DEFAULT_TOLERANCES.entry
+    tol = approx.AGREEMENT_TOL
     for label, psi in cases:
         report = approx.defect_direct(psi, table)
         defect, agreement, triple = brute_force_scan(psi, tol)

@@ -67,11 +67,19 @@ def test_unknown_family_is_input_error(capsys, cache):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_BAD_SWEEP = ["sweep", "--group", "alternating", "5", "--dpsi", "1", "--rho-dim", "5"]
+
+
 @pytest.mark.parametrize("spec", [
-    ["quaternion8", "5"], ["cyclic"], ["psl2", "7", "7"], ["product", "2", "3"],
+    ["group", "quaternion8", "5"], ["group", "cyclic"], ["group", "psl2", "7", "7"],
+    ["group", "product", "2", "3"],
+    # squared in the pair scan, a negative threshold would act as positive
+    # and nan would match no pair
+    [*_BAD_SWEEP, "--tolerance", "-10"], [*_BAD_SWEEP, "--tolerance", "nan"],
+    [*_BAD_SWEEP, "--tolerance", "inf"],
 ])
 def test_wrong_parameters_are_input_errors(capsys, cache, spec):
-    code = cli.main(["group", *spec, "--cache-dir", cache])
+    code = cli.main([*spec, "--cache-dir", cache])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -147,6 +155,18 @@ def test_sweep_tolerance_flag_changes_agreement(capsys, cache):
     assert code == 0
     rows = read_csv(capsys.readouterr().out)
     assert float(rows[0]["agreement_prob"]) == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "cyclic", "4"], ["irreps", "alternating", "5"],
+    ["hom", "--source", "cyclic", "4", "--target", "cyclic", "2"],
+    ["twirl", "--d-rho", "6", "--d-psi", "3"], ["verify", "fast"],
+])
+def test_tolerance_is_sweep_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--tolerance", "5"])
+    assert exc.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
 
 
 def test_sweep_out_is_deterministic(tmp_path, capsys, cache):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasirep import approx, fourier, irreps
+from quasirep import approx, fourier, groups, irreps
 from quasirep.errors import IncompleteTable
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -53,11 +53,22 @@ def test_translation_covariance(s3, s3_table):
             assert np.allclose(shifted_block, rho.matrices[g] @ block, atol=1e-12)
 
 
+# S3 has real irreps only, cyclic 12 and psl2(7) have complex ones and
+# quaternion8 has a quaternionic one
+ROUND_TRIP_GROUPS = [("symmetric", 3), ("cyclic", 12), ("quaternion8",), ("psl2", 7)]
+
+
+@pytest.fixture(scope="module")
+def round_trip_tables():
+    return {spec: irreps.decompose(groups.named(*spec)) for spec in ROUND_TRIP_GROUPS}
+
+
 @settings(max_examples=25, deadline=None)
-@given(seed=seeds)
-def test_round_trip_and_plancherel(s3, s3_table, seed):
-    f = random_scalar(s3, seed)
-    spectrum = fourier.transform_scalar(f, s3_table)
+@given(spec=st.sampled_from(ROUND_TRIP_GROUPS), seed=seeds)
+def test_round_trip_and_plancherel(round_trip_tables, spec, seed):
+    table = round_trip_tables[spec]
+    f = random_scalar(table.group, seed)
+    spectrum = fourier.transform_scalar(f, table)
     back = fourier.invert_scalar(spectrum)
     assert np.max(np.abs(back.values - f.values)) < 1e-10
     lhs, rhs = fourier.plancherel_check(f, spectrum)

@@ -246,8 +246,7 @@ PINNED_DIGESTS = {
 
 
 def test_group_hash_is_pinned():
-    # `group` and `irreps` print the hash and saved maps record it; a change
-    # would make every saved map unreadable
+    # `group` and `irreps` print the hash; a change would alter their output
     for spec, digest in PINNED_DIGESTS.items():
         assert groups.group_hash(groups.named(*spec)) == digest, spec
 

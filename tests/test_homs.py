@@ -1,4 +1,4 @@
-"""Maps between groups: agreement, pushforward statistics, ceilings, files."""
+"""Maps between groups: agreement, pushforward statistics, ceilings."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasirep import approx, groups, homs, irreps
-from quasirep.errors import FileFormatError, MissingIrrepTable, NotAHomomorphism
+from quasirep.errors import MissingIrrepTable, NotAHomomorphism
 
 
 def test_make_group_map_validation(s3, z6):
@@ -134,47 +134,3 @@ def test_lift_through_irrep(z6, z6_table):
     assert report.agreement_prob == 1.0
     with pytest.raises(ValueError):
         homs.lift_through_irrep(f, z6_table.irreps[1])
-
-
-def test_save_load_round_trip(tmp_path, s3, z6):
-    f = homs.random_map(s3, z6, seed=8)
-    path = tmp_path / "map.qmap"
-    homs.save_map(f, str(path))
-    back = homs.load_map(str(path), s3, z6)
-    assert np.array_equal(back.values, f.values)
-    assert back.epsilon == pytest.approx(f.epsilon)
-
-
-def test_load_map_rejects_corruption(tmp_path, s3, z6, a5):
-    f = homs.random_map(s3, z6, seed=8)
-    path = tmp_path / "map.qmap"
-    homs.save_map(f, str(path))
-
-    bad = tmp_path / "bad.qmap"
-    bad.write_text("wrong\n")
-    with pytest.raises(FileFormatError) as err:
-        homs.load_map(str(bad), s3, z6)
-    assert err.value.line == 1
-
-    with pytest.raises(FileFormatError) as err:
-        homs.load_map(str(path), a5, z6)
-    assert err.value.line == 2
-    with pytest.raises(FileFormatError) as err:
-        homs.load_map(str(path), s3, a5)
-    assert err.value.line == 3
-
-    lines = path.read_text().splitlines()
-    lines[4] = "six"
-    bad.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FileFormatError) as err:
-        homs.load_map(str(bad), s3, z6)
-    assert err.value.line == 5
-
-    lines[4] = "17"
-    bad.write_text("\n".join(lines) + "\n")
-    with pytest.raises(FileFormatError):
-        homs.load_map(str(bad), s3, z6)
-
-    bad.write_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(FileFormatError):
-        homs.load_map(str(bad), s3, z6)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasirep import groups, irreps
-from quasirep.config import DEFAULT_TOLERANCES
 from quasirep.errors import (DecompositionFailed, OrderCapExceeded,
                              ToleranceViolation)
 
@@ -121,13 +119,13 @@ def test_coarse_clusters_are_refined(monkeypatch, spec, eigengap):
     compressed = []
     split = irreps._split
 
-    def recording(group, left, rng, eigengap, basis=None):
+    def recording(group, left, rng, basis=None):
         compressed.append(basis is not None)
-        return split(group, left, rng, eigengap, basis)
+        return split(group, left, rng, basis)
 
     monkeypatch.setattr(irreps, "_split", recording)
-    tol = dataclasses.replace(DEFAULT_TOLERANCES, eigengap=eigengap)
-    assert_same_table(irreps.decompose(g, tolerances=tol), ref)
+    monkeypatch.setattr(irreps, "_EIGENGAP", eigengap)
+    assert_same_table(irreps.decompose(g), ref)
     assert any(compressed)
 
 
@@ -201,8 +199,8 @@ def test_tilted_basis_is_rejected_by_the_final_reps(monkeypatch):
     fix = irreps._gauge_fix
     rng = np.random.default_rng(0)
 
-    def tilting(basis, anchor, tolerances):
-        basis = fix(basis, anchor, tolerances)
+    def tilting(basis, anchor):
+        basis = fix(basis, anchor)
         if basis.shape[1] == 5:
             basis, _ = np.linalg.qr(basis + 1e-3 * rng.standard_normal(basis.shape))
         return basis
@@ -219,12 +217,11 @@ def test_gauge_fix_ignores_the_basis_choice():
     basis, _ = np.linalg.qr(rng.standard_normal((60, 4)) + 1j * rng.standard_normal((60, 4)))
     anchor = rng.standard_normal((60, 7)) + 1j * rng.standard_normal((60, 7))
     u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    fixed = irreps._gauge_fix(basis, anchor, DEFAULT_TOLERANCES)
-    assert np.max(np.abs(irreps._gauge_fix(basis @ u, anchor, DEFAULT_TOLERANCES)
-                         - fixed)) < 1e-12
+    fixed = irreps._gauge_fix(basis, anchor)
+    assert np.max(np.abs(irreps._gauge_fix(basis @ u, anchor) - fixed)) < 1e-12
     assert np.max(np.abs(fixed.conj().T @ fixed - np.eye(4))) < 1e-12
     with pytest.raises(ToleranceViolation, match="gauge anchor"):
-        irreps._gauge_fix(basis, np.zeros_like(anchor), DEFAULT_TOLERANCES)
+        irreps._gauge_fix(basis, np.zeros_like(anchor))
 
 
 _DECOMPOSE_AND_SAVE = """
@@ -259,13 +256,24 @@ def test_bases_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert np.max(np.abs(one[key] - two[key])) <= 1e-10, key
 
 
-def test_validate_catches_tampering(s3_table):
+@pytest.mark.parametrize("tamper,match", [
+    pytest.param("entry", None, id="entry"),
+    pytest.param("sign flip", "product law", id="sign-flip"),
+])
+def test_validate_catches_tampering(s3_table, tamper, match):
+    g = s3_table.group
     rep = s3_table.irreps[2]
     mats = rep.matrices.copy()
-    mats[1, 0, 0] += 0.01
-    bad = irreps.UnitaryRep(s3_table.group, mats, character=rep.character,
+    if tamper == "entry":
+        mats[1, 0, 0] += 0.01
+    else:
+        # still unitary, at an element that is not a generator: only the
+        # product law on the (x, s) pairs can see it
+        z = max(set(range(g.order)) - {g.identity} - set(g.generators))
+        mats[z] *= -1.0
+    bad = irreps.UnitaryRep(g, mats, character=rep.character,
                             is_irreducible=True)
-    with pytest.raises(ToleranceViolation):
+    with pytest.raises(ToleranceViolation, match=match):
         bad.validate()
 
 
