@@ -5,12 +5,14 @@ evaluated two independent ways. The spectral route (defect_via_fourier)
 goes through the blockwise transform: the triple product average
 E tr psi(xy)' psi(x) psi(y) equals sum_rho d_rho tr(W W' W), and the defect
 follows from it and two second moments, at O(n^2 d^2 + sum (d d_rho)^3)
-cost. The pair scan (defect_direct) visits all |G|^2 pairs, one matrix
-product per chunk of rows, and is the only route that also gives the
-exact-agreement fraction, which is a property of each pair. Both reports
-carry the defect, the triple trace, the operator norm of the mean, and the
-reference lower bound on the defect / upper bound on agreement expressed
-through that norm and the smallest nontrivial irrep dimension d_min.
+cost. It also gives the operator norm of the mean and the reference lower
+bound on the defect / upper bound on agreement expressed through that norm
+and the smallest nontrivial irrep dimension d_min. The pair scan visits all
+|G|^2 pairs, one matrix product per chunk of rows, and answers only what
+needs the pairs: the exact-agreement fraction, a property of each pair, and
+the defect as a sum of per-pair squares. defect_direct is the spectral
+report with those two fields (and the normalized defect) taken from the
+scan.
 
 Constructions: compressions of an irrep to a subspace (exact defect
 2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts,
@@ -21,7 +23,7 @@ of a genuine irrep.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -126,8 +128,11 @@ class PolarFunction(MatrixFunction):
 class DefectReport:
     """Measured defect statistics and the reference bounds they must respect.
 
-    agreement_prob is filled by the pair scan (defect_direct) and is None on
-    the spectral route (defect_via_fourier), which never visits the pairs.
+    defect, normalized_defect and agreement_prob come from the pair scan in
+    defect_direct; agreement_prob is None from defect_via_fourier, which
+    never visits the pairs and fills the defect spectrally. The triple
+    trace, mean_opnorm, both bounds and the admissibility residual come from
+    the spectral route in both.
     """
 
     defect: float
@@ -140,44 +145,32 @@ class DefectReport:
     admissibility_residual: float
 
 
-def _require_table(psi: MatrixFunction, table: IrrepTable | None) -> IrrepTable:
-    if table is None:
-        raise MissingIrrepTable("defect bounds need an irrep table for d_min")
-    if table.group is not psi.group:
-        raise ValueError("irrep table belongs to a different group")
-    return table
-
-
-def _pair_scan(psi: MatrixFunction, agree_tol: float) -> tuple[float, float, complex]:
+def _pair_scan(psi: MatrixFunction, agreement_tol: float) -> tuple[float, float]:
     """One pass over all |G|^2 pairs.
 
-    Returns (mean squared Frobenius defect, exact-agreement fraction,
-    mean triple product trace E tr psi(xy)' psi(x) psi(y)). Each chunk of
-    rows x forms every product psi(x) psi(y) as one matrix product against
-    the (d, n d) array [psi(y)]_y laid side by side.
+    Returns (mean squared Frobenius defect, exact-agreement fraction). Each
+    chunk of rows x forms every product psi(x) psi(y) as one matrix product
+    against the (d, n d) array [psi(y)]_y laid side by side.
     """
     mats = psi.matrices
     table = psi.group.table
     n, d = psi.group.order, psi.dim
     # chunk so each (c, d, n, d) complex temporary stays around 4 MiB, far
     # below the 32 MiB ceiling of glibc's dynamic mmap threshold, so peak
-    # memory does not depend on how many scans ran before; at most three are
-    # live at once, because the difference overwrites prod and each
-    # temporary is dropped as soon as it is used
+    # memory does not depend on how many scans ran before; two are live at
+    # once, the products and the gathered psi(xy), and the difference
+    # overwrites the products
     chunk = max(1, (1 << 18) // max(1, n * d * d))
     right = np.ascontiguousarray(mats.transpose(1, 0, 2)).reshape(d, n * d)
     total = 0.0
     agree = 0
-    triple = 0.0 + 0.0j
-    tol2 = agree_tol * agree_tol
+    tol2 = agreement_tol * agreement_tol
     for x0 in range(0, n, chunk):
         hi = min(n, x0 + chunk)
         c = hi - x0
         prod = (mats[x0:hi].reshape(c * d, d) @ right).reshape(c, d, n, d)
-        at_xy = mats[table[x0:hi]].transpose(0, 2, 1, 3)
-        triple += complex(np.einsum("xayb,xayb->", at_xy.conj(), prod))
-        diff = np.subtract(at_xy, prod, out=prod)
-        del at_xy, prod
+        diff = np.subtract(mats[table[x0:hi]].transpose(0, 2, 1, 3), prod, out=prod)
+        del prod
         # squared moduli summed over the real and imaginary parts, read in
         # place through a real view of the difference
         parts = diff.view(np.float64).reshape(c, d, n, d, 2)
@@ -188,63 +181,26 @@ def _pair_scan(psi: MatrixFunction, agree_tol: float) -> tuple[float, float, com
         total += float(sq.sum())
         agree += int((sq <= tol2).sum())
     n2 = n * n
-    return total / n2, agree / n2, triple / n2
+    return total / n2, agree / n2
 
 
-def _bounds(psi: MatrixFunction, table: IrrepTable) -> tuple[float, float, float]:
-    m = float(np.linalg.norm(psi.mean(), 2))
-    root = float(np.sqrt(psi.dim / table.d_min))
-    thm1 = max(0.0, 2.0 * psi.dim * (1.0 - m ** 3 - root))
-    cor1 = min(1.0, 0.5 * (1.0 + m ** 3 + root))
-    return m, thm1, cor1
+def _spectral_report(psi: MatrixFunction, table: IrrepTable | None) -> DefectReport:
+    """Every report field from the blockwise transform; agreement_prob is None.
 
-
-def _warn_inadmissible(psi: MatrixFunction, residual: float) -> None:
+    The triple product average is sum_rho d_rho tr(W W' W); the defect then
+    follows from E||psi(z)||^2 and E||psi(x)psi(y)||^2, which are
+    spectral-free moments. When psi is not admissible, which the bounds
+    assume, it warns at the line that called the public defect route.
+    """
+    if table is None:
+        raise MissingIrrepTable("defect bounds need an irrep table for d_min")
+    if table.group is not psi.group:
+        raise ValueError("irrep table belongs to a different group")
+    residual = psi.admissibility_residual()
     if residual > _ADMISSIBILITY:
         warnings.warn(
             f"psi is not admissible (||E psi' psi - 1||_F = {residual:.3e}); "
             "bounds assume admissibility", RuntimeWarning, stacklevel=3)
-
-
-def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
-                  agreement_tol: float = AGREEMENT_TOL) -> DefectReport:
-    """Exact defect by the double loop over all pairs, plus bounds.
-
-    A pair (x, y) agrees when ||psi(xy) - psi(x) psi(y)||_F <= agreement_tol,
-    which must be finite and non-negative.
-    """
-    if not 0.0 <= agreement_tol < np.inf:
-        raise ValueError(f"agreement tolerance must be finite and non-negative, "
-                         f"got {agreement_tol}")
-    table = _require_table(psi, table)
-    residual = psi.admissibility_residual()
-    _warn_inadmissible(psi, residual)
-    defect, agreement, triple = _pair_scan(psi, agreement_tol)
-    m, thm1, cor1 = _bounds(psi, table)
-    return DefectReport(
-        defect=defect,
-        normalized_defect=defect / (2.0 * psi.dim),
-        triple_trace=triple,
-        agreement_prob=agreement,
-        mean_opnorm=m,
-        thm1_bound=thm1,
-        cor1_bound=cor1,
-        admissibility_residual=residual,
-    )
-
-
-def defect_via_fourier(psi: MatrixFunction, table: IrrepTable | None) -> DefectReport:
-    """Defect through the blockwise transform, without the pair scan.
-
-    The triple product average is sum_rho d_rho tr(W W' W); the defect then
-    follows from E||psi(z)||^2 and E||psi(x)psi(y)||^2, which are spectral-free
-    moments. The defect, triple trace and bounds agree with defect_direct on
-    every input, admissible or not; agreement_prob is None, since exact
-    agreement is a per-pair question only defect_direct answers.
-    """
-    table = _require_table(psi, table)
-    residual = psi.admissibility_residual()
-    _warn_inadmissible(psi, residual)
     spectrum = transform_matrix(psi, table)
     triple = sum(
         rho.dim * complex(np.trace(w @ w.conj().T @ w))
@@ -254,17 +210,47 @@ def defect_via_fourier(psi: MatrixFunction, table: IrrepTable | None) -> DefectR
     cogram = np.einsum("xab,xcb->ac", psi.matrices, psi.matrices.conj()) / psi.group.order
     defect = float(np.trace(gram).real + np.trace(gram @ cogram).real
                    - 2.0 * triple.real)
-    m, thm1, cor1 = _bounds(psi, table)
+    m = float(np.linalg.norm(psi.mean(), 2))
+    root = float(np.sqrt(psi.dim / table.d_min))
     return DefectReport(
         defect=defect,
         normalized_defect=defect / (2.0 * psi.dim),
         triple_trace=triple,
         agreement_prob=None,
         mean_opnorm=m,
-        thm1_bound=thm1,
-        cor1_bound=cor1,
+        thm1_bound=max(0.0, 2.0 * psi.dim * (1.0 - m ** 3 - root)),
+        cor1_bound=min(1.0, 0.5 * (1.0 + m ** 3 + root)),
         admissibility_residual=residual,
     )
+
+
+def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
+                  agreement_tol: float = AGREEMENT_TOL) -> DefectReport:
+    """Exact defect and agreement by the scan over all pairs, plus bounds.
+
+    A pair (x, y) agrees when ||psi(xy) - psi(x) psi(y)||_F <= agreement_tol,
+    which must be finite and non-negative. The defect is the scan's: a sum of
+    per-pair squares, non-negative and exact near zero, where the spectral
+    formula cancels to about 1e-13. Every other field is the spectral one.
+    """
+    if not 0.0 <= agreement_tol < np.inf:
+        raise ValueError(f"agreement tolerance must be finite and non-negative, "
+                         f"got {agreement_tol}")
+    report = _spectral_report(psi, table)
+    defect, agreement = _pair_scan(psi, agreement_tol)
+    return replace(report, defect=defect, normalized_defect=defect / (2.0 * psi.dim),
+                   agreement_prob=agreement)
+
+
+def defect_via_fourier(psi: MatrixFunction, table: IrrepTable | None) -> DefectReport:
+    """Defect through the blockwise transform, without the pair scan.
+
+    The defect agrees with defect_direct's on every input, admissible or not,
+    and every other field but agreement_prob is the same value;
+    agreement_prob is None, since exact agreement is a per-pair question only
+    defect_direct answers.
+    """
+    return _spectral_report(psi, table)
 
 
 def opnorm_fourier_block(psi: MatrixFunction, rho: UnitaryRep) -> float:
@@ -377,16 +363,13 @@ def perturbed_irrep(rho: UnitaryRep, fraction: float, seed) -> MatrixFunction:
     return MatrixFunction(rho.group, rho.dim, mats)
 
 
-def random_admissible(group: FiniteGroup, dim: int, seed,
-                      pointwise_unitary: bool = False) -> MatrixFunction:
+def random_admissible(group: FiniteGroup, dim: int, seed) -> MatrixFunction:
     """Random psi with E psi' psi = 1 exactly (up to one matrix inversion).
 
-    pointwise_unitary=True draws independent Haar unitaries; otherwise draws
-    Gaussian matrices and right-normalizes by (E A' A)^{-1/2}, which produces
-    admissible but nowhere-unitary functions.
+    Draws Gaussian matrices and right-normalizes by (E A' A)^{-1/2}, which
+    produces admissible but nowhere-unitary functions; haar_baseline gives
+    pointwise unitary ones.
     """
-    if pointwise_unitary:
-        return haar_baseline(group, dim, seed)
     rng = rng_from(seed)
     n = group.order
     a = (rng.standard_normal((n, dim, dim))

@@ -107,6 +107,16 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
@@ -375,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="compression dimension or inclusive range a:b")
     p.add_argument("--rho-dim", type=int, default=None,
                    help="restrict to irreps of this dimension")
-    p.add_argument("--seeds", type=int, default=1,
+    p.add_argument("--seeds", type=_positive_int, default=1,
                    help="replicates per (irrep, d_psi) cell")
     p.add_argument("--tolerance", type=float, default=AGREEMENT_TOL,
                    help="Frobenius threshold under which a pair counts as "
@@ -388,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", nargs="+", required=True)
     p.add_argument("--kind", choices=("balanced", "random", "identity", "genuine"),
                    default="balanced")
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=_positive_int, default=10)
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("twirl", parents=[common],
@@ -410,10 +420,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (QuasirepError, ValueError) as exc:
+    except (OSError, QuasirepError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,6 +3,7 @@ atomic writes (temp file, then rename) and header-checked line reads."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 from collections.abc import Iterable
 
@@ -15,12 +16,18 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write the text chunks in order to a temp file, then rename it over path.
 
     Chunks are written as they are produced, so a generator keeps only one
-    chunk of a large file in memory.
+    chunk of a large file in memory. When the write or the rename fails, the
+    temp file is removed and the error re-raised.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_lines(path: str, magic: str) -> list[str]:

@@ -35,7 +35,7 @@ from .approx import (
 )
 from .fourier import ScalarFunction, invert_scalar, plancherel_check, transform_scalar
 from .groups import FiniteGroup
-from .homs import balanced_random_map, evaluate, make_group_map
+from .homs import balanced_random_map, evaluate, lift_through_irrep, make_group_map
 from .irreps import IrrepTable, decompose
 
 __all__ = [
@@ -299,8 +299,8 @@ def _check_a3(ctx: VerifyContext) -> list[Comparison]:
     cases = 0
     for i in range(20):
         dim = 1 + i % 3
-        psi = random_admissible(g, dim, seed=[ctx.seed, 3, i],
-                                pointwise_unitary=(i % 2 == 1))
+        draw = haar_baseline if i % 2 else random_admissible
+        psi = draw(g, dim, seed=[ctx.seed, 3, i])
         direct = defect_direct(psi, table)
         spectral = defect_via_fourier(psi, table)
         rel = abs(direct.defect - spectral.defect) / max(direct.defect, 1e-300)
@@ -451,13 +451,18 @@ def _check_a7(ctx: VerifyContext) -> list[Comparison]:
     a6 = ctx.table("alternating", 6)
     s3 = ctx.table("symmetric", 3)
     a5 = ctx.table("alternating", 5)
+    sigma = next(r for r in s3 if r.dim == 2)
     worst3 = -np.inf
     worst2 = -np.inf
+    lift_gain = np.inf
     for i in range(10):
         f = balanced_random_map(a6.group, s3.group, seed=[ctx.seed, 7, i])
         rep = evaluate(f, a6, s3)
         worst3 = max(worst3, rep.agreement_prob - rep.thm3_bound)
         worst2 = max(worst2, rep.agreement_prob - rep.thm2_bound)
+        # every pair on which f agrees also agrees after the lift sigma(f(x))
+        lifted = defect_direct(lift_through_irrep(f, sigma), a6).agreement_prob
+        lift_gain = min(lift_gain, lifted - rep.agreement_prob)
     ident = make_group_map(a5.group, a5.group, np.arange(a5.group.order))
     irep = evaluate(ident, a5, a5)
     return [
@@ -469,6 +474,8 @@ def _check_a7(ctx: VerifyContext) -> list[Comparison]:
                    float(irep.agreement_prob), 1.0, 1e-12),
         Comparison("identity map lift ceiling", "~=",
                    float(irep.thm2_bound), 1.0, 1e-12),
+        Comparison("balanced maps: min (agreement of the lift through S3's "
+                   "2-dim irrep - map agreement)", ">=", float(lift_gain), 0.0),
     ]
 
 

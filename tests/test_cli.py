@@ -77,11 +77,18 @@ _BAD_SWEEP = ["sweep", "--group", "alternating", "5", "--dpsi", "1", "--rho-dim"
     # and nan would match no pair
     [*_BAD_SWEEP, "--tolerance", "-10"], [*_BAD_SWEEP, "--tolerance", "nan"],
     [*_BAD_SWEEP, "--tolerance", "inf"],
+    # DIR is an existing directory: it can be neither read as a group file
+    # nor replaced by --out
+    ["group", "file", "DIR"], ["group", "cyclic", "4", "--out", "DIR"],
 ])
-def test_wrong_parameters_are_input_errors(capsys, cache, spec):
-    code = cli.main([*spec, "--cache-dir", cache])
+def test_wrong_parameters_are_input_errors(tmp_path, capsys, cache, spec):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    argv = [str(directory) if token == "DIR" else token for token in spec]
+    code = cli.main([*argv, "--cache-dir", cache])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.rglob("*.tmp.*")) == []
 
 
 def test_family_is_checked_before_the_cache(tmp_path, monkeypatch, capsys):
@@ -167,6 +174,19 @@ def test_tolerance_is_sweep_only(capsys, argv):
         cli.main([*argv, "--tolerance", "5"])
     assert exc.value.code == 2
     assert "--tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hom", "--source", "cyclic", "4", "--target", "cyclic", "2", "--seeds", "0"],
+    ["hom", "--source", "cyclic", "4", "--target", "cyclic", "2", "--seeds", "-2"],
+    ["sweep", "--group", "cyclic", "4", "--dpsi", "1", "--seeds", "-1"],
+    ["sweep", "--group", "cyclic", "4", "--dpsi", "1", "--seeds", "two"],
+])
+def test_seeds_must_be_positive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "error: argument --seeds" in capsys.readouterr().err
 
 
 def test_sweep_out_is_deterministic(tmp_path, capsys, cache):
