@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .approx import (
     DefectReport,
     MatrixFunction,
-    MinorFunction,
     PolarFunction,
     beating_random_threshold,
     defect_direct,
@@ -116,7 +115,7 @@ __all__ = [
     "ScalarFunction", "ScalarSpectrum", "MatrixSpectrum", "transform_scalar",
     "invert_scalar", "plancherel_check", "transform_matrix",
     # approximate representations
-    "MatrixFunction", "MinorFunction", "PolarFunction", "DefectReport",
+    "MatrixFunction", "PolarFunction", "DefectReport",
     "defect_direct", "defect_via_fourier", "opnorm_fourier_block",
     "minor_construction", "polar_unitary", "polar_construction",
     "polar_residual", "random_sign_function", "haar_baseline",

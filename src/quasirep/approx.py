@@ -17,13 +17,15 @@ scan.
 Constructions: compressions of an irrep to a subspace (exact defect
 2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts,
 balanced sign functions, independent Haar baselines, and Haar perturbations
-of a genuine irrep.
+of a genuine irrep. Each returns a plain MatrixFunction, except that the
+polar part (PolarFunction) keeps its minor for polar_residual. Every Haar
+draw, subspace or unitary, is sampling.haar_basis.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,12 +39,11 @@ from .errors import (
 from .fourier import _tensor_block, transform_matrix
 from .groups import FiniteGroup
 from .irreps import IrrepTable, UnitaryRep
-from .sampling import haar_basis, haar_unitary, rng_from
+from .sampling import haar_basis, rng_from
 
 __all__ = [
     "AGREEMENT_TOL",
     "MatrixFunction",
-    "MinorFunction",
     "PolarFunction",
     "DefectReport",
     "defect_direct",
@@ -56,7 +57,6 @@ __all__ = [
     "haar_baseline",
     "perturbed_irrep",
     "random_admissible",
-    "as_matrix_function",
     "thm4_defect",
     "thm5_normalized_bound",
     "thm5_bound",
@@ -97,31 +97,12 @@ class MatrixFunction:
         """Frobenius distance of E psi' psi from the identity."""
         return float(np.linalg.norm(self.mean_gram() - np.eye(self.dim)))
 
-    def is_admissible(self) -> bool:
-        return self.admissibility_residual() <= _ADMISSIBILITY
-
-
-@dataclass(eq=False)
-class MinorFunction(MatrixFunction):
-    """Compression of an irrep: psi(x) = sqrt(d_rho/d_psi) B' rho(x) B."""
-
-    parent: UnitaryRep | None = field(default=None)
-    basis: np.ndarray | None = field(default=None)
-
-    @property
-    def parent_dim(self) -> int:
-        return self.parent.dim
-
 
 @dataclass(eq=False)
 class PolarFunction(MatrixFunction):
-    """Elementwise unitary polar part of a minor; keeps the minor for diagnostics."""
+    """Elementwise unitary polar part of a minor; keeps the minor for polar_residual."""
 
-    parent_minor: MinorFunction | None = field(default=None)
-
-    @property
-    def parent_dim(self) -> int:
-        return self.parent_minor.parent.dim
+    parent_minor: MatrixFunction | None = None
 
 
 @dataclass
@@ -261,8 +242,11 @@ def opnorm_fourier_block(psi: MatrixFunction, rho: UnitaryRep) -> float:
 
 
 def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
-                       seed=None) -> MinorFunction:
+                       seed=None) -> MatrixFunction:
     """Compress an irrep to a d_psi-dimensional subspace, rescaled to admissibility.
+
+    psi(x) = sqrt(d_rho / d_psi) B' rho(x) B for an orthonormal d_rho x d_psi
+    basis B.
 
     subspace: "leading" takes the first d_psi coordinates; "haar" draws a
     seeded Haar-random subspace (seed required). The result has E psi' psi = 1
@@ -282,8 +266,7 @@ def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
     else:
         raise ValueError(f"unknown subspace {subspace!r}; use 'leading' or 'haar'")
     scale = np.sqrt(rho.dim / d_psi)
-    mats = scale * np.einsum("ai,xab,bj->xij", basis.conj(), rho.matrices, basis)
-    out = MinorFunction(rho.group, d_psi, mats, parent=rho, basis=basis)
+    out = MatrixFunction(rho.group, d_psi, scale * (basis.conj().T @ rho.matrices @ basis))
     # the mean must agree with the compressed parent mean, which is zero
     # exactly when the parent is nontrivial
     expected = scale * basis.conj().T @ rho.matrices.mean(axis=0) @ basis
@@ -347,7 +330,7 @@ def random_sign_function(group: FiniteGroup, seed) -> MatrixFunction:
 def haar_baseline(group: FiniteGroup, dim: int, seed) -> MatrixFunction:
     """Independent Haar unitary at every element; the no-structure baseline."""
     rng = rng_from(seed)
-    mats = np.stack([haar_unitary(rng, dim) for _ in range(group.order)])
+    mats = np.stack([haar_basis(rng, dim, dim) for _ in range(group.order)])
     return MatrixFunction(group, dim, mats)
 
 
@@ -359,7 +342,7 @@ def perturbed_irrep(rho: UnitaryRep, fraction: float, seed) -> MatrixFunction:
     mats = rho.matrices.copy()
     count = int(round(fraction * rho.group.order))
     for idx in rng.choice(rho.group.order, size=count, replace=False):
-        mats[idx] = haar_unitary(rng, rho.dim)
+        mats[idx] = haar_basis(rng, rho.dim, rho.dim)
     return MatrixFunction(rho.group, rho.dim, mats)
 
 
@@ -374,15 +357,10 @@ def random_admissible(group: FiniteGroup, dim: int, seed) -> MatrixFunction:
     n = group.order
     a = (rng.standard_normal((n, dim, dim))
          + 1j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0 * dim)
-    gram = np.einsum("xba,xbc->ac", a.conj(), a) / n
+    gram = MatrixFunction(group, dim, a).mean_gram()
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     inv_root = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     return MatrixFunction(group, dim, a @ inv_root)
-
-
-def as_matrix_function(rho: UnitaryRep) -> MatrixFunction:
-    """View a unitary representation as a MatrixFunction (shared storage)."""
-    return MatrixFunction(rho.group, rho.dim, rho.matrices)
 
 
 def thm4_defect(d_psi: int, d_rho: int) -> float:

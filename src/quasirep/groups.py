@@ -219,6 +219,29 @@ def _closure_table(generators: Sequence, identity, mul: Callable, cap: int,
     return from_table(table, name=name)
 
 
+def _cayley_tree(group: FiniteGroup, generators) -> list[tuple[np.ndarray, ...]]:
+    """Breadth-first Cayley-graph tree from the identity over the generators.
+
+    One (children, parents, generator positions) triple per layer, with
+    child = parent * generators[position] and every parent in an earlier
+    layer. Elements the generators do not reach are in no layer.
+    """
+    gens = np.asarray(generators, dtype=np.int64)
+    reached = np.zeros(group.order, dtype=bool)
+    reached[group.identity] = True
+    frontier = np.array([group.identity])
+    layers = []
+    while len(frontier) and len(gens):
+        step = group.table[np.ix_(frontier, gens)].ravel()
+        children, first = np.unique(step, return_index=True)
+        new = ~reached[children]
+        children, first = children[new], first[new]
+        reached[children] = True
+        layers.append((children, frontier[first // len(gens)], first % len(gens)))
+        frontier = children
+    return layers
+
+
 def _compose_perm(a: tuple, b: tuple) -> tuple:
     # apply b first, then a
     return tuple(a[x] for x in b)
@@ -468,13 +491,19 @@ def load_group(path: str) -> FiniteGroup:
             raise FileFormatError(
                 f"row has {len(parts)} entries, expected {order}", line=lineno)
         try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            raise FileFormatError("non-integer table entry", line=lineno) from None
-        for v in vals:
-            if not 0 <= v < order:
-                raise FileFormatError(f"entry {v} outside 0..{order - 1}", line=lineno)
-        table[r] = vals
+            table[r] = parts            # parsed as int() parses each token
+            row = table[r]
+        except (ValueError, OverflowError):
+            # numpy stops at the first token that is not an integer or lies
+            # beyond int64; a non-integer anywhere in the row is reported first
+            try:
+                row = np.array([int(p) for p in parts], dtype=object)
+            except ValueError:
+                raise FileFormatError("non-integer table entry", line=lineno) from None
+        outside = np.flatnonzero((row < 0) | (row >= order))
+        if len(outside):
+            raise FileFormatError(f"entry {row[outside[0]]} outside 0..{order - 1}",
+                                  line=lineno)
     try:
         return from_table(table, name=name)
     except NotAGroup as exc:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingIrrepTable, NotAHomomorphism
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _cayley_tree
 from .irreps import IrrepTable, UnitaryRep
 from .approx import MatrixFunction
 from .sampling import rng_from
@@ -161,23 +161,17 @@ def genuine_hom(source: FiniteGroup, target: FiniteGroup,
                 images: dict[int, int]) -> GroupMap:
     """Extend generator images to a homomorphism and validate it exhaustively.
 
-    images maps source generator index -> target element index. Raises
+    images maps source generator index -> target element index. The images
+    are extended along a breadth-first Cayley-graph tree of the source, one
+    gather per layer, f(x s) = f(x) f(s). Raises
     NotAHomomorphism when the generators do not generate the source group or
     when the extension fails the product law (witness pair in the message).
     """
-    n = source.order
-    values = np.full(n, -1, dtype=np.int64)
+    targets = np.array(list(images.values()), dtype=np.int64)
+    values = np.full(source.order, -1, dtype=np.int64)
     values[source.identity] = target.identity
-    frontier = [source.identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s, fs in images.items():
-                x = source.mul(g, int(s))
-                if values[x] < 0:
-                    values[x] = target.mul(int(values[g]), int(fs))
-                    nxt.append(x)
-        frontier = nxt
+    for children, parents, steps in _cayley_tree(source, list(images)):
+        values[children] = target.table[values[parents], targets[steps]]
     if (values < 0).any():
         missing = int(np.nonzero(values < 0)[0][0])
         raise NotAHomomorphism(

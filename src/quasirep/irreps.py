@@ -42,7 +42,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DecompositionFailed, OrderCapExceeded, ToleranceViolation
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _cayley_tree
 
 __all__ = [
     "UnitaryRep",
@@ -241,28 +241,6 @@ def _refine(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
     return pieces
 
 
-def _generator_tree(group: FiniteGroup) -> list[tuple[np.ndarray, ...]]:
-    """Breadth-first Cayley-graph tree from the identity over group.generators.
-
-    One (children, parents, generator positions) triple per layer, with
-    child = parent * generator and every parent in an earlier layer.
-    """
-    gens = np.asarray(group.generators, dtype=np.int64)
-    reached = np.zeros(group.order, dtype=bool)
-    reached[group.identity] = True
-    frontier = np.array([group.identity])
-    layers = []
-    while len(frontier) and len(gens):
-        step = group.table[np.ix_(frontier, gens)].ravel()
-        children, first = np.unique(step, return_index=True)
-        new = ~reached[children]
-        children, first = children[new], first[new]
-        reached[children] = True
-        layers.append((children, frontier[first // len(gens)], first % len(gens)))
-        frontier = children
-    return layers
-
-
 def _restrict(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
               tree: list[tuple[np.ndarray, ...]]) -> np.ndarray:
     """B' R(x) B for every x: computed on the generators, filled along the tree."""
@@ -303,7 +281,7 @@ def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
     if n > ORDER_CAP:
         raise OrderCapExceeded(f"order {n} above decomposition cap {ORDER_CAP}")
     left = group.table[group.inverses]          # left[x][z] = x^-1 * z
-    tree = _generator_tree(group)
+    tree = _cayley_tree(group, group.generators)
     # the gauge anchor E: no irrep is wider than isqrt(n), and its stream
     # [seed, _RETRY_BUDGET] is none of the attempts' [seed, attempt]
     gauge = np.random.default_rng([seed, _RETRY_BUDGET])

@@ -1,10 +1,10 @@
-"""Seeded random matrix helpers shared by the construction and twirl modules."""
+"""Seeded generators and the one Haar draw, shared by approx and twirl."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rng_from", "haar_unitary", "haar_basis"]
+__all__ = ["rng_from", "haar_basis"]
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -18,22 +18,12 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian with the phase fix.
-
-    The R-diagonal phases are folded into Q so the distribution is exactly
-    Haar rather than QR-convention dependent.
-    """
-    q, r = np.linalg.qr(_ginibre(rng, dim, dim))
-    d = np.diagonal(r).copy()
-    d /= np.abs(d)
-    return q * d
-
-
 def haar_basis(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
     """Orthonormal basis of a Haar-random count-dimensional subspace of C^dim.
 
-    Returned as a dim x count matrix with orthonormal columns.
+    Returned as a dim x count matrix with orthonormal columns, a Haar unitary
+    when count = dim. The R-diagonal phases of the QR are folded into Q, so
+    the distribution is exactly Haar rather than QR-convention dependent.
     """
     if not 1 <= count <= dim:
         raise ValueError(f"need 1 <= count <= dim, got count={count} dim={dim}")

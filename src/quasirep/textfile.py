@@ -17,16 +17,19 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
 
     Chunks are written as they are produced, so a generator keeps only one
     chunk of a large file in memory. When the write or the rename fails, the
-    temp file is removed and the error re-raised.
+    temp file is removed and the error re-raised; an OS error is re-raised
+    as the same error type naming only path, since the temp file is gone.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 

@@ -17,7 +17,6 @@ character power-moments of rho. Only that Monte Carlo has sampling variance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -174,9 +173,6 @@ class TwirlExpansion:
             "coefficients": dict(self.coefficients),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
 
 def _check_dims(d_rho: int, d_psi: int) -> None:
     if d_rho < 4:
@@ -247,25 +243,6 @@ class TwirlAudit:
     monte_carlo_stderr: float
     expansion: float
     leading_prediction: float
-    samples: int
-    seed: int | None
-    coefficients: dict[str, float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "d_rho": self.d_rho,
-            "d_psi": self.d_psi,
-            "monte_carlo": self.monte_carlo,
-            "monte_carlo_stderr": self.monte_carlo_stderr,
-            "expansion": self.expansion,
-            "leading_prediction": self.leading_prediction,
-            "samples": self.samples,
-            "seed": self.seed,
-            "coefficients": dict(self.coefficients),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _word_exponents(pi: tuple[int, ...]) -> list[int]:
@@ -277,21 +254,8 @@ def _word_exponents(pi: tuple[int, ...]) -> list[int]:
     tr(rho(x)^e) with e the signed count of slots in the cycle, because the
     rho and rho' factors cancel in adjacent pairs.
     """
-    succ = {k: pi[(k + 1) % 4] for k in range(4)}
-    seen = set()
-    exps = []
-    for start in range(4):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        nxt = succ[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = succ[nxt]
-        exps.append(sum(1 if k % 2 else -1 for k in cyc))
-    return exps
+    succ = tuple(pi[(k + 1) % 4] for k in range(4))
+    return [sum(1 if k % 2 else -1 for k in cyc) for cyc in _cycles(succ)]
 
 
 def error_term_audit(rho: UnitaryRep, d_psi: int, samples: int = 200,
@@ -316,7 +280,7 @@ def error_term_audit(rho: UnitaryRep, d_psi: int, samples: int = 200,
     vals = np.empty(samples)
     for s in range(samples):
         b = haar_basis(rng, d_rho, d_psi)
-        c = np.einsum("ai,xab,bj->xij", b.conj(), rho.matrices, b)
+        c = b.conj().T @ rho.matrices @ b
         gram = np.einsum("xba,xbc->xac", c.conj(), c)
         vals[s] = float(np.einsum("xab,xba->", gram, gram).real) / n
     mc = float(vals.mean())
@@ -342,7 +306,4 @@ def error_term_audit(rho: UnitaryRep, d_psi: int, samples: int = 200,
         monte_carlo_stderr=mc_se,
         expansion=float(total.real),
         leading_prediction=float(d_rho * ratio ** 3 * (2.0 - ratio)),
-        samples=samples,
-        seed=seed if np.isscalar(seed) else None,
-        coefficients=dict(expansion_coeffs.coefficients),
     )

@@ -94,6 +94,15 @@ def test_a8_catches_a_shifted_audit_expansion(ctx, monkeypatch):
         "|audit MC - twirl expansion|, A5 d_rho=5 d_psi=2"]
 
 
+def test_a5_catches_a_block_above_the_opnorm_lemma(ctx, monkeypatch):
+    honest = verify.opnorm_fourier_block
+    monkeypatch.setattr(verify, "opnorm_fourier_block",
+                        lambda psi, rho: honest(psi, rho) + 1e-6)
+    result = verify.run_check("A5", ctx)
+    assert [c.label for c in result.failures()] == [
+        "max (||E psi (x) rho|| - sqrt(d_psi/d_rho)) over the tables' irreps"]
+
+
 def test_cheap_checks_are_deterministic():
     runs = []
     for _ in range(2):

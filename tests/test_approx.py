@@ -18,7 +18,8 @@ def irrep_of_dim(table, dim):
 
 
 def test_genuine_irrep_has_zero_defect(a5_table):
-    psi = approx.as_matrix_function(irrep_of_dim(a5_table, 3))
+    rho = irrep_of_dim(a5_table, 3)
+    psi = approx.MatrixFunction(rho.group, rho.dim, rho.matrices)
     report = approx.defect_direct(psi, a5_table)
     assert report.defect < 1e-12
     assert report.agreement_prob == 1.0
@@ -47,8 +48,7 @@ def test_minor_spot_value(a5_table):
 
 def test_minor_mean_and_admissibility(a5_table):
     psi = approx.minor_construction(irrep_of_dim(a5_table, 4), 2)
-    assert psi.is_admissible()
-    assert psi.parent_dim == 4
+    assert psi.admissibility_residual() <= 1e-8
     assert float(np.linalg.norm(psi.mean())) < 1e-10
     trivial = approx.minor_construction(a5_table.irreps[0], 1)
     assert np.allclose(trivial.matrices, 1.0)
@@ -106,7 +106,7 @@ def test_pair_scan_matches_brute_force(spec):
     g = groups.named(*spec)
     table = irreps.decompose(g)
     rho = max(table, key=lambda r: r.dim)
-    cases = [("genuine", approx.as_matrix_function(rho)),
+    cases = [("genuine", approx.MatrixFunction(g, rho.dim, rho.matrices)),
              ("perturbed", approx.perturbed_irrep(rho, 0.25, seed=1)),
              ("sign", approx.random_sign_function(g, seed=2))]
     cases += [(f"haar d{d}", approx.haar_baseline(g, d, seed=d)) for d in range(1, 5)]
@@ -174,8 +174,7 @@ def test_polar_construction(a5_table):
     psi = approx.polar_construction(irrep_of_dim(a5_table, 4), 2, seed=6)
     gram = np.einsum("xba,xbc->xac", psi.matrices.conj(), psi.matrices)
     assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-    assert isinstance(psi.parent_minor, approx.MinorFunction)
-    assert psi.parent_dim == 4
+    assert isinstance(psi.parent_minor, approx.MatrixFunction)
     diff = psi.parent_minor.matrices - psi.matrices
     manual = float(np.mean(np.einsum("xab,xab->x", diff, diff.conj()).real))
     assert approx.polar_residual(psi) == pytest.approx(manual)
@@ -193,7 +192,7 @@ def test_sign_function_balanced(a6):
 
 def test_haar_baseline_admissible(s3):
     psi = approx.haar_baseline(s3, 3, seed=8)
-    assert psi.is_admissible()
+    assert psi.admissibility_residual() <= 1e-8
     gram = np.einsum("xba,xbc->xac", psi.matrices.conj(), psi.matrices)
     assert np.max(np.abs(gram - np.eye(3))) < 1e-12
 
@@ -204,7 +203,7 @@ def test_perturbed_irrep(a5_table):
     assert np.array_equal(unchanged.matrices, rho.matrices)
     noisy = approx.perturbed_irrep(rho, 0.5, seed=4)
     assert not np.allclose(noisy.matrices, rho.matrices)
-    assert noisy.is_admissible()  # replacements are still unitary
+    assert noisy.admissibility_residual() <= 1e-8  # replacements are still unitary
     with pytest.raises(ValueError):
         approx.perturbed_irrep(rho, 1.5, seed=4)
 

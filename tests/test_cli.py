@@ -87,7 +87,12 @@ def test_wrong_parameters_are_input_errors(tmp_path, capsys, cache, spec):
     argv = [str(directory) if token == "DIR" else token for token in spec]
     code = cli.main([*argv, "--cache-dir", cache])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    # the message names the path the user gave, never the writer's temp file
+    assert ".tmp." not in err
+    if "DIR" in spec:
+        assert str(directory) in err
     assert list(tmp_path.rglob("*.tmp.*")) == []
 
 

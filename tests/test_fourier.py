@@ -100,13 +100,13 @@ def test_block_opnorm_saturates_for_the_irrep_itself(a5_table):
     # a real irrep paired with itself contains the trivial rep once, so the
     # averaged tensor block is a rank-one projection with operator norm 1
     rho = next(r for r in a5_table if r.dim == 3)
-    psi = approx.as_matrix_function(rho)
+    psi = approx.MatrixFunction(rho.group, rho.dim, rho.matrices)
     assert approx.opnorm_fourier_block(psi, rho) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_block_opnorm_bound_for_admissible(a5, a5_table):
     psi = approx.random_admissible(a5, 2, seed=11)
-    assert psi.is_admissible()
+    assert psi.admissibility_residual() <= 1e-8
     for rho in a5_table:
         bound = np.sqrt(psi.dim / rho.dim)
         assert approx.opnorm_fourier_block(psi, rho) <= bound + 1e-8

@@ -291,6 +291,22 @@ def test_load_rejects_wrong_row_count(tmp_path):
         groups.load_group(str(path))
 
 
+@pytest.mark.parametrize("row,message", [
+    ("1 x 0", "non-integer table entry"),
+    ("1 3 0", "entry 3 outside 0..2"),
+    ("1 -1 99999999999999999999", "entry -1 outside 0..2"),
+    # beyond int64: out of range, unless the row also holds a non-integer
+    ("1 99999999999999999999 0", "entry 99999999999999999999 outside 0..2"),
+    ("99999999999999999999 x 0", "non-integer table entry"),
+])
+def test_load_names_the_first_bad_entry(tmp_path, row, message):
+    path = tmp_path / "bad.grp"
+    path.write_text(f"quasirep-group v1\nname=x\norder=3\n0 1 2\n{row}\n2 0 1\n")
+    with pytest.raises(FileFormatError, match=message) as err:
+        groups.load_group(str(path))
+    assert err.value.line == 5
+
+
 def test_load_revalidates_table(tmp_path):
     # a well-formed file holding a non-group must still be rejected
     path = tmp_path / "loop.grp"

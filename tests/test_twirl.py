@@ -177,15 +177,13 @@ def test_error_term_audit(a5_table):
     assert abs(audit.monte_carlo - audit.expansion) <= tol
     ratio = 3 / 5
     assert audit.leading_prediction == pytest.approx(5 * ratio**3 * (2 - ratio))
-    payload = audit.to_json_dict()
-    assert payload["d_rho"] == 5 and payload["d_psi"] == 3
-    assert set(payload["coefficients"]) == set(twirl.CLASS_NAMES)
+    assert audit.d_rho == 5 and audit.d_psi == 3
     with pytest.raises(ValueError):
         twirl.error_term_audit(rho, 3, samples=1, seed=0)
 
 
 def test_expansion_json_round_trip():
     expansion = twirl.twirl_exact(8, 4)
-    payload = json.loads(expansion.to_json())
+    payload = json.loads(json.dumps(expansion.to_json_dict()))
     assert payload == expansion.to_json_dict()
     assert set(payload) == {"d_rho", "d_psi", "coefficients"}
