@@ -103,6 +103,19 @@ def test_a5_catches_a_block_above_the_opnorm_lemma(ctx, monkeypatch):
         "max (||E psi (x) rho|| - sqrt(d_psi/d_rho)) over the tables' irreps"]
 
 
+def test_a3_catches_a_scan_defect_off_by_a_part_in_a_million(ctx, monkeypatch):
+    honest = verify._pair_scan
+
+    def off(psi, agreement_tol, screen):
+        defect, agreement = honest(psi, agreement_tol, screen)
+        return defect * (1.0 + 1e-6), agreement
+
+    monkeypatch.setattr(verify, "_pair_scan", off)
+    result = verify.run_check("A3", ctx)
+    assert [c.label for c in result.failures()] == [
+        "max relative disagreement of the two defect routes"]
+
+
 def test_cheap_checks_are_deterministic():
     runs = []
     for _ in range(2):

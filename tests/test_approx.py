@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,40 +88,105 @@ def test_direct_matches_fourier(s3, s3_table, a5_table):
             assert getattr(direct, name) == getattr(spectral, name), name
 
 
-def brute_force_scan(psi, tol):
-    """(defect, agreement, triple trace) by a double loop over all pairs."""
+def brute_force_pairs(psi):
+    """Per-pair ||psi(xy) - psi(x) psi(y)||_F^2 and the triple trace, by a double loop."""
     m, t, n = psi.matrices, psi.group.table, psi.group.order
-    total, agree, triple = 0.0, 0, 0j
+    sq = np.empty((n, n))
+    triple = 0j
     for x in range(n):
         for y in range(n):
             prod = m[x] @ m[y]
-            sq = float(np.linalg.norm(m[t[x, y]] - prod) ** 2)
-            total += sq
-            agree += sq <= tol * tol
+            sq[x, y] = float(np.linalg.norm(m[t[x, y]] - prod) ** 2)
             triple += np.trace(m[t[x, y]].conj().T @ prod)
-    return total / n**2, agree / n**2, triple / n**2
+    return sq, triple / n**2
 
 
-@pytest.mark.parametrize("spec", [("symmetric", 3), ("quaternion8",), ("alternating", 4)])
-def test_pair_scan_matches_brute_force(spec):
+def scan_cases(g, table):
+    """Inputs for every route of defect_direct's pair scan.
+
+    Genuine irreps and irreps plus small noise take the unscreened scan (the
+    spectral defect would cancel); minors, polar minors and Haar baselines
+    leave sparse survivors; perturbed irreps dense ones; d = 1 is never
+    screened.
+    """
+    rho = max(table, key=lambda r: r.dim)
+    rng = np.random.default_rng(0)
+    cases = [(f"genuine irrep {i}", approx.MatrixFunction(g, r.dim, r.matrices))
+             for i, r in enumerate(table)]
+    cases += [(f"perturbed f={f}", approx.perturbed_irrep(rho, f, seed=1))
+              for f in (0.1, 0.25, 0.5)]
+    for d_psi in range(1, rho.dim + 1):
+        cases.append((f"haar minor {d_psi}", approx.minor_construction(
+            rho, d_psi, subspace="haar", seed=[3, d_psi])))
+        cases.append((f"polar minor {d_psi}",
+                      approx.polar_construction(rho, d_psi, seed=[4, d_psi])))
+    cases.append(("sign", approx.random_sign_function(g, seed=2)))
+    for eps in (1e-12, 1e-9, 1e-7, 1e-5):
+        noise = rng.standard_normal(rho.matrices.shape) + 1j * rng.standard_normal(
+            rho.matrices.shape)
+        cases.append((f"irrep + {eps} noise",
+                      approx.MatrixFunction(g, rho.dim, rho.matrices + eps * noise)))
+    cases += [(f"haar d{d}", approx.haar_baseline(g, d, seed=d)) for d in (1, 2, 3, 4)]
+    return cases
+
+
+SCAN_TOLERANCES = (0.0, 1e-9, 1e-6, 1e-3, 0.5, 10.0)
+
+
+@pytest.mark.parametrize("spec", [("symmetric", 3), ("quaternion8",), ("alternating", 4),
+                                  ("alternating", 5)])
+def test_pair_scan_matches_brute_force(spec, monkeypatch):
     g = groups.named(*spec)
     table = irreps.decompose(g)
-    rho = max(table, key=lambda r: r.dim)
-    cases = [("genuine", approx.MatrixFunction(g, rho.dim, rho.matrices)),
-             ("perturbed", approx.perturbed_irrep(rho, 0.25, seed=1)),
-             ("sign", approx.random_sign_function(g, seed=2))]
-    cases += [(f"haar d{d}", approx.haar_baseline(g, d, seed=d)) for d in range(1, 5)]
-    tol = approx.AGREEMENT_TOL
-    for label, psi in cases:
-        report = approx.defect_direct(psi, table)
-        defect, agreement, triple = brute_force_scan(psi, tol)
-        assert report.agreement_prob == agreement, label
-        assert report.defect == pytest.approx(defect, abs=1e-12), label
+    honest = approx._pair_scan
+    routes = set()
+
+    def spy(psi, agreement_tol, screen):
+        defect, agreement = honest(psi, agreement_tol, screen)
+        routes.add((screen, defect is None))
+        return defect, agreement
+
+    monkeypatch.setattr(approx, "_pair_scan", spy)
+    n2 = g.order ** 2
+    for label, psi in scan_cases(g, table):
+        sq, triple = brute_force_pairs(psi)
+        defect = float(sq.sum()) / n2
+        for tol in SCAN_TOLERANCES:
+            with warnings.catch_warnings():
+                # irreps plus noise are not admissible
+                warnings.simplefilter("ignore", RuntimeWarning)
+                report = approx.defect_direct(psi, table, agreement_tol=tol)
+            agreement = int((sq <= tol * tol).sum()) / n2
+            if tol == 0.0:
+                # bitwise equality depends on the arithmetic path (the double
+                # loop and the scan's GEMM differ on genuine irreps of S3), so
+                # tolerance 0 must keep the unscreened scan's
+                assert report.agreement_prob == honest(psi, tol, False)[1], label
+            else:
+                assert report.agreement_prob == agreement, (label, tol)
+            assert report.defect == pytest.approx(defect, rel=1e-7, abs=1e-24), (label, tol)
+            if label.startswith("genuine"):
+                assert agreement == 1.0 or tol == 0.0
+            elif label == "perturbed f=0.1" and tol == approx.AGREEMENT_TOL:
+                assert 0.0 < agreement < 1.0
         assert report.triple_trace == pytest.approx(triple, abs=1e-12), label
-        if label == "genuine":
-            assert agreement == 1.0
-        elif label == "perturbed":
-            assert 0.0 < agreement < 1.0
+    # unscreened, screened with every chunk multiplied out, and screened
+    # with only the survivors multiplied
+    assert routes == {(False, False), (True, False), (True, True)}
+
+
+def test_screen_vectors_do_not_change_the_report(monkeypatch, a5_table):
+    rho = irrep_of_dim(a5_table, 5)
+    inputs = [approx.polar_construction(rho, 4, seed=1),
+              approx.minor_construction(rho, 2, subspace="haar", seed=2),
+              approx.perturbed_irrep(rho, 0.1, seed=3),
+              approx.haar_baseline(a5_table.group, 3, seed=4)]
+    tolerances = (approx.AGREEMENT_TOL, 0.5, 2.0)
+    reports = [approx.defect_direct(psi, a5_table, tol) for psi in inputs for tol in tolerances]
+    for seed in (1, 2, 3):
+        monkeypatch.setattr(approx, "_SCREEN_SEED", seed)
+        assert reports == [approx.defect_direct(psi, a5_table, tol)
+                           for psi in inputs for tol in tolerances]
 
 
 def test_spectral_route_skips_the_pair_scan(monkeypatch, a5_table):
