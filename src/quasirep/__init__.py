@@ -21,7 +21,6 @@ from .approx import (
     defect_via_fourier,
     haar_baseline,
     minor_construction,
-    opnorm_fourier_block,
     perturbed_irrep,
     polar_construction,
     polar_residual,
@@ -51,7 +50,6 @@ from .errors import (
     UnsupportedParameter,
 )
 from .fourier import (
-    MatrixSpectrum,
     ScalarFunction,
     ScalarSpectrum,
     invert_scalar,
@@ -112,11 +110,11 @@ __all__ = [
     # irreps
     "UnitaryRep", "IrrepTable", "decompose", "frobenius_schur",
     # fourier
-    "ScalarFunction", "ScalarSpectrum", "MatrixSpectrum", "transform_scalar",
+    "ScalarFunction", "ScalarSpectrum", "transform_scalar",
     "invert_scalar", "plancherel_check", "transform_matrix",
     # approximate representations
     "MatrixFunction", "PolarFunction", "DefectReport",
-    "defect_direct", "defect_via_fourier", "opnorm_fourier_block",
+    "defect_direct", "defect_via_fourier",
     "minor_construction", "polar_unitary", "polar_construction",
     "polar_residual", "random_sign_function", "haar_baseline",
     "perturbed_irrep", "random_admissible", "thm4_defect",

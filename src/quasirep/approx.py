@@ -43,7 +43,7 @@ from .errors import (
     RankDeficient,
     ToleranceViolation,
 )
-from .fourier import _tensor_block, transform_matrix
+from .fourier import transform_matrix
 from .groups import FiniteGroup
 from .irreps import IrrepTable, UnitaryRep
 from .sampling import haar_basis, rng_from
@@ -55,7 +55,6 @@ __all__ = [
     "DefectReport",
     "defect_direct",
     "defect_via_fourier",
-    "opnorm_fourier_block",
     "minor_construction",
     "polar_unitary",
     "polar_construction",
@@ -107,8 +106,9 @@ class MatrixFunction:
         return self.matrices.mean(axis=0)
 
     def mean_gram(self) -> np.ndarray:
-        """E_x psi(x)' psi(x)."""
-        return np.einsum("xba,xbc->ac", self.matrices.conj(), self.matrices) / self.group.order
+        """E_x psi(x)' psi(x), one product over the (n d, d) stack of the psi(x)."""
+        stack = self.matrices.reshape(-1, self.dim)
+        return stack.conj().T @ stack / self.group.order
 
     def admissibility_residual(self, gram: np.ndarray | None = None) -> float:
         """Frobenius distance of E psi' psi from the identity.
@@ -253,12 +253,13 @@ def _spectral_report(psi: MatrixFunction,
         warnings.warn(
             f"psi is not admissible (||E psi' psi - 1||_F = {residual:.3e}); "
             "bounds assume admissibility", RuntimeWarning, stacklevel=3)
-    spectrum = transform_matrix(psi, table)
     triple = sum(
         rho.dim * complex(np.trace(w @ w.conj().T @ w))
-        for rho, w in zip(table.irreps, spectrum.blocks)
+        for rho, w in zip(table.irreps, transform_matrix(psi, table))
     )
-    cogram = np.einsum("xab,xcb->ac", psi.matrices, psi.matrices.conj()) / psi.group.order
+    # E psi psi' as one product over the (d, n d) array of the psi(x) side by side
+    side = np.ascontiguousarray(psi.matrices.transpose(1, 0, 2)).reshape(psi.dim, -1)
+    cogram = side @ side.conj().T / psi.group.order
     positive = float(np.trace(gram).real + np.trace(gram @ cogram).real)
     defect = positive - 2.0 * triple.real
     m = float(np.linalg.norm(psi.mean(), 2))
@@ -320,13 +321,6 @@ def defect_via_fourier(psi: MatrixFunction, table: IrrepTable | None) -> DefectR
     return _spectral_report(psi, table)[0]
 
 
-def opnorm_fourier_block(psi: MatrixFunction, rho: UnitaryRep) -> float:
-    """Operator norm of E_x psi(x) (x) rho(x); at most sqrt(d_psi / d_rho)."""
-    if rho.group is not psi.group:
-        raise ValueError("irrep belongs to a different group")
-    return float(np.linalg.norm(_tensor_block(psi.matrices, rho.matrices), 2))
-
-
 def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
                        seed=None) -> MatrixFunction:
     """Compress an irrep to a d_psi-dimensional subspace, rescaled to admissibility.
@@ -374,7 +368,7 @@ def polar_unitary(matrix: np.ndarray) -> np.ndarray:
     if s.min() < _MIN_SINGULAR:
         raise RankDeficient(
             f"smallest singular value {s.min():.3e} below {_MIN_SINGULAR:.0e}")
-    return np.einsum("...ab,...bc->...ac", u, vh)
+    return u @ vh
 
 
 def polar_construction(rho: UnitaryRep, d_psi: int, seed) -> PolarFunction:
@@ -399,7 +393,7 @@ def polar_construction(rho: UnitaryRep, d_psi: int, seed) -> PolarFunction:
 def polar_residual(psi: PolarFunction) -> float:
     """E_x ||minor(x) - polar(x)||_F^2, the per-element unitarization cost."""
     diff = psi.parent_minor.matrices - psi.matrices
-    return float(np.mean(np.einsum("xab,xab->x", diff, diff.conj()).real))
+    return float(np.vdot(diff, diff).real) / psi.group.order
 
 
 def random_sign_function(group: FiniteGroup, seed) -> MatrixFunction:

@@ -354,8 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="base seed; every randomized output derives from it")
     common.add_argument("--cache-dir", default=None,
                         help="group cache directory (default $QUASIREP_CACHE or ./.quasirep)")
-    common.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="structured output format (default: plain text)")
     common.add_argument("--out", default=None,
                         help="write output to this path (atomic) instead of stdout")
 
@@ -366,15 +364,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "bounds, extract twirl coefficients, run the check battery.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_format(command, *choices):
+        command.add_argument("--format", choices=choices, default=None,
+                             help="structured output format (default: CSV for "
+                                  "sweep, plain text for the others)")
+
     p = sub.add_parser("group", parents=[common],
                        help="build or load a group and print its summary")
     p.add_argument("spec", nargs="+",
                    help="family and parameters (e.g. 'alternating 5') or 'file <path>'")
+    add_format(p, "json")
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("irreps", parents=[common],
                        help="decompose a group and print its irrep summary")
     p.add_argument("spec", nargs="+")
+    add_format(p, "json")
     p.set_defaults(func=cmd_irreps)
 
     p = sub.add_parser("sweep", parents=[common],
@@ -390,6 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=AGREEMENT_TOL,
                    help="Frobenius threshold under which a pair counts as "
                         f"agreeing (default {AGREEMENT_TOL:g})")
+    add_format(p, "csv", "json")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("hom", parents=[common],
@@ -399,6 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("balanced", "random", "identity", "genuine"),
                    default="balanced")
     p.add_argument("--seeds", type=_positive_int, default=10)
+    add_format(p, "csv", "json")
     p.set_defaults(func=cmd_hom)
 
     p = sub.add_parser("twirl", parents=[common],
@@ -406,11 +413,13 @@ def _build_parser() -> argparse.ArgumentParser:
                             "by Gram solve")
     p.add_argument("--d-rho", type=int, required=True)
     p.add_argument("--d-psi", type=int, required=True)
+    add_format(p, "json")
     p.set_defaults(func=cmd_twirl)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the check battery and report a manifest")
     p.add_argument("scope", choices=("fast", "full"))
+    add_format(p, "json")
     p.set_defaults(func=cmd_verify)
     return parser
 

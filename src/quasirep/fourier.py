@@ -5,7 +5,7 @@ rho(x)', inversion is f(x) = sum_rho d_rho tr(f_hat(rho) rho(x)), and the
 norm identity reads E|f|^2 = sum_rho d_rho ||f_hat(rho)||_F^2 after clearing
 the 1/|G| between the two averages. Matrix-valued functions transform
 blockwise into operators W_rho = E_x psi(x) (x) rho(x) on the tensor product,
-stored as square matrices of side d_psi * d_rho.
+returned as a tuple of square matrices of side d_psi * d_rho, one per irrep.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ScalarFunction",
     "ScalarSpectrum",
-    "MatrixSpectrum",
     "transform_scalar",
     "invert_scalar",
     "plancherel_check",
@@ -52,20 +51,6 @@ class ScalarSpectrum:
     """Transform blocks of a scalar function, aligned with table.irreps."""
 
     table: IrrepTable
-    blocks: tuple[np.ndarray, ...]
-
-
-@dataclass(eq=False)
-class MatrixSpectrum:
-    """Blockwise transform of a matrix-valued function.
-
-    blocks[i] is the operator E_x psi(x) (x) rho_i(x) as a square matrix of
-    side dim_psi * d_i, row index (a, c) and column index (b, d) for psi entry
-    (a, b) and irrep entry (c, d).
-    """
-
-    table: IrrepTable
-    dim_psi: int
     blocks: tuple[np.ndarray, ...]
 
 
@@ -114,15 +99,19 @@ def plancherel_check(f: ScalarFunction, spectrum: ScalarSpectrum) -> tuple[float
     return lhs, rhs
 
 
-def transform_matrix(psi: "MatrixFunction", table: IrrepTable) -> MatrixSpectrum:
-    """Blockwise transform W_rho = E_x psi(x) (x) rho(x) of a matrix function."""
+def transform_matrix(psi: "MatrixFunction", table: IrrepTable) -> tuple[np.ndarray, ...]:
+    """Blockwise transform W_rho = E_x psi(x) (x) rho(x) of a matrix function.
+
+    Returns the blocks aligned with table.irreps. Block i is a square matrix
+    of side d_psi * d_i, row index (a, c) and column index (b, d) for psi
+    entry (a, b) and irrep entry (c, d), formed as one GEMM over x.
+    """
     _check_alignment(psi.group, table)
-    blocks = tuple(_tensor_block(psi.matrices, rho.matrices) for rho in table.irreps)
-    return MatrixSpectrum(table, psi.dim, blocks)
-
-
-def _tensor_block(psi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """E_x psi(x) (x) rho(x) as one GEMM over x, rows (a, c) and columns (b, d)."""
-    n, d, e = len(psi), psi.shape[1], rho.shape[1]
-    w = (psi.reshape(n, d * d).T @ rho.reshape(n, e * e) / n).reshape(d, d, e, e)
-    return w.transpose(0, 2, 1, 3).reshape(d * e, d * e)
+    n, d = psi.group.order, psi.dim
+    left = psi.matrices.reshape(n, d * d).T
+    blocks = []
+    for rho in table.irreps:
+        e = rho.dim
+        w = (left @ rho.matrices.reshape(n, e * e) / n).reshape(d, d, e, e)
+        blocks.append(w.transpose(0, 2, 1, 3).reshape(d * e, d * e))
+    return tuple(blocks)

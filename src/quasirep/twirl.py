@@ -276,10 +276,11 @@ def error_term_audit(rho: UnitaryRep, d_psi: int, samples: int = 200,
     n = group.order
 
     # route (a): compressions C(x) = B' rho(x) B, integrand tr((C'C)^2)
-    rng = rng_from(seed)
+    # one stacked draw; the compressions go one basis at a time so that no
+    # temporary grows with samples x |G|
+    bases = haar_basis(rng_from(seed), d_rho, d_psi, stack=(samples,))
     vals = np.empty(samples)
-    for s in range(samples):
-        b = haar_basis(rng, d_rho, d_psi)
+    for s, b in enumerate(bases):
         c = b.conj().T @ rho.matrices @ b
         gram = np.einsum("xba,xbc->xac", c.conj(), c)
         vals[s] = float(np.einsum("xab,xba->", gram, gram).real) / n

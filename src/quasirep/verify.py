@@ -27,7 +27,6 @@ from .approx import (
     defect_via_fourier,
     haar_baseline,
     minor_construction,
-    opnorm_fourier_block,
     perturbed_irrep,
     polar_construction,
     polar_residual,
@@ -36,7 +35,13 @@ from .approx import (
     thm4_defect,
     thm5_normalized_bound,
 )
-from .fourier import ScalarFunction, invert_scalar, plancherel_check, transform_scalar
+from .fourier import (
+    ScalarFunction,
+    invert_scalar,
+    plancherel_check,
+    transform_matrix,
+    transform_scalar,
+)
 from .groups import FiniteGroup
 from .homs import balanced_random_map, evaluate, lift_through_irrep, make_group_map
 from .irreps import IrrepTable, decompose
@@ -422,8 +427,8 @@ def _check_a5(ctx: VerifyContext) -> list[Comparison]:
         max_agree_margin = max(max_agree_margin, am)
         if dm < -1e-9 or am > 1e-9:
             violations += 1
-        for rho in table:
-            max_block_margin = max(max_block_margin, opnorm_fourier_block(psi, rho)
+        for rho, w in zip(table, transform_matrix(psi, table)):
+            max_block_margin = max(max_block_margin, np.linalg.norm(w, 2)
                                    - np.sqrt(psi.dim / rho.dim))
     return [
         Comparison("corpus size", ">=", float(len(cases)), 100.0),

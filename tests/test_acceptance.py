@@ -95,9 +95,9 @@ def test_a8_catches_a_shifted_audit_expansion(ctx, monkeypatch):
 
 
 def test_a5_catches_a_block_above_the_opnorm_lemma(ctx, monkeypatch):
-    honest = verify.opnorm_fourier_block
-    monkeypatch.setattr(verify, "opnorm_fourier_block",
-                        lambda psi, rho: honest(psi, rho) + 1e-6)
+    honest = verify.transform_matrix
+    monkeypatch.setattr(verify, "transform_matrix", lambda psi, table: tuple(
+        (1 + 1e-6) * w for w in honest(psi, table)))
     result = verify.run_check("A5", ctx)
     assert [c.label for c in result.failures()] == [
         "max (||E psi (x) rho|| - sqrt(d_psi/d_rho)) over the tables' irreps"]

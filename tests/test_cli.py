@@ -194,6 +194,20 @@ def test_seeds_must_be_positive(capsys, argv):
     assert "error: argument --seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "cyclic", "4"],
+    ["irreps", "cyclic", "4"],
+    ["twirl", "--d-rho", "6", "--d-psi", "3"],
+    ["verify", "fast"],
+], ids=lambda argv: argv[0])
+def test_csv_only_where_there_are_rows(capsys, argv):
+    # only sweep and hom print rows; the other commands have no CSV form
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "error: argument --format" in capsys.readouterr().err
+
+
 def test_sweep_out_is_deterministic(tmp_path, capsys, cache):
     args = ["sweep", "--group", "alternating", "5", "--dpsi", "1:3",
             "--rho-dim", "4", "--seeds", "2", "--seed", "5",

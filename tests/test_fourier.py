@@ -90,26 +90,28 @@ def test_linearity(s3, s3_table, seed, scale):
 
 def test_matrix_transform_block_shapes(a5, a5_table):
     psi = approx.random_admissible(a5, 2, seed=3)
-    spectrum = fourier.transform_matrix(psi, a5_table)
-    assert spectrum.dim_psi == 2
-    for rho, block in zip(a5_table, spectrum.blocks):
+    blocks = fourier.transform_matrix(psi, a5_table)
+    assert len(blocks) == len(a5_table)
+    for rho, block in zip(a5_table, blocks):
         assert block.shape == (2 * rho.dim, 2 * rho.dim)
 
 
 def test_block_opnorm_saturates_for_the_irrep_itself(a5_table):
     # a real irrep paired with itself contains the trivial rep once, so the
     # averaged tensor block is a rank-one projection with operator norm 1
-    rho = next(r for r in a5_table if r.dim == 3)
+    i = a5_table.dims.index(3)
+    rho = a5_table.irreps[i]
     psi = approx.MatrixFunction(rho.group, rho.dim, rho.matrices)
-    assert approx.opnorm_fourier_block(psi, rho) == pytest.approx(1.0, abs=1e-8)
+    block = fourier.transform_matrix(psi, a5_table)[i]
+    assert np.linalg.norm(block, 2) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_block_opnorm_bound_for_admissible(a5, a5_table):
     psi = approx.random_admissible(a5, 2, seed=11)
     assert psi.admissibility_residual() <= 1e-8
-    for rho in a5_table:
+    for rho, block in zip(a5_table, fourier.transform_matrix(psi, a5_table)):
         bound = np.sqrt(psi.dim / rho.dim)
-        assert approx.opnorm_fourier_block(psi, rho) <= bound + 1e-8
+        assert np.linalg.norm(block, 2) <= bound + 1e-8
 
 
 def test_invert_requires_complete_table(s3, s3_table):
