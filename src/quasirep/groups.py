@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import io
 import math
+import warnings
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -443,29 +445,62 @@ def check_family(family: str, count: int) -> None:
 
 
 def _table_rows(table: np.ndarray) -> str:
-    """The table as space-joined rows, each ending in a newline."""
-    return "".join(" ".join(map(str, row.tolist())) + "\n" for row in table)
+    """The table as space-joined rows, each ending in a newline.
+
+    Rendered in one pass: an (n, w) byte table holds the token "{i} " of
+    each element i, zero padded to the widest; gathering it by the table
+    lays out every entry, the last column's space becomes the newline, and
+    dropping the padding leaves the text. Byte for byte what joining
+    str(entry) per row gives.
+    """
+    n = len(table)
+    tokens = np.array([b"%d " % i for i in range(n)])
+    text = tokens.view(np.uint8).reshape(n, tokens.itemsize)[table]
+    last = text[:, -1]
+    last[last == ord(" ")] = ord("\n")
+    return text[text != 0].tobytes().decode("ascii")
+
+
+def _table_digest(order: int, rows: str) -> str:
+    text = f"quasirep-group\n{order}\n" + rows
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def group_hash(group: FiniteGroup) -> str:
     """SHA-256 hex digest of the multiplication table in canonical text form.
 
-    Computed once per group object and remembered on it.
+    The canonical text is "quasirep-group", the order and the rows of
+    _table_rows, each on its own line. Computed once per group object and
+    remembered on it; save_group remembers it too, from the rows it writes.
     """
     if group._digest is None:
-        text = f"quasirep-group\n{group.order}\n" + _table_rows(group.table)
-        group._digest = hashlib.sha256(text.encode()).hexdigest()
+        group._digest = _table_digest(group.order, _table_rows(group.table))
     return group._digest
 
 
 def save_group(group: FiniteGroup, path: str) -> None:
-    """Write the line-oriented group format (atomic: write then rename)."""
+    """Write the line-oriented group format (atomic: write then rename).
+
+    The table is rendered once, for the file and for the group's remembered
+    digest. A name holding a line break would not read back, so it raises
+    ValueError before anything is written.
+    """
+    for brk in ("\n", "\r"):
+        if brk in group.name:
+            raise ValueError(f"group name {group.name!r} holds the line break {brk!r}")
+    rows = _table_rows(group.table)
     header = f"{GROUP_MAGIC}\nname={group.name}\norder={group.order}\n"
-    write_atomic(path, [header, _table_rows(group.table)])
+    write_atomic(path, [header, rows])
+    if group._digest is None:
+        group._digest = _table_digest(group.order, rows)
 
 
 def load_group(path: str) -> FiniteGroup:
-    """Strict loader for the group format; any deviation raises FileFormatError."""
+    """Strict loader for the group format; any deviation raises FileFormatError.
+
+    The table is parsed in one pass (_parse_table); only a table that pass
+    refuses is read row by row, which names the first bad line.
+    """
     lines = read_lines(path, GROUP_MAGIC)
     if len(lines) < 3:
         raise FileFormatError("missing name/order lines", line=len(lines))
@@ -483,10 +518,41 @@ def load_group(path: str) -> FiniteGroup:
     if len(lines) != 3 + order:
         raise FileFormatError(
             f"expected {order} table rows, file has {len(lines) - 3}", line=len(lines))
+    table = _parse_table(lines[3:], order)
+    try:
+        return from_table(table, name=name)
+    except NotAGroup as exc:
+        raise FileFormatError(f"table is not a group: {exc}") from exc
+
+
+def _parse_table(rows: list[str], order: int) -> np.ndarray:
+    """The table rows of a group file as an (order, order) array.
+
+    A well-formed table is parsed by one np.loadtxt call and one range check.
+    Anything else, and every token loadtxt refuses (such as fullwidth digits
+    or "1_0", which int() reads), goes to _parse_rows, which parses the
+    tokens as int() does and names the first bad line.
+    """
+    # loadtxt skips blank lines, hence the shape check, and warns when no
+    # line is left; a warning sends the rows to the loop as an error does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(io.StringIO("\n".join(rows)), dtype=np.int64,
+                               comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return _parse_rows(rows, order)
+    if table.shape != (order, order) or table.min() < 0 or table.max() >= order:
+        return _parse_rows(rows, order)
+    return table
+
+
+def _parse_rows(rows: list[str], order: int) -> np.ndarray:
+    """Parse the table row by row; raise FileFormatError at the first bad line."""
     table = np.empty((order, order), dtype=np.int64)
     for r in range(order):
         lineno = 4 + r
-        parts = lines[3 + r].split()
+        parts = rows[r].split()
         if len(parts) != order:
             raise FileFormatError(
                 f"row has {len(parts)} entries, expected {order}", line=lineno)
@@ -504,7 +570,4 @@ def load_group(path: str) -> FiniteGroup:
         if len(outside):
             raise FileFormatError(f"entry {row[outside[0]]} outside 0..{order - 1}",
                                   line=lineno)
-    try:
-        return from_table(table, name=name)
-    except NotAGroup as exc:
-        raise FileFormatError(f"table is not a group: {exc}") from exc
+    return table

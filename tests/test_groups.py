@@ -258,6 +258,25 @@ def test_group_hash_distinguishes_groups():
     assert h1 != h2
 
 
+def _per_entry_rows(table):
+    return "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000])
+def test_table_rows_match_the_per_entry_render(n):
+    # token widths change at 10, 100 and 1000 elements
+    table = groups.named("cyclic", n).table
+    assert groups._table_rows(table) == _per_entry_rows(table)
+
+
+def test_table_rows_match_the_per_entry_render_relabelled():
+    table = groups.named("psl2", 7).table
+    perm = np.random.default_rng(13).permutation(len(table))
+    inv = np.argsort(perm)
+    relabelled = perm[table[np.ix_(inv, inv)]]
+    assert groups._table_rows(relabelled) == _per_entry_rows(relabelled)
+
+
 def test_save_load_round_trip(tmp_path):
     g = groups.named("dihedral", 5)
     path = tmp_path / "d5.grp"
@@ -305,6 +324,60 @@ def test_load_names_the_first_bad_entry(tmp_path, row, message):
     with pytest.raises(FileFormatError, match=message) as err:
         groups.load_group(str(path))
     assert err.value.line == 5
+
+
+@pytest.mark.parametrize("rows,message,line", [
+    # np.loadtxt skips blank and whitespace-only lines; the loader must not
+    (["0 1 2", "", "2 0 1"], "row has 0 entries, expected 3", 5),
+    (["0 1 2", " \t ", "2 0 1"], "row has 0 entries, expected 3", 5),
+    (["0 1 2", "1 2 0", "2 0 5"], "entry 5 outside 0..2", 6),
+    (["0 1 2", "1 3 0", "2 x 1"], "entry 3 outside 0..2", 5),
+    (["0 1 2", "1 x 0", "2 0 3"], "non-integer table entry", 5),
+])
+def test_load_names_the_first_bad_line(tmp_path, rows, message, line):
+    path = tmp_path / "bad.grp"
+    body = "\n".join(rows)
+    path.write_text(f"quasirep-group v1\nname=x\norder=3\n{body}\n")
+    with pytest.raises(FileFormatError, match=message) as err:
+        groups.load_group(str(path))
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("spell", [
+    lambda v: str(v).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    lambda v: str(v) if v < 10 else f"{v // 10}_{v % 10}",
+])
+def test_load_reads_tokens_as_int_does(tmp_path, spell):
+    # np.loadtxt refuses fullwidth digits and "1_0"; int() reads them
+    g = groups.named("cyclic", 12)
+    rows = "".join(" ".join(map(spell, row)) + "\n" for row in g.table.tolist())
+    path = tmp_path / "c12.grp"
+    path.write_text(f"quasirep-group v1\nname=c12\norder=12\n{rows}", encoding="utf-8")
+    assert np.array_equal(groups.load_group(str(path)).table, g.table)
+
+
+def test_well_formed_files_skip_the_row_loop(tmp_path, monkeypatch):
+    def row_loop(rows, order):
+        raise AssertionError("row loop ran")
+    monkeypatch.setattr(groups, "_parse_rows", row_loop)
+    for spec in [("cyclic", 1), ("symmetric", 3), ("psl2", 7)]:
+        g = groups.named(*spec)
+        path = tmp_path / "g.grp"
+        groups.save_group(g, str(path))
+        assert np.array_equal(groups.load_group(str(path)).table, g.table)
+    # the patch is live: a malformed file still reaches the loop
+    path.write_text("quasirep-group v1\nname=x\norder=1\n\n")
+    with pytest.raises(AssertionError, match="row loop ran"):
+        groups.load_group(str(path))
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\r\nb"])
+def test_save_refuses_a_name_with_a_line_break(tmp_path, name):
+    # the loader reads a line break in the name as the end of the name line
+    g = groups.from_table(groups.named("cyclic", 2).table, name=name)
+    with pytest.raises(ValueError, match="line break"):
+        groups.save_group(g, str(tmp_path / "g.grp"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_revalidates_table(tmp_path):
