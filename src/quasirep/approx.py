@@ -50,6 +50,7 @@ from .sampling import haar_basis, rng_from
 
 __all__ = [
     "AGREEMENT_TOL",
+    "check_agreement_tol",
     "MatrixFunction",
     "PolarFunction",
     "DefectReport",
@@ -277,6 +278,13 @@ def _spectral_report(psi: MatrixFunction,
     return report, positive
 
 
+def check_agreement_tol(agreement_tol: float) -> None:
+    """Raise ValueError unless the agreement tolerance is finite and non-negative."""
+    if not 0.0 <= agreement_tol < np.inf:
+        raise ValueError(f"agreement tolerance must be finite and non-negative, "
+                         f"got {agreement_tol}")
+
+
 def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
                   agreement_tol: float = AGREEMENT_TOL) -> DefectReport:
     """Exact agreement over all pairs, the defect, and the bounds.
@@ -297,9 +305,7 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
     one does where most pairs agree; otherwise it is the spectral one.
     Every other field is the spectral one.
     """
-    if not 0.0 <= agreement_tol < np.inf:
-        raise ValueError(f"agreement tolerance must be finite and non-negative, "
-                         f"got {agreement_tol}")
+    check_agreement_tol(agreement_tol)
     report, positive = _spectral_report(psi, table)
     screen = (psi.dim > 1 and agreement_tol > 0.0
               and report.defect > _CANCELLATION * positive)

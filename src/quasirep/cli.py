@@ -18,13 +18,14 @@ import numpy as np
 
 from .approx import (
     AGREEMENT_TOL,
+    check_agreement_tol,
     defect_direct,
     minor_construction,
     polar_construction,
     thm4_defect,
     thm5_bound,
 )
-from .errors import FileFormatError, QuasirepError
+from .errors import QuasirepError
 from .groups import FiniteGroup, check_family, group_hash, load_group, named, save_group
 from .homs import (
     balanced_random_map,
@@ -90,7 +91,7 @@ def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
     if os.path.exists(path):
         try:
             return load_group(path)
-        except (FileFormatError, QuasirepError) as exc:
+        except QuasirepError as exc:
             print(f"note: rebuilding stale cache {path}: {exc}", file=sys.stderr)
     g = named(family, *params)
     os.makedirs(cache, exist_ok=True)
@@ -173,6 +174,7 @@ def cmd_irreps(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    check_agreement_tol(args.tolerance)
     g = _group_from_spec(args.group, _cache_dir(args))
     table = decompose(g, seed=args.seed)
     d_psis = _parse_range(args.dpsi)

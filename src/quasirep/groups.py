@@ -5,10 +5,15 @@ A group of order n is stored as an n x n integer table over element indices
 associativity) together with its conjugacy classes. Groups built here are
 immutable: the backing arrays are marked read-only.
 
-Construction routes: a raw table, closure of explicit generators (permutations
-or matrices over a prime field), a handful of named families, and direct
-products. A line-oriented text format with a strict loader round-trips tables
-to disk, and a SHA-256 digest of the table identifies a group.
+Construction routes: a raw table, closure of permutation generators, a
+handful of named families, and direct products. Every generated family is a
+permutation group: symmetric and alternating groups on n points, dihedral
+groups on the n-gon's vertices, SL2(p) and the Heisenberg group on the nonzero
+vectors of F_p^2 and F_p^3, PSL2(p) by z -> (az + b)/(cz + d) on the
+projective line, and the quaternion group by left multiplication on its eight
+elements. Cyclic groups and direct products are filled as tables. A
+line-oriented text format with a strict loader round-trips tables to disk, and
+a SHA-256 digest of the table identifies a group.
 """
 
 from __future__ import annotations
@@ -182,45 +187,6 @@ def from_table(table, name: str = "table") -> FiniteGroup:
     return FiniteGroup(name, arr, identity, inverses, classes, generators)
 
 
-def _closure_table(generators: Sequence, identity, mul: Callable, cap: int,
-                   name: str) -> FiniteGroup:
-    """Close the generators under right multiplication and fill the table.
-
-    Breadth-first discovery records, for each element j > 0, the element p and
-    generator s that first reached it (j = p * s), and right[i, k], the index
-    of element i times generator k. Since x * (p * s) = (x * p) * s, column j
-    of the table is right[table[:, p], s]; the parents of a breadth-first level
-    lie in earlier levels, so each level is one gather. mul runs
-    order * len(generators) times.
-    """
-    elements = [identity]
-    index = {identity: 0}
-    parent, gen, depth, right = [0], [0], [0], []
-    i = 0
-    while i < len(elements):
-        for k, s in enumerate(generators):
-            p = mul(elements[i], s)
-            if p not in index:
-                if len(elements) >= cap:
-                    raise ClosureCapExceeded(f"closure exceeded cap of {cap} elements")
-                index[p] = len(elements)
-                elements.append(p)
-                parent.append(i)
-                gen.append(k)
-                depth.append(depth[i] + 1)
-            right.append(index[p])
-        i += 1
-    n = len(elements)
-    right = np.array(right, dtype=np.int64).reshape(n, len(generators))
-    parent, gen = np.array(parent), np.array(gen)
-    table = np.empty((n, n), dtype=np.int64)
-    table[:, 0] = np.arange(n)
-    starts = [*(np.flatnonzero(np.diff(depth)) + 1), n]
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        table[:, lo:hi] = right[table[:, parent[lo:hi]], gen[lo:hi]]
-    return from_table(table, name=name)
-
-
 def _cayley_tree(group: FiniteGroup, generators) -> list[tuple[np.ndarray, ...]]:
     """Breadth-first Cayley-graph tree from the identity over the generators.
 
@@ -244,99 +210,113 @@ def _cayley_tree(group: FiniteGroup, generators) -> list[tuple[np.ndarray, ...]]
     return layers
 
 
-def _compose_perm(a: tuple, b: tuple) -> tuple:
-    # apply b first, then a
-    return tuple(a[x] for x in b)
-
-
 def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]],
                                 cap: int = CLOSURE_CAP,
                                 name: str = "permgroup") -> FiniteGroup:
-    """Group generated by permutations of 0..degree-1 (image tuples)."""
+    """Group generated by permutations of 0..degree-1 (image tuples).
+
+    The product a * b applies b first, then a. Breadth-first discovery
+    under right multiplication numbers the elements, the identity first, and
+    records for each element j > 0 the element p and generator s that first
+    reached it (j = p * s), and right[i, k], the index of element i times
+    generator k. Since x * (p * s) = (x * p) * s, column j of the table is
+    right[table[:, p], s]; the parents of a breadth-first level lie in
+    earlier levels, so each level is one gather. Raises ClosureCapExceeded
+    past cap elements.
+    """
     gens = []
     for g in generators:
         t = tuple(int(v) for v in g)
         if sorted(t) != list(range(degree)):
             raise UnsupportedParameter(f"{t} is not a permutation of 0..{degree - 1}")
         gens.append(t)
-    return _closure_table(gens, tuple(range(degree)), _compose_perm, cap, name)
+    identity = tuple(range(degree))
+    elements = [identity]
+    index = {identity: 0}
+    parent, gen, depth, right = [0], [0], [0], []
+    for i, e in enumerate(elements):       # the loop sees appended elements
+        for k, s in enumerate(gens):
+            p = tuple([e[x] for x in s])
+            if p not in index:
+                if len(elements) >= cap:
+                    raise ClosureCapExceeded(f"closure exceeded cap of {cap} elements")
+                index[p] = len(elements)
+                elements.append(p)
+                parent.append(i)
+                gen.append(k)
+                depth.append(depth[i] + 1)
+            right.append(index[p])
+    n = len(elements)
+    right = np.array(right, dtype=np.int64).reshape(n, len(gens))
+    parent, gen = np.array(parent), np.array(gen)
+    table = np.empty((n, n), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    starts = [*(np.flatnonzero(np.diff(depth)) + 1), n]
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        table[:, lo:hi] = right[table[:, parent[lo:hi]], gen[lo:hi]]
+    return from_table(table, name=name)
 
 
-def _matmul_mod(p: int, size: int):
-    def mul(a: tuple, b: tuple) -> tuple:
-        am = np.array(a, dtype=np.int64).reshape(size, size)
-        bm = np.array(b, dtype=np.int64).reshape(size, size)
-        return tuple(((am @ bm) % p).ravel().tolist())
-    return mul
+def _generated(name: str, degree: int, generators, order: int) -> FiniteGroup:
+    """Close the generators and check that the group has the expected order."""
+    group = from_permutation_generators(degree, generators, name=name)
+    if group.order != order:
+        raise NotAGroup(f"{name} closure has {group.order} elements, expected {order}")
+    return group
 
 
-def _psl_canonical(p: int):
-    def canon(m: tuple) -> tuple:
-        neg = tuple((p - v) % p for v in m)
-        return min(m, neg)
-    return canon
+def _linear(p: int, matrix) -> tuple[int, ...]:
+    """A k x k matrix over F_p acting on the nonzero vectors of F_p^k.
+
+    Vector v is point sum_i v_i p^i - 1, and the matrix sends v to M v.
+    """
+    m = np.array(matrix)
+    weights = p ** np.arange(len(m))
+    vectors = np.arange(1, p ** len(m))[:, None] // weights % p
+    return tuple((vectors @ m.T % p @ weights - 1).tolist())
+
+
+def _mobius(p: int, matrix) -> tuple[int, ...]:
+    """[[a, b], [c, d]] as z -> (az + b)/(cz + d) on F_p and infinity (point p)."""
+    (a, b), (c, d) = matrix
+
+    def quotient(num: int, den: int) -> int:
+        return p if den % p == 0 else num * pow(den, -1, p) % p
+    return tuple(quotient(a * z + b, c * z + d) for z in range(p)) + (quotient(a, c),)
 
 
 def _sl2(p: int, projective: bool) -> FiniteGroup:
-    if p not in ((3, 5, 7) if not projective else (5, 7, 11)):
-        kind = "psl2" if projective else "sl2"
-        raise UnsupportedParameter(f"{kind} supports p in "
-                                   f"{'5, 7, 11' if projective else '3, 5, 7'}, got {p}")
-    raw_mul = _matmul_mod(p, 2)
-    t = (1, 1, 0, 1)
-    s = (0, p - 1, 1, 0)
+    """SL2(p) on the nonzero vectors of F_p^2, PSL2(p) on the projective line.
+
+    Both are generated by t = [[1, 1], [0, 1]] and s = [[0, -1], [1, 0]].
+    """
+    kind = "psl2" if projective else "sl2"
+    supported = (5, 7, 11) if projective else (3, 5, 7)
+    if p not in supported:
+        raise UnsupportedParameter(
+            f"{kind} supports p in {', '.join(map(str, supported))}, got {p}")
+    t, s = ((1, 1), (0, 1)), ((0, p - 1), (1, 0))
+    order = p * (p - 1) * (p + 1)
     if projective:
-        canon = _psl_canonical(p)
-
-        def mul(a, b):
-            return canon(raw_mul(a, b))
-
-        gens = [canon(t), canon(s)]
-        identity = canon((1, 0, 0, 1))
-        name = f"psl2({p})"
-        expected = p * (p - 1) * (p + 1) // 2
-    else:
-        mul = raw_mul
-        gens = [t, s]
-        identity = (1, 0, 0, 1)
-        name = f"sl2({p})"
-        expected = p * (p - 1) * (p + 1)
-    group = _closure_table(gens, identity, mul, CLOSURE_CAP, name)
-    if group.order != expected:
-        raise NotAGroup(f"{name} closure has {group.order} elements, expected {expected}")
-    return group
+        return _generated(f"psl2({p})", p + 1, [_mobius(p, t), _mobius(p, s)], order // 2)
+    return _generated(f"sl2({p})", p * p - 1, [_linear(p, t), _linear(p, s)], order)
 
 
 def _heisenberg(p: int) -> FiniteGroup:
+    """Upper unitriangular 3 x 3 matrices over F_p on the nonzero vectors of F_p^3."""
     if p not in (3, 5):
         raise UnsupportedParameter(f"heisenberg supports p in 3, 5, got {p}")
-    mul = _matmul_mod(p, 3)
-    eye = (1, 0, 0, 0, 1, 0, 0, 0, 1)
-    x = (1, 1, 0, 0, 1, 0, 0, 0, 1)
-    y = (1, 0, 0, 0, 1, 1, 0, 0, 1)
-    group = _closure_table([x, y], eye, mul, CLOSURE_CAP, f"heisenberg({p})")
-    if group.order != p ** 3:
-        raise NotAGroup(f"heisenberg({p}) closure has {group.order} elements")
-    return group
+    x = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    y = [[1, 0, 0], [0, 1, 1], [0, 0, 1]]
+    return _generated(f"heisenberg({p})", p ** 3 - 1, [_linear(p, x), _linear(p, y)],
+                      p ** 3)
 
 
 def _quaternion8() -> FiniteGroup:
-    def mul(a: tuple, b: tuple) -> tuple:
-        a0, a1, a2, a3 = a
-        b0, b1, b2, b3 = b
-        return (
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
-    one = (1, 0, 0, 0)
-    i = (0, 1, 0, 0)
-    j = (0, 0, 1, 0)
-    group = _closure_table([i, j], one, mul, 16, "quaternion8")
-    if group.order != 8:
-        raise NotAGroup(f"quaternion closure has {group.order} elements")
-    return group
+    """Left multiplication by i and j on 1, i, j, k, -1, -i, -j, -k (points 0..7)."""
+    i = (1, 4, 3, 6, 5, 0, 7, 2)
+    j = (2, 7, 4, 1, 6, 3, 0, 5)
+    return _generated("quaternion8", 8, [i, j], 8)
 
 
 def _cyclic(n: int) -> FiniteGroup:
@@ -349,53 +329,45 @@ def _cyclic(n: int) -> FiniteGroup:
 
 
 def _dihedral(n: int) -> FiniteGroup:
+    """Rotation and reflection of the n-gon's vertices.
+
+    The vertices of a 1- or 2-gon do not tell the elements apart, so
+    dihedral(1) is a swap of 2 points and dihedral(2) the Klein group on 4.
+    """
     if n < 1:
         raise UnsupportedParameter(f"dihedral needs n >= 1, got {n}")
     if 2 * n > CLOSURE_CAP:
         raise UnsupportedParameter(f"dihedral({n}) exceeds the order cap {CLOSURE_CAP}")
-    if n == 1:
-        g = _cyclic(2)
-        return FiniteGroup(f"dihedral({n})", g.table.copy(), g.identity,
-                           g.inverses.copy(), g.classes, g.generators)
-    if n == 2:
-        g = product(_cyclic(2), _cyclic(2))
-        return FiniteGroup(f"dihedral({n})", g.table.copy(), g.identity,
-                           g.inverses.copy(), g.classes, g.generators)
+    small = {1: [(1, 0)], 2: [(1, 0, 3, 2), (2, 3, 0, 1)]}
     rot = tuple((i + 1) % n for i in range(n))
     ref = tuple((n - i) % n for i in range(n))
-    group = from_permutation_generators(n, [rot, ref], name=f"dihedral({n})")
-    if group.order != 2 * n:
-        raise NotAGroup(f"dihedral({n}) closure has {group.order} elements")
-    return group
+    gens = small.get(n, [rot, ref])
+    return _generated(f"dihedral({n})", len(gens[0]), gens, 2 * n)
 
 
 def _symmetric(n: int) -> FiniteGroup:
     if not 1 <= n <= 6:
         raise UnsupportedParameter(f"symmetric supports 1 <= n <= 6, got {n}")
-    if n == 1:
-        return from_table([[0]], name="symmetric(1)")
     swap = (1, 0) + tuple(range(2, n))
     cycle = tuple(range(1, n)) + (0,)
-    return from_permutation_generators(n, [swap, cycle], name=f"symmetric({n})")
+    gens = [swap, cycle] if n > 1 else []
+    return _generated(f"symmetric({n})", n, gens, math.factorial(n))
 
 
 def _alternating(n: int) -> FiniteGroup:
     if not 1 <= n <= 6:
         raise UnsupportedParameter(f"alternating supports 1 <= n <= 6, got {n}")
-    if n <= 2:
-        return from_table([[0]], name=f"alternating({n})")
     three = (1, 2, 0) + tuple(range(3, n))
-    if n == 3:
+    if n <= 2:
+        gens = []           # A1 and A2 are trivial; 1! // 2 is 0, hence the max
+    elif n == 3:
         gens = [three]
     elif n % 2 == 1:
         gens = [three, tuple(range(1, n)) + (0,)]
     else:
         # even n: an n-cycle is odd, use the (n-1)-cycle fixing point 0
         gens = [three, (0,) + tuple(range(2, n)) + (1,)]
-    group = from_permutation_generators(n, gens, name=f"alternating({n})")
-    if group.order != math.factorial(n) // 2:
-        raise NotAGroup(f"alternating({n}) closure has {group.order} elements")
-    return group
+    return _generated(f"alternating({n})", n, gens, max(1, math.factorial(n) // 2))
 
 
 def product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:

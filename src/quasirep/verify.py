@@ -20,8 +20,6 @@ import numpy as np
 
 from . import groups, twirl
 from .approx import (
-    AGREEMENT_TOL,
-    _pair_scan,
     beating_random_threshold,
     defect_direct,
     defect_via_fourier,
@@ -305,9 +303,9 @@ def _check_a3(ctx: VerifyContext) -> list[Comparison]:
         dim = 1 + i % 3
         draw = haar_baseline if i % 2 else random_admissible
         psi = draw(g, dim, seed=[ctx.seed, 3, i])
-        # the unscreened scan: defect_direct may take its defect from the
-        # spectral formula, which would compare that formula with itself
-        direct, _ = _pair_scan(psi, AGREEMENT_TOL, screen=False)
+        # at tolerance 0 every pair is multiplied out, so the defect is the
+        # scan's sum, not the spectral formula compared with itself
+        direct = defect_direct(psi, table, agreement_tol=0.0).defect
         spectral = defect_via_fourier(psi, table)
         rel = abs(direct - spectral.defect) / max(direct, 1e-300)
         worst = max(worst, rel)

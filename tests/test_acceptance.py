@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quasirep import fourier, groups, irreps, twirl, verify
+from quasirep import approx, fourier, groups, irreps, twirl, verify
 
 
 @pytest.fixture(scope="module")
@@ -104,13 +104,13 @@ def test_a5_catches_a_block_above_the_opnorm_lemma(ctx, monkeypatch):
 
 
 def test_a3_catches_a_scan_defect_off_by_a_part_in_a_million(ctx, monkeypatch):
-    honest = verify._pair_scan
+    honest = approx._pair_scan
 
     def off(psi, agreement_tol, screen):
         defect, agreement = honest(psi, agreement_tol, screen)
         return defect * (1.0 + 1e-6), agreement
 
-    monkeypatch.setattr(verify, "_pair_scan", off)
+    monkeypatch.setattr(approx, "_pair_scan", off)
     result = verify.run_check("A3", ctx)
     assert [c.label for c in result.failures()] == [
         "max relative disagreement of the two defect routes"]

@@ -80,6 +80,9 @@ _BAD_SWEEP = ["sweep", "--group", "alternating", "5", "--dpsi", "1", "--rho-dim"
     # DIR is an existing directory: it can be neither read as a group file
     # nor replaced by --out
     ["group", "file", "DIR"], ["group", "cyclic", "4", "--out", "DIR"],
+    # the tolerance is checked before any work, also when a sweep has no rows
+    ["sweep", "--group", "cyclic", "4", "--dpsi", "5:4", "--tolerance", "nan"],
+    [*_BAD_SWEEP[:-1], "99", "--tolerance", "-1"],
 ])
 def test_wrong_parameters_are_input_errors(tmp_path, capsys, cache, spec):
     directory = tmp_path / "dir"

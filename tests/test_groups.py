@@ -233,15 +233,46 @@ def test_deterministic_element_order():
     assert groups.group_hash(t1) == groups.group_hash(t2)
 
 
+# every supported spec of the generated families, and cyclic groups of
+# orders 1, 2, 12 and 700
 PINNED_DIGESTS = {
-    ("alternating", 5): "bdb4e29156d5d71384a31bbdf4becea6c944af68dc1db5e0acd469d98de3b5b4",
-    ("psl2", 11): "96f5406eb3f2ebcebde1ad5d4fb2dec55bc178f8945eb39d8eded6e4e0a2d002",
-    ("sl2", 7): "459ae8de9040eb1caae9dc0bd922bac4219efddabd6163344ea158755b5dfc23",
-    ("alternating", 6): "f49dc722fcf5db1c5ffee343d06ddc3eefa4b1c8fe3cc2db177a3d0932cc427e",
-    ("symmetric", 6): "9452c84eae299c021c6a2c77c4b3ca71945139a71f5f8ab3d833430632a0bdec",
-    ("heisenberg", 5): "9cfc7fbc45cd91eece1a0c8d86c675a13c43cf6d7b2a5aa524cbfa4d80b35198",
-    ("quaternion8",): "aefd81c5afc3c481749d29bd0f96356ffd06ef019691bb42af36f76f950b8f07",
+    ("dihedral", 1): "d98182d528781fc7b9e9fed3eed067203318a4a909eea2527d32f521b4df99e8",
+    ("dihedral", 2): "1da0773249ac288abe75822613e298251fe43beb450c1f93ec21d9396fa71fde",
+    ("dihedral", 3): "cbc303c6acf461f9b2f6cb37b2734861236f27f02f956e12c3372d92b96a78e7",
+    ("dihedral", 4): "de4442ce16709f98a01f9fce621387dd1ca212e4bfbf2bffb2533fe5e90dcc0e",
+    ("dihedral", 5): "0ace9953c73d5a912a1734f1c6246c4e1cfef257a8068ee39190d4c70a967095",
+    ("dihedral", 6): "722c5650147f708cb12327fdafcae7974f97025e31343b5e8107c06669758aab",
     ("dihedral", 7): "bf76114d95c0c3e6ddc513f8e086e238f8dce50ac517b3f9eb5c30e95388702a",
+    ("dihedral", 8): "25c96e6229fdf37fca28837ef1dfeb45b715d5b2f610e264a0cec0df21937687",
+    ("dihedral", 9): "b405aa16f943698fc2201289ce3ca00ff412a0f0ce977a972975412534ffdca1",
+    ("dihedral", 10): "afb494c68487ad951e7ed5d566dc7dc0d54f8aae71f6a3609e840e347b1a42b9",
+    ("dihedral", 11): "bb3d6a0b697ea93743d64d33c73077eea745bdafa8e649688d920873a699fb43",
+    ("dihedral", 12): "2c17fde5513f54c30927cd05b5e54eec070b1fb31b4ae07b087a3f56a7c1d1d7",
+    ("symmetric", 1): "7c29c983d26460569a91ec01d1b653ca4662176e12cf0e34f7a7fa9dfd40e2fd",
+    ("symmetric", 2): "d98182d528781fc7b9e9fed3eed067203318a4a909eea2527d32f521b4df99e8",
+    ("symmetric", 3): "9d2ca58bd6285b6175cceacb4c0c47d54c7b1ce1575c2b57220fc2847f36fed1",
+    ("symmetric", 4): "5725b042701c33c1dea9ce89bfb4aba5e53155edb55c4b9e39fdfc3efd994eee",
+    ("symmetric", 5): "5d2d11f628405f5a229e152abe1fe9cfafed6f2fb7a08650c10b92dfb483dbbe",
+    ("symmetric", 6): "9452c84eae299c021c6a2c77c4b3ca71945139a71f5f8ab3d833430632a0bdec",
+    ("alternating", 1): "7c29c983d26460569a91ec01d1b653ca4662176e12cf0e34f7a7fa9dfd40e2fd",
+    ("alternating", 2): "7c29c983d26460569a91ec01d1b653ca4662176e12cf0e34f7a7fa9dfd40e2fd",
+    ("alternating", 3): "5b42aa8541c8248616d5ca7955b949e7bf3c1bca594b8897a39c579d4a4b8648",
+    ("alternating", 4): "7fd3d3a5b6e7a472ded2d35656e8f10b63642f4235645ea41f04a0a3dfd5fb23",
+    ("alternating", 5): "bdb4e29156d5d71384a31bbdf4becea6c944af68dc1db5e0acd469d98de3b5b4",
+    ("alternating", 6): "f49dc722fcf5db1c5ffee343d06ddc3eefa4b1c8fe3cc2db177a3d0932cc427e",
+    ("quaternion8",): "aefd81c5afc3c481749d29bd0f96356ffd06ef019691bb42af36f76f950b8f07",
+    ("heisenberg", 3): "ea3b0943f8494e7608732cd5256e8d13e83f1586a2e63c1bf9788b94c3c108f8",
+    ("heisenberg", 5): "9cfc7fbc45cd91eece1a0c8d86c675a13c43cf6d7b2a5aa524cbfa4d80b35198",
+    ("sl2", 3): "738d0c8278a8a705d0015badca29ba9449d4bdefaee49151c53eadfa1c8b8d37",
+    ("sl2", 5): "ebd47569aee8765591f8318f8c2503a01ebab8c2906d46a52234260bed1baf74",
+    ("sl2", 7): "459ae8de9040eb1caae9dc0bd922bac4219efddabd6163344ea158755b5dfc23",
+    ("psl2", 5): "ccb447c66fb938703e704b784707c7d4e6f239a8a14d85b0f5e96f2cff3e5428",
+    ("psl2", 7): "18c36148b5006fc7861122b02c95e583409fea70fb2e9561e794aa8ad4938023",
+    ("psl2", 11): "96f5406eb3f2ebcebde1ad5d4fb2dec55bc178f8945eb39d8eded6e4e0a2d002",
+    ("cyclic", 1): "7c29c983d26460569a91ec01d1b653ca4662176e12cf0e34f7a7fa9dfd40e2fd",
+    ("cyclic", 2): "d98182d528781fc7b9e9fed3eed067203318a4a909eea2527d32f521b4df99e8",
+    ("cyclic", 12): "661ee1782092a5054de16e5374bb42e028bcc3ef8ee10330e426d9ece4737771",
+    ("cyclic", 700): "899a92c86ee59e83f06823f202d845f5106014a35d4d069f071f0c4b1cb6932c",
 }
 
 
