@@ -18,7 +18,19 @@ restricted representation.
 On an invariant subspace with orthonormal basis B the character of
 B' R(x) B is a class function, read at one representative c per class as
 chi(c) = sum_z <B[c^-1 z], B[z]>, and the piece is irreducible when
-sum_c |C| |chi(c)|^2 / |G| = 1. Pieces are deduplicated by this character.
+sum_c |C| |chi(c)|^2 / |G| = 1. The characters of all clusters of one probe
+are read in one pass: one gather of the rows per class gives every
+eigenvector's share, summed per cluster.
+
+The real probe's clusters are copies: an irrep of real type fills dim(rho)
+of them, a complex pair dim(rho), a quaternionic irrep dim(rho) / 2. Only the
+first cluster of each class character, in ascending eigenvalue order, is
+refined, so a group is split once per irrep and not once per copy. A later
+copy of a reducible character still takes the draws of the compressed probe
+that would split it, so a seed gives the same bases whichever copies are
+refined. The refined pieces are deduplicated by character once more: one
+cluster of a quaternionic irrep holds two copies.
+
 Each kept basis is gauge fixed, B -> B polar(B' E) for one seeded matrix E,
 which depends only on span(B): the matrices do not depend on the basis the
 eigensolver returned, so BLAS summation order moves them by roundoff only.
@@ -67,6 +79,9 @@ _IRREDUCIBILITY = 1e-6
 _CHARACTER_MATCH = 1e-6
 # eigenvalue clustering width, relative to the largest |eigenvalue| of a probe
 _EIGENGAP = 1e-7
+# matrix entries per block of validate's temporaries: blocks of a few hundred
+# KiB keep the heap from growing by whole stacks of matrices
+_BLOCK_ENTRIES = 2 ** 15
 # smallest singular value of B' E accepted by the gauge fix
 _ANCHOR_MIN_SINGULAR = 1e-10
 
@@ -115,26 +130,39 @@ class UnitaryRep:
         The product law is checked on every pair (x, s), s in
         group.generators. That is exhaustive: the y with R(x y) = R(x) R(y)
         for all x are closed under products, so passing on the generators
-        means passing everywhere. Raises ToleranceViolation.
+        means passing everywhere. For each block of elements and each
+        generator s, one product of the stacked (rows d, d) matrices with R(s)
+        gives every R(x) R(s). A failure names the pair with the largest
+        residual, the first in x-major order among equals. Raises
+        ToleranceViolation.
         """
         g, m = self.group, self.matrices
+        n, d = m.shape[:2]
         eye = np.eye(self.dim)
-        uerr = np.linalg.norm(m.conj().transpose(0, 2, 1) @ m - eye, axis=(1, 2))
+        rows = max(1, _BLOCK_ENTRIES // (d * d))
+        blocks = [slice(a, a + rows) for a in range(0, n, rows)]
+        uerr = np.empty(n)
+        for b in blocks:
+            gram = m[b].conj().transpose(0, 2, 1) @ m[b]
+            gram -= eye
+            uerr[b] = _frobenius(gram)
         if uerr.max() > _UNITARITY:
             raise ToleranceViolation(
                 f"unitarity residual {uerr.max():.3e} above {_UNITARITY:.0e}")
         if np.linalg.norm(m[g.identity] - eye) > _PRODUCT_LAW:
             raise ToleranceViolation("identity element is not the identity matrix")
-        n = g.order
-        gens = np.asarray(g.generators, dtype=np.int64)
-        xs = np.repeat(np.arange(n), len(gens))
-        ys = np.tile(gens, n)
-        err = np.linalg.norm(m[xs] @ m[ys] - m[g.table[xs, ys]], axis=(1, 2))
+        err = np.empty((n, len(g.generators)))
+        for b in blocks:
+            stack = m[b].reshape(-1, d)
+            for j, s in enumerate(g.generators):
+                residual = (stack @ m[s]).reshape(-1, d, d)
+                residual -= m[g.table[b, s]]
+                err[b, j] = _frobenius(residual)
         # the trivial group has no generators and nothing beyond the identity
         if err.max(initial=0.0) > _PRODUCT_LAW:
-            i = int(err.argmax())
+            x, j = np.unravel_index(err.argmax(), err.shape)
             raise ToleranceViolation(
-                f"product law fails at pair ({int(xs[i])}, {int(ys[i])}): "
+                f"product law fails at pair ({int(x)}, {g.generators[j]}): "
                 f"residual {err.max():.3e}")
 
     def __repr__(self) -> str:
@@ -168,16 +196,24 @@ class IrrepTable:
         return f"IrrepTable(group={self.group.name!r}, dims={list(self.dims)})"
 
 
+def _frobenius(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a complex stack, read as real numbers."""
+    flat = stack.view(np.float64).reshape(len(stack), -1)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+
+
 def _class_average(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
     """Average a per-element class function over classes, checking the spread."""
-    out = np.empty(len(group.classes), dtype=np.complex128)
-    for ci, cls in enumerate(group.classes):
-        vals = values[list(cls)]
-        out[ci] = vals.mean()
-        if np.max(np.abs(vals - out[ci])) > _CHARACTER_MATCH:
-            raise ToleranceViolation(
-                f"character varies within class {ci} by "
-                f"{np.max(np.abs(vals - out[ci])):.3e}")
+    sizes = np.bincount(group.class_of)
+    out = (np.bincount(group.class_of, values.real)
+           + 1j * np.bincount(group.class_of, values.imag)) / sizes
+    spread = np.abs(values - out[group.class_of])
+    over = group.class_of[spread > _CHARACTER_MATCH]
+    if over.size:
+        ci = int(over.min())
+        raise ToleranceViolation(
+            f"character varies within class {ci} by "
+            f"{spread[group.class_of == ci].max():.3e}")
     return out
 
 
@@ -192,52 +228,96 @@ def _cluster_slices(eigenvalues: np.ndarray, width: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _class_character(group: FiniteGroup, left: np.ndarray,
-                     basis: np.ndarray) -> np.ndarray:
-    """chi(c) = tr(B' R(c) B) = sum_z <B[c^-1 z], B[z]> at one c per class."""
-    reps = [cls[0] for cls in group.classes]
-    n, d = basis.shape
-    return basis[left[reps]].reshape(len(reps), n * d) @ basis.conj().ravel()
+def _cluster_characters(group: FiniteGroup, left: np.ndarray,
+                        vectors: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """Class character of each cluster of columns B of vectors, one row each.
+
+    chi(c) = tr(B' R(c) B) = sum_z <B[c^-1 z], B[z]> at one c per class. Each
+    gather of the rows at c^-1 z gives every column's share for its classes,
+    and the shares are summed per cluster. A gather holds at most |G|^2
+    entries: one class for the whole space, many for a narrow subspace.
+    """
+    n, m = vectors.shape
+    conj = vectors.conj()
+    rows = left[[cls[0] for cls in group.classes]]
+    step = max(1, n // m)
+    shares = np.concatenate([
+        np.einsum("cij,ij->cj", np.take(vectors, rows[i:i + step], axis=0), conj)
+        for i in range(0, len(rows), step)])
+    return np.add.reduceat(shares, [sl.start for sl in slices], axis=1).T
+
+
+def _irreducible(group: FiniteGroup, characters: np.ndarray) -> np.ndarray:
+    """sum_c |C| |chi(c)|^2 / |G| = 1, for each row of characters."""
+    norms = np.abs(characters) ** 2 @ np.bincount(group.class_of) / group.order
+    return np.abs(norms - 1.0) <= _IRREDUCIBILITY
+
+
+def _first_copies(characters: np.ndarray) -> np.ndarray:
+    """Mask of the rows that match no earlier first copy within _CHARACTER_MATCH.
+
+    Each row is compared with the first copies seen so far in one array
+    operation.
+    """
+    seen = np.empty_like(characters)
+    first = np.zeros(len(characters), dtype=bool)
+    count = 0
+    for i, chi in enumerate(characters):
+        if not np.any(np.max(np.abs(seen[:count] - chi), axis=1) <= _CHARACTER_MATCH):
+            seen[count] = chi
+            count += 1
+            first[i] = True
+    return first
+
+
+def _probe_function(group: FiniteGroup, rng: np.random.Generator,
+                    compressed: bool) -> np.ndarray:
+    """A random f with f(x^-1) = conj f(x), complex for a compressed probe and
+    real for the probe of the whole space."""
+    a = rng.standard_normal(group.order)
+    if compressed:
+        a = a + 1j * rng.standard_normal(group.order)
+    return (a + a[group.inverses].conj()) / 2.0
 
 
 def _split(group: FiniteGroup, left: np.ndarray, rng: np.random.Generator,
-           basis: np.ndarray | None = None) -> list[np.ndarray]:
-    """Eigenspaces of a fresh probe, on span(basis) or, by default, everywhere.
+           basis: np.ndarray | None = None) -> tuple[np.ndarray, list[slice]]:
+    """Eigenvectors of a fresh probe, on span(basis) or, by default, everywhere.
 
-    The probe is the right convolution T[z, w] = f(z^-1 w) by a random f with
-    f(x^-1) = conj f(x): it commutes with every left translation and is exactly
-    Hermitian. On the whole space f is real, so T is real symmetric; compressed
-    to an invariant subspace, f is complex and B' T B commutes with the
-    restricted representation, so its eigenspaces are invariant too.
+    Returns the eigenvectors as columns, in ascending eigenvalue order, and
+    the slices of their eigenvalue clusters. The probe is the right
+    convolution T[z, w] = f(z^-1 w) by a _probe_function f: it commutes with
+    every left translation and is exactly Hermitian. On the whole space f is
+    real, so T is real symmetric; compressed to an invariant subspace, f is
+    complex and B' T B commutes with the restricted representation, so its
+    eigenspaces are invariant too.
     """
-    n = group.order
-    a = rng.standard_normal(n)
-    if basis is not None:
-        a = a + 1j * rng.standard_normal(n)
-    probe = ((a + a[group.inverses].conj()) / 2.0)[left]
+    probe = _probe_function(group, rng, basis is not None)[left]
     if basis is not None:
         probe = basis.conj().T @ (probe @ basis)
     w, v = np.linalg.eigh(probe)
     slices = _cluster_slices(w, _EIGENGAP * max(np.abs(w).max(), 1e-300))
-    return [v[:, sl] if basis is None else basis @ v[:, sl] for sl in slices]
+    return (v if basis is None else basis @ v), slices
 
 
 def _refine(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
-            rng: np.random.Generator, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
+            chi: np.ndarray, irreducible: bool, rng: np.random.Generator,
+            depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split the invariant subspace spanned by basis into irreducible pieces.
 
-    Returns (basis, class character) pairs. Raises _SplitFailed when the depth
-    budget runs out before everything is irreducible.
+    chi is the class character of the subspace and irreducible its test.
+    Returns (basis, class character) pairs. Raises _SplitFailed when the
+    depth budget runs out before everything is irreducible.
     """
-    chi = _class_character(group, left, basis)
-    norm = np.dot(group.class_sizes, np.abs(chi) ** 2) / group.order
-    if abs(norm - 1.0) <= _IRREDUCIBILITY:
+    if irreducible:
         return [(basis, chi)]
     if depth >= _RETRY_BUDGET:
         raise _SplitFailed(f"subspace of dim {basis.shape[1]} would not split")
+    vectors, slices = _split(group, left, rng, basis)
+    characters = _cluster_characters(group, left, vectors, slices)
     pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    for sub in _split(group, left, rng, basis):
-        pieces.extend(_refine(group, left, sub, rng, depth + 1))
+    for sl, sub, irr in zip(slices, characters, _irreducible(group, characters)):
+        pieces.extend(_refine(group, left, vectors[:, sl], sub, irr, rng, depth + 1))
     return pieces
 
 
@@ -265,9 +345,16 @@ def _gauge_fix(basis: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     return basis @ (u @ vh)
 
 
-def _character_key(character: np.ndarray) -> tuple:
-    return tuple((round(float(c.real), 6), round(float(c.imag), 6))
-                 for c in character)
+def _canonical_order(reps: list[UnitaryRep]) -> list[UnitaryRep]:
+    """Sort by dimension, then by the class character rounded to 6 decimals,
+    read as (real, imaginary) pairs class by class."""
+    if not reps:
+        return reps
+    rounded = np.round(np.array([r.character for r in reps]), 6)
+    keys = np.column_stack([[r.dim for r in reps],
+                            np.stack([rounded.real, rounded.imag], axis=2)
+                            .reshape(len(reps), -1)])
+    return [reps[i] for i in np.lexsort(keys.T[::-1])]
 
 
 def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
@@ -304,17 +391,26 @@ def _decompose_once(group: FiniteGroup, left: np.ndarray,
                     tree: list[tuple[np.ndarray, ...]], anchor: np.ndarray,
                     rng: np.random.Generator) -> IrrepTable:
     n = group.order
+    # the first probe cuts the whole space into clusters, copies of each
+    # isomorphism type; only the first copy of each class character is refined
+    vectors, slices = _split(group, left, rng)
+    characters = _cluster_characters(group, left, vectors, slices)
     pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    for sub in _split(group, left, rng):
-        pieces.extend(_refine(group, left, sub, rng, depth=0))
+    for sl, chi, irr, first in zip(slices, characters, _irreducible(group, characters),
+                                   _first_copies(characters)):
+        if first:
+            pieces.extend(_refine(group, left, vectors[:, sl], chi, irr, rng, depth=0))
+        elif not irr:
+            # a reducible copy still takes the draws of the compressed probe
+            # that would split it, so a seed gives the same bases whichever
+            # copies are refined
+            _probe_function(group, rng, compressed=True)
 
-    # dedup isomorphic copies by class character
-    kept: list[tuple[np.ndarray, np.ndarray]] = []
-    for basis, chi in pieces:
-        if any(np.max(np.abs(chi - k)) <= _CHARACTER_MATCH
-               for _, k in kept):
-            continue
-        kept.append((basis, chi))
+    # a refined cluster can hold two copies of one irrep (quaternionic type)
+    # and, when clusters merge, pieces of other clusters
+    kept = [piece for piece, first
+            in zip(pieces, _first_copies(np.array([chi for _, chi in pieces])))
+            if first]
 
     dims = [b.shape[1] for b, _ in kept]
     if sum(d * d for d in dims) != n:
@@ -342,9 +438,7 @@ def _decompose_once(group: FiniteGroup, left: np.ndarray,
     trivial = [r for r in reps if r.is_trivial()]
     if len(trivial) != 1:
         raise ToleranceViolation(f"expected exactly one trivial irrep, got {len(trivial)}")
-    rest = sorted((r for r in reps if not r.is_trivial()),
-                  key=lambda r: (r.dim, _character_key(r.character)))
-    ordered = tuple(trivial + rest)
+    ordered = tuple(trivial + _canonical_order([r for r in reps if not r.is_trivial()]))
     for rep in ordered:
         rep.validate()
     return IrrepTable(group, ordered)

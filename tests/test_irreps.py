@@ -105,17 +105,9 @@ def assert_same_table(table, ref):
     assert np.max(np.abs(table.character_table - ref.character_table)) < 1e-10
 
 
-@pytest.mark.parametrize("spec,eigengap", [
-    (("alternating", 5), 0.3),
-    (("cyclic", 12), 0.3),
-    (("quaternion8",), 0.3),
-    (("alternating", 6), 0.05),
-])
-def test_coarse_clusters_are_refined(monkeypatch, spec, eigengap):
-    # a wide merge width puts several irreducible pieces in one cluster, so
-    # the refine step must split them with compressed probes
-    g = groups.named(*spec)
-    ref = irreps.decompose(g)
+@pytest.fixture
+def splits(monkeypatch):
+    """Records, for every probe drawn, whether it was compressed to a subspace."""
     compressed = []
     split = irreps._split
 
@@ -124,9 +116,45 @@ def test_coarse_clusters_are_refined(monkeypatch, spec, eigengap):
         return split(group, left, rng, basis)
 
     monkeypatch.setattr(irreps, "_split", recording)
+    return compressed
+
+
+@pytest.mark.parametrize("spec,eigengap", [
+    (("alternating", 5), 0.3),
+    (("cyclic", 12), 0.3),
+    (("quaternion8",), 0.3),
+    (("alternating", 6), 0.05),
+])
+def test_coarse_clusters_are_refined(monkeypatch, splits, spec, eigengap):
+    # a wide merge width puts several irreducible pieces in one cluster, so
+    # the refine step must split them with compressed probes
+    g = groups.named(*spec)
+    ref = irreps.decompose(g)
+    splits.clear()
     monkeypatch.setattr(irreps, "_EIGENGAP", eigengap)
     assert_same_table(irreps.decompose(g), ref)
-    assert any(compressed)
+    assert any(splits)
+
+
+@pytest.mark.parametrize("spec,compressed", [
+    (("psl2", 11), 1),
+    (("sl2", 7), 5),
+    (("psl2", 7), 1),
+    (("sl2", 5), 4),
+    (("quaternion8",), 1),
+    (("alternating", 6), 0),
+])
+def test_one_compressed_split_per_reducible_character(splits, spec, compressed):
+    # the real probe gives d_rho eigen-clusters per irrep type: a cluster
+    # holds an irrep of real type, a complex-conjugate pair or two copies of
+    # a quaternionic irrep, and only the first cluster of each class
+    # character is refined, so a compressed probe is drawn once per complex
+    # pair and once per quaternionic irrep
+    table = irreps.decompose(groups.named(*spec))
+    indicators = [irreps.frobenius_schur(r) for r in table]
+    assert splits.count(False) == 1
+    assert splits.count(True) == compressed
+    assert compressed == indicators.count(0) // 2 + indicators.count(-1)
 
 
 SMALL_GROUPS = [("symmetric", 3), ("quaternion8",), ("dihedral", 4),
@@ -229,31 +257,79 @@ import sys
 import numpy as np
 from quasirep import groups, irreps
 out = {}
-for spec in (("psl2", 7), ("alternating", 6), ("psl2", 11)):
+for spec in (("alternating", 5), ("psl2", 7), ("alternating", 6), ("psl2", 11)):
     for i, rep in enumerate(irreps.decompose(groups.named(*spec))):
         out[f"{spec[0]}{spec[1]}_{i}"] = rep.matrices
 np.savez(sys.argv[1], **out)
 """
 
 
-def test_bases_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # each irrep basis is gauge fixed against a seeded anchor, so BLAS
-    # summation order moves the matrices by roundoff only
+@pytest.fixture(scope="module")
+def thread_runs(tmp_path_factory):
+    """Every irrep of A5, psl2(7), A6 and psl2(11) at seed 0, decomposed in
+    fresh interpreters at 1 and at 2 BLAS threads."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(irreps.__file__)))
-    saved = []
+    tmp = tmp_path_factory.mktemp("threads")
+    runs = {}
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
                    OMP_NUM_THREADS=threads)
-        path = tmp_path / f"threads{threads}.npz"
+        path = tmp / f"threads{threads}.npz"
         done = subprocess.run([sys.executable, "-c", _DECOMPOSE_AND_SAVE, str(path)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        saved.append(np.load(path))
-    one, two = saved
-    assert sorted(one.files) == sorted(two.files)
-    assert len(one.files) == 6 + 7 + 8
-    for key in one.files:
+        with np.load(path) as saved:
+            runs[threads] = {key: saved[key] for key in saved.files}
+    return runs
+
+
+def test_bases_do_not_depend_on_the_blas_thread_count(thread_runs):
+    # each irrep basis is gauge fixed against a seeded anchor, so BLAS
+    # summation order moves the matrices by roundoff only
+    one, two = thread_runs["1"], thread_runs["2"]
+    assert sorted(one) == sorted(two)
+    assert len(one) == 5 + 6 + 7 + 8
+    for key in one:
         assert np.max(np.abs(one[key] - two[key])) <= 1e-10, key
+
+
+# rho(s)[0, 0] of every irrep at seed 0, in table order, for the first
+# generator s (element 1 in all three groups): the bases a seed gives do not
+# depend on how many copies of an irrep the decomposition refines
+PINNED_ENTRIES = {
+    "alternating5": [
+        1 + 0j, -0.422901743585973 - 0.38738830473195907j,
+        -0.19405178024867112 + 0.48484277134377973j,
+        -0.0038150285300861952 - 0.12102680446964534j,
+        -0.4973644091754582 + 0.7706975558479281j],
+    "psl27": [
+        1 + 0j, -0.21985685099638821 - 0.19213407433269747j,
+        0.11292365628531525 + 0.7197747907241021j,
+        -0.40433058386719717 + 0.008572500449131173j,
+        0.014479213796434172 + 0.19425904950413747j,
+        0.052418975798738984 - 0.2710012238096235j],
+    "psl211": [
+        1 + 0j, 0.17933095659182224 - 0.4613309683887811j,
+        -0.23618951926050308 - 0.10756971230152859j,
+        -0.5873700487500249 + 0.2492145514611973j,
+        -0.17844947169644654 - 0.010207393733847676j,
+        0.1473652601710649 + 0.4400546924803408j,
+        -0.10027700432530492 + 0.0848219528910937j,
+        0.06961399753860809 - 0.009680340626458676j],
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name,spec", [("alternating5", ("alternating", 5)),
+                                       ("psl27", ("psl2", 7)),
+                                       ("psl211", ("psl2", 11))])
+def test_bases_are_pinned(thread_runs, threads, name, spec):
+    s = groups.named(*spec).generators[0]
+    assert s == 1
+    entries = [thread_runs[threads][f"{name}_{i}"][s, 0, 0]
+               for i in range(len(PINNED_ENTRIES[name]))]
+    assert f"{name}_{len(entries)}" not in thread_runs[threads]
+    assert np.max(np.abs(np.array(entries) - PINNED_ENTRIES[name])) <= 1e-9
 
 
 @pytest.mark.parametrize("tamper,match", [
@@ -294,3 +370,72 @@ def test_validate_reaches_every_element_above_the_pair_cap():
     bad = irreps.UnitaryRep(g, mats, character=rep.character, is_irreducible=True)
     with pytest.raises(ToleranceViolation, match="product law"):
         bad.validate()
+
+
+def test_validate_names_the_worst_pair_first_in_x_major_order(a5, a5_table):
+    # a5's generators are elements 1 and 2. An exact trivial rep with one
+    # sign flipped at element 7 fails at (7, s) and at every (x, s) with
+    # x s = 7, all by exactly 2: the first of those in x-major order is named
+    ones = np.ones((a5.order, 1, 1), dtype=np.complex128)
+    ones[7] = -1.0
+    bad = irreps.UnitaryRep(a5, ones, character=a5_table.irreps[0].character,
+                            is_irreducible=True)
+    with pytest.raises(ToleranceViolation,
+                       match=r"^product law fails at pair \(3, 2\): residual 2\.000e\+00$"):
+        bad.validate()
+    # R(2) times i is still unitary; (1, 2) is the first pair to fail, by
+    # sqrt(2 d), but (2, 2) carries the corrupted matrix twice and fails by
+    # 2 sqrt(d), the largest residual
+    rep = a5_table.irreps[4]
+    mats = rep.matrices.copy()
+    mats[2] *= 1j
+    bad = irreps.UnitaryRep(a5, mats, character=rep.character, is_irreducible=True)
+    with pytest.raises(ToleranceViolation,
+                       match=r"^product law fails at pair \(2, 2\): residual 4\.472e\+00$"):
+        bad.validate()
+    mats = rep.matrices.copy()
+    mats[7] *= 1.001
+    bad = irreps.UnitaryRep(a5, mats, character=rep.character, is_irreducible=True)
+    with pytest.raises(ToleranceViolation,
+                       match=r"^unitarity residual 4\.474e-03 above 1e-08$"):
+        bad.validate()
+
+
+def _class_average_by_loop(group, values):
+    out = np.empty(len(group.classes), dtype=np.complex128)
+    for ci, cls in enumerate(group.classes):
+        vals = values[list(cls)]
+        out[ci] = vals.mean()
+        if np.max(np.abs(vals - out[ci])) > irreps._CHARACTER_MATCH:
+            raise ToleranceViolation(
+                f"character varies within class {ci} by "
+                f"{np.max(np.abs(vals - out[ci])):.3e}")
+    return out
+
+
+def test_class_average_matches_the_loop_over_classes(a5, a5_table):
+    for rep in a5_table:
+        traces = np.trace(rep.matrices, axis1=1, axis2=2)
+        assert np.max(np.abs(irreps._class_average(a5, traces)
+                             - _class_average_by_loop(a5, traces))) <= 1e-13
+    # spreads in two classes: the lower class index is named, with its spread
+    traces = np.trace(a5_table.irreps[3].matrices, axis1=1, axis2=2).copy()
+    big, small = a5.classes[3], a5.classes[1]
+    traces[big[-1]] += 0.5
+    traces[small[0]] += 1e-3
+    with pytest.raises(ToleranceViolation) as want:
+        _class_average_by_loop(a5, traces)
+    with pytest.raises(ToleranceViolation) as got:
+        irreps._class_average(a5, traces)
+    assert str(got.value) == str(want.value)
+    assert "within class 1 by" in str(got.value)
+
+
+def test_canonical_order_matches_the_rounded_tuple_key(a6_table):
+    def key(rep):
+        return (rep.dim, tuple((round(float(c.real), 6), round(float(c.imag), 6))
+                               for c in rep.character))
+
+    for reps in (list(a6_table.irreps[1:]), list(a6_table.irreps[:0:-1]),
+                 list(irreps.decompose(groups.named("sl2", 7)).irreps[::-1])):
+        assert irreps._canonical_order(reps) == sorted(reps, key=key)
