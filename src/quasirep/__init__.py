@@ -49,14 +49,7 @@ from .errors import (
     ToleranceViolation,
     UnsupportedParameter,
 )
-from .fourier import (
-    ScalarFunction,
-    ScalarSpectrum,
-    invert_scalar,
-    plancherel_check,
-    transform_matrix,
-    transform_scalar,
-)
+from .fourier import invert_matrix, transform_matrix
 from .groups import (
     FiniteGroup,
     from_permutation_generators,
@@ -110,8 +103,7 @@ __all__ = [
     # irreps
     "UnitaryRep", "IrrepTable", "decompose", "frobenius_schur",
     # fourier
-    "ScalarFunction", "ScalarSpectrum", "transform_scalar",
-    "invert_scalar", "plancherel_check", "transform_matrix",
+    "transform_matrix", "invert_matrix",
     # approximate representations
     "MatrixFunction", "PolarFunction", "DefectReport",
     "defect_direct", "defect_via_fourier",

@@ -108,14 +108,20 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "non-negative")
 
 
 def _fmt(value) -> str:
@@ -352,7 +358,7 @@ def cmd_verify(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_nonnegative_int, default=0,
                         help="base seed; every randomized output derives from it")
     common.add_argument("--cache-dir", default=None,
                         help="group cache directory (default $QUASIREP_CACHE or ./.quasirep)")
@@ -390,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construction", choices=("minor", "polar"), default="minor")
     p.add_argument("--dpsi", required=True,
                    help="compression dimension or inclusive range a:b")
-    p.add_argument("--rho-dim", type=int, default=None,
+    p.add_argument("--rho-dim", type=_positive_int, default=None,
                    help="restrict to irreps of this dimension")
     p.add_argument("--seeds", type=_positive_int, default=1,
                    help="replicates per (irrep, d_psi) cell")

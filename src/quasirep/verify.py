@@ -20,6 +20,7 @@ import numpy as np
 
 from . import groups, twirl
 from .approx import (
+    MatrixFunction,
     beating_random_threshold,
     defect_direct,
     defect_via_fourier,
@@ -33,13 +34,7 @@ from .approx import (
     thm4_defect,
     thm5_normalized_bound,
 )
-from .fourier import (
-    ScalarFunction,
-    invert_scalar,
-    plancherel_check,
-    transform_matrix,
-    transform_scalar,
-)
+from .fourier import invert_matrix, transform_matrix
 from .groups import FiniteGroup
 from .homs import balanced_random_map, evaluate, lift_through_irrep, make_group_map
 from .irreps import IrrepTable, decompose
@@ -281,13 +276,18 @@ def _check_a2(ctx: VerifyContext) -> list[Comparison]:
     table = ctx.table("psl2", 7)
     g = table.group
     rng = np.random.default_rng([ctx.seed, 2])
-    f = ScalarFunction(g, rng.standard_normal(g.order)
-                       + 1j * rng.standard_normal(g.order))
-    spectrum = transform_scalar(f, table)
-    back = invert_scalar(spectrum)
-    sup = float(np.abs(back.values - f.values).max())
-    lhs, rhs = plancherel_check(f, spectrum)
-    rel = abs(lhs - rhs) / abs(lhs)
+    sup = rel = 0.0
+    for dim in (1, 3):
+        shape = (g.order, dim, dim)
+        psi = MatrixFunction(g, dim, rng.standard_normal(shape)
+                             + 1j * rng.standard_normal(shape))
+        blocks = transform_matrix(psi, table)
+        back = invert_matrix(blocks, table)
+        sup = max(sup, float(np.abs(back - psi.matrices).max()))
+        lhs = float(np.sum(np.abs(psi.matrices) ** 2)) / g.order
+        rhs = float(sum(rho.dim * np.linalg.norm(w) ** 2
+                        for rho, w in zip(table.irreps, blocks)))
+        rel = max(rel, abs(lhs - rhs) / lhs)
     return [
         Comparison("inversion sup error", "<=", sup, 1e-10),
         Comparison("Plancherel relative error", "<=", rel, 1e-8),

@@ -50,20 +50,32 @@ def test_negative_control_tampered_plancherel(ctx):
     # a deliberately broken norm identity (dropping the dimension weights)
     # must be flagged; this guards the battery against vacuous tolerances
     table = ctx.table("psl2", 7)
+    g = table.group
     rng = np.random.default_rng(123)
-    f = fourier.ScalarFunction(
-        table.group,
-        rng.standard_normal(table.group.order)
-        + 1j * rng.standard_normal(table.group.order))
-    spectrum = fourier.transform_scalar(f, table)
-    lhs, rhs = fourier.plancherel_check(f, spectrum)
+    shape = (g.order, 3, 3)
+    psi = approx.MatrixFunction(
+        g, 3, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    blocks = fourier.transform_matrix(psi, table)
+    lhs = float(np.sum(np.abs(psi.matrices) ** 2)) / g.order
+    rhs = float(sum(rho.dim * np.linalg.norm(w) ** 2
+                    for rho, w in zip(table.irreps, blocks)))
     assert abs(rhs - lhs) / lhs <= 1e-8  # honest normalization passes
 
-    tampered = float(table.group.order * sum(
-        np.linalg.norm(block) ** 2 for block in spectrum.blocks))
+    tampered = float(sum(np.linalg.norm(w) ** 2 for w in blocks))
     bad = verify.Comparison("Plancherel relative error", "<=",
                             abs(tampered - lhs) / lhs, 1e-8)
     assert not bad.passed
+
+
+def test_a2_catches_an_inverse_missing_one_irrep(ctx, monkeypatch):
+    honest = verify.invert_matrix
+
+    def without_last_irrep(blocks, table):
+        return honest((*blocks[:-1], np.zeros_like(blocks[-1])), table)
+
+    monkeypatch.setattr(verify, "invert_matrix", without_last_irrep)
+    result = verify.run_check("A2", ctx)
+    assert [c.label for c in result.failures()] == ["inversion sup error"]
 
 
 def test_a8_catches_a_wrong_gram_coefficient(ctx, monkeypatch):

@@ -274,6 +274,13 @@ def test_perturbed_irrep(a5_table):
         approx.perturbed_irrep(rho, 1.5, seed=4)
 
 
+def test_matrix_function_shape_check(s3):
+    with pytest.raises(ValueError):
+        approx.MatrixFunction(s3, 1, np.ones(5))
+    with pytest.raises(ValueError):
+        approx.MatrixFunction(s3, 2, np.ones((s3.order, 1, 1)))
+
+
 def test_inadmissible_input_warns(s3, s3_table):
     psi = approx.MatrixFunction(s3, 1, np.full((6, 1, 1), 2.0 + 0.0j))
     for route in (approx.defect_direct, approx.defect_via_fourier):

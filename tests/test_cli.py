@@ -197,6 +197,20 @@ def test_seeds_must_be_positive(capsys, argv):
     assert "error: argument --seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "fast", "--seed", "-1"], "--seed"),
+    (["irreps", "cyclic", "4", "--seed", "-1"], "--seed"),
+    (["sweep", "--group", "cyclic", "4", "--dpsi", "1", "--rho-dim", "0"], "--rho-dim"),
+], ids=["verify", "irreps", "sweep"])
+def test_seed_and_rho_dim_are_checked_at_parse(capsys, argv, flag):
+    # a negative seed or an empty irrep filter is an input error, not a
+    # failed check or an empty table
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"error: argument {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["group", "cyclic", "4"],
     ["irreps", "cyclic", "4"],

@@ -1,4 +1,4 @@
-"""Scalar and matrix transforms: inversion, norm identity, covariance."""
+"""The blockwise matrix transform: inversion, norm identity, covariance."""
 
 from __future__ import annotations
 
@@ -13,44 +13,58 @@ from quasirep.errors import IncompleteTable
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def random_scalar(group, seed):
+def random_function(group, dim, seed):
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
-    return fourier.ScalarFunction(group, values)
+    shape = (group.order, dim, dim)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return approx.MatrixFunction(group, dim, values)
+
+
+def plancherel_sides(psi, table, blocks):
+    """(E ||psi||_F^2, sum_rho d_rho ||W_rho||_F^2)."""
+    lhs = float(np.sum(np.abs(psi.matrices) ** 2)) / psi.group.order
+    rhs = float(sum(rho.dim * np.linalg.norm(w) ** 2
+                    for rho, w in zip(table.irreps, blocks)))
+    return lhs, rhs
 
 
 def test_delta_at_identity(s3, s3_table):
-    values = np.zeros(s3.order)
-    values[s3.identity] = 1.0
-    f = fourier.ScalarFunction(s3, values)
-    spectrum = fourier.transform_scalar(f, s3_table)
-    for rho, block in zip(s3_table, spectrum.blocks):
-        assert np.allclose(block, np.eye(rho.dim) / s3.order, atol=1e-12)
-    back = fourier.invert_scalar(spectrum)
-    assert np.max(np.abs(back.values - f.values)) < 1e-12
-    lhs, rhs = fourier.plancherel_check(f, spectrum)
-    assert lhs == pytest.approx(1.0)
-    assert rhs == pytest.approx(1.0)
+    # psi = A at the identity and 0 elsewhere has W_rho = A (x) 1 / |G|
+    a = np.array([[1.0, 2.0j], [-0.5, 3.0]])
+    values = np.zeros((s3.order, 2, 2), dtype=complex)
+    values[s3.identity] = a
+    psi = approx.MatrixFunction(s3, 2, values)
+    blocks = fourier.transform_matrix(psi, s3_table)
+    for rho, block in zip(s3_table, blocks):
+        assert np.allclose(block, np.kron(a, np.eye(rho.dim)) / s3.order, atol=1e-12)
+    back = fourier.invert_matrix(blocks, s3_table)
+    assert np.max(np.abs(back - values)) < 1e-12
+    lhs, rhs = plancherel_sides(psi, s3_table, blocks)
+    assert lhs == pytest.approx(np.linalg.norm(a) ** 2 / s3.order)
+    assert rhs == pytest.approx(lhs)
 
 
 def test_constant_function(s3, s3_table):
-    f = fourier.ScalarFunction(s3, np.ones(s3.order))
-    spectrum = fourier.transform_scalar(f, s3_table)
-    assert spectrum.blocks[0][0, 0] == pytest.approx(1.0)
-    for block in spectrum.blocks[1:]:
+    a = np.array([[2.0, 1.0j], [0.0, -1.0]])
+    psi = approx.MatrixFunction(s3, 2, np.broadcast_to(a, (s3.order, 2, 2)))
+    blocks = fourier.transform_matrix(psi, s3_table)
+    assert np.allclose(s3_table.irreps[0].matrices, 1.0)  # trivial irrep first
+    assert np.allclose(blocks[0], a, atol=1e-12)
+    for block in blocks[1:]:
         assert np.max(np.abs(block)) < 1e-12
 
 
 def test_translation_covariance(s3, s3_table):
-    # shifting the argument multiplies each block by the irrep on the left:
-    # x -> f(x g) sends f_hat(rho) to rho(g) f_hat(rho)
-    f = random_scalar(s3, 7)
-    hat = fourier.transform_scalar(f, s3_table)
+    # shifting the argument multiplies each block by the irrep on the right:
+    # x -> psi(x g) sends W_rho to W_rho (1 (x) rho(g)')
+    psi = random_function(s3, 2, 7)
+    blocks = fourier.transform_matrix(psi, s3_table)
     for g in range(s3.order):
-        shifted = fourier.ScalarFunction(s3, f.values[s3.table[:, g]])
-        hat_shifted = fourier.transform_scalar(shifted, s3_table)
-        for rho, block, shifted_block in zip(s3_table, hat.blocks, hat_shifted.blocks):
-            assert np.allclose(shifted_block, rho.matrices[g] @ block, atol=1e-12)
+        shifted = approx.MatrixFunction(s3, 2, psi.matrices[s3.table[:, g]])
+        shifted_blocks = fourier.transform_matrix(shifted, s3_table)
+        for rho, block, shifted_block in zip(s3_table, blocks, shifted_blocks):
+            right = np.kron(np.eye(2), rho.matrices[g].conj().T)
+            assert np.allclose(shifted_block, block @ right, atol=1e-12)
 
 
 # S3 has real irreps only, cyclic 12 and psl2(7) have complex ones and
@@ -64,27 +78,28 @@ def round_trip_tables():
 
 
 @settings(max_examples=25, deadline=None)
-@given(spec=st.sampled_from(ROUND_TRIP_GROUPS), seed=seeds)
-def test_round_trip_and_plancherel(round_trip_tables, spec, seed):
+@given(spec=st.sampled_from(ROUND_TRIP_GROUPS), dim=st.sampled_from([1, 3]), seed=seeds)
+def test_round_trip_and_plancherel(round_trip_tables, spec, dim, seed):
     table = round_trip_tables[spec]
-    f = random_scalar(table.group, seed)
-    spectrum = fourier.transform_scalar(f, table)
-    back = fourier.invert_scalar(spectrum)
-    assert np.max(np.abs(back.values - f.values)) < 1e-10
-    lhs, rhs = fourier.plancherel_check(f, spectrum)
+    psi = random_function(table.group, dim, seed)
+    blocks = fourier.transform_matrix(psi, table)
+    back = fourier.invert_matrix(blocks, table)
+    assert back.shape == psi.matrices.shape
+    assert np.max(np.abs(back - psi.matrices)) < 1e-10
+    lhs, rhs = plancherel_sides(psi, table, blocks)
     assert rhs == pytest.approx(lhs, rel=1e-8)
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds, scale=st.floats(-3.0, 3.0))
 def test_linearity(s3, s3_table, seed, scale):
-    f = random_scalar(s3, seed)
-    g = random_scalar(s3, seed + 1)
-    combo = fourier.ScalarFunction(s3, f.values + scale * g.values)
-    hf = fourier.transform_scalar(f, s3_table)
-    hg = fourier.transform_scalar(g, s3_table)
-    hc = fourier.transform_scalar(combo, s3_table)
-    for bf, bg, bc in zip(hf.blocks, hg.blocks, hc.blocks):
+    f = random_function(s3, 2, seed)
+    g = random_function(s3, 2, seed + 1)
+    combo = approx.MatrixFunction(s3, 2, f.matrices + scale * g.matrices)
+    hf = fourier.transform_matrix(f, s3_table)
+    hg = fourier.transform_matrix(g, s3_table)
+    hc = fourier.transform_matrix(combo, s3_table)
+    for bf, bg, bc in zip(hf, hg, hc):
         assert np.allclose(bc, bf + scale * bg, atol=1e-12)
 
 
@@ -116,18 +131,19 @@ def test_block_opnorm_bound_for_admissible(a5, a5_table):
 
 def test_invert_requires_complete_table(s3, s3_table):
     partial = irreps.IrrepTable(s3, s3_table.irreps[:-1])
-    f = random_scalar(s3, 0)
-    spectrum = fourier.transform_scalar(f, partial)
+    blocks = fourier.transform_matrix(random_function(s3, 1, 0), partial)
     with pytest.raises(IncompleteTable):
-        fourier.invert_scalar(spectrum)
+        fourier.invert_matrix(blocks, partial)
+
+
+def test_invert_rejects_blocks_that_do_not_match_the_table(s3, s3_table):
+    blocks = fourier.transform_matrix(random_function(s3, 2, 0), s3_table)
+    with pytest.raises(ValueError):
+        fourier.invert_matrix(blocks[:-1], s3_table)
+    with pytest.raises(ValueError):
+        fourier.invert_matrix((blocks[0], blocks[1][:-1, :-1], blocks[2]), s3_table)
 
 
 def test_group_mismatch_rejected(s3, a5_table):
-    f = random_scalar(s3, 0)
     with pytest.raises(ValueError):
-        fourier.transform_scalar(f, a5_table)
-
-
-def test_scalar_function_shape_check(s3):
-    with pytest.raises(ValueError):
-        fourier.ScalarFunction(s3, np.ones(5))
+        fourier.transform_matrix(random_function(s3, 1, 0), a5_table)
