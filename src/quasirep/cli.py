@@ -100,12 +100,20 @@ def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
 
 
 def _parse_range(text: str) -> list[int]:
-    """'2:5' -> [2, 3, 4, 5]; '3' -> [3]; '5:4' -> [] (empty sweep)."""
-    if ":" in text:
-        lo_s, hi_s = text.split(":", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """'2:5' -> [2, 3, 4, 5]; '3' -> [3]; '5:4' -> [] (empty sweep).
+
+    The value, or the start of a range, must be a positive integer.
+    """
+    lo_s, colon, hi_s = text.partition(":")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if colon else lo
+    except ValueError:
+        lo = 0
+    if lo < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer or a range a:b from one, got {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _int_at_least(low: int, kind: str):
@@ -183,15 +191,14 @@ def cmd_sweep(args) -> int:
     check_agreement_tol(args.tolerance)
     g = _group_from_spec(args.group, _cache_dir(args))
     table = decompose(g, seed=args.seed)
-    d_psis = _parse_range(args.dpsi)
     rows = []
     for ri, rho in enumerate(table):
         if rho.is_trivial():
             continue
         if args.rho_dim is not None and rho.dim != args.rho_dim:
             continue
-        for d_psi in d_psis:
-            if not 1 <= d_psi <= rho.dim:
+        for d_psi in args.dpsi:
+            if d_psi > rho.dim:
                 continue
             for s in range(args.seeds):
                 seed = args.seed + s
@@ -394,8 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sweep a construction across compression dimensions")
     p.add_argument("--group", nargs="+", required=True)
     p.add_argument("--construction", choices=("minor", "polar"), default="minor")
-    p.add_argument("--dpsi", required=True,
-                   help="compression dimension or inclusive range a:b")
+    p.add_argument("--dpsi", type=_parse_range, required=True,
+                   help="compression dimension or inclusive range a:b, from 1")
     p.add_argument("--rho-dim", type=_positive_int, default=None,
                    help="restrict to irreps of this dimension")
     p.add_argument("--seeds", type=_positive_int, default=1,

@@ -15,6 +15,18 @@ reducible, at most 2 dim(rho) wide. A reducible piece is refined recursively
 by a fresh complex probe compressed to it, B' T B, which commutes with the
 restricted representation.
 
+The real probe is solved by blocks, not as one dense n x n eigh. T commutes
+with left translation by an element h of largest order k, so each eigenspace
+of T is the direct sum of its parts in the k eigenspaces of that
+translation, and T acts on each of those as an (n / k) x (n / k) block, read
+off one real FFT of f over the orbits {h^j a}. Lifted, the blocks'
+eigenvectors form an orthonormal eigenbasis of the same T, so the
+eigenvalues, hence the clusters, and the span of each cluster are the dense
+solve's to roundoff; only the basis inside a cluster differs. Nothing below
+reads that basis: characters are traces, a compressed probe's eigenspaces
+are subspaces of the span, and the gauge fix depends on the span alone. So
+the same draw of f gives the same bases.
+
 On an invariant subspace with orthonormal basis B the character of
 B' R(x) B is a class function, read at one representative c per class as
 chi(c) = sum_z <B[c^-1 z], B[z]>, and the piece is irreducible when
@@ -280,6 +292,74 @@ def _probe_function(group: FiniteGroup, rng: np.random.Generator,
     return (a + a[group.inverses].conj()) / 2.0
 
 
+def _cyclic_orbits(group: FiniteGroup) -> np.ndarray:
+    """The orbits {h^j a} of left translation by <h>, for the first element h
+    of largest order k: an (n / k, k) array whose row i holds h^j a_i, j =
+    0..k-1, with a_i the least index of its orbit."""
+    table, identity = group.table, group.identity
+    elements = np.arange(group.order)
+    orders = np.zeros(group.order, dtype=np.int64)
+    power, t = elements, 1
+    while True:
+        orders[(power == identity) & (orders == 0)] = t
+        if orders.all():
+            break
+        power, t = table[power, elements], t + 1
+    h, k = int(orders.argmax()), int(orders.max())
+    cycle = [identity]
+    for _ in range(k - 1):
+        cycle.append(int(table[cycle[-1], h]))
+    powers = table[cycle]                      # powers[j, x] = h^j x
+    return powers[:, np.unique(powers.min(axis=0))].T
+
+
+def _regular_eigh(group: FiniteGroup, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and real orthonormal eigenvectors of the real
+    symmetric probe T[z, w] = f(z^-1 w), for a real f with f(x^-1) = f(x).
+
+    With z = h^j a_i over the _cyclic_orbits, T[h^j a_i, h^l a_r] =
+    G[l - j mod k, i, r] for G[t, i, r] = f(a_i^-1 h^t a_r): T is block
+    circulant, with the k diagonal blocks B_s = sum_t G[t] e^(-2 pi i s t / k)
+    of size m = n / k, and one real FFT of G over t gives those with
+    s <= k/2. If B_s u = lambda u, then v(h^j a_i) = e^(-2 pi i s j / k)
+    u_i / sqrt(k) has T v = lambda v. B_0, and B_(k/2) for even k, are real
+    symmetric and give real v. The other blocks are Hermitian with
+    B_(k-s) = conj(B_s), so only s < k/2 is solved, and each of its v,
+    orthogonal to conj(v), gives the two real eigenvectors sqrt(2) Re v and
+    sqrt(2) Im v.
+    """
+    n = group.order
+    orbits = _cyclic_orbits(group)
+    m, k = orbits.shape
+    gathered = f[group.table[group.inverses[orbits[:, 0]][None, :, None],
+                             orbits.T[:, None, :]]]
+    blocks = np.fft.rfft(gathered, axis=0)
+    real = [0, k // 2] if k % 2 == 0 else [0]
+    w_real, u_real = np.linalg.eigh(blocks[real].real)
+    w_complex, u_complex = np.linalg.eigh(blocks[1:(k + 1) // 2])
+    w = np.concatenate([w_real.ravel(), np.repeat(w_complex.ravel(), 2)])
+    order = np.argsort(w, kind="stable")
+    column = np.empty(n, dtype=np.int64)
+    column[order] = np.arange(n)
+    # one block at a time, so no temporary outgrows an n x 2m slab
+    vectors = np.empty((n, n))
+    rows = orbits.reshape(-1, 1)
+    j = np.arange(k)
+    start = 0
+    for s, u in zip(real + list(range(1, (k + 1) // 2)),
+                    list(u_real) + list(u_complex)):
+        phase = np.exp(-2j * np.pi * (s * j % k) / k)
+        if np.isrealobj(u):
+            lifted = u[:, None, :] * (phase.real / math.sqrt(k))[:, None]
+        else:
+            # interleaved real and imaginary parts: sqrt(2) Re v, sqrt(2) Im v
+            lifted = (u[:, None, :] * (phase * math.sqrt(2.0 / k))[:, None]).view(np.float64)
+        width = lifted.shape[2]
+        vectors[rows, column[start:start + width]] = lifted.reshape(n, width)
+        start += width
+    return w[order], vectors
+
+
 def _split(group: FiniteGroup, left: np.ndarray, rng: np.random.Generator,
            basis: np.ndarray | None = None) -> tuple[np.ndarray, list[slice]]:
     """Eigenvectors of a fresh probe, on span(basis) or, by default, everywhere.
@@ -288,16 +368,18 @@ def _split(group: FiniteGroup, left: np.ndarray, rng: np.random.Generator,
     the slices of their eigenvalue clusters. The probe is the right
     convolution T[z, w] = f(z^-1 w) by a _probe_function f: it commutes with
     every left translation and is exactly Hermitian. On the whole space f is
-    real, so T is real symmetric; compressed to an invariant subspace, f is
-    complex and B' T B commutes with the restricted representation, so its
-    eigenspaces are invariant too.
+    real, so T is real symmetric and _regular_eigh solves it by blocks;
+    compressed to an invariant subspace, f is complex and B' T B commutes
+    with the restricted representation, so its eigenspaces are invariant too.
     """
-    probe = _probe_function(group, rng, basis is not None)[left]
-    if basis is not None:
-        probe = basis.conj().T @ (probe @ basis)
-    w, v = np.linalg.eigh(probe)
+    f = _probe_function(group, rng, basis is not None)
+    if basis is None:
+        w, v = _regular_eigh(group, f)
+    else:
+        w, v = np.linalg.eigh(basis.conj().T @ (f[left] @ basis))
+        v = basis @ v
     slices = _cluster_slices(w, _EIGENGAP * max(np.abs(w).max(), 1e-300))
-    return (v if basis is None else basis @ v), slices
+    return v, slices
 
 
 def _refine(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,

@@ -201,10 +201,13 @@ def test_seeds_must_be_positive(capsys, argv):
     (["verify", "fast", "--seed", "-1"], "--seed"),
     (["irreps", "cyclic", "4", "--seed", "-1"], "--seed"),
     (["sweep", "--group", "cyclic", "4", "--dpsi", "1", "--rho-dim", "0"], "--rho-dim"),
-], ids=["verify", "irreps", "sweep"])
+    *[(["sweep", "--group", "cyclic", "4", "--dpsi", dpsi], "--dpsi")
+      for dpsi in ("0", "0:3", "x", "-2", "1:x", "3:")],
+], ids=["verify", "irreps", "sweep", "dpsi-0", "dpsi-0:3", "dpsi-x", "dpsi-neg",
+        "dpsi-1:x", "dpsi-3:"])
 def test_seed_and_rho_dim_are_checked_at_parse(capsys, argv, flag):
-    # a negative seed or an empty irrep filter is an input error, not a
-    # failed check or an empty table
+    # a negative seed, an empty irrep filter or a compression dimension
+    # below 1 is an input error, not a failed check or an empty table
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2

@@ -157,6 +157,47 @@ def test_one_compressed_split_per_reducible_character(splits, spec, compressed):
     assert compressed == indicators.count(0) // 2 + indicators.count(-1)
 
 
+def _dense_eigh(group, f):
+    """The whole-space probe solved as one dense n x n eigh: the reference."""
+    return np.linalg.eigh(f[group.table[group.inverses]])
+
+
+@pytest.mark.parametrize("spec", [
+    ("cyclic", 1), ("cyclic", 2), ("dihedral", 2), ("cyclic", 12),
+    ("heisenberg", 3), ("quaternion8",), ("sl2", 7), ("psl2", 11)])
+def test_blocked_probe_solve_matches_the_dense_solve(spec):
+    # blocks under the cyclic subgroup of the first element of largest order
+    # k: k = 1 (trivial group), k = 2 (exponent 2), k = n (cyclic), odd and
+    # even k with several orbits
+    g = groups.named(*spec)
+    f = irreps._probe_function(g, np.random.default_rng(3), compressed=False)
+    probe = f[g.table[g.inverses]]
+    w, v = irreps._regular_eigh(g, f)
+    assert v.dtype == np.float64 and v.shape == (g.order, g.order)
+    assert np.max(np.abs(v.T @ v - np.eye(g.order))) <= 1e-12
+    assert np.all(np.diff(w) >= 0)
+    scale = np.max(np.abs(w))
+    assert np.max(np.abs(w - np.linalg.eigvalsh(probe))) <= 1e-12 * scale
+    assert np.max(np.abs(probe @ v - v * w)) <= 1e-11
+
+
+def test_bases_are_the_dense_solves(monkeypatch):
+    # each probe eigenspace is the sum of its parts in the eigenspaces of
+    # left translation by <h>, so solving by blocks gives the dense solve's
+    # clusters and spans, and the gauge fix gives its bases
+    cases = [(groups.named(*spec), seed)
+             for spec in [("alternating", 5), ("psl2", 7), ("sl2", 7),
+                          ("alternating", 6), ("psl2", 11)]
+             for seed in range(3)]
+    blocked = [irreps.decompose(g, seed) for g, seed in cases]
+    monkeypatch.setattr(irreps, "_regular_eigh", _dense_eigh)
+    for (g, seed), table in zip(cases, blocked):
+        dense = irreps.decompose(g, seed)
+        assert dense.dims == table.dims, (g.name, seed)
+        for a, b in zip(dense, table):
+            assert np.max(np.abs(a.matrices - b.matrices)) <= 1e-10, (g.name, seed)
+
+
 SMALL_GROUPS = [("symmetric", 3), ("quaternion8",), ("dihedral", 4),
                 ("alternating", 4), ("cyclic", 5)]
 
