@@ -26,7 +26,8 @@ from .approx import (
     thm5_bound,
 )
 from .errors import QuasirepError
-from .groups import FiniteGroup, check_family, group_hash, load_group, named, save_group
+from .groups import (FiniteGroup, _element_orders, check_family, group_hash, load_group,
+                     named, save_group)
 from .homs import (
     balanced_random_map,
     evaluate,
@@ -240,12 +241,8 @@ def cmd_sweep(args) -> int:
 
 def _cyclic_generator(g: FiniteGroup) -> int | None:
     """Smallest element of order |g|, or None when g is not cyclic."""
-    power = elements = np.arange(g.order)
-    full = np.ones(g.order, dtype=bool)
-    for _ in range(g.order - 1):
-        full &= power != g.identity
-        power = g.table[power, elements]
-    return int(np.argmax(full)) if full.any() else None
+    generators = np.flatnonzero(_element_orders(g) == g.order)
+    return int(generators[0]) if generators.size else None
 
 
 def _hom_map(kind: str, source: FiniteGroup, target: FiniteGroup, seed):

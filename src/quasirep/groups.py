@@ -187,6 +187,18 @@ def from_table(table, name: str = "table") -> FiniteGroup:
     return FiniteGroup(name, arr, identity, inverses, classes, generators)
 
 
+def _element_orders(group: FiniteGroup) -> np.ndarray:
+    """The order of every element: the least t >= 1 with x^t = e."""
+    elements = np.arange(group.order)
+    orders = np.zeros(group.order, dtype=np.int64)
+    power, t = elements, 1
+    while True:
+        orders[(power == group.identity) & (orders == 0)] = t
+        if orders.all():
+            return orders
+        power, t = group.table[power, elements], t + 1
+
+
 def _cayley_tree(group: FiniteGroup, generators) -> list[tuple[np.ndarray, ...]]:
     """Breadth-first Cayley-graph tree from the identity over the generators.
 

@@ -1,61 +1,48 @@
 """Numerical unitary irreducible representations.
 
-The decomposition works on the regular representation without materializing
-it. A matrix that commutes with every left translation is a right convolution,
-T[z, w] = f(z^-1 w), and it is Hermitian when f(x^-1) = conj f(x). The probe is
-such a T for a random f (Dixon's random commutant element; J. D. Dixon,
-"Computing irreducible representations of groups", Math. Comp. 24, 1970), an
-index gather with no averaging. Its eigenspaces are invariant subspaces.
+The character table comes first, from the class algebra (Dixon's method;
+J. D. Dixon, "High speed computation of group characters", Numer. Math. 10,
+1967). A random self-adjoint central element z = sum_C a(C) C acts on the
+class sums by a matrix that one sqrt|C| scaling makes Hermitian: its
+eigenvectors are the characters, its eigenvalues the central characters
+omega_chi(z). A draw with two eigenvalues within the clustering width is
+rejected. An irrep of dim 1 is its character, snapped to roots of unity, so
+an abelian group needs nothing more.
 
-The first probe takes f real with f(x^-1) = f(x), so T is real symmetric and
-its eigendecomposition is real. A real probe cannot tell an irrep rho of
-complex type (Frobenius-Schur 0) from its conjugate, and gives irreps of
-quaternionic type (-1) in doubled clusters, so some of its eigenspaces are
-reducible, at most 2 dim(rho) wide. A reducible piece is refined recursively
-by a fresh complex probe compressed to it, B' T B, which commutes with the
-restricted representation.
+The irreps of dim >= 2 come from the regular representation, never
+materialized. A matrix that commutes with every left translation is a right
+convolution, T[x, y] = f(x^-1 y), Hermitian when f(x^-1) = conj f(x), and its
+eigenspaces are invariant (J. D. Dixon, "Computing irreducible
+representations of groups", Math. Comp. 24, 1970). The probe takes f real,
+so T is real symmetric, and T commutes with left translation by an element h
+of largest order k: one gather and FFT over the orbits {h^j a} give k blocks
+of size n / k, of which only s <= k/2 are solved, block k - s being the
+conjugate of block s. Its eigenvalue clusters are copies: an irrep rho of
+real type fills dim(rho) of them, a complex pair rho + conj(rho) dim(rho),
+and a quaternionic irrep dim(rho) / 2, two copies each.
 
-The real probe is solved by blocks, not as one dense n x n eigh. T commutes
-with left translation by an element h of largest order k, so each eigenspace
-of T is the direct sum of its parts in the k eigenspaces of that
-translation, and T acts on each of those as an (n / k) x (n / k) block, read
-off one real FFT of f over the orbits {h^j a}. Lifted, the blocks'
-eigenvectors form an orthonormal eigenbasis of the same T, so the
-eigenvalues, hence the clusters, and the span of each cluster are the dense
-solve's to roundoff; only the basis inside a cluster differs. Nothing below
-reads that basis: characters are traces, a compressed probe's eigenspaces
-are subspaces of the span, and the gauge fix depends on the span alone. So
-the same draw of f gives the same bases.
+z's blocks come from the same gather and FFT. Being central, z maps each
+cluster's part of each block to itself, and an eigh of U' Z_s U there gives
+eigenvectors typed by their eigenvalue omega_chi(z), with no lift to the
+whole space and no character gather. Only the first whole copy of each irrep
+is lifted; a complex pair comes apart by type. Two copies of one irrep are
+split by a fresh complex probe compressed to their span, B' T B, which
+commutes with the restricted representation. Every cluster that is not one
+copy of one irrep takes such a draw, in cluster order, split or not.
 
-On an invariant subspace with orthonormal basis B the character of
-B' R(x) B is a class function, read at one representative c per class as
-chi(c) = sum_z <B[c^-1 z], B[z]>, and the piece is irreducible when
-sum_c |C| |chi(c)|^2 / |G| = 1. The characters of all clusters of one probe
-are read in one pass: one gather of the rows per class gives every
-eigenvector's share, summed per cluster.
-
-The real probe's clusters are copies: an irrep of real type fills dim(rho)
-of them, a complex pair dim(rho), a quaternionic irrep dim(rho) / 2. Only the
-first cluster of each class character, in ascending eigenvalue order, is
-refined, so a group is split once per irrep and not once per copy. A later
-copy of a reducible character still takes the draws of the compressed probe
-that would split it, so a seed gives the same bases whichever copies are
-refined. The refined pieces are deduplicated by character once more: one
-cluster of a quaternionic irrep holds two copies.
-
-Each kept basis is gauge fixed, B -> B polar(B' E) for one seeded matrix E,
-which depends only on span(B): the matrices do not depend on the basis the
-eigensolver returned, so BLAS summation order moves them by roundoff only.
-The restriction B' R(s) B is computed for the generators s only; every other
-element is reached along a breadth-first Cayley-graph tree, rho(x s) =
-rho(x) rho(s), one batched product per layer.
+Attempt j draws its probes from the stream [seed, j]; the gauge anchor and
+then each attempt's z come from [seed, _RETRY_BUDGET]. An attempt whose draws
+do not separate what they must is retried. Each kept basis is gauge fixed,
+B -> B polar(B' E), a function of span(B) alone, so neither the eigensolver's
+basis nor the BLAS summation order moves the matrices beyond roundoff. The
+restriction B' R(s) B is computed for the generators s only and filled along
+a breadth-first Cayley-graph tree, rho(x s) = rho(x) rho(s).
 
 The final representations are checked on every element: their traces must be
-constant on classes, irreducible, and equal to the refine character, and the
+constant on classes, irreducible and equal to the table's character, and the
 product law is validated exhaustively. The table is ordered canonically
-(trivial first, then by dimension and character) and checked for
-completeness: the squared dimensions must sum to |G| and the count must equal
-the number of conjugacy classes.
+(trivial first, then by dimension and character), and the squared dimensions
+must sum to |G|.
 """
 
 from __future__ import annotations
@@ -66,7 +53,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DecompositionFailed, OrderCapExceeded, ToleranceViolation
-from .groups import FiniteGroup, _cayley_tree
+from .groups import FiniteGroup, _cayley_tree, _element_orders
 
 __all__ = [
     "UnitaryRep",
@@ -230,7 +217,7 @@ def _class_average(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
 
 
 class _SplitFailed(Exception):
-    """Internal: a subspace refused to refine within the depth budget."""
+    """Internal: a draw did not separate what it must; the attempt is retried."""
 
 
 def _cluster_slices(eigenvalues: np.ndarray, width: float) -> list[slice]:
@@ -240,46 +227,43 @@ def _cluster_slices(eigenvalues: np.ndarray, width: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
-def _cluster_characters(group: FiniteGroup, left: np.ndarray,
-                        vectors: np.ndarray, slices: list[slice]) -> np.ndarray:
-    """Class character of each cluster of columns B of vectors, one row each.
+def _width(eigenvalues: np.ndarray) -> float:
+    """The clustering width of a spectrum, relative to its largest |eigenvalue|."""
+    return _EIGENGAP * max(np.abs(eigenvalues).max(), 1e-300)
 
-    chi(c) = tr(B' R(c) B) = sum_z <B[c^-1 z], B[z]> at one c per class. Each
-    gather of the rows at c^-1 z gives every column's share for its classes,
-    and the shares are summed per cluster. A gather holds at most |G|^2
-    entries: one class for the whole space, many for a narrow subspace.
+
+def _central_element(group: FiniteGroup, rng: np.random.Generator) -> np.ndarray:
+    """Class coefficients a with a(C^-1) = conj a(C): z = sum_C a(C) C is
+    central and self-adjoint."""
+    k = len(group.classes)
+    a = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    inverse = group.class_of[group.inverses[[c[0] for c in group.classes]]]
+    return (a + a[inverse].conj()) / 2.0
+
+
+def _character_table(group: FiniteGroup, a: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending omega_chi(z), the characters as rows in that order, and
+    the row of each one's complex conjugate, for z = sum_C a(C) C.
+
+    z C_i = sum_l M[l, i] C_l with M[l, i] = sum_{x in C_i} a(r_l x^-1), r_l
+    in C_l. D^1/2 M D^-1/2, D = diag |C|, is Hermitian, with eigenvectors
+    conj chi(C) sqrt(|C| / |G|) up to phase and eigenvalues
+    omega_chi(z) = sum_C a(C) |C| chi(C) / chi(1). Raises _SplitFailed when
+    two omega are within the clustering width.
     """
-    n, m = vectors.shape
-    conj = vectors.conj()
-    rows = left[[cls[0] for cls in group.classes]]
-    step = max(1, n // m)
-    shares = np.concatenate([
-        np.einsum("cij,ij->cj", np.take(vectors, rows[i:i + step], axis=0), conj)
-        for i in range(0, len(rows), step)])
-    return np.add.reduceat(shares, [sl.start for sl in slices], axis=1).T
-
-
-def _irreducible(group: FiniteGroup, characters: np.ndarray) -> np.ndarray:
-    """sum_c |C| |chi(c)|^2 / |G| = 1, for each row of characters."""
-    norms = np.abs(characters) ** 2 @ np.bincount(group.class_of) / group.order
-    return np.abs(norms - 1.0) <= _IRREDUCIBILITY
-
-
-def _first_copies(characters: np.ndarray) -> np.ndarray:
-    """Mask of the rows that match no earlier first copy within _CHARACTER_MATCH.
-
-    Each row is compared with the first copies seen so far in one array
-    operation.
-    """
-    seen = np.empty_like(characters)
-    first = np.zeros(len(characters), dtype=bool)
-    count = 0
-    for i, chi in enumerate(characters):
-        if not np.any(np.max(np.abs(seen[:count] - chi), axis=1) <= _CHARACTER_MATCH):
-            seen[count] = chi
-            count += 1
-            first[i] = True
-    return first
+    sizes = np.bincount(group.class_of)
+    k = len(sizes)
+    at = group.table[[c[0] for c in group.classes]][:, group.inverses]
+    m = np.zeros((k, k), dtype=np.complex128)
+    np.add.at(m, (np.arange(k)[:, None], group.class_of), a[group.class_of[at]])
+    root = np.sqrt(sizes)
+    omega, v = np.linalg.eigh(m * root[:, None] / root)
+    if np.any(np.diff(omega) <= _width(omega)):
+        raise _SplitFailed("two irreps share an eigenvalue of the central element")
+    characters = (v * (np.abs(v[0]) / v[0])).conj().T * (math.sqrt(group.order) / root)
+    bar = (characters.conj() @ (a * sizes)).real / characters[:, 0].real
+    return omega, characters, np.abs(bar[:, None] - omega).argmin(axis=1)
 
 
 def _probe_function(group: FiniteGroup, rng: np.random.Generator,
@@ -296,119 +280,135 @@ def _cyclic_orbits(group: FiniteGroup) -> np.ndarray:
     """The orbits {h^j a} of left translation by <h>, for the first element h
     of largest order k: an (n / k, k) array whose row i holds h^j a_i, j =
     0..k-1, with a_i the least index of its orbit."""
-    table, identity = group.table, group.identity
-    elements = np.arange(group.order)
-    orders = np.zeros(group.order, dtype=np.int64)
-    power, t = elements, 1
-    while True:
-        orders[(power == identity) & (orders == 0)] = t
-        if orders.all():
-            break
-        power, t = table[power, elements], t + 1
+    orders = _element_orders(group)
     h, k = int(orders.argmax()), int(orders.max())
-    cycle = [identity]
+    cycle = [group.identity]
     for _ in range(k - 1):
-        cycle.append(int(table[cycle[-1], h]))
-    powers = table[cycle]                      # powers[j, x] = h^j x
+        cycle.append(int(group.table[cycle[-1], h]))
+    powers = group.table[cycle]                # powers[j, x] = h^j x
     return powers[:, np.unique(powers.min(axis=0))].T
 
 
-def _regular_eigh(group: FiniteGroup, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and real orthonormal eigenvectors of the real
-    symmetric probe T[z, w] = f(z^-1 w), for a real f with f(x^-1) = f(x).
+def _typed_probe(group: FiniteGroup, f: np.ndarray, z: np.ndarray,
+                 omega: np.ndarray, conjugate: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The eigenvectors of T[x, y] = f(x^-1 y) for a real f, solved by
+    blocks, each typed by T_z for the central element z on elements.
 
-    With z = h^j a_i over the _cyclic_orbits, T[h^j a_i, h^l a_r] =
-    G[l - j mod k, i, r] for G[t, i, r] = f(a_i^-1 h^t a_r): T is block
-    circulant, with the k diagonal blocks B_s = sum_t G[t] e^(-2 pi i s t / k)
-    of size m = n / k, and one real FFT of G over t gives those with
-    s <= k/2. If B_s u = lambda u, then v(h^j a_i) = e^(-2 pi i s j / k)
-    u_i / sqrt(k) has T v = lambda v. B_0, and B_(k/2) for even k, are real
-    symmetric and give real v. The other blocks are Hermitian with
-    B_(k-s) = conj(B_s), so only s < k/2 is solved, and each of its v,
-    orthogonal to conj(v), gives the two real eigenvectors sqrt(2) Re v and
-    sqrt(2) Im v.
+    On the orbits, T[h^j a_i, h^l a_r] = G[l - j mod k, i, r] with
+    G[t, i, r] = f(a_i^-1 h^t a_r): if P_s = sum_t G[t] e^(-2 pi i s t / k)
+    has P_s u = lambda u, then v(h^j a_i) = e^(-2 pi i s j / k) u_i / sqrt(k)
+    has T v = lambda v, and block k - s is the conjugate of block s. Returns
+    the orbits and, for all n eigenvectors, the block s, the vector u (rows),
+    the cluster in ascending eigenvalue order and the irrep, len(omega) where
+    none matches.
     """
-    n = group.order
     orbits = _cyclic_orbits(group)
     m, k = orbits.shape
-    gathered = f[group.table[group.inverses[orbits[:, 0]][None, :, None],
-                             orbits.T[:, None, :]]]
-    blocks = np.fft.rfft(gathered, axis=0)
-    real = [0, k // 2] if k % 2 == 0 else [0]
-    w_real, u_real = np.linalg.eigh(blocks[real].real)
-    w_complex, u_complex = np.linalg.eigh(blocks[1:(k + 1) // 2])
-    w = np.concatenate([w_real.ravel(), np.repeat(w_complex.ravel(), 2)])
-    order = np.argsort(w, kind="stable")
-    column = np.empty(n, dtype=np.int64)
-    column[order] = np.arange(n)
-    # one block at a time, so no temporary outgrows an n x 2m slab
-    vectors = np.empty((n, n))
-    rows = orbits.reshape(-1, 1)
-    j = np.arange(k)
-    start = 0
-    for s, u in zip(real + list(range(1, (k + 1) // 2)),
-                    list(u_real) + list(u_complex)):
-        phase = np.exp(-2j * np.pi * (s * j % k) / k)
-        if np.isrealobj(u):
-            lifted = u[:, None, :] * (phase.real / math.sqrt(k))[:, None]
-        else:
-            # interleaved real and imaginary parts: sqrt(2) Re v, sqrt(2) Im v
-            lifted = (u[:, None, :] * (phase * math.sqrt(2.0 / k))[:, None]).view(np.float64)
-        width = lifted.shape[2]
-        vectors[rows, column[start:start + width]] = lifted.reshape(n, width)
-        start += width
-    return w[order], vectors
+    half = k // 2 + 1
+    at = group.table[group.inverses[orbits[:, 0]][None, :, None], orbits.T[:, None, :]]
+    probe, central = np.fft.fft(np.stack([f[at], z[at]]), axis=1)[:, :half]
+    real, pairs = ([0, k // 2] if k % 2 == 0 else [0]), slice(1, (k + 1) // 2)
+    w = np.empty((half, m))
+    u = np.empty((half, m, m), dtype=np.complex128)
+    w[real], u[real] = np.linalg.eigh(probe[real].real)
+    w[pairs], u[pairs] = np.linalg.eigh(probe[pairs])
+    order = np.argsort(w.ravel(), kind="stable")
+    slices = _cluster_slices(w.ravel()[order], _width(w))
+    cluster = np.empty(w.size, dtype=np.int64)
+    cluster[order] = np.repeat(np.arange(len(slices)), [sl.stop - sl.start for sl in slices])
+    # z is central, so Z_s maps each cluster's part of block s, a run of the
+    # block's ascending eigenvalues, to itself: an eigh of U' Z_s U on each
+    # run, batched over runs of one length, gives eigenvectors of both
+    y = u.conj().transpose(0, 2, 1) @ central @ u
+    values = np.diagonal(y, axis1=1, axis2=2).real.copy()
+    first = np.ones((half, m), dtype=bool)
+    first[:, 1:] = np.diff(cluster.reshape(half, m)) != 0
+    starts = np.flatnonzero(first)
+    lengths = np.diff(np.append(starts, first.size))
+    for p in np.unique(lengths[lengths > 1]):
+        s, a = np.divmod(starts[lengths == p], m)
+        s, cols = s[:, None], a[:, None] + np.arange(p)
+        values[s, cols], rot = np.linalg.eigh(y[s[:, :, None], cols[:, :, None], cols[:, None, :]])
+        u[s, :, cols] = rot.transpose(0, 2, 1) @ u[s, :, cols]
+    irrep = np.abs(values.reshape(-1, 1) - omega).argmin(axis=1)
+    irrep[np.abs(values.ravel() - omega[irrep]) > _width(omega) / 2] = len(omega)
+    # a vector of a block 0 < s < k/2, conjugated, is one of block k - s of
+    # the conjugate irrep
+    block = np.repeat(np.arange(half), m)
+    vectors = u.transpose(0, 2, 1).reshape(-1, m)
+    paired = (block > 0) & (2 * block != k)
+    return (orbits, np.concatenate([block, k - block[paired]]),
+            np.concatenate([vectors, vectors[paired].conj()]),
+            np.concatenate([cluster, cluster[paired]]),
+            np.concatenate([irrep, np.append(conjugate, len(omega))[irrep[paired]]]))
 
 
-def _split(group: FiniteGroup, left: np.ndarray, rng: np.random.Generator,
-           basis: np.ndarray | None = None) -> tuple[np.ndarray, list[slice]]:
-    """Eigenvectors of a fresh probe, on span(basis) or, by default, everywhere.
-
-    Returns the eigenvectors as columns, in ascending eigenvalue order, and
-    the slices of their eigenvalue clusters. The probe is the right
-    convolution T[z, w] = f(z^-1 w) by a _probe_function f: it commutes with
-    every left translation and is exactly Hermitian. On the whole space f is
-    real, so T is real symmetric and _regular_eigh solves it by blocks;
-    compressed to an invariant subspace, f is complex and B' T B commutes
-    with the restricted representation, so its eigenspaces are invariant too.
-    """
-    f = _probe_function(group, rng, basis is not None)
-    if basis is None:
-        w, v = _regular_eigh(group, f)
-    else:
-        w, v = np.linalg.eigh(basis.conj().T @ (f[left] @ basis))
-        v = basis @ v
-    slices = _cluster_slices(w, _EIGENGAP * max(np.abs(w).max(), 1e-300))
-    return v, slices
+def _lift(orbits: np.ndarray, block: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The eigenvectors v(h^j a_i) = e^(-2 pi i s j / k) u_i / sqrt(k) of T, as
+    columns, for block eigenvectors u (rows) of the blocks s."""
+    k = orbits.shape[1]
+    phase = np.exp(-2j * np.pi * (np.outer(np.arange(k), block) % k) / k) / math.sqrt(k)
+    lifted = np.empty((orbits.size, len(block)), dtype=np.complex128)
+    lifted[orbits] = vectors.T[:, None, :] * phase
+    return lifted
 
 
-def _refine(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
-            chi: np.ndarray, irreducible: bool, rng: np.random.Generator,
-            depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the invariant subspace spanned by basis into irreducible pieces.
+def _probe_bases(group: FiniteGroup, z: np.ndarray, omega: np.ndarray,
+                 conjugate: np.ndarray, dims: np.ndarray,
+                 rng: np.random.Generator) -> dict[int, np.ndarray]:
+    """An orthonormal basis of one invariant subspace per irrep of dim >= 2,
+    keyed by its row of the table: its eigenvectors in the first cluster that
+    is a whole copy of it. A whole cluster holds, for an irrep rho of dim d,
+    either d eigenvectors of rho and d of conj(rho) (once if rho is real),
+    or 2d of a real rho, and nothing else."""
+    f = _probe_function(group, rng, compressed=False)
+    orbits, block, vectors, cluster, irrep = _typed_probe(group, f, z, omega, conjugate)
+    counts = np.zeros((cluster.max() + 1, len(omega) + 1), dtype=np.int64)
+    np.add.at(counts, (cluster, irrep), 1)
+    rows, total = np.arange(len(counts)), counts.sum(axis=1)
+    rho = counts[:, :-1].argmax(axis=1)
+    mine, d, real = counts[rows, rho], dims[rho], conjugate[rho] == rho
+    whole = ((total == np.where(real, 1, 2) * mine) & (counts[rows, conjugate[rho]] == mine)
+             & ((mine == d) | ((mine == 2 * d) & real)))
+    big = np.flatnonzero(dims > 1)
+    copies = whole[:, None] & (counts[:, big] > 0)
+    if not copies.any(axis=0).all():
+        missing = big[~copies.any(axis=0)][0]
+        raise _SplitFailed(f"no whole copy of an irrep of dim {dims[missing]}")
+    first = dict(zip(big, copies.argmax(axis=0)))
+    bases = {}
+    for r, c in first.items():
+        keep = (cluster == c) & (irrep == r)
+        bases[r] = _lift(orbits, block[keep], vectors[keep])
+    # every cluster that is not one copy of one irrep takes a compressed
+    # draw, in cluster order, whether it is split or not
+    doubles = {c: r for r, c in first.items() if mine[c] == 2 * dims[r]}
+    for c in np.flatnonzero(~whole | (total != d)):
+        if c > max(doubles, default=-1):
+            break
+        g = _probe_function(group, rng, compressed=True)
+        if c in doubles:
+            bases[doubles[c]] = _split_copies(group, g, bases[doubles[c]], d[c])
+    return bases
 
-    chi is the class character of the subspace and irreducible its test.
-    Returns (basis, class character) pairs. Raises _SplitFailed when the
-    depth budget runs out before everything is irreducible.
-    """
-    if irreducible:
-        return [(basis, chi)]
-    if depth >= _RETRY_BUDGET:
-        raise _SplitFailed(f"subspace of dim {basis.shape[1]} would not split")
-    vectors, slices = _split(group, left, rng, basis)
-    characters = _cluster_characters(group, left, vectors, slices)
-    pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    for sl, sub, irr in zip(slices, characters, _irreducible(group, characters)):
-        pieces.extend(_refine(group, left, vectors[:, sl], sub, irr, rng, depth + 1))
-    return pieces
+
+def _split_copies(group: FiniteGroup, g: np.ndarray, basis: np.ndarray,
+                  d: int) -> np.ndarray:
+    """One of two copies of an irrep of dim d: the lowest eigenspace of the
+    compressed probe B' T B, T[x, y] = g(x^-1 y), on their span."""
+    w, v = np.linalg.eigh((basis.conj().T @ g[group.table[group.inverses]]) @ basis)
+    lowest = _cluster_slices(w, _width(w))[0]
+    if lowest.stop != d:
+        raise _SplitFailed(f"two copies of an irrep of dim {d} would not split")
+    return basis @ v[:, lowest]
 
 
-def _restrict(group: FiniteGroup, left: np.ndarray, basis: np.ndarray,
+def _restrict(group: FiniteGroup, basis: np.ndarray,
               tree: list[tuple[np.ndarray, ...]]) -> np.ndarray:
     """B' R(x) B for every x: computed on the generators, filled along the tree."""
     n, d = basis.shape
     bc = basis.conj().T
-    images = np.array([bc @ basis[left[s]] for s in group.generators],
+    images = np.array([bc @ basis[group.table[group.inverses[s]]] for s in group.generators],
                       dtype=np.complex128).reshape(-1, d, d)
     mats = np.empty((n, d, d), dtype=np.complex128)
     mats[group.identity] = np.eye(d)
@@ -449,10 +449,9 @@ def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
     n = group.order
     if n > ORDER_CAP:
         raise OrderCapExceeded(f"order {n} above decomposition cap {ORDER_CAP}")
-    left = group.table[group.inverses]          # left[x][z] = x^-1 * z
-    tree = _cayley_tree(group, group.generators)
-    # the gauge anchor E: no irrep is wider than isqrt(n), and its stream
-    # [seed, _RETRY_BUDGET] is none of the attempts' [seed, attempt]
+    # the gauge anchor E (no irrep is wider than isqrt(n)) and then each
+    # attempt's central element come from the stream [seed, _RETRY_BUDGET],
+    # which is none of the attempts' [seed, attempt]
     gauge = np.random.default_rng([seed, _RETRY_BUDGET])
     width = math.isqrt(n)
     anchor = (gauge.standard_normal((n, width))
@@ -461,7 +460,7 @@ def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
     for attempt in range(_RETRY_BUDGET):
         rng = np.random.default_rng([seed, attempt])
         try:
-            return _decompose_once(group, left, tree, anchor, rng)
+            return _decompose_once(group, anchor, gauge, rng)
         except _SplitFailed as exc:
             last = exc
     raise DecompositionFailed(
@@ -469,45 +468,35 @@ def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
         f"reseeded attempts: {last}")
 
 
-def _decompose_once(group: FiniteGroup, left: np.ndarray,
-                    tree: list[tuple[np.ndarray, ...]], anchor: np.ndarray,
-                    rng: np.random.Generator) -> IrrepTable:
+def _decompose_once(group: FiniteGroup, anchor: np.ndarray,
+                    gauge: np.random.Generator, rng: np.random.Generator) -> IrrepTable:
     n = group.order
-    # the first probe cuts the whole space into clusters, copies of each
-    # isomorphism type; only the first copy of each class character is refined
-    vectors, slices = _split(group, left, rng)
-    characters = _cluster_characters(group, left, vectors, slices)
-    pieces: list[tuple[np.ndarray, np.ndarray]] = []
-    for sl, chi, irr, first in zip(slices, characters, _irreducible(group, characters),
-                                   _first_copies(characters)):
-        if first:
-            pieces.extend(_refine(group, left, vectors[:, sl], chi, irr, rng, depth=0))
-        elif not irr:
-            # a reducible copy still takes the draws of the compressed probe
-            # that would split it, so a seed gives the same bases whichever
-            # copies are refined
-            _probe_function(group, rng, compressed=True)
-
-    # a refined cluster can hold two copies of one irrep (quaternionic type)
-    # and, when clusters merge, pieces of other clusters
-    kept = [piece for piece, first
-            in zip(pieces, _first_copies(np.array([chi for _, chi in pieces])))
-            if first]
-
-    dims = [b.shape[1] for b, _ in kept]
-    if sum(d * d for d in dims) != n:
+    a = _central_element(group, gauge)
+    omega, characters, conjugate = _character_table(group, a)
+    dims = np.rint(characters[:, 0].real).astype(np.int64)
+    if dims @ dims != n:
         raise ToleranceViolation(
-            f"irrep dimensions {sorted(dims)} do not satisfy sum d^2 = {n}")
-    if len(kept) != len(group.classes):
-        raise ToleranceViolation(
-            f"found {len(kept)} irreps but {len(group.classes)} classes")
-
+            f"irrep dimensions {sorted(dims.tolist())} do not satisfy sum d^2 = {n}")
+    # an irrep of dim 1 is its character; an abelian group draws no probe
+    if dims.max() > 1:
+        # T[x, y] = f(x^-1 y) acts as sum_g f(g) g^-1, so z acts through
+        # f(x) = a(class of x^-1)
+        bases = _probe_bases(group, a[group.class_of[group.inverses]], omega,
+                             conjugate, dims, rng)
+        tree = _cayley_tree(group, group.generators)
+    orders = _element_orders(group)
     reps = []
-    for basis, chi in kept:
-        basis = _gauge_fix(basis, anchor)
+    for rho, chi in enumerate(characters):
+        if dims[rho] == 1:
+            # a linear character maps x to an o(x)-th root of unity: the
+            # nearest one is exact
+            turns = np.round(np.angle(chi[group.class_of]) * orders / (2 * np.pi))
+            matrices = np.exp(2j * np.pi * turns / orders).reshape(n, 1, 1)
+        else:
+            matrices = _restrict(group, _gauge_fix(bases[rho], anchor), tree)
         # character=None: the traces of every element are class averaged with
         # their spread checked, and irreducibility is read on every element
-        rep = UnitaryRep(group, _restrict(group, left, basis, tree))
+        rep = UnitaryRep(group, matrices)
         if not rep.is_irreducible:
             raise ToleranceViolation(f"piece of dim {rep.dim} is reducible")
         gap = np.max(np.abs(rep.character - chi))

@@ -105,61 +105,139 @@ def assert_same_table(table, ref):
     assert np.max(np.abs(table.character_table - ref.character_table)) < 1e-10
 
 
-@pytest.fixture
-def splits(monkeypatch):
-    """Records, for every probe drawn, whether it was compressed to a subspace."""
-    compressed = []
-    split = irreps._split
-
-    def recording(group, left, rng, basis=None):
-        compressed.append(basis is not None)
-        return split(group, left, rng, basis)
-
-    monkeypatch.setattr(irreps, "_split", recording)
-    return compressed
+# every pinned spec of order <= 700 (symmetric 6 has order 720)
+DECOMPOSABLE = ([("dihedral", n) for n in range(1, 13)]
+                + [("symmetric", n) for n in range(1, 6)]
+                + [("alternating", n) for n in range(1, 7)]
+                + [("quaternion8",), ("heisenberg", 3), ("heisenberg", 5),
+                   ("sl2", 3), ("sl2", 5), ("sl2", 7), ("psl2", 5), ("psl2", 7),
+                   ("psl2", 11), ("cyclic", 1), ("cyclic", 2), ("cyclic", 12),
+                   ("cyclic", 700)])
 
 
-@pytest.mark.parametrize("spec,eigengap", [
-    (("alternating", 5), 0.3),
-    (("cyclic", 12), 0.3),
-    (("quaternion8",), 0.3),
-    (("alternating", 6), 0.05),
-])
-def test_coarse_clusters_are_refined(monkeypatch, splits, spec, eigengap):
-    # a wide merge width puts several irreducible pieces in one cluster, so
-    # the refine step must split them with compressed probes
+@pytest.mark.parametrize("spec", DECOMPOSABLE)
+def test_character_table_matches_the_traces(spec):
+    # the class-algebra table and the traces of the decomposed reps are two
+    # routes to the same characters; rows pair up by orthogonality
+    g = groups.named(*spec)
+    a = irreps._central_element(g, np.random.default_rng(0))
+    omega, characters, conjugate = irreps._character_table(g, a)
+    ref = irreps.decompose(g).character_table
+    sizes = np.bincount(g.class_of)
+    match = np.abs((characters * sizes) @ ref.conj().T).argmax(axis=1)
+    assert sorted(match) == list(range(len(ref)))
+    assert np.max(np.abs(characters - ref[match])) <= 1e-10
+    assert np.max(np.abs(characters[conjugate] - characters.conj())) <= 1e-10
+    assert np.all(np.diff(omega) > 0)
+
+
+def test_a_corrupted_table_entry_fails_the_trace_check(monkeypatch):
+    table = irreps._character_table
+
+    def corrupted(group, a):
+        omega, characters, conjugate = table(group, a)
+        characters[characters[:, 0].real.argmax(), 1] += 1e-3
+        return omega, characters, conjugate
+
+    monkeypatch.setattr(irreps, "_character_table", corrupted)
+    with pytest.raises(ToleranceViolation,
+                       match="traces differ from its class character"):
+        irreps.decompose(groups.named("alternating", 5))
+
+
+def merge_clusters(monkeypatch, calls):
+    """Makes _cluster_slices put everything in one cluster on its first
+    `calls` calls; returns the lengths it is called with."""
+    chain = irreps._cluster_slices
+    lengths = []
+
+    def merging(eigenvalues, width):
+        lengths.append(len(eigenvalues))
+        if len(lengths) <= calls:
+            return [slice(0, len(eigenvalues))]
+        return chain(eigenvalues, width)
+
+    monkeypatch.setattr(irreps, "_cluster_slices", merging)
+    return lengths
+
+
+MERGED = [("alternating", 5), ("quaternion8",), ("sl2", 3), ("alternating", 6)]
+
+
+@pytest.mark.parametrize("spec", MERGED)
+def test_merged_clusters_are_retried(monkeypatch, spec):
+    # one cluster of the whole space is no whole copy of any irrep, so
+    # attempt 0 fails and attempt 1 draws a fresh central element and probe
     g = groups.named(*spec)
     ref = irreps.decompose(g)
-    splits.clear()
-    monkeypatch.setattr(irreps, "_EIGENGAP", eigengap)
+    lengths = merge_clusters(monkeypatch, calls=1)
     assert_same_table(irreps.decompose(g), ref)
-    assert any(splits)
+    assert lengths[1] == lengths[0]
+
+
+@pytest.mark.parametrize("spec", MERGED)
+def test_clusters_merged_on_every_attempt_fail(monkeypatch, spec):
+    lengths = merge_clusters(monkeypatch, calls=irreps._RETRY_BUDGET)
+    with pytest.raises(DecompositionFailed, match="no whole copy of an irrep"):
+        irreps.decompose(groups.named(*spec))
+    assert len(lengths) == irreps._RETRY_BUDGET
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Counts the whole-space probes, compressed probes and splits of two
+    copies that a decomposition draws."""
+    counts = {"whole": 0, "compressed": 0, "split": 0}
+    draw, split = irreps._probe_function, irreps._split_copies
+
+    def drawing(group, rng, compressed):
+        counts["compressed" if compressed else "whole"] += 1
+        return draw(group, rng, compressed)
+
+    def splitting(*args):
+        counts["split"] += 1
+        return split(*args)
+
+    monkeypatch.setattr(irreps, "_probe_function", drawing)
+    monkeypatch.setattr(irreps, "_split_copies", splitting)
+    return counts
 
 
 @pytest.mark.parametrize("spec,compressed", [
-    (("psl2", 11), 1),
-    (("sl2", 7), 5),
-    (("psl2", 7), 1),
+    (("psl2", 11), 0),
+    (("sl2", 7), 3),
+    (("psl2", 7), 0),
     (("sl2", 5), 4),
     (("quaternion8",), 1),
     (("alternating", 6), 0),
+    (("sl2", 3), 1),
+    (("heisenberg", 3), 0),
+    (("cyclic", 12), 0),
 ])
-def test_one_compressed_split_per_reducible_character(splits, spec, compressed):
+def test_one_compressed_split_per_reducible_character(draws, spec, compressed):
     # the real probe gives d_rho eigen-clusters per irrep type: a cluster
     # holds an irrep of real type, a complex-conjugate pair or two copies of
-    # a quaternionic irrep, and only the first cluster of each class
-    # character is refined, so a compressed probe is drawn once per complex
-    # pair and once per quaternionic irrep
+    # a quaternionic irrep. The central element separates a complex pair, so
+    # a compressed probe splits only the first cluster of each quaternionic
+    # irrep; an abelian group draws no probe at all
     table = irreps.decompose(groups.named(*spec))
     indicators = [irreps.frobenius_schur(r) for r in table]
-    assert splits.count(False) == 1
-    assert splits.count(True) == compressed
-    assert compressed == indicators.count(0) // 2 + indicators.count(-1)
+    assert draws["whole"] == (max(table.dims) > 1)
+    assert draws["split"] == compressed == indicators.count(-1)
+    assert draws["compressed"] >= compressed
 
 
-def _dense_eigh(group, f):
-    """The whole-space probe solved as one dense n x n eigh: the reference."""
-    return np.linalg.eigh(f[group.table[group.inverses]])
+def lifted_probe(group, seed):
+    """The typed probe's eigenvectors lifted to the whole space, as columns,
+    for a probe, central element and table drawn from the stream seed."""
+    rng = np.random.default_rng(seed)
+    f = irreps._probe_function(group, rng, compressed=False)
+    a = irreps._central_element(group, rng)
+    omega, _, conjugate = irreps._character_table(group, a)
+    z = a[group.class_of[group.inverses]]
+    orbits, block, vectors, cluster, irrep = irreps._typed_probe(group, f, z, omega,
+                                                                 conjugate)
+    return f, z, omega, irreps._lift(orbits, block, vectors), cluster, irrep
 
 
 @pytest.mark.parametrize("spec", [
@@ -168,29 +246,38 @@ def _dense_eigh(group, f):
 def test_blocked_probe_solve_matches_the_dense_solve(spec):
     # blocks under the cyclic subgroup of the first element of largest order
     # k: k = 1 (trivial group), k = 2 (exponent 2), k = n (cyclic), odd and
-    # even k with several orbits
+    # even k with several orbits. Lifted, the block eigenvectors with their
+    # conjugates are an orthonormal eigenbasis of the dense probe, clustered
+    # in ascending order, and each is an eigenvector of the central element
+    # with the eigenvalue of its irrep
     g = groups.named(*spec)
-    f = irreps._probe_function(g, np.random.default_rng(3), compressed=False)
+    f, z, omega, v, cluster, types = lifted_probe(g, 3)
     probe = f[g.table[g.inverses]]
-    w, v = irreps._regular_eigh(g, f)
-    assert v.dtype == np.float64 and v.shape == (g.order, g.order)
-    assert np.max(np.abs(v.T @ v - np.eye(g.order))) <= 1e-12
-    assert np.all(np.diff(w) >= 0)
+    assert v.shape == (g.order, g.order)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(g.order))) <= 1e-12
+    rayleigh = v.conj().T @ probe @ v
+    w = rayleigh.diagonal().real
     scale = np.max(np.abs(w))
-    assert np.max(np.abs(w - np.linalg.eigvalsh(probe))) <= 1e-12 * scale
-    assert np.max(np.abs(probe @ v - v * w)) <= 1e-11
+    assert np.max(np.abs(rayleigh - np.diag(w))) <= 1e-11 * scale
+    assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(probe))) <= 1e-12 * scale
+    assert np.all(np.diff(w[np.argsort(cluster, kind="stable")]) >= -1e-12 * scale)
+    assert np.all(types < len(omega))
+    central = z[g.table[g.inverses]]
+    assert np.max(np.abs(central @ v - v * omega[types])) <= 1e-11 * np.max(np.abs(omega))
 
 
 def test_bases_are_the_dense_solves(monkeypatch):
     # each probe eigenspace is the sum of its parts in the eigenspaces of
-    # left translation by <h>, so solving by blocks gives the dense solve's
-    # clusters and spans, and the gauge fix gives its bases
+    # left translation by <h>; with h the identity there is one orbit per
+    # element and a single block, the dense n x n solve, whose clusters and
+    # spans the gauge fix turns into the same bases
     cases = [(groups.named(*spec), seed)
              for spec in [("alternating", 5), ("psl2", 7), ("sl2", 7),
                           ("alternating", 6), ("psl2", 11)]
              for seed in range(3)]
     blocked = [irreps.decompose(g, seed) for g, seed in cases]
-    monkeypatch.setattr(irreps, "_regular_eigh", _dense_eigh)
+    monkeypatch.setattr(irreps, "_cyclic_orbits",
+                        lambda group: np.arange(group.order)[:, None])
     for (g, seed), table in zip(cases, blocked):
         dense = irreps.decompose(g, seed)
         assert dense.dims == table.dims, (g.name, seed)
@@ -198,8 +285,10 @@ def test_bases_are_the_dense_solves(monkeypatch):
             assert np.max(np.abs(a.matrices - b.matrices)) <= 1e-10, (g.name, seed)
 
 
+# heisenberg(3) has complex pairs of dim 3, sl2(3) a complex pair and a
+# quaternionic irrep of dim 2
 SMALL_GROUPS = [("symmetric", 3), ("quaternion8",), ("dihedral", 4),
-                ("alternating", 4), ("cyclic", 5)]
+                ("alternating", 4), ("cyclic", 5), ("heisenberg", 3), ("sl2", 3)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -209,8 +298,9 @@ def test_decomposition_is_seed_independent(spec, seed):
     assert_same_table(irreps.decompose(g, seed=seed), irreps.decompose(g))
 
 
+# the first five: two of the wider groups would multiply past the order cap
 SMALL_FACTORS = st.one_of(
-    st.sampled_from(SMALL_GROUPS),
+    st.sampled_from(SMALL_GROUPS[:5]),
     st.builds(lambda n: ("cyclic", n), st.integers(min_value=1, max_value=12)),
     st.builds(lambda n: ("dihedral", n), st.integers(min_value=1, max_value=6)))
 
@@ -240,25 +330,44 @@ def test_direct_product_irreps_are_tensor_products(spec1, spec2, seed):
     assert not unmatched
 
 
-@pytest.mark.parametrize("spec", [("alternating", 5), ("quaternion8",), ("cyclic", 6)])
-def test_non_invariant_piece_is_rejected(monkeypatch, spec):
-    # the first probe of every attempt cuts its first wide cluster in two;
-    # half of a probe eigenspace is not invariant, no compressed probe splits
-    # it into irreducible pieces, so no table may come back
-    g = groups.named(*spec)
-    cut = irreps._cluster_slices
+def cut_clusters(monkeypatch, calls, first_only):
+    """Makes _cluster_slices cut the first, or every, cluster of more than
+    one eigenvalue after its first eigenvalue, on its first `calls` calls."""
+    chain = irreps._cluster_slices
+    made = []
 
     def cutting(eigenvalues, width):
-        slices = cut(eigenvalues, width)
-        if len(eigenvalues) == g.order:
-            i = next(i for i, sl in enumerate(slices) if sl.stop - sl.start > 1)
-            a, b = slices[i].start, slices[i].stop
-            slices[i:i + 1] = [slice(a, a + 1), slice(a + 1, b)]
+        made.append(len(eigenvalues))
+        slices = chain(eigenvalues, width)
+        if len(made) <= calls:
+            wide = [i for i, sl in enumerate(slices) if sl.stop - sl.start > 1]
+            for i in reversed(wide[:1] if first_only else wide):
+                a, b = slices[i].start, slices[i].stop
+                slices[i:i + 1] = [slice(a, a + 1), slice(a + 1, b)]
         return slices
 
     monkeypatch.setattr(irreps, "_cluster_slices", cutting)
+
+
+@pytest.mark.parametrize("spec", [("alternating", 5), ("quaternion8",), ("sl2", 3)])
+def test_non_invariant_piece_is_rejected(monkeypatch, spec):
+    # the first probe of every attempt cuts each of its clusters of several
+    # block eigenvectors in two. A part of a probe eigenspace is not
+    # invariant: it is no whole copy of an irrep, or its reps fail the final
+    # checks, so no basis of a cut piece reaches a table
+    cut_clusters(monkeypatch, calls=irreps._RETRY_BUDGET, first_only=False)
     with pytest.raises((ToleranceViolation, DecompositionFailed)):
-        irreps.decompose(g)
+        irreps.decompose(groups.named(*spec))
+
+
+@pytest.mark.parametrize("spec", [("alternating", 5), ("sl2", 7)])
+def test_a_cut_copy_is_replaced_by_another(monkeypatch, spec):
+    # an irrep of dim d >= 2 fills several clusters; when the first probe cuts
+    # the first of them, the next whole copy supplies that irrep
+    g = groups.named(*spec)
+    ref = irreps.decompose(g)
+    cut_clusters(monkeypatch, calls=1, first_only=True)
+    assert_same_table(irreps.decompose(g), ref)
 
 
 def test_tilted_basis_is_rejected_by_the_final_reps(monkeypatch):
@@ -371,6 +480,22 @@ def test_bases_are_pinned(thread_runs, threads, name, spec):
                for i in range(len(PINNED_ENTRIES[name]))]
     assert f"{name}_{len(entries)}" not in thread_runs[threads]
     assert np.max(np.abs(np.array(entries) - PINNED_ENTRIES[name])) <= 1e-9
+
+
+def test_quaternionic_bases_are_pinned():
+    # rho(s)[0, 0] of sl2(7)'s quaternionic irreps at seed 0, for its first
+    # generator s: each is split off by a compressed probe, drawn after one
+    # draw per earlier cluster that is not one copy of one irrep, complex
+    # pairs included, so these pin the draw order
+    g = groups.named("sl2", 7)
+    s = g.generators[0]
+    assert s == 1
+    entries = [r.matrices[s, 0, 0] for r in irreps.decompose(g)
+               if irreps.frobenius_schur(r) == -1]
+    want = [-0.5237588435208118 - 0.20176729446772987j,
+            -0.02337871437517378 - 0.055435104842537955j,
+            0.3949110728996536 - 0.07169141013935598j]
+    assert np.max(np.abs(np.array(entries) - want)) <= 1e-9
 
 
 @pytest.mark.parametrize("tamper,match", [
