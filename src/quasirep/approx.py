@@ -46,7 +46,7 @@ from .errors import (
 from .fourier import transform_matrix
 from .groups import FiniteGroup
 from .irreps import IrrepTable, UnitaryRep
-from .sampling import haar_basis, rng_from
+from .sampling import haar_basis
 
 __all__ = [
     "AGREEMENT_TOL",
@@ -180,7 +180,7 @@ def _pair_scan(psi: MatrixFunction, agreement_tol: float,
     chunk = max(1, (1 << 18) // max(1, n * d * d))
     right = np.ascontiguousarray(mats.transpose(1, 0, 2)).reshape(d, n * d)
     if screen:
-        u, r = haar_basis(rng_from(_SCREEN_SEED), d, 1, stack=(2,))[:, :, 0]
+        u, r = haar_basis(np.random.default_rng(_SCREEN_SEED), d, 1, stack=(2,))[:, :, 0]
         a = u.conj() @ mats                    # a(x) = u' psi(x), (n, d)
         bt = np.ascontiguousarray((mats @ r).T)  # b(y) = psi(y) r, as (d, n)
         f = a @ r                              # f(z) = u' psi(z) r
@@ -348,7 +348,7 @@ def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
     elif subspace == "haar":
         if seed is None:
             raise ValueError("subspace='haar' needs a seed")
-        basis = haar_basis(rng_from(seed), rho.dim, d_psi)
+        basis = haar_basis(np.random.default_rng(seed), rho.dim, d_psi)
     else:
         raise ValueError(f"unknown subspace {subspace!r}; use 'leading' or 'haar'")
     scale = np.sqrt(rho.dim / d_psi)
@@ -407,7 +407,7 @@ def random_sign_function(group: FiniteGroup, seed) -> MatrixFunction:
     n = group.order
     if n % 2:
         raise OddOrder(f"balanced sign function needs even order, got {n}")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     values = np.ones(n)
     values[rng.permutation(n)[: n // 2]] = -1.0
     return MatrixFunction(group, 1, values.reshape(n, 1, 1).astype(np.complex128))
@@ -415,15 +415,15 @@ def random_sign_function(group: FiniteGroup, seed) -> MatrixFunction:
 
 def haar_baseline(group: FiniteGroup, dim: int, seed) -> MatrixFunction:
     """Independent Haar unitary at every element; the no-structure baseline."""
-    return MatrixFunction(group, dim,
-                          haar_basis(rng_from(seed), dim, dim, stack=(group.order,)))
+    return MatrixFunction(group, dim, haar_basis(np.random.default_rng(seed), dim, dim,
+                                                 stack=(group.order,)))
 
 
 def perturbed_irrep(rho: UnitaryRep, fraction: float, seed) -> MatrixFunction:
     """Copy of an irrep with a seeded fraction of elements replaced by Haar noise."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     mats = rho.matrices.copy()
     count = int(round(fraction * rho.group.order))
     replaced = rng.choice(rho.group.order, size=count, replace=False)
@@ -438,7 +438,7 @@ def random_admissible(group: FiniteGroup, dim: int, seed) -> MatrixFunction:
     produces admissible but nowhere-unitary functions; haar_baseline gives
     pointwise unitary ones.
     """
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     n = group.order
     a = (rng.standard_normal((n, dim, dim))
          + 1j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0 * dim)

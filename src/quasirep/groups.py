@@ -14,13 +14,16 @@ projective line, and the quaternion group by left multiplication on its eight
 elements. Cyclic groups and direct products are filled as tables. A
 line-oriented text format with a strict loader round-trips tables to disk, and
 a SHA-256 digest of the table identifies a group.
+
+Table entries are integers in one grammar: in a file, the decimal tokens
+np.loadtxt reads as int64 (ASCII digits, an optional sign, whitespace between),
+any other token rejected with its line number; in an array, an integer dtype.
 """
 
 from __future__ import annotations
 
 import hashlib
 import inspect
-import io
 import math
 import warnings
 from typing import Callable, Iterable, Sequence
@@ -164,12 +167,17 @@ def _conjugacy_partition(table: np.ndarray, inverses: np.ndarray,
 def from_table(table, name: str = "table") -> FiniteGroup:
     """Validate a multiplication table and wrap it as a FiniteGroup.
 
-    Raises NotAGroup with a witness (row, column, or triple) when any axiom
-    fails. Associativity is checked exactly at every order.
+    Entries must have an integer dtype; any other (float, bool, str, complex,
+    object) raises NotAGroup naming it rather than being cast. Raises
+    NotAGroup with a witness (row, column, or triple) when any axiom fails.
+    Associativity is checked exactly at every order.
     """
-    arr = np.array(table, dtype=np.int64)
+    arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotAGroup(f"table must be square, got shape {arr.shape}")
+    if arr.dtype.kind not in "iu":
+        raise NotAGroup(f"table entries must be integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64)
     n = len(arr)
     if n == 0:
         raise NotAGroup("empty table")
@@ -482,8 +490,9 @@ def save_group(group: FiniteGroup, path: str) -> None:
 def load_group(path: str) -> FiniteGroup:
     """Strict loader for the group format; any deviation raises FileFormatError.
 
-    The table is parsed in one pass (_parse_table); only a table that pass
-    refuses is read row by row, which names the first bad line.
+    Table entries are decimal int64 tokens as np.loadtxt reads them (ASCII
+    digits, an optional sign). One pass parses the table (_parse_table); only
+    a table it refuses is read row by row, which names the first bad line.
     """
     lines = read_lines(path, GROUP_MAGIC)
     if len(lines) < 3:
@@ -513,45 +522,43 @@ def _parse_table(rows: list[str], order: int) -> np.ndarray:
     """The table rows of a group file as an (order, order) array.
 
     A well-formed table is parsed by one np.loadtxt call and one range check.
-    Anything else, and every token loadtxt refuses (such as fullwidth digits
-    or "1_0", which int() reads), goes to _parse_rows, which parses the
-    tokens as int() does and names the first bad line.
+    A table that call refuses, or of the wrong shape or range, is read again
+    one row at a time by _check_rows, which names the first bad line.
     """
-    # loadtxt skips blank lines, hence the shape check, and warns when no
-    # line is left; a warning sends the rows to the loop as an error does
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            table = np.loadtxt(io.StringIO("\n".join(rows)), dtype=np.int64,
-                               comments=None, ndmin=2)
-        except (ValueError, Warning):
-            return _parse_rows(rows, order)
+    try:
+        table = _loadtxt(rows)
+    except (ValueError, Warning):
+        return _check_rows(rows, order)
     if table.shape != (order, order) or table.min() < 0 or table.max() >= order:
-        return _parse_rows(rows, order)
+        return _check_rows(rows, order)
     return table
 
 
-def _parse_rows(rows: list[str], order: int) -> np.ndarray:
+def _loadtxt(rows: list[str]) -> np.ndarray:
+    """The rows as a 2-d int64 array of decimal tokens; a warning raises."""
+    # loadtxt skips blank lines and warns when no line is left, and some numpy
+    # releases warn rather than refuse when they read an integer through a
+    # float ("5.0"); each warning raises, so such a table is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
+
+
+def _check_rows(rows: list[str], order: int) -> np.ndarray:
     """Parse the table row by row; raise FileFormatError at the first bad line."""
     table = np.empty((order, order), dtype=np.int64)
-    for r in range(order):
+    for r, row in enumerate(rows):
         lineno = 4 + r
-        parts = rows[r].split()
-        if len(parts) != order:
-            raise FileFormatError(
-                f"row has {len(parts)} entries, expected {order}", line=lineno)
+        count = len(row.split())    # loadtxt splits on the same whitespace
+        if count != order:
+            raise FileFormatError(f"row has {count} entries, expected {order}",
+                                  line=lineno)
         try:
-            table[r] = parts            # parsed as int() parses each token
-            row = table[r]
-        except (ValueError, OverflowError):
-            # numpy stops at the first token that is not an integer or lies
-            # beyond int64; a non-integer anywhere in the row is reported first
-            try:
-                row = np.array([int(p) for p in parts], dtype=object)
-            except ValueError:
-                raise FileFormatError("non-integer table entry", line=lineno) from None
-        outside = np.flatnonzero((row < 0) | (row >= order))
+            table[r] = _loadtxt([row])
+        except (ValueError, Warning):
+            raise FileFormatError("non-integer table entry", line=lineno) from None
+        outside = np.flatnonzero((table[r] < 0) | (table[r] >= order))
         if len(outside):
-            raise FileFormatError(f"entry {row[outside[0]]} outside 0..{order - 1}",
+            raise FileFormatError(f"entry {table[r, outside[0]]} outside 0..{order - 1}",
                                   line=lineno)
     return table

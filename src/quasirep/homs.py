@@ -20,7 +20,6 @@ from .errors import MissingIrrepTable, NotAHomomorphism
 from .groups import FiniteGroup, _cayley_tree
 from .irreps import IrrepTable, UnitaryRep
 from .approx import MatrixFunction
-from .sampling import rng_from
 
 __all__ = [
     "GroupMap",
@@ -142,7 +141,7 @@ def lift_through_irrep(f: GroupMap, sigma: UnitaryRep) -> MatrixFunction:
 
 def random_map(source: FiniteGroup, target: FiniteGroup, seed) -> GroupMap:
     """Uniform independent image for every source element."""
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     return make_group_map(source, target,
                           rng.integers(0, target.order, source.order))
 
@@ -152,7 +151,7 @@ def balanced_random_map(source: FiniteGroup, target: FiniteGroup, seed) -> Group
     n, h = source.order, target.order
     if n % h:
         raise ValueError(f"balanced map needs |H| | |G|, got {h} and {n}")
-    rng = rng_from(seed)
+    rng = np.random.default_rng(seed)
     values = np.repeat(np.arange(h), n // h)
     return make_group_map(source, target, values[rng.permutation(n)])
 

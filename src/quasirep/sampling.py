@@ -1,17 +1,10 @@
-"""Seeded generators and the one Haar draw, shared by approx and twirl."""
+"""The one Haar draw, shared by approx and twirl."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["rng_from", "haar_basis"]
-
-
-def rng_from(seed) -> np.random.Generator:
-    """Build a Generator from an int seed, a seed sequence, or pass one through."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+__all__ = ["haar_basis"]
 
 
 def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateDimension, IllConditionedGram
 from .irreps import UnitaryRep
-from .sampling import haar_basis, rng_from
+from .sampling import haar_basis
 
 __all__ = [
     "CLASS_NAMES",
@@ -278,7 +278,7 @@ def error_term_audit(rho: UnitaryRep, d_psi: int, samples: int = 200,
     # route (a): compressions C(x) = B' rho(x) B, integrand tr((C'C)^2)
     # one stacked draw; the compressions go one basis at a time so that no
     # temporary grows with samples x |G|
-    bases = haar_basis(rng_from(seed), d_rho, d_psi, stack=(samples,))
+    bases = haar_basis(np.random.default_rng(seed), d_rho, d_psi, stack=(samples,))
     vals = np.empty(samples)
     for s, b in enumerate(bases):
         c = b.conj().T @ rho.matrices @ b

@@ -157,6 +157,35 @@ def test_from_table_rejects_shape_and_range():
         groups.from_table([[0, 1], [1, 5]])
 
 
+@pytest.mark.parametrize("table", [
+    [[0, 1.9], [1.9, 0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [["0", "1"], ["1", "0"]],
+    [[False, True], [True, False]],
+    [[0, 1 + 0j], [1, 0]],
+    [[0, 2 ** 64], [2 ** 64, 0]],
+    np.array([[0, 1], [1, 0]], dtype=object),
+], ids=["float", "whole-float", "str", "bool", "complex", "2**64", "object"])
+def test_from_table_refuses_entries_without_an_integer_dtype(table):
+    with pytest.raises(NotAGroup, match="dtype"):
+        groups.from_table(table)
+
+
+@pytest.mark.parametrize("convert", [
+    lambda t: t.astype(np.int32), lambda t: t.astype(np.uint8),
+    lambda t: t.astype(np.int64), lambda t: t.tolist(),
+], ids=["int32", "uint8", "int64", "list"])
+def test_from_table_takes_integer_dtypes(convert):
+    g = groups.named("psl2", 7)
+    table = convert(g.table)
+    h = groups.from_table(table, name=g.name)
+    assert h.table.dtype == np.int64
+    assert np.array_equal(h.table, g.table)
+    assert groups.group_hash(h) == groups.group_hash(g)
+    # the entries are copied: the caller's array stays writeable
+    assert isinstance(table, list) or table.flags.writeable
+
+
 def test_from_table_rejects_missing_identity():
     # subtraction mod 3 is a Latin square with no two-sided identity
     n = 3
@@ -344,9 +373,9 @@ def test_load_rejects_wrong_row_count(tmp_path):
 @pytest.mark.parametrize("row,message", [
     ("1 x 0", "non-integer table entry"),
     ("1 3 0", "entry 3 outside 0..2"),
-    ("1 -1 99999999999999999999", "entry -1 outside 0..2"),
-    # beyond int64: out of range, unless the row also holds a non-integer
-    ("1 99999999999999999999 0", "entry 99999999999999999999 outside 0..2"),
+    # beyond int64: the row is unreadable, like a row holding a non-integer
+    ("1 -1 99999999999999999999", "non-integer table entry"),
+    ("1 99999999999999999999 0", "non-integer table entry"),
     ("99999999999999999999 x 0", "non-integer table entry"),
 ])
 def test_load_names_the_first_bad_entry(tmp_path, row, message):
@@ -376,22 +405,42 @@ def test_load_names_the_first_bad_line(tmp_path, rows, message, line):
 
 @pytest.mark.parametrize("spell", [
     lambda v: str(v).translate(str.maketrans("0123456789", "０１２３４５６７８９")),
-    lambda v: str(v) if v < 10 else f"{v // 10}_{v % 10}",
-])
-def test_load_reads_tokens_as_int_does(tmp_path, spell):
-    # np.loadtxt refuses fullwidth digits and "1_0"; int() reads them
+    lambda v: str(v).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda v: f"{v // 10}_{v % 10}",
+    lambda v: f"{v}.0",
+], ids=["fullwidth", "arabic-indic", "underscore", "float"])
+def test_load_rejects_tokens_loadtxt_refuses(tmp_path, spell):
+    # int() or float() reads each of these tokens; the file grammar does not
     g = groups.named("cyclic", 12)
-    rows = "".join(" ".join(map(spell, row)) + "\n" for row in g.table.tolist())
+    rows = [" ".join(map(str, row)) for row in g.table.tolist()]
+    rows[5] = " ".join(map(spell, g.table[5].tolist()))
+    body = "".join(row + "\n" for row in rows)
     path = tmp_path / "c12.grp"
-    path.write_text(f"quasirep-group v1\nname=c12\norder=12\n{rows}", encoding="utf-8")
-    assert np.array_equal(groups.load_group(str(path)).table, g.table)
+    path.write_text(f"quasirep-group v1\nname=c12\norder=12\n{body}", encoding="utf-8")
+    with pytest.raises(FileFormatError, match="non-integer table entry") as err:
+        groups.load_group(str(path))
+    assert err.value.line == 9
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_load_reads_crlf_and_cr_line_endings(tmp_path, newline):
+    # read_lines opens the file in text mode, whose universal newlines read
+    # both endings as "\n"
+    g = groups.named("psl2", 7)
+    path = tmp_path / "g.grp"
+    groups.save_group(g, str(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    back = groups.load_group(str(path))
+    assert back.name == g.name
+    assert np.array_equal(back.table, g.table)
+    assert groups.group_hash(back) == groups.group_hash(g)
 
 
 def test_well_formed_files_skip_the_row_loop(tmp_path, monkeypatch):
     def row_loop(rows, order):
         raise AssertionError("row loop ran")
-    monkeypatch.setattr(groups, "_parse_rows", row_loop)
-    for spec in [("cyclic", 1), ("symmetric", 3), ("psl2", 7)]:
+    monkeypatch.setattr(groups, "_check_rows", row_loop)
+    for spec in [("cyclic", 1), ("symmetric", 3), ("psl2", 7), ("psl2", 11)]:
         g = groups.named(*spec)
         path = tmp_path / "g.grp"
         groups.save_group(g, str(path))
