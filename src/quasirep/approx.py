@@ -10,16 +10,15 @@ bound on the defect / upper bound on agreement expressed through that norm
 and the smallest nontrivial irrep dimension d_min.
 
 defect_direct adds the exact-agreement fraction, a property of each pair,
-from a pass over all |G|^2 pairs. The pass first screens each chunk of rows
-with a bilinear Freivalds fingerprint u' psi(x) psi(y) r - u' psi(xy) r for
+from a pass over all |G|^2 pairs. The screened scan first takes a bilinear
+Freivalds fingerprint u' psi(x) psi(y) r - u' psi(xy) r of every pair for
 fixed unit vectors u and r, at O(n^2 d) cost. Since |u' D r| <= ||D||_F, no
-pair within the agreement tolerance fails the screen, so checking only the
-survivors on their own difference gives the same count whatever u and r
-are. A chunk with few survivors multiplies out only those; a dense chunk
-forms all its products with one matrix product, as does the unscreened scan
-kept for tolerance 0, for d = 1 and for near-representations. The defect is
-the scan's sum of per-pair squares when every chunk was multiplied out, and
-the spectral one otherwise.
+pair within the agreement tolerance fails the screen, so multiplying out
+only the survivors and checking each on its own difference gives the same
+count whatever u and r are. The full scan forms every product instead; it
+runs at tolerance 0, at d = 1 and near a genuine representation, and its
+sum of per-pair squares is then the defect. Otherwise the defect is the
+spectral one.
 
 Constructions: compressions of an irrep to a subspace (exact defect
 2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts,
@@ -81,9 +80,6 @@ _MIN_SINGULAR = 1e-10
 _CANCELLATION = 1e-6
 # relative roundoff margin of the pair screen's fingerprint
 _SCREEN_ROUNDOFF = 1e-12
-# a screened chunk with fewer survivors than this share of its pairs
-# multiplies out only the survivors
-_SPARSE_SHARE = 0.25
 # seed of the screen's fixed unit vectors u and r
 _SCREEN_SEED = 0x5C12EE
 
@@ -135,12 +131,11 @@ class DefectReport:
     agreement_prob comes from defect_direct's pair scan and is None from
     defect_via_fourier, which never visits the pairs. defect (and
     normalized_defect) is the spectral formula's in defect_via_fourier. In
-    defect_direct it is the scan's sum of per-pair squares when the scan
-    multiplied out every pair: always at tolerance 0, at d = 1 (sign
-    functions) and where the spectral formula would cancel (genuine irreps
-    and near-representations), and also where most pairs agree (dense
-    perturbations). Where the screen let the scan skip pairs it is the
-    spectral one. The triple trace, mean_opnorm, both bounds and the
+    defect_direct it is the full scan's sum of per-pair squares where that
+    scan runs: at tolerance 0, at d = 1 (sign functions) and where the
+    spectral formula would cancel (genuine irreps and near-representations).
+    Elsewhere the screened scan gives only the agreement, and the defect is
+    the spectral one. The triple trace, mean_opnorm, both bounds and the
     admissibility residual come from the spectral route in both.
     """
 
@@ -154,68 +149,35 @@ class DefectReport:
     admissibility_residual: float
 
 
-def _pair_scan(psi: MatrixFunction, agreement_tol: float,
-               screen: bool) -> tuple[float | None, float]:
-    """One pass over all |G|^2 pairs, a chunk of rows x at a time.
+def _chunk_rows(n: int, d: int) -> int:
+    """Rows x per chunk of a pair scan: about 4 MiB of d x d complex per (c, n) block.
 
-    Returns (mean squared Frobenius defect, exact-agreement fraction). A
-    scanned chunk forms every product psi(x) psi(y) as one matrix product
-    against the (d, n d) array [psi(y)]_y laid side by side. With screen,
-    each chunk first takes the fingerprint S(x, y) = u' (psi(x) psi(y) -
-    psi(xy)) r for fixed unit vectors u and r; since |u' D r| <= ||D||_F,
-    a pair whose |S| exceeds agreement_tol (plus a roundoff margin) cannot
-    agree. When under _SPARSE_SHARE of a chunk's pairs survive, only the
-    survivors are multiplied, and the defect is returned as None because
-    some pairs were never formed.
+    That is far below the 32 MiB ceiling of glibc's dynamic mmap threshold,
+    so peak memory does not depend on how many scans ran before. The full
+    scan holds two such blocks, the products and the gathered psi(xy), and
+    subtracts into the products. The screened scan holds (c, n) fingerprint
+    arrays, d^2 times smaller, then at most three (s, d, d) stacks for its s
+    survivors: psi(x), psi(y) and their products, later the gathered psi(xy).
     """
-    mats = psi.matrices
-    table = psi.group.table
+    return max(1, (1 << 18) // max(1, n * d * d))
+
+
+def _full_scan(psi: MatrixFunction, agreement_tol: float) -> tuple[float, float]:
+    """(mean squared Frobenius defect, exact-agreement fraction) over every pair.
+
+    A chunk of rows x forms its products psi(x) psi(y) as one matrix product
+    against the (d, n d) array [psi(y)]_y laid side by side.
+    """
+    mats, table = psi.matrices, psi.group.table
     n, d = psi.group.order, psi.dim
-    # chunk so each (c, d, n, d) complex temporary stays around 4 MiB, far
-    # below the 32 MiB ceiling of glibc's dynamic mmap threshold, so peak
-    # memory does not depend on how many scans ran before; two are live at
-    # once, the products and the gathered psi(xy), and the difference
-    # overwrites the products. The screen's (c, n) temporaries are d^2
-    # times smaller.
-    chunk = max(1, (1 << 18) // max(1, n * d * d))
+    chunk = _chunk_rows(n, d)
     right = np.ascontiguousarray(mats.transpose(1, 0, 2)).reshape(d, n * d)
-    if screen:
-        u, r = haar_basis(np.random.default_rng(_SCREEN_SEED), d, 1, stack=(2,))[:, :, 0]
-        a = u.conj() @ mats                    # a(x) = u' psi(x), (n, d)
-        bt = np.ascontiguousarray((mats @ r).T)  # b(y) = psi(y) r, as (d, n)
-        f = a @ r                              # f(z) = u' psi(z) r
-        # the computed fingerprint is within a small multiple of
-        # d eps (||psi(x)|| ||psi(y)|| + ||psi(xy)||) of its exact value,
-        # whatever u and r are; top bounds every Frobenius norm
-        flat = mats.view(np.float64).reshape(n, 2 * d * d)
-        top = float(np.sqrt(np.einsum("xr,xr->x", flat, flat).max()))
-        margin = agreement_tol + _SCREEN_ROUNDOFF * (top * top + top)
-        # buffers every chunk reuses: fresh (c, n) temporaries per chunk
-        # fragment the heap, which raised the peak RSS of `verify full`
-        # by about 2 MiB (3%)
-        height = min(chunk, n)
-        fingerprint, gathered = np.empty((2, height, n), dtype=np.complex128)
-        modulus = np.empty((height, n))
-        keep = np.empty((height, n), dtype=bool)
     total = 0.0
     agree = 0
-    scanned_all = True
     tol2 = agreement_tol * agreement_tol
     for x0 in range(0, n, chunk):
         hi = min(n, x0 + chunk)
         c = hi - x0
-        if screen:
-            s = np.matmul(a[x0:hi], bt, out=fingerprint[:c])
-            s -= np.take(f, table[x0:hi], out=gathered[:c])
-            np.less_equal(np.abs(s, out=modulus[:c]), margin, out=keep[:c])
-            if np.count_nonzero(keep[:c]) < _SPARSE_SHARE * c * n:
-                xs, ys = np.nonzero(keep[:c])
-                xs += x0
-                diff = mats[table[xs, ys]] - mats[xs] @ mats[ys]
-                parts = diff.view(np.float64).reshape(xs.size, 2 * d * d)
-                agree += int((np.einsum("kr,kr->k", parts, parts) <= tol2).sum())
-                scanned_all = False
-                continue
         prod = (mats[x0:hi].reshape(c * d, d) @ right).reshape(c, d, n, d)
         diff = np.subtract(mats[table[x0:hi]].transpose(0, 2, 1, 3), prod, out=prod)
         del prod
@@ -228,8 +190,42 @@ def _pair_scan(psi: MatrixFunction, agreement_tol: float,
         # moment form would cancel far above the tol2 threshold
         total += float(sq.sum())
         agree += int((sq <= tol2).sum())
-    n2 = n * n
-    return (total / n2 if scanned_all else None), agree / n2
+    return total / (n * n), agree / (n * n)
+
+
+def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
+    """Exact-agreement fraction, multiplying out only the pairs a screen keeps.
+
+    The fingerprint S(x, y) = u' (psi(x) psi(y) - psi(xy)) r has
+    |S| <= ||psi(x) psi(y) - psi(xy)||_F, so a pair with |S| above
+    agreement_tol (plus a roundoff margin) cannot agree.
+    """
+    mats, table = psi.matrices, psi.group.table
+    n, d = psi.group.order, psi.dim
+    u, r = haar_basis(np.random.default_rng(_SCREEN_SEED), d, 1, stack=(2,))[:, :, 0]
+    a = u.conj() @ mats                    # a(x) = u' psi(x), (n, d)
+    bt = np.ascontiguousarray((mats @ r).T)  # b(y) = psi(y) r, as (d, n)
+    f = a @ r                              # f(z) = u' psi(z) r
+    # the computed fingerprint is within a small multiple of
+    # d eps (||psi(x)|| ||psi(y)|| + ||psi(xy)||) of its exact value,
+    # whatever u and r are; top bounds every Frobenius norm
+    flat = mats.view(np.float64).reshape(n, 2 * d * d)
+    top = float(np.sqrt(np.einsum("xr,xr->x", flat, flat).max()))
+    margin = agreement_tol + _SCREEN_ROUNDOFF * (top * top + top)
+    agree = 0
+    tol2 = agreement_tol * agreement_tol
+    chunk = _chunk_rows(n, d)
+    for x0 in range(0, n, chunk):
+        s = a[x0:x0 + chunk] @ bt
+        s -= f[table[x0:x0 + chunk]]
+        xs, ys = np.nonzero(np.abs(s) <= margin)
+        del s
+        xs += x0
+        diff = mats[xs] @ mats[ys]
+        diff -= mats[table[xs, ys]]
+        parts = diff.view(np.float64).reshape(xs.size, 2 * d * d)
+        agree += int((np.einsum("kr,kr->k", parts, parts) <= tol2).sum())
+    return agree / (n * n)
 
 
 def _spectral_report(psi: MatrixFunction,
@@ -290,28 +286,26 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
     """Exact agreement over all pairs, the defect, and the bounds.
 
     A pair (x, y) agrees when ||psi(xy) - psi(x) psi(y)||_F <= agreement_tol,
-    which must be finite and non-negative. The pair scan screens each chunk
-    of rows with a bilinear fingerprint that no agreeing pair can fail, and
-    decides every surviving pair on its own difference, so the agreement is
-    exact and does not depend on the screen's vectors. Three cases scan every
-    pair unscreened: agreement_tol = 0, where equality of the two sides
-    depends on the arithmetic path; d = 1, where the screen costs what the
-    scan costs; and a spectral defect at most 1e-6 of its positive moment
-    terms tr E psi'psi + tr(E psi'psi E psi psi'), where the spectral
+    which must be finite and non-negative. The screened scan takes a bilinear
+    fingerprint of every pair that no agreeing pair can fail, and decides
+    each survivor on its own difference, so the agreement is exact and does
+    not depend on the screen's vectors. Three cases take the full scan,
+    which forms every product: agreement_tol = 0, where equality of the two
+    sides depends on the arithmetic path; d = 1, where the screen costs what
+    the scan costs; and a spectral defect at most 1e-6 of its positive
+    moment terms tr E psi'psi + tr(E psi'psi E psi psi'), where the spectral
     formula cancels (to about 1e-13 near a genuine representation).
 
-    The defect is the scan's sum of per-pair squares when every chunk was
-    multiplied out, which the unscreened scan always does and the screened
-    one does where most pairs agree; otherwise it is the spectral one.
-    Every other field is the spectral one.
+    The defect is the full scan's sum of per-pair squares where that scan
+    runs, and the spectral one otherwise. Every other field is the spectral
+    one.
     """
     check_agreement_tol(agreement_tol)
     report, positive = _spectral_report(psi, table)
-    screen = (psi.dim > 1 and agreement_tol > 0.0
-              and report.defect > _CANCELLATION * positive)
-    defect, agreement = _pair_scan(psi, agreement_tol, screen)
-    if defect is None:
-        return replace(report, agreement_prob=agreement)
+    if (psi.dim > 1 and agreement_tol > 0.0
+            and report.defect > _CANCELLATION * positive):
+        return replace(report, agreement_prob=_screened_agreement(psi, agreement_tol))
+    defect, agreement = _full_scan(psi, agreement_tol)
     return replace(report, defect=defect, normalized_defect=defect / (2.0 * psi.dim),
                    agreement_prob=agreement)
 

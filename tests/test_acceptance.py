@@ -116,13 +116,13 @@ def test_a5_catches_a_block_above_the_opnorm_lemma(ctx, monkeypatch):
 
 
 def test_a3_catches_a_scan_defect_off_by_a_part_in_a_million(ctx, monkeypatch):
-    honest = approx._pair_scan
+    honest = approx._full_scan
 
-    def off(psi, agreement_tol, screen):
-        defect, agreement = honest(psi, agreement_tol, screen)
+    def off(psi, agreement_tol):
+        defect, agreement = honest(psi, agreement_tol)
         return defect * (1.0 + 1e-6), agreement
 
-    monkeypatch.setattr(approx, "_pair_scan", off)
+    monkeypatch.setattr(approx, "_full_scan", off)
     result = verify.run_check("A3", ctx)
     assert [c.label for c in result.failures()] == [
         "max relative disagreement of the two defect routes"]

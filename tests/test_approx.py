@@ -102,12 +102,12 @@ def brute_force_pairs(psi):
 
 
 def scan_cases(g, table):
-    """Inputs for every route of defect_direct's pair scan.
+    """Inputs for both of defect_direct's pair scans.
 
-    Genuine irreps and irreps plus small noise take the unscreened scan (the
-    spectral defect would cancel); minors, polar minors and Haar baselines
-    leave sparse survivors; perturbed irreps dense ones; d = 1 is never
-    screened.
+    Genuine irreps and irreps plus small noise take the full scan (the
+    spectral defect would cancel), and so does d = 1; minors, polar minors,
+    Haar baselines and perturbed irreps take the screened scan, perturbed
+    irreps with most pairs surviving it.
     """
     rho = max(table, key=lambda r: r.dim)
     rng = np.random.default_rng(0)
@@ -138,15 +138,28 @@ SCAN_TOLERANCES = (0.0, 1e-9, 1e-6, 1e-3, 0.5, 10.0)
 def test_pair_scan_matches_brute_force(spec, monkeypatch):
     g = groups.named(*spec)
     table = irreps.decompose(g)
-    honest = approx._pair_scan
-    routes = set()
+    honest = approx._full_scan
+    scans = []
 
-    def spy(psi, agreement_tol, screen):
-        defect, agreement = honest(psi, agreement_tol, screen)
-        routes.add((screen, defect is None))
-        return defect, agreement
+    def spy(name):
+        scan = getattr(approx, name)
 
-    monkeypatch.setattr(approx, "_pair_scan", spy)
+        def traced(psi, agreement_tol):
+            scans.append(name)
+            return scan(psi, agreement_tol)
+        return traced
+
+    for name in ("_full_scan", "_screened_agreement"):
+        monkeypatch.setattr(approx, name, spy(name))
+    # the scan each input must take at the default tolerance; every input
+    # takes the full scan at tolerance 0
+    top = max(r.dim for r in table)
+    pinned = {"sign": "_full_scan", "perturbed f=0.1": "_screened_agreement"}
+    pinned.update({f"genuine irrep {i}": "_full_scan" for i in range(len(table))})
+    pinned.update({f"haar d{d}": "_screened_agreement" for d in (2, 3, 4)})
+    if top > 2:
+        pinned.update({f"{kind} minor {top - 1}": "_screened_agreement"
+                       for kind in ("haar", "polar")})
     n2 = g.order ** 2
     for label, psi in scan_cases(g, table):
         sq, triple = brute_force_pairs(psi)
@@ -155,14 +168,18 @@ def test_pair_scan_matches_brute_force(spec, monkeypatch):
             with warnings.catch_warnings():
                 # irreps plus noise are not admissible
                 warnings.simplefilter("ignore", RuntimeWarning)
+                scans.clear()
                 report = approx.defect_direct(psi, table, agreement_tol=tol)
             agreement = int((sq <= tol * tol).sum()) / n2
             if tol == 0.0:
+                assert scans == ["_full_scan"], label
                 # bitwise equality depends on the arithmetic path (the double
                 # loop and the scan's GEMM differ on genuine irreps of S3), so
-                # tolerance 0 must keep the unscreened scan's
-                assert report.agreement_prob == honest(psi, tol, False)[1], label
+                # tolerance 0 must keep the full scan's
+                assert report.agreement_prob == honest(psi, tol)[1], label
             else:
+                if tol == approx.AGREEMENT_TOL and label in pinned:
+                    assert scans == [pinned[label]], label
                 assert report.agreement_prob == agreement, (label, tol)
             assert report.defect == pytest.approx(defect, rel=1e-7, abs=1e-24), (label, tol)
             if label.startswith("genuine"):
@@ -170,9 +187,30 @@ def test_pair_scan_matches_brute_force(spec, monkeypatch):
             elif label == "perturbed f=0.1" and tol == approx.AGREEMENT_TOL:
                 assert 0.0 < agreement < 1.0
         assert report.triple_trace == pytest.approx(triple, abs=1e-12), label
-    # unscreened, screened with every chunk multiplied out, and screened
-    # with only the survivors multiplied
-    assert routes == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("spec,dim", [(("alternating", 6), 8), (("psl2", 7), 6)])
+def test_multi_chunk_scans_match_a_row_reference(spec, dim):
+    # chunks of 11 rows (A6, d = 8) and 43 rows (psl2(7), d = 6), so both
+    # scans' chunk loops and row offsets meet the reference
+    g = groups.named(*spec)
+    rho = irrep_of_dim(irreps.decompose(g), dim)
+    t, n2 = g.table, g.order ** 2
+    assert approx._chunk_rows(g.order, dim - 1) < g.order
+    inputs = [approx.MatrixFunction(g, dim, rho.matrices),
+              approx.perturbed_irrep(rho, 0.1, seed=1),
+              approx.polar_construction(rho, dim - 1, seed=2)]
+    for psi in inputs:
+        m = psi.matrices
+        sq = np.array([(np.abs(m[t[x]] - m[x] @ m) ** 2).sum(axis=(1, 2))
+                       for x in range(g.order)])
+        for tol in (approx.AGREEMENT_TOL, 0.5):
+            agreement = int((sq <= tol * tol).sum()) / n2
+            defect, full = approx._full_scan(psi, tol)
+            assert full == agreement, (psi.dim, tol)
+            assert approx._screened_agreement(psi, tol) == agreement, (psi.dim, tol)
+            # the genuine irrep's defect is roundoff, hence the absolute floor
+            assert defect == pytest.approx(float(sq.sum()) / n2, rel=1e-9, abs=1e-24)
 
 
 def test_screen_vectors_do_not_change_the_report(monkeypatch, a5_table):
@@ -194,7 +232,8 @@ def test_spectral_route_skips_the_pair_scan(monkeypatch, a5_table):
         raise AssertionError("defect_via_fourier ran the pair scan")
 
     psi = approx.minor_construction(irrep_of_dim(a5_table, 5), 3)
-    monkeypatch.setattr(approx, "_pair_scan", refuse)
+    monkeypatch.setattr(approx, "_full_scan", refuse)
+    monkeypatch.setattr(approx, "_screened_agreement", refuse)
     report = approx.defect_via_fourier(psi, a5_table)
     assert report.agreement_prob is None
     assert report.defect == pytest.approx(approx.thm4_defect(3, 5), abs=1e-10)
