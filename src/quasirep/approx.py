@@ -44,7 +44,7 @@ from .errors import (
 )
 from .fourier import transform_matrix
 from .groups import FiniteGroup
-from .irreps import IrrepTable, UnitaryRep
+from .irreps import IrrepTable, UnitaryRep, _squared_frobenius
 from .sampling import haar_basis
 
 __all__ = [
@@ -209,8 +209,7 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
     # the computed fingerprint is within a small multiple of
     # d eps (||psi(x)|| ||psi(y)|| + ||psi(xy)||) of its exact value,
     # whatever u and r are; top bounds every Frobenius norm
-    flat = mats.view(np.float64).reshape(n, 2 * d * d)
-    top = float(np.sqrt(np.einsum("xr,xr->x", flat, flat).max()))
+    top = float(np.sqrt(_squared_frobenius(mats).max()))
     margin = agreement_tol + _SCREEN_ROUNDOFF * (top * top + top)
     agree = 0
     tol2 = agreement_tol * agreement_tol
@@ -223,8 +222,7 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
         xs += x0
         diff = mats[xs] @ mats[ys]
         diff -= mats[table[xs, ys]]
-        parts = diff.view(np.float64).reshape(xs.size, 2 * d * d)
-        agree += int((np.einsum("kr,kr->k", parts, parts) <= tol2).sum())
+        agree += int((_squared_frobenius(diff) <= tol2).sum())
     return agree / (n * n)
 
 

@@ -134,8 +134,9 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
     The passing s are closed under products and include the identity, so it
     suffices that the s reach every element from the identity. Each s (the
     smallest element not yet reached) is checked before it extends the reached
-    set, a subgroup that thus at least doubles: at most log2(n) + 1 checks.
-    Returns the generating set.
+    set, the subgroup the checked s generate: the layers of their Cayley tree
+    from the identity (_cayley_tree). That subgroup thus at least doubles: at
+    most log2(n) + 1 checks. Returns the generating set.
     """
     reached = np.zeros(len(table), dtype=bool)
     reached[identity] = True
@@ -148,11 +149,8 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
             x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
             raise NotAGroup(f"associativity fails at (x, y, z) = ({x}, {s}, {y})")
         gens.append(s)
-        frontier = np.flatnonzero(reached)
-        while len(frontier):
-            step = np.unique(table[np.ix_(frontier, gens)])
-            frontier = step[~reached[step]]
-            reached[frontier] = True
+        for children, _, _ in _cayley_tree(table[:, gens], identity):
+            reached[children] = True
     return tuple(gens)
 
 
@@ -207,25 +205,27 @@ def _element_orders(group: FiniteGroup) -> np.ndarray:
         power, t = group.table[power, elements], t + 1
 
 
-def _cayley_tree(group: FiniteGroup, generators) -> list[tuple[np.ndarray, ...]]:
-    """Breadth-first Cayley-graph tree from the identity over the generators.
+def _cayley_tree(right: np.ndarray, root: int) -> list[tuple[np.ndarray, ...]]:
+    """Breadth-first tree of the Cayley graph from root, the one walk that
+    closure, Light's test, irrep restriction and homomorphism extension share.
 
-    One (children, parents, generator positions) triple per layer, with
-    child = parent * generators[position] and every parent in an earlier
-    layer. Elements the generators do not reach are in no layer.
+    right is an (n, k) array of right multiplications by k generators,
+    right[x, j] = x * s_j. One (children, parents, steps) triple per layer,
+    with right[parents, steps] = children and every parent in an earlier
+    layer, the root in the first; the last layer is empty. Elements the
+    generators do not reach from root are in no layer.
     """
-    gens = np.asarray(generators, dtype=np.int64)
-    reached = np.zeros(group.order, dtype=bool)
-    reached[group.identity] = True
-    frontier = np.array([group.identity])
+    n, k = right.shape
+    reached = np.zeros(n, dtype=bool)
+    reached[root] = True
+    frontier = np.array([root])
     layers = []
-    while len(frontier) and len(gens):
-        step = group.table[np.ix_(frontier, gens)].ravel()
-        children, first = np.unique(step, return_index=True)
+    while len(frontier) and k:
+        children, first = np.unique(right[frontier].ravel(), return_index=True)
         new = ~reached[children]
         children, first = children[new], first[new]
         reached[children] = True
-        layers.append((children, frontier[first // len(gens)], first % len(gens)))
+        layers.append((children, frontier[first // k], first % k))
         frontier = children
     return layers
 
@@ -237,12 +237,10 @@ def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]]
 
     The product a * b applies b first, then a. Breadth-first discovery
     under right multiplication numbers the elements, the identity first, and
-    records for each element j > 0 the element p and generator s that first
-    reached it (j = p * s), and right[i, k], the index of element i times
-    generator k. Since x * (p * s) = (x * p) * s, column j of the table is
-    right[table[:, p], s]; the parents of a breadth-first level lie in
-    earlier levels, so each level is one gather. Raises ClosureCapExceeded
-    past cap elements.
+    records right[i, k], the index of element i times generator k. Since
+    x * (p * s) = (x * p) * s, the columns of a layer of the Cayley tree
+    (_cayley_tree) are one gather of right at the columns of their parents,
+    filled in earlier layers. Raises ClosureCapExceeded past cap elements.
     """
     gens = []
     for g in generators:
@@ -253,27 +251,22 @@ def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]]
     identity = tuple(range(degree))
     elements = [identity]
     index = {identity: 0}
-    parent, gen, depth, right = [0], [0], [0], []
-    for i, e in enumerate(elements):       # the loop sees appended elements
-        for k, s in enumerate(gens):
+    right = []
+    for e in elements:                      # the loop sees appended elements
+        for s in gens:
             p = tuple([e[x] for x in s])
             if p not in index:
                 if len(elements) >= cap:
                     raise ClosureCapExceeded(f"closure exceeded cap of {cap} elements")
                 index[p] = len(elements)
                 elements.append(p)
-                parent.append(i)
-                gen.append(k)
-                depth.append(depth[i] + 1)
             right.append(index[p])
     n = len(elements)
     right = np.array(right, dtype=np.int64).reshape(n, len(gens))
-    parent, gen = np.array(parent), np.array(gen)
     table = np.empty((n, n), dtype=np.int64)
     table[:, 0] = np.arange(n)
-    starts = [*(np.flatnonzero(np.diff(depth)) + 1), n]
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        table[:, lo:hi] = right[table[:, parent[lo:hi]], gen[lo:hi]]
+    for children, parents, steps in _cayley_tree(right, 0):
+        table[:, children] = right[table[:, parents], steps]
     return from_table(table, name=name)
 
 

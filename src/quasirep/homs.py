@@ -162,26 +162,31 @@ def genuine_hom(source: FiniteGroup, target: FiniteGroup,
 
     images maps source generator index -> target element index. The images
     are extended along a breadth-first Cayley-graph tree of the source, one
-    gather per layer, f(x s) = f(x) f(s). Raises
-    NotAHomomorphism when the generators do not generate the source group or
-    when the extension fails the product law (witness pair in the message).
+    gather per layer, f(x s) = f(x) f(s). The product law is then checked on
+    every pair (x, s), s a generator, which is exhaustive: the y with
+    f(x y) = f(x) f(y) for all x are closed under products (see
+    UnitaryRep.validate). Raises NotAHomomorphism when the generators do not
+    generate the source group or when the extension fails the product law
+    (witness pair (x, s) in the message).
     """
+    gens = list(images)
     targets = np.array(list(images.values()), dtype=np.int64)
+    right = source.table[:, gens]
     values = np.full(source.order, -1, dtype=np.int64)
     values[source.identity] = target.identity
-    for children, parents, steps in _cayley_tree(source, list(images)):
+    for children, parents, steps in _cayley_tree(right, source.identity):
         values[children] = target.table[values[parents], targets[steps]]
     if (values < 0).any():
         missing = int(np.nonzero(values < 0)[0][0])
         raise NotAHomomorphism(
             f"generators {sorted(images)} do not generate the source group "
             f"(element {missing} unreached)")
-    lhs = values[source.table]
-    rhs = target.table[values[:, None], values[None, :]]
+    lhs = values[right]                             # f(x s)
+    rhs = target.table[values[:, None], targets]    # f(x) f(s)
     bad = np.argwhere(lhs != rhs)
     if len(bad):
-        x, y = int(bad[0][0]), int(bad[0][1])
+        x, j = int(bad[0][0]), int(bad[0][1])
         raise NotAHomomorphism(
-            f"images are inconsistent: f({x}*{y}) = {int(lhs[x, y])} but "
-            f"f({x})f({y}) = {int(rhs[x, y])}")
+            f"images are inconsistent: f({x}*{gens[j]}) = {int(lhs[x, j])} but "
+            f"f({x})f({gens[j]}) = {int(rhs[x, j])}")
     return make_group_map(source, target, values)

@@ -27,8 +27,8 @@ eigenvectors typed by their eigenvalue omega_chi(z), with no lift to the
 whole space and no character gather. Only the first whole copy of each irrep
 is lifted; a complex pair comes apart by type. Two copies of one irrep are
 split by a fresh complex probe compressed to their span, B' T B, which
-commutes with the restricted representation. Every cluster that is not one
-copy of one irrep takes such a draw, in cluster order, split or not.
+commutes with the restricted representation: one draw for each irrep so
+split, in cluster order.
 
 Attempt j draws its probes from the stream [seed, j]; the gauge anchor and
 then each attempt's z come from [seed, _RETRY_BUDGET]. An attempt whose draws
@@ -144,7 +144,7 @@ class UnitaryRep:
         for b in blocks:
             gram = m[b].conj().transpose(0, 2, 1) @ m[b]
             gram -= eye
-            uerr[b] = _frobenius(gram)
+            uerr[b] = np.sqrt(_squared_frobenius(gram))
         if uerr.max() > _UNITARITY:
             raise ToleranceViolation(
                 f"unitarity residual {uerr.max():.3e} above {_UNITARITY:.0e}")
@@ -156,7 +156,7 @@ class UnitaryRep:
             for j, s in enumerate(g.generators):
                 residual = (stack @ m[s]).reshape(-1, d, d)
                 residual -= m[g.table[b, s]]
-                err[b, j] = _frobenius(residual)
+                err[b, j] = np.sqrt(_squared_frobenius(residual))
         # the trivial group has no generators and nothing beyond the identity
         if err.max(initial=0.0) > _PRODUCT_LAW:
             x, j = np.unravel_index(err.argmax(), err.shape)
@@ -195,10 +195,11 @@ class IrrepTable:
         return f"IrrepTable(group={self.group.name!r}, dims={list(self.dims)})"
 
 
-def _frobenius(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a complex stack, read as real numbers."""
-    flat = stack.view(np.float64).reshape(len(stack), -1)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+def _squared_frobenius(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a complex stack, read in place
+    as real numbers; the row width is explicit so an empty stack works."""
+    flat = stack.view(np.float64).reshape(len(stack), 2 * math.prod(stack.shape[1:]))
+    return np.einsum("ij,ij->i", flat, flat)
 
 
 def _class_average(group: FiniteGroup, values: np.ndarray) -> np.ndarray:
@@ -380,15 +381,12 @@ def _probe_bases(group: FiniteGroup, z: np.ndarray, omega: np.ndarray,
     for r, c in first.items():
         keep = (cluster == c) & (irrep == r)
         bases[r] = _lift(orbits, block[keep], vectors[keep])
-    # every cluster that is not one copy of one irrep takes a compressed
-    # draw, in cluster order, whether it is split or not
+    # each cluster kept with two copies of one irrep takes a compressed draw,
+    # in cluster order
     doubles = {c: r for r, c in first.items() if mine[c] == 2 * dims[r]}
-    for c in np.flatnonzero(~whole | (total != d)):
-        if c > max(doubles, default=-1):
-            break
+    for c in sorted(doubles):
         g = _probe_function(group, rng, compressed=True)
-        if c in doubles:
-            bases[doubles[c]] = _split_copies(group, g, bases[doubles[c]], d[c])
+        bases[doubles[c]] = _split_copies(group, g, bases[doubles[c]], d[c])
     return bases
 
 
@@ -483,7 +481,7 @@ def _decompose_once(group: FiniteGroup, anchor: np.ndarray,
         # f(x) = a(class of x^-1)
         bases = _probe_bases(group, a[group.class_of[group.inverses]], omega,
                              conjugate, dims, rng)
-        tree = _cayley_tree(group, group.generators)
+        tree = _cayley_tree(group.table[:, list(group.generators)], group.identity)
     orders = _element_orders(group)
     reps = []
     for rho, chi in enumerate(characters):

@@ -255,6 +255,57 @@ def test_closure_cap():
         groups.from_permutation_generators(3, [(1, 0, 2), (1, 2, 0)], cap=4)
 
 
+def reference_closure(table, root, gens):
+    """The elements reached from root by right multiplication by gens: a
+    plain fixed-point loop over the whole reached set."""
+    reached = {root}
+    while True:
+        more = {int(table[x, s]) for x in reached for s in gens} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+@pytest.mark.parametrize("spec,subset", [
+    (("psl2", 7), None),
+    (("sl2", 5), None),
+    (("heisenberg", 3), None),
+    (("dihedral", 350), None),
+    (("alternating", 5), (1, 33)),      # generate a subgroup of order 12
+    (("psl2", 7), (1, 112)),            # generate a subgroup of order 21
+])
+def test_cayley_tree_layers(spec, subset):
+    g = groups.named(*spec)
+    gens = list(g.generators if subset is None else subset)
+    right = g.table[:, gens]
+    layers = groups._cayley_tree(right, g.identity)
+    reached = reference_closure(g.table, g.identity, gens)
+    assert len(reached) == g.order if subset is None else 1 < len(reached) < g.order
+    # the layers partition the reached set minus the root
+    children = np.concatenate([c for c, _, _ in layers]).tolist()
+    assert len(children) == len(set(children))
+    assert set(children) == reached - {g.identity}
+    depth = {g.identity: 0}
+    for i, (c, parents, steps) in enumerate(layers, 1):
+        assert all(depth.get(int(p), i) < i for p in parents)
+        assert np.array_equal(right[parents, steps], c)
+        depth.update(dict.fromkeys(c.tolist(), i))
+
+
+def test_light_generators_are_the_smallest_unreached_elements():
+    # relabel psl2(7) so that the identity is not element 0
+    g = groups.named("psl2", 7)
+    perm = np.roll(np.arange(g.order), 11)       # new label of old x
+    inverse = np.argsort(perm)
+    h = groups.from_table(perm[g.table[inverse][:, inverse]])
+    assert h.identity != 0
+    reached = {h.identity}
+    for i, s in enumerate(h.generators):
+        assert s == min(set(range(h.order)) - reached)
+        reached = reference_closure(h.table, h.identity, h.generators[:i + 1])
+    assert len(reached) == h.order
+
+
 def test_deterministic_element_order():
     t1 = groups.named("symmetric", 4)
     t2 = groups.named("symmetric", 4)
@@ -262,8 +313,8 @@ def test_deterministic_element_order():
     assert groups.group_hash(t1) == groups.group_hash(t2)
 
 
-# every supported spec of the generated families, and cyclic groups of
-# orders 1, 2, 12 and 700
+# every supported spec of the generated families, cyclic groups of orders
+# 1, 2, 12 and 700, and dihedral(350), whose closure tree is the longest
 PINNED_DIGESTS = {
     ("dihedral", 1): "d98182d528781fc7b9e9fed3eed067203318a4a909eea2527d32f521b4df99e8",
     ("dihedral", 2): "1da0773249ac288abe75822613e298251fe43beb450c1f93ec21d9396fa71fde",
@@ -277,6 +328,7 @@ PINNED_DIGESTS = {
     ("dihedral", 10): "afb494c68487ad951e7ed5d566dc7dc0d54f8aae71f6a3609e840e347b1a42b9",
     ("dihedral", 11): "bb3d6a0b697ea93743d64d33c73077eea745bdafa8e649688d920873a699fb43",
     ("dihedral", 12): "2c17fde5513f54c30927cd05b5e54eec070b1fb31b4ae07b087a3f56a7c1d1d7",
+    ("dihedral", 350): "14b6ea1c3abf4506bee3c218f58d54dfc8e6b55bdbc1b21ecc2271c01a86ff43",
     ("symmetric", 1): "7c29c983d26460569a91ec01d1b653ca4662176e12cf0e34f7a7fa9dfd40e2fd",
     ("symmetric", 2): "d98182d528781fc7b9e9fed3eed067203318a4a909eea2527d32f521b4df99e8",
     ("symmetric", 3): "9d2ca58bd6285b6175cceacb4c0c47d54c7b1ce1575c2b57220fc2847f36fed1",

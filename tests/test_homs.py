@@ -63,10 +63,14 @@ def test_genuine_hom_rejects_partial_generation(z6):
 
 
 def test_genuine_hom_rejects_inconsistent_images():
+    # the witness is a pair (x, s) with s a generator: f(3 * 1) = f(0) = 0
+    # but f(3) f(1) = 1, and an identity's image must be the identity
     z4 = groups.named("cyclic", 4)
     z3 = groups.named("cyclic", 3)
-    with pytest.raises(NotAHomomorphism, match="inconsistent"):
-        homs.genuine_hom(z4, z3, {1: 1})
+    for images, (x, s) in (({1: 1}, (3, 1)), ({0: 1, 1: 0}, (0, 0))):
+        with pytest.raises(NotAHomomorphism,
+                           match=rf"inconsistent: f\({x}\*{s}\) = \d+ but f\({x}\)f\({s}\)"):
+            homs.genuine_hom(z4, z3, images)
 
 
 def test_balanced_map_has_equal_fibers(a6):
