@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: group, irreps, sweep, hom, twirl, verify. Named groups are
-cached on disk (--cache-dir, then QUASIREP_CACHE, then ./.quasirep). Irrep
-tables are decomposed in memory on every run: that costs about what reading a
-saved table back from disk would. Exit codes: 0 on success, 1 when a check or
-bound fails, 2 on input errors.
+cached on disk in --cache-dir (default ./.quasirep). Irrep tables are
+decomposed in memory on every run: that costs about what reading a saved
+table back from disk would. Exit codes: 0 on success, 1 when a check or bound
+fails, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -55,17 +55,15 @@ _HOM_COLUMNS = (
 )
 
 
-def _cache_dir(args) -> str:
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get("QUASIREP_CACHE") or ".quasirep"
-
-
-def _write_out(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(args, payload, text: str | None = None) -> None:
+    """Write payload as JSON under --format json or when a command has no
+    text form, else text; to --out (atomically) or else to stdout."""
+    if args.format == "json" or text is None:
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        write_atomic(out, [text])
+        write_atomic(args.out, [text])
 
 
 def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
@@ -146,8 +144,7 @@ def _csv(columns, rows) -> str:
 
 
 def cmd_group(args) -> int:
-    cache = _cache_dir(args)
-    g = _group_from_spec(args.spec, cache)
+    g = _group_from_spec(args.spec, args.cache_dir)
     info = {
         "name": g.name,
         "order": g.order,
@@ -155,18 +152,14 @@ def cmd_group(args) -> int:
         "class_sizes": list(g.class_sizes),
         "hash": group_hash(g),
     }
-    if args.format == "json":
-        _write_out(json.dumps(info, indent=2) + "\n", args.out)
-    else:
-        sizes = ",".join(str(s) for s in g.class_sizes)
-        _write_out(
-            f"name={g.name} order={g.order} classes={len(g.classes)} "
-            f"class_sizes={sizes}\nhash={info['hash']}\n", args.out)
+    sizes = ",".join(str(s) for s in g.class_sizes)
+    _emit(args, info, f"name={g.name} order={g.order} classes={len(g.classes)} "
+                      f"class_sizes={sizes}\nhash={info['hash']}\n")
     return 0
 
 
 def cmd_irreps(args) -> int:
-    g = _group_from_spec(args.spec, _cache_dir(args))
+    g = _group_from_spec(args.spec, args.cache_dir)
     table = decompose(g, seed=args.seed)
     indicators = [frobenius_schur(r) for r in table]
     info = {
@@ -178,19 +171,16 @@ def cmd_irreps(args) -> int:
         "sum_d2": sum(d * d for d in table.dims),
         "hash": group_hash(g),
     }
-    if args.format == "json":
-        _write_out(json.dumps(info, indent=2) + "\n", args.out)
-    else:
-        dims = ",".join(str(d) for d in table.dims)
-        fs = ",".join(f"{i:+d}" for i in indicators)
-        _write_out(f"group={g.name} dims={dims} d_min={table.d_min} "
-                   f"fs={fs} sum_d2={info['sum_d2']}\n", args.out)
+    dims = ",".join(str(d) for d in table.dims)
+    fs = ",".join(f"{i:+d}" for i in indicators)
+    _emit(args, info, f"group={g.name} dims={dims} d_min={table.d_min} "
+                      f"fs={fs} sum_d2={info['sum_d2']}\n")
     return 0
 
 
 def cmd_sweep(args) -> int:
     check_agreement_tol(args.tolerance)
-    g = _group_from_spec(args.group, _cache_dir(args))
+    g = _group_from_spec(args.group, args.cache_dir)
     table = decompose(g, seed=args.seed)
     rows = []
     for ri, rho in enumerate(table):
@@ -210,29 +200,17 @@ def cmd_sweep(args) -> int:
                     psi = polar_construction(rho, d_psi, seed=[seed, ri, d_psi])
                 rep = defect_direct(psi, table, agreement_tol=args.tolerance)
                 ratio = d_psi / rho.dim
-                rows.append({
-                    "group": g.name,
-                    "construction": args.construction,
-                    "irrep": ri,
-                    "d_rho": rho.dim,
-                    "d_psi": d_psi,
-                    "ratio": ratio,
-                    "seed": seed,
-                    "defect": rep.defect,
-                    "normalized_defect": rep.normalized_defect,
+                cell = {
+                    "group": g.name, "construction": args.construction,
+                    "irrep": ri, "d_rho": rho.dim, "d_psi": d_psi,
+                    "ratio": ratio, "seed": seed,
                     "triple_trace_re": rep.triple_trace.real,
-                    "agreement_prob": rep.agreement_prob,
-                    "mean_opnorm": rep.mean_opnorm,
-                    "thm1_bound": rep.thm1_bound,
-                    "cor1_bound": rep.cor1_bound,
-                    "admissibility_residual": rep.admissibility_residual,
                     "thm4_value": thm4_defect(d_psi, rho.dim),
                     "thm5_bound": thm5_bound(d_psi, ratio),
-                })
-    if args.format == "json":
-        _write_out(json.dumps({"rows": rows}, indent=2) + "\n", args.out)
-    else:
-        _write_out(_csv(_SWEEP_COLUMNS, rows), args.out)
+                }
+                rows.append({c: cell[c] if c in cell else getattr(rep, c)
+                             for c in _SWEEP_COLUMNS})
+    _emit(args, {"rows": rows}, _csv(_SWEEP_COLUMNS, rows))
     beating = sum(1 for r in rows if r["normalized_defect"] < 1.0)
     print(f"{beating} of {len(rows)} rows beat the random baseline "
           "(normalized defect < 1)", file=sys.stderr)
@@ -265,9 +243,8 @@ def _hom_map(kind: str, source: FiniteGroup, target: FiniteGroup, seed):
 
 
 def cmd_hom(args) -> int:
-    cache = _cache_dir(args)
-    src = _group_from_spec(args.source, cache)
-    tgt = _group_from_spec(args.target, cache)
+    src = _group_from_spec(args.source, args.cache_dir)
+    tgt = _group_from_spec(args.target, args.cache_dir)
     ts = decompose(src, seed=args.seed)
     tt = decompose(tgt, seed=args.seed)
     seeds = 1 if args.kind in ("identity", "genuine") else args.seeds
@@ -275,16 +252,8 @@ def cmd_hom(args) -> int:
     for s in range(seeds):
         f = _hom_map(args.kind, src, tgt, args.seed + s)
         rep = evaluate(f, ts, tt)
-        rows.append({
-            "seed": args.seed + s,
-            "agreement_prob": rep.agreement_prob,
-            "collision_prob": rep.collision_prob,
-            "epsilon": rep.epsilon,
-            "thm2_bound": rep.thm2_bound,
-            "thm2_sigma_dim": rep.thm2_sigma_dim,
-            "thm3_bound": rep.thm3_bound,
-            "r_h": rep.r_h,
-        })
+        rows.append({"seed": args.seed + s,
+                     **{c: getattr(rep, c) for c in _HOM_COLUMNS[1:]}})
     max_agree = max(r["agreement_prob"] for r in rows)
     min_bound = min(min(r["thm2_bound"], r["thm3_bound"]) for r in rows)
     violated = any(
@@ -298,11 +267,8 @@ def cmd_hom(args) -> int:
         "min_bound": min_bound,
         "violated": violated,
     }
-    if args.format == "json":
-        _write_out(json.dumps({"rows": rows, "summary": summary}, indent=2) + "\n",
-                   args.out)
-    elif args.format == "csv":
-        _write_out(_csv(_HOM_COLUMNS, rows), args.out)
+    if args.format == "csv":
+        text = _csv(_HOM_COLUMNS, rows)
     else:
         lines = [
             (f"seed={r['seed']} agreement={r['agreement_prob']:.6f} "
@@ -313,7 +279,8 @@ def cmd_hom(args) -> int:
         verdict = "VIOLATED" if violated else "ok"
         lines.append(f"max agreement {max_agree:.6f} vs min bound "
                      f"{min_bound:.6f} [{verdict}]")
-        _write_out("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    _emit(args, {"rows": rows, "summary": summary}, text)
     return 1 if violated else 0
 
 
@@ -326,15 +293,12 @@ def cmd_twirl(args) -> int:
         "max_abs_difference": max(
             abs(exact.coefficients[n] - gram.coefficients[n]) for n in CLASS_NAMES),
     }
-    if args.format == "json":
-        _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = [f"d_rho={args.d_rho} d_psi={args.d_psi}"]
-        lines.extend(
-            f"  {name:10s} exact={exact.coefficients[name]:+.12e}"
-            f" gram={gram.coefficients[name]:+.12e}"
-            for name in CLASS_NAMES)
-        _write_out("\n".join(lines) + "\n", args.out)
+    lines = [f"d_rho={args.d_rho} d_psi={args.d_psi}"]
+    lines.extend(
+        f"  {name:10s} exact={exact.coefficients[name]:+.12e}"
+        f" gram={gram.coefficients[name]:+.12e}"
+        for name in CLASS_NAMES)
+    _emit(args, payload, "\n".join(lines) + "\n")
     return 0
 
 
@@ -343,10 +307,8 @@ def cmd_verify(args) -> int:
     manifest = run_battery(
         args.scope, seed=args.seed,
         progress=lambda r: print(r.summary_line(), file=stream, flush=True))
-    if args.out is not None:
-        _write_out(manifest.to_json(), args.out)
-    elif args.format == "json":
-        sys.stdout.write(manifest.to_json())
+    if args.out is not None or args.format == "json":
+        _emit(args, manifest.to_json_dict())
     if manifest.passed:
         return 0
     first = manifest.first_failure()
@@ -364,8 +326,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_nonnegative_int, default=0,
                         help="base seed; every randomized output derives from it")
-    common.add_argument("--cache-dir", default=None,
-                        help="group cache directory (default $QUASIREP_CACHE or ./.quasirep)")
+    common.add_argument("--cache-dir", default=".quasirep",
+                        help="directory of the named-group cache "
+                             "(default ./.quasirep)")
     common.add_argument("--out", default=None,
                         help="write output to this path (atomic) instead of stdout")
 

@@ -167,8 +167,16 @@ def genuine_hom(source: FiniteGroup, target: FiniteGroup,
     f(x y) = f(x) f(y) for all x are closed under products (see
     UnitaryRep.validate). Raises NotAHomomorphism when the generators do not
     generate the source group or when the extension fails the product law
-    (witness pair (x, s) in the message).
+    (witness pair (x, s) in the message), and ValueError when a generator or
+    an image lies outside its group's index range.
     """
+    for s, t in images.items():
+        if not 0 <= s < source.order:
+            raise ValueError(f"generator {s} outside the source index range "
+                             f"0..{source.order - 1}")
+        if not 0 <= t < target.order:
+            raise ValueError(f"image {t} of generator {s} outside the target "
+                             f"index range 0..{target.order - 1}")
     gens = list(images)
     targets = np.array(list(images.values()), dtype=np.int64)
     right = source.table[:, gens]

@@ -167,10 +167,11 @@ class TwirlExpansion:
         ))
 
     def to_json_dict(self) -> dict:
+        """Keys at every level in sorted order, so the JSON text is canonical."""
         return {
-            "d_rho": self.d_rho,
+            "coefficients": dict(sorted(self.coefficients.items())),
             "d_psi": self.d_psi,
-            "coefficients": dict(self.coefficients),
+            "d_rho": self.d_rho,
         }
 
 

@@ -156,11 +156,6 @@ class RunManifest:
             "checks": [c.to_dict() for c in self.checks],
         }
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
 
 def deterministic_manifest_dict(manifest_dict: dict) -> dict:
     """Copy of a manifest dict with every wall-clock field removed.

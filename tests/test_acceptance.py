@@ -144,3 +144,43 @@ def test_context_caches_groups():
     assert groups.group_hash(ctx.group("cyclic", 12)) == groups.group_hash(
         groups.named("cyclic", 12))
     assert isinstance(ctx.table("symmetric", 3), irreps.IrrepTable)
+
+
+def stub_checks(monkeypatch, raising):
+    """Replace every check by a cheap one; check `raising` raises instead."""
+    def make(check_id):
+        def check(ctx):
+            if check_id == raising:
+                raise RuntimeError(f"{check_id} broke")
+            return [verify.Comparison("stub", "<=", 0.0, 1.0)]
+        return check
+    monkeypatch.setattr(verify, "CHECKS", {
+        cid: (f"stub {cid}", make(cid)) for cid in verify.FULL_CHECK_IDS})
+
+
+@pytest.mark.parametrize("scope, ids", [
+    ("fast", verify.FAST_CHECK_IDS), ("full", verify.FULL_CHECK_IDS)])
+def test_run_battery_runs_its_scope_in_order(monkeypatch, scope, ids):
+    stub_checks(monkeypatch, raising=None)
+    seen = []
+    manifest = verify.run_battery(scope, seed=3, progress=seen.append)
+    assert [c.check_id for c in manifest.checks] == list(ids)
+    assert seen == manifest.checks
+    assert manifest.passed and manifest.scope == scope and manifest.seed == 3
+
+
+def test_run_battery_rejects_an_unknown_scope(monkeypatch):
+    stub_checks(monkeypatch, raising=None)
+    with pytest.raises(ValueError, match="scope must be 'fast' or 'full'"):
+        verify.run_battery("medium")
+
+
+def test_a_raising_check_becomes_a_failed_result(monkeypatch):
+    stub_checks(monkeypatch, raising="A2")
+    manifest = verify.run_battery("fast")
+    assert [c.check_id for c in manifest.checks] == list(verify.FAST_CHECK_IDS)
+    first = manifest.first_failure()
+    assert first.check_id == "A2"
+    assert not first.passed and first.comparisons == []
+    assert first.error == "RuntimeError: A2 broke"
+    assert all(c.passed for c in manifest.checks if c is not first)

@@ -131,6 +131,17 @@ def test_irreps_text_output(capsys, cache):
     assert "sum_d2=2" in out
 
 
+def test_irreps_json_output(capsys, cache):
+    code = cli.main(["irreps", "symmetric", "3", "--format", "json",
+                     "--cache-dir", cache])
+    assert code == 0
+    info = json.loads(capsys.readouterr().out)
+    assert list(info) == ["group", "order", "dims", "d_min", "frobenius_schur",
+                          "sum_d2", "hash"]
+    assert info["dims"] == [1, 1, 2] and info["sum_d2"] == 6
+    assert info["frobenius_schur"] == [1, 1, 1]
+
+
 def test_sweep_matches_closed_form(capsys, cache):
     code = cli.main(["sweep", "--group", "alternating", "5", "--dpsi", "1:5",
                      "--rho-dim", "5", "--cache-dir", cache])
@@ -160,6 +171,18 @@ def test_sweep_json(capsys, cache):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(row["d_psi"] == 2 for row in payload["rows"])
+
+
+def test_sweep_polar(capsys, cache):
+    code = cli.main(["sweep", "--group", "alternating", "5", "--dpsi", "2:3",
+                     "--rho-dim", "4", "--construction", "polar",
+                     "--cache-dir", cache])
+    assert code == 0
+    rows = read_csv(capsys.readouterr().out)
+    assert [(row["construction"], row["d_psi"]) for row in rows] == [
+        ("polar", "2"), ("polar", "3")]
+    for row in rows:
+        assert float(row["normalized_defect"]) >= 0.0
 
 
 def test_sweep_tolerance_flag_changes_agreement(capsys, cache):
@@ -297,6 +320,42 @@ def test_hom_balanced_csv(capsys, cache):
         assert float(row["agreement_prob"]) <= bound + 1e-12
 
 
+def test_hom_random_json(capsys, cache):
+    code = cli.main(["hom", "--source", "symmetric", "3", "--target", "cyclic", "3",
+                     "--kind", "random", "--seeds", "2", "--seed", "4",
+                     "--format", "json", "--cache-dir", cache])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [list(row) for row in payload["rows"]] == [list(cli._HOM_COLUMNS)] * 2
+    assert [row["seed"] for row in payload["rows"]] == [4, 5]
+    summary = payload["summary"]
+    assert summary["kind"] == "random" and summary["violated"] is False
+    assert summary["max_agreement"] == max(
+        row["agreement_prob"] for row in payload["rows"])
+
+
+@pytest.mark.parametrize("argv, fmt", [
+    (argv, fmt)
+    for argv, formats in (
+        (["group", "dihedral", "3"], (None, "json")),
+        (["irreps", "dihedral", "3"], (None, "json")),
+        (["sweep", "--group", "dihedral", "4", "--dpsi", "1"], (None, "csv", "json")),
+        (["hom", "--source", "dihedral", "3", "--target", "cyclic", "2",
+          "--seeds", "2"], (None, "csv", "json")),
+        (["twirl", "--d-rho", "5", "--d-psi", "2"], (None, "json")),
+    )
+    for fmt in formats
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, cache, argv, fmt):
+    argv = [*argv, "--cache-dir", cache] + (["--format", fmt] if fmt else [])
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and out.read_bytes() == printed.encode()
+
+
 def test_twirl_text(capsys):
     code = cli.main(["twirl", "--d-rho", "6", "--d-psi", "3"])
     out = capsys.readouterr().out
@@ -419,13 +478,14 @@ def test_stale_irrep_files_are_ignored(tmp_path, capsys):
         assert path.read_text() == "quasirep-irreps v2\nnot a table\n"
 
 
-def test_cache_env_variable(tmp_path, monkeypatch, capsys):
+def test_cache_dir_defaults_to_dot_quasirep(tmp_path, monkeypatch, capsys):
+    # --cache-dir is the only cache setting: QUASIREP_CACHE is not read
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("QUASIREP_CACHE", str(tmp_path / "envcache"))
     assert cli.main(["group", "cyclic", "4"]) == 0
     capsys.readouterr()
-    assert (tmp_path / "envcache" / "cyclic-4.grp").exists()
-    assert not (tmp_path / ".quasirep").exists()
+    assert (tmp_path / ".quasirep" / "cyclic-4.grp").exists()
+    assert not (tmp_path / "envcache").exists()
 
 
 def stub_battery(passing):
@@ -477,6 +537,24 @@ def test_verify_failure_names_first_check(monkeypatch, capsys):
     assert "A2 FAIL" in captured.out
     assert "first failing check: A2" in captured.err
     assert "residual" in captured.err
+
+
+def test_verify_reports_a_raising_check(monkeypatch, capsys):
+    # the real battery with cheap checks, one of which raises
+    def check(ctx):
+        return [verify.Comparison("stub", "<=", 0.0, 1.0)]
+
+    def broken(ctx):
+        raise RuntimeError("probe went astray")
+
+    monkeypatch.setattr(verify, "CHECKS", {
+        cid: ("stub check", broken if cid == "A3" else check)
+        for cid in verify.FULL_CHECK_IDS})
+    assert cli.main(["verify", "fast"]) == 1
+    captured = capsys.readouterr()
+    assert "A2 PASS" in captured.out and "A3 FAIL" in captured.out
+    assert "first failing check: A3 (stub check)" in captured.err
+    assert "  error: RuntimeError: probe went astray\n" in captured.err
 
 
 def test_python_m_runs_the_cli(tmp_path, capsys):

@@ -73,6 +73,20 @@ def test_genuine_hom_rejects_inconsistent_images():
             homs.genuine_hom(z4, z3, images)
 
 
+@pytest.mark.parametrize("images, match", [
+    ({7: 0}, "generator 7 outside the source index range 0..3"),
+    ({-1: 0}, "generator -1 outside the source index range 0..3"),
+    ({1: 5}, "image 5 of generator 1 outside the target index range 0..2"),
+    ({1: -1}, "image -1 of generator 1 outside the target index range 0..2"),
+])
+def test_genuine_hom_rejects_out_of_range_indices(images, match):
+    # numpy would read -1 as the last element and fail on 7 with IndexError
+    z4 = groups.named("cyclic", 4)
+    z3 = groups.named("cyclic", 3)
+    with pytest.raises(ValueError, match=match):
+        homs.genuine_hom(z4, z3, images)
+
+
 def test_balanced_map_has_equal_fibers(a6):
     f = homs.balanced_random_map(a6, groups.named("symmetric", 3), seed=5)
     assert f.epsilon == 0.0
