@@ -10,22 +10,30 @@ bound on the defect / upper bound on agreement expressed through that norm
 and the smallest nontrivial irrep dimension d_min.
 
 defect_direct adds the exact-agreement fraction, a property of each pair,
-from a pass over all |G|^2 pairs. The screened scan first takes a bilinear
-Freivalds fingerprint u' psi(x) psi(y) r - u' psi(xy) r of every pair for
-fixed unit vectors u and r, at O(n^2 d) cost. Since |u' D r| <= ||D||_F, no
-pair within the agreement tolerance fails the screen, so multiplying out
-only the survivors and checking each on its own difference gives the same
-count whatever u and r are. The full scan forms every product instead; it
-runs at tolerance 0, at d = 1 and near a genuine representation, and its
-sum of per-pair squares is then the defect. Otherwise the defect is the
-spectral one.
+from one of three scans over all |G|^2 pairs. When psi takes only k distinct
+matrices V_1..V_k with k^3 <= n^2 (sign functions, maps between groups
+lifted through an irrep, irreps whose matrices repeat bitwise on the cosets
+of a kernel) and the tolerance is positive, the histogram scan counts the
+pairs by their value triple (l(x), l(y), l(xy)) and weighs each triple by
+||V_m - V_i V_j||_F^2, formed once per triple: the agreement and the defect
+are both exact. Otherwise the screened scan first takes a bilinear Freivalds
+fingerprint u' psi(x) psi(y) r - u' psi(xy) r of every pair for fixed unit
+vectors u and r, at O(n^2 d) cost. Since |u' D r| <= ||D||_F, no pair within
+the agreement tolerance fails the screen, so multiplying out only the
+survivors and checking each on its own difference gives the same count
+whatever u and r are. The full scan forms every product instead; it runs at
+tolerance 0, at d = 1 and near a genuine representation, and its sum of
+per-pair squares is then the defect. After the screened scan the defect is
+the spectral one.
 
 Constructions: compressions of an irrep to a subspace (exact defect
-2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts,
-balanced sign functions, independent Haar baselines, and Haar perturbations
-of a genuine irrep. Each returns a plain MatrixFunction, except that the
-polar part (PolarFunction) keeps its minor for polar_residual. Every Haar
-draw, subspace or unitary, is sampling.haar_basis.
+2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts
+(through the complement of the subspace when it is the narrower side, else
+by SVD), balanced sign functions, independent Haar baselines, and Haar
+perturbations of a genuine irrep. Each returns a plain MatrixFunction,
+except that the polar part (PolarFunction) keeps its minor for
+polar_residual. Every Haar draw, subspace or unitary, is
+sampling.haar_basis.
 """
 
 from __future__ import annotations
@@ -82,6 +90,10 @@ _CANCELLATION = 1e-6
 _SCREEN_ROUNDOFF = 1e-12
 # seed of the screen's fixed unit vectors u and r
 _SCREEN_SEED = 0x5C12EE
+# odd multiplier of the bit projection that labels a function's distinct values
+_BIT_MIX = np.uint64(0x9E3779B97F4A7C15)
+# the complement polar route hands elements with a smaller sigma_min to the SVD
+_COMPLEMENT_MIN_SINGULAR = 1e-3
 
 
 @dataclass(eq=False)
@@ -131,12 +143,14 @@ class DefectReport:
     agreement_prob comes from defect_direct's pair scan and is None from
     defect_via_fourier, which never visits the pairs. defect (and
     normalized_defect) is the spectral formula's in defect_via_fourier. In
-    defect_direct it is the full scan's sum of per-pair squares where that
-    scan runs: at tolerance 0, at d = 1 (sign functions) and where the
-    spectral formula would cancel (genuine irreps and near-representations).
-    Elsewhere the screened scan gives only the agreement, and the defect is
-    the spectral one. The triple trace, mean_opnorm, both bounds and the
-    admissibility residual come from the spectral route in both.
+    defect_direct it is the histogram scan's exact sum where psi takes few
+    distinct matrices (k^3 <= n^2) and the tolerance is positive; else the
+    full scan's sum of per-pair squares where that scan runs: at tolerance 0,
+    at d = 1 and where the spectral formula would cancel (genuine irreps and
+    near-representations). Elsewhere the screened scan gives only the
+    agreement, and the defect is the spectral one. The triple trace,
+    mean_opnorm, both bounds and the admissibility residual come from the
+    spectral route in all cases.
     """
 
     defect: float
@@ -226,6 +240,50 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
     return agree / (n * n)
 
 
+def _value_labels(psi: MatrixFunction) -> tuple[np.ndarray, np.ndarray] | None:
+    """(values V, labels l) with psi(x) = V[l(x)] bitwise, when k^3 <= n^2.
+
+    The labels are those of one wrapping integer projection of each
+    matrix's bit pattern, which takes no more distinct values than the
+    matrices do; a bitwise comparison of every matrix with its label's
+    value makes them exact. None when there are more than n^(2/3) labels
+    (faithful irreps, minors, Haar draws) or two distinct matrices share a
+    projection; the other scans then run.
+    """
+    n = psi.group.order
+    bits = psi.matrices.reshape(n, -1).view(np.uint64)
+    weights = np.arange(1, 2 * bits.shape[1], 2, dtype=np.uint64) * _BIT_MIX
+    _, first, labels = np.unique(bits @ weights, return_index=True, return_inverse=True)
+    if len(first) ** 3 > n * n or not np.array_equal(bits[first][labels], bits):
+        return None
+    return psi.matrices[first], labels
+
+
+def _histogram_scan(psi: MatrixFunction, values: np.ndarray, labels: np.ndarray,
+                    agreement_tol: float) -> tuple[float, float]:
+    """(mean squared Frobenius defect, exact-agreement fraction) from value triples.
+
+    N[i, j, m] counts the pairs with psi(x) = V_i, psi(y) = V_j and
+    psi(xy) = V_m; each occurring triple's ||V_m - V_i V_j||_F^2 is formed
+    once, on its own difference, so both sums are exact.
+    """
+    n, k, d = psi.group.order, len(values), psi.dim
+    triple = (labels[:, None] * k + labels[None, :]) * k + labels[psi.group.table]
+    counts = np.bincount(triple.ravel(), minlength=k ** 3)
+    seen = np.flatnonzero(counts)
+    i, j, m = np.unravel_index(seen, (k, k, k))
+    sq = np.empty(len(seen))
+    step = _chunk_rows(1, d)      # triples per chunk, each a d x d product
+    for t0 in range(0, len(seen), step):
+        part = slice(t0, t0 + step)
+        diff = values[i[part]] @ values[j[part]]
+        diff -= values[m[part]]
+        sq[part] = _squared_frobenius(diff)
+    hits = counts[seen]
+    tol2 = agreement_tol * agreement_tol
+    return float(hits @ sq) / (n * n), int(hits[sq <= tol2].sum()) / (n * n)
+
+
 def _spectral_report(psi: MatrixFunction,
                      table: IrrepTable | None) -> tuple[DefectReport, float]:
     """Every report field from the blockwise transform; agreement_prob is None.
@@ -284,26 +342,39 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
     """Exact agreement over all pairs, the defect, and the bounds.
 
     A pair (x, y) agrees when ||psi(xy) - psi(x) psi(y)||_F <= agreement_tol,
-    which must be finite and non-negative. The screened scan takes a bilinear
-    fingerprint of every pair that no agreeing pair can fail, and decides
-    each survivor on its own difference, so the agreement is exact and does
-    not depend on the screen's vectors. Three cases take the full scan,
-    which forms every product: agreement_tol = 0, where equality of the two
-    sides depends on the arithmetic path; d = 1, where the screen costs what
-    the scan costs; and a spectral defect at most 1e-6 of its positive
-    moment terms tr E psi'psi + tr(E psi'psi E psi psi'), where the spectral
-    formula cancels (to about 1e-13 near a genuine representation).
+    which must be finite and non-negative. One of three scans runs:
 
-    The defect is the full scan's sum of per-pair squares where that scan
-    runs, and the spectral one otherwise. Every other field is the spectral
-    one.
+    - the histogram scan, when agreement_tol > 0 and psi takes k distinct
+      matrices with k^3 <= n^2 (sign functions, maps between groups lifted
+      through an irrep, irreps whose matrices repeat bitwise). It counts the pairs by the
+      labels of psi(x), psi(y) and psi(xy) with one bincount and forms one
+      difference per occurring triple, at n^2 integer work plus at most k^3
+      products;
+    - the full scan, which forms every product, when agreement_tol = 0
+      (equality of the two sides then depends on the arithmetic path), at
+      d = 1 (the screen costs what the scan costs), and when the spectral
+      defect is at most 1e-6 of its positive moment terms
+      tr E psi'psi + tr(E psi'psi E psi psi'), where the spectral formula
+      cancels (to about 1e-13 near a genuine representation);
+    - otherwise the screened scan, which takes a bilinear fingerprint of
+      every pair that no agreeing pair can fail and decides each survivor
+      on its own difference, so the agreement is exact and does not depend
+      on the screen's vectors.
+
+    The defect is the histogram scan's exact sum or the full scan's sum of
+    per-pair squares where those run, and the spectral one after the
+    screened scan. Every other field is the spectral one.
     """
     check_agreement_tol(agreement_tol)
     report, positive = _spectral_report(psi, table)
-    if (psi.dim > 1 and agreement_tol > 0.0
+    few = _value_labels(psi) if agreement_tol > 0.0 else None
+    if few is not None:
+        defect, agreement = _histogram_scan(psi, *few, agreement_tol)
+    elif (psi.dim > 1 and agreement_tol > 0.0
             and report.defect > _CANCELLATION * positive):
         return replace(report, agreement_prob=_screened_agreement(psi, agreement_tol))
-    defect, agreement = _full_scan(psi, agreement_tol)
+    else:
+        defect, agreement = _full_scan(psi, agreement_tol)
     return replace(report, defect=defect, normalized_defect=defect / (2.0 * psi.dim),
                    agreement_prob=agreement)
 
@@ -331,6 +402,12 @@ def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
     and, for a nontrivial parent, mean zero, both up to numerical error in the
     input irrep.
     """
+    return _minor(rho, d_psi, subspace, seed)[0]
+
+
+def _minor(rho: UnitaryRep, d_psi: int, subspace: str,
+           seed) -> tuple[MatrixFunction, np.ndarray]:
+    """minor_construction's minor and its basis B."""
     if not rho.is_irreducible:
         raise ValueError("minor construction needs an irreducible parent")
     if not 1 <= d_psi <= rho.dim:
@@ -354,7 +431,7 @@ def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
         raise ToleranceViolation(
             f"minor violates its guarantees: mean error {mean_err:.3e}, "
             f"admissibility residual {residual:.3e}")
-    return out
+    return out, basis
 
 
 def polar_unitary(matrix: np.ndarray) -> np.ndarray:
@@ -369,18 +446,63 @@ def polar_unitary(matrix: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
+def _complement_polar(rho: UnitaryRep, minor: MatrixFunction,
+                      basis: np.ndarray) -> np.ndarray:
+    """Polar factors of a minor through the r = d_rho - d_psi dimensional complement.
+
+    With A = B' rho B and C = B_perp' rho B, unitarity of rho gives
+    A'A = I - C'C, so polar(A) = A (I - C'C)^(-1/2)
+    = A + (A C'W) kappa(Lambda) (W'C), where C C' = W Lambda W' is r x r and
+    kappa(l) = 1 / (s (1 + s)) with s = sqrt(1 - l), a form that does not
+    cancel as l -> 0. One Newton-Schulz step U (3I - U'U) / 2 then restores
+    unitarity to roundoff. sigma_min(A)^2 = 1 - lambda_max, so the elements
+    with sigma_min below 1e-3 (or _MIN_SINGULAR, if larger), where the
+    formula loses digits, are recomputed by polar_unitary, which rejects a
+    rank-deficient one.
+    """
+    n, d = rho.group.order, minor.dim
+    r = rho.dim - d
+    a = minor.matrices / np.sqrt(rho.dim / d)
+    perp = np.linalg.qr(basis, mode="complete")[0][:, d:]
+    floor = max(_COMPLEMENT_MIN_SINGULAR, _MIN_SINGULAR) ** 2
+    u, thin = a, np.empty(0, dtype=np.int64)
+    if r:
+        c = perp.conj().T @ rho.matrices @ basis
+        gram = c @ c.conj().transpose(0, 2, 1)
+        if r == 1:
+            lam, w = gram.real[:, 0], np.ones((n, 1, 1))
+        else:
+            lam, w = np.linalg.eigh(gram)
+        s = np.sqrt(np.maximum(1.0 - lam, floor))
+        cw = c.conj().transpose(0, 2, 1) @ w
+        u = a + ((a @ cw) / (s * (1.0 + s))[:, None, :]) @ cw.conj().transpose(0, 2, 1)
+        thin = np.flatnonzero(1.0 - lam.max(axis=1) < floor)
+    u = 0.5 * u @ (3.0 * np.eye(d) - u.conj().transpose(0, 2, 1) @ u)
+    if len(thin):
+        u[thin] = polar_unitary(minor.matrices[thin])
+    return u
+
+
 def polar_construction(rho: UnitaryRep, d_psi: int, seed) -> PolarFunction:
     """Elementwise polar part of a Haar-subspace minor of rho.
 
-    Retries with derived seeds (up to 8) when some element of the minor is
-    numerically rank deficient, then gives up with RankDeficient.
+    When the complement is the narrower side, r = d_rho - d_psi < d_psi, the
+    polar factors come from an r x r eigenproblem per element
+    (_complement_polar), with every element whose smallest singular value is
+    below 1e-3 recomputed by polar_unitary; otherwise all of them come from
+    polar_unitary's batched SVD. Retries with derived seeds (up to 8) when
+    some element of the minor is numerically rank deficient, then gives up
+    with RankDeficient.
     """
     for attempt in range(8):
-        minor = minor_construction(
-            rho, d_psi, subspace="haar",
-            seed=[seed, attempt] if np.isscalar(seed) else list(seed) + [attempt])
+        minor, basis = _minor(
+            rho, d_psi, "haar",
+            [seed, attempt] if np.isscalar(seed) else list(seed) + [attempt])
         try:
-            mats = polar_unitary(minor.matrices)
+            if rho.dim - d_psi < d_psi:
+                mats = _complement_polar(rho, minor, basis)
+            else:
+                mats = polar_unitary(minor.matrices)
         except RankDeficient as exc:
             last = exc
             continue

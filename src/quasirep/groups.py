@@ -134,9 +134,10 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
     The passing s are closed under products and include the identity, so it
     suffices that the s reach every element from the identity. Each s (the
     smallest element not yet reached) is checked before it extends the reached
-    set, the subgroup the checked s generate: the layers of their Cayley tree
-    from the identity (_cayley_tree). That subgroup thus at least doubles: at
-    most log2(n) + 1 checks. Returns the generating set.
+    set, the subgroup H the checked s generate. H is closed under the earlier
+    s, so the new subgroup is grown from the coset H*s alone, one layer of
+    right multiplications by every checked s at a time. That subgroup at
+    least doubles: at most log2(n) + 1 checks. Returns the generating set.
     """
     reached = np.zeros(len(table), dtype=bool)
     reached[identity] = True
@@ -149,8 +150,11 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
             x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
             raise NotAGroup(f"associativity fails at (x, y, z) = ({x}, {s}, {y})")
         gens.append(s)
-        for children, _, _ in _cayley_tree(table[:, gens], identity):
-            reached[children] = True
+        frontier = table[reached, s]
+        while len(frontier):
+            frontier = np.unique(frontier[~reached[frontier]])
+            reached[frontier] = True
+            frontier = table[np.ix_(frontier, gens)].ravel()
     return tuple(gens)
 
 
@@ -207,7 +211,7 @@ def _element_orders(group: FiniteGroup) -> np.ndarray:
 
 def _cayley_tree(right: np.ndarray, root: int) -> list[tuple[np.ndarray, ...]]:
     """Breadth-first tree of the Cayley graph from root, the one walk that
-    closure, Light's test, irrep restriction and homomorphism extension share.
+    closure, irrep restriction and homomorphism extension share.
 
     right is an (n, k) array of right multiplications by k generators,
     right[x, j] = x * s_j. One (children, parents, steps) triple per layer,

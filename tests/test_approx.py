@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasirep import approx, groups, irreps
+from quasirep import approx, groups, homs, irreps
 from quasirep.errors import DimensionError, MissingIrrepTable, OddOrder, RankDeficient
 
 
@@ -102,12 +102,14 @@ def brute_force_pairs(psi):
 
 
 def scan_cases(g, table):
-    """Inputs for both of defect_direct's pair scans.
+    """Inputs for all three of defect_direct's pair scans.
 
-    Genuine irreps and irreps plus small noise take the full scan (the
-    spectral defect would cancel), and so does d = 1; minors, polar minors,
-    Haar baselines and perturbed irreps take the screened scan, perturbed
-    irreps with most pairs surviving it.
+    Sign functions and the 1-dim irreps, whose values repeat bitwise, take
+    the histogram scan at a positive tolerance. Faithful genuine irreps and
+    irreps plus small noise take the full scan (the spectral defect would
+    cancel), and so does d = 1;
+    minors, polar minors, Haar baselines and perturbed irreps take the
+    screened scan, perturbed irreps with most pairs surviving it.
     """
     rho = max(table, key=lambda r: r.dim)
     rng = np.random.default_rng(0)
@@ -130,6 +132,17 @@ def scan_cases(g, table):
     return cases
 
 
+def spy_scans(monkeypatch):
+    """Record the name of each of defect_direct's scans as it runs."""
+    scans = []
+    for name in ("_full_scan", "_screened_agreement", "_histogram_scan"):
+        def traced(*args, _name=name, _scan=getattr(approx, name)):
+            scans.append(_name)
+            return _scan(*args)
+        monkeypatch.setattr(approx, name, traced)
+    return scans
+
+
 SCAN_TOLERANCES = (0.0, 1e-9, 1e-6, 1e-3, 0.5, 10.0)
 
 
@@ -139,23 +152,17 @@ def test_pair_scan_matches_brute_force(spec, monkeypatch):
     g = groups.named(*spec)
     table = irreps.decompose(g)
     honest = approx._full_scan
-    scans = []
-
-    def spy(name):
-        scan = getattr(approx, name)
-
-        def traced(psi, agreement_tol):
-            scans.append(name)
-            return scan(psi, agreement_tol)
-        return traced
-
-    for name in ("_full_scan", "_screened_agreement"):
-        monkeypatch.setattr(approx, name, spy(name))
+    scans = spy_scans(monkeypatch)
     # the scan each input must take at the default tolerance; every input
-    # takes the full scan at tolerance 0
+    # takes the full scan at tolerance 0. The few-valued inputs take the
+    # histogram: sign functions (k = 2) and, in these four groups, the 1-dim
+    # irreps (k <= 3, so k^3 <= n^2), while every higher irrep is faithful
+    # (k = n) and takes the full scan
     top = max(r.dim for r in table)
-    pinned = {"sign": "_full_scan", "perturbed f=0.1": "_screened_agreement"}
-    pinned.update({f"genuine irrep {i}": "_full_scan" for i in range(len(table))})
+    pinned = {"sign": "_histogram_scan", "perturbed f=0.1": "_screened_agreement",
+              "haar d1": "_full_scan"}
+    pinned.update({f"genuine irrep {i}": "_histogram_scan" if r.dim == 1 else "_full_scan"
+                   for i, r in enumerate(table)})
     pinned.update({f"haar d{d}": "_screened_agreement" for d in (2, 3, 4)})
     if top > 2:
         pinned.update({f"{kind} minor {top - 1}": "_screened_agreement"
@@ -187,6 +194,69 @@ def test_pair_scan_matches_brute_force(spec, monkeypatch):
             elif label == "perturbed f=0.1" and tol == approx.AGREEMENT_TOL:
                 assert 0.0 < agreement < 1.0
         assert report.triple_trace == pytest.approx(triple, abs=1e-12), label
+
+
+def few_valued_cases(a6_table):
+    """(label, psi, table) for functions that take k^3 <= n^2 distinct matrices."""
+    s3_table = irreps.decompose(groups.named("symmetric", 3))
+    sigma = irrep_of_dim(s3_table, 2)
+    p11_table = irreps.decompose(groups.named("psl2", 11))
+    s4_table = irreps.decompose(groups.named("symmetric", 4))
+    # S4's 2-dim irrep factors through S3, but the decomposition's matrices
+    # differ by roundoff within a coset of its kernel: give each coset the
+    # matrix of its first member, so that it takes exactly k = 6 values
+    rho = irrep_of_dim(s4_table, 2)
+    _, first, coset = np.unique(np.round(rho.matrices, 6).reshape(24, -1), axis=0,
+                                return_index=True, return_inverse=True)
+    assert len(first) == 6
+    kernel_constant = approx.MatrixFunction(rho.group, 2, rho.matrices[first[coset.ravel()]])
+    return [
+        ("A6 sign", approx.random_sign_function(a6_table.group, seed=1), a6_table),
+        ("psl2(11) sign", approx.random_sign_function(p11_table.group, seed=2), p11_table),
+        ("A6 -> S3 lift", homs.lift_through_irrep(
+            homs.balanced_random_map(a6_table.group, sigma.group, seed=3), sigma), a6_table),
+        ("psl2(11) -> S3 lift", homs.lift_through_irrep(
+            homs.random_map(p11_table.group, sigma.group, seed=4), sigma), p11_table),
+        ("S4 2-dim irrep, k = 6", kernel_constant, s4_table),
+    ]
+
+
+def test_histogram_scan_matches_the_full_scan(monkeypatch, a6_table):
+    scans = spy_scans(monkeypatch)
+    for label, psi, table in few_valued_cases(a6_table):
+        for tol in (approx.AGREEMENT_TOL, 0.5):
+            scans.clear()
+            report = approx.defect_direct(psi, table, agreement_tol=tol)
+            assert scans == ["_histogram_scan"], (label, tol)
+            defect, agreement = approx._full_scan(psi, tol)
+            assert report.agreement_prob == agreement, (label, tol)
+            assert report.defect == pytest.approx(defect, abs=1e-12), (label, tol)
+            assert report.normalized_defect == report.defect / (2 * psi.dim)
+        # at tolerance 0 equality depends on the arithmetic path, so the
+        # full scan decides it
+        scans.clear()
+        approx.defect_direct(psi, table, agreement_tol=0.0)
+        assert scans == ["_full_scan"], label
+
+
+def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):
+    # n = 360: 50^3 = 125000 <= 360^2 = 129600 < 51^3; every value is
+    # unitary, so psi stays admissible
+    scans = spy_scans(monkeypatch)
+    a6, table = a6_table.group, a6_table
+    values = approx.haar_baseline(a6, 2, seed=5).matrices
+    for k, route in ((50, "_histogram_scan"), (51, "_screened_agreement")):
+        psi = approx.MatrixFunction(a6, 2, values[np.arange(a6.order) % k])
+        scans.clear()
+        report = approx.defect_direct(psi, table, agreement_tol=0.5)
+        assert scans == [route], k
+        assert report.agreement_prob == approx._full_scan(psi, 0.5)[1], k
+    # labels come from a projection of the bits; when it merges distinct
+    # matrices the bitwise check refuses them and the other scans run
+    monkeypatch.setattr(approx, "_BIT_MIX", np.uint64(0))
+    scans.clear()
+    approx.defect_direct(approx.random_sign_function(a6, seed=1), table)
+    assert scans == ["_full_scan"]
 
 
 @pytest.mark.parametrize("spec,dim", [(("alternating", 6), 8), (("psl2", 7), 6)])
@@ -273,6 +343,65 @@ def test_polar_unitary_factor():
 def test_polar_unitary_rejects_singular():
     with pytest.raises(RankDeficient):
         approx.polar_unitary(np.diag([1.0, 1.0, 0.0]).astype(complex))
+
+
+@pytest.mark.parametrize("spec", [("alternating", 5), ("alternating", 6)])
+def test_complement_polar_matches_the_svd(spec, monkeypatch):
+    table = irreps.decompose(groups.named(*spec))
+    routes = []
+    complement = approx._complement_polar
+    monkeypatch.setattr(approx, "_complement_polar",
+                        lambda *args: routes.append(args[2].shape) or complement(*args))
+    for ri, rho in enumerate(table):
+        for d_psi in range(1, rho.dim + 1):
+            for seed in range(3):
+                routes.clear()
+                psi = approx.polar_construction(rho, d_psi, seed=[seed, ri])
+                # the complement is the narrower side exactly when r < d_psi
+                assert len(routes) == (rho.dim - d_psi < d_psi), (ri, d_psi)
+                svd = approx.polar_unitary(psi.parent_minor.matrices)
+                assert np.abs(psi.matrices - svd).max() <= 1e-11, (ri, d_psi, seed)
+
+
+def test_thin_elements_fall_back_to_the_svd(monkeypatch):
+    # the minor that `sweep --group psl2 11 --construction polar --rho-dim 12
+    # --dpsi 11` draws for irrep 7 at seed 0 has one element with
+    # sigma_min = 1.0e-5, where the complement formula loses digits
+    rho = irreps.decompose(groups.named("psl2", 11)).irreps[7]
+    assert rho.dim == 12
+    minor, basis = approx._minor(rho, 11, "haar", [0, 7, 11, 0])
+    sigma = np.linalg.svd(minor.matrices, compute_uv=False)[:, -1] / math.sqrt(12 / 11)
+    thin = np.flatnonzero(sigma < 1e-3)
+    assert len(thin) == 1 and 5e-6 < sigma[thin[0]] < 2e-5
+    served = []
+    svd = approx.polar_unitary
+    monkeypatch.setattr(approx, "polar_unitary",
+                        lambda m: served.append(len(m)) or svd(m))
+    mats = approx._complement_polar(rho, minor, basis)
+    assert served == [1]
+    reference = svd(minor.matrices)
+    assert np.array_equal(mats[thin], reference[thin])
+    assert np.abs(mats - reference).max() <= 1e-11
+
+
+def test_complement_polar_rejects_and_retries(monkeypatch, a6_table):
+    rho = irrep_of_dim(a6_table, 10)
+
+    def smallest(seed, attempt):
+        minor = approx.minor_construction(rho, 9, subspace="haar", seed=[seed, attempt])
+        return np.linalg.svd(minor.matrices, compute_uv=False).min()
+
+    # a seed whose first minor is thinner than its second: a singular-value
+    # floor between the two rejects the first draw and accepts the second
+    seed = next(s for s in range(20) if smallest(s, 0) < smallest(s, 1))
+    monkeypatch.setattr(approx, "_MIN_SINGULAR", (smallest(seed, 0) + smallest(seed, 1)) / 2)
+    psi = approx.polar_construction(rho, 9, seed=seed)
+    retry = approx.minor_construction(rho, 9, subspace="haar", seed=[seed, 1])
+    assert np.array_equal(psi.parent_minor.matrices, retry.matrices)
+    assert np.abs(psi.matrices - approx.polar_unitary(retry.matrices)).max() <= 1e-11
+    monkeypatch.setattr(approx, "_MIN_SINGULAR", 2.0)
+    with pytest.raises(RankDeficient, match="over 8 seeds"):
+        approx.polar_construction(rho, 9, seed=seed)
 
 
 def test_polar_construction(a5_table):
