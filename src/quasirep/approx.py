@@ -22,8 +22,8 @@ vectors u and r, at O(n^2 d) cost. Since |u' D r| <= ||D||_F, no pair within
 the agreement tolerance fails the screen, so multiplying out only the
 survivors and checking each on its own difference gives the same count
 whatever u and r are. The full scan forms every product instead; it runs at
-tolerance 0, at d = 1 and near a genuine representation, and its sum of
-per-pair squares is then the defect. After the screened scan the defect is
+tolerance 0 and near a genuine representation, and its sum of per-pair
+squares is then the defect. After the screened scan the defect is
 the spectral one.
 
 Constructions: compressions of an irrep to a subspace (exact defect
@@ -133,7 +133,7 @@ class MatrixFunction:
 class PolarFunction(MatrixFunction):
     """Elementwise unitary polar part of a minor; keeps the minor for polar_residual."""
 
-    parent_minor: MatrixFunction | None = None
+    parent_minor: MatrixFunction
 
 
 @dataclass
@@ -145,8 +145,8 @@ class DefectReport:
     normalized_defect) is the spectral formula's in defect_via_fourier. In
     defect_direct it is the histogram scan's exact sum where psi takes few
     distinct matrices (k^3 <= n^2) and the tolerance is positive; else the
-    full scan's sum of per-pair squares where that scan runs: at tolerance 0,
-    at d = 1 and where the spectral formula would cancel (genuine irreps and
+    full scan's sum of per-pair squares where that scan runs: at tolerance 0
+    and where the spectral formula would cancel (genuine irreps and
     near-representations). Elsewhere the screened scan gives only the
     agreement, and the defect is the spectral one. The triple trace,
     mean_opnorm, both bounds and the admissibility residual come from the
@@ -351,9 +351,8 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
       difference per occurring triple, at n^2 integer work plus at most k^3
       products;
     - the full scan, which forms every product, when agreement_tol = 0
-      (equality of the two sides then depends on the arithmetic path), at
-      d = 1 (the screen costs what the scan costs), and when the spectral
-      defect is at most 1e-6 of its positive moment terms
+      (equality of the two sides then depends on the arithmetic path) and
+      when the spectral defect is at most 1e-6 of its positive moment terms
       tr E psi'psi + tr(E psi'psi E psi psi'), where the spectral formula
       cancels (to about 1e-13 near a genuine representation);
     - otherwise the screened scan, which takes a bilinear fingerprint of
@@ -370,8 +369,7 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
     few = _value_labels(psi) if agreement_tol > 0.0 else None
     if few is not None:
         defect, agreement = _histogram_scan(psi, *few, agreement_tol)
-    elif (psi.dim > 1 and agreement_tol > 0.0
-            and report.defect > _CANCELLATION * positive):
+    elif agreement_tol > 0.0 and report.defect > _CANCELLATION * positive:
         return replace(report, agreement_prob=_screened_agreement(psi, agreement_tol))
     else:
         defect, agreement = _full_scan(psi, agreement_tol)
@@ -460,7 +458,7 @@ def _complement_polar(rho: UnitaryRep, minor: MatrixFunction,
     formula loses digits, are recomputed by polar_unitary, which rejects a
     rank-deficient one.
     """
-    n, d = rho.group.order, minor.dim
+    d = minor.dim
     r = rho.dim - d
     a = minor.matrices / np.sqrt(rho.dim / d)
     perp = np.linalg.qr(basis, mode="complete")[0][:, d:]
@@ -469,10 +467,7 @@ def _complement_polar(rho: UnitaryRep, minor: MatrixFunction,
     if r:
         c = perp.conj().T @ rho.matrices @ basis
         gram = c @ c.conj().transpose(0, 2, 1)
-        if r == 1:
-            lam, w = gram.real[:, 0], np.ones((n, 1, 1))
-        else:
-            lam, w = np.linalg.eigh(gram)
+        lam, w = np.linalg.eigh(gram)
         s = np.sqrt(np.maximum(1.0 - lam, floor))
         cw = c.conj().transpose(0, 2, 1) @ w
         u = a + ((a @ cw) / (s * (1.0 + s))[:, None, :]) @ cw.conj().transpose(0, 2, 1)

@@ -98,12 +98,6 @@ class FiniteGroup:
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
-    def mul(self, x: int, y: int) -> int:
-        return int(self.table[x, y])
-
-    def inv(self, x: int) -> int:
-        return int(self.inverses[x])
-
     def squares(self) -> np.ndarray:
         """Index array of x*x for every x."""
         return self.table.diagonal()
@@ -235,7 +229,6 @@ def _cayley_tree(right: np.ndarray, root: int) -> list[tuple[np.ndarray, ...]]:
 
 
 def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]],
-                                cap: int = CLOSURE_CAP,
                                 name: str = "permgroup") -> FiniteGroup:
     """Group generated by permutations of 0..degree-1 (image tuples).
 
@@ -244,7 +237,8 @@ def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]]
     records right[i, k], the index of element i times generator k. Since
     x * (p * s) = (x * p) * s, the columns of a layer of the Cayley tree
     (_cayley_tree) are one gather of right at the columns of their parents,
-    filled in earlier layers. Raises ClosureCapExceeded past cap elements.
+    filled in earlier layers. Raises ClosureCapExceeded once the closure
+    passes CLOSURE_CAP elements, a fixed cap.
     """
     gens = []
     for g in generators:
@@ -260,8 +254,9 @@ def from_permutation_generators(degree: int, generators: Iterable[Sequence[int]]
         for s in gens:
             p = tuple([e[x] for x in s])
             if p not in index:
-                if len(elements) >= cap:
-                    raise ClosureCapExceeded(f"closure exceeded cap of {cap} elements")
+                if len(elements) >= CLOSURE_CAP:
+                    raise ClosureCapExceeded(
+                        f"closure exceeded cap of {CLOSURE_CAP} elements")
                 index[p] = len(elements)
                 elements.append(p)
             right.append(index[p])

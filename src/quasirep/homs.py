@@ -61,8 +61,16 @@ class HomReport:
 
 
 def make_group_map(source: FiniteGroup, target: FiniteGroup, values) -> GroupMap:
-    """Wrap an image array as a GroupMap, computing p_f and epsilon."""
-    vals = np.asarray(values, dtype=np.int64)
+    """Wrap an image array as a GroupMap, computing p_f and epsilon.
+
+    values must have an integer dtype (a list of Python ints has one); any
+    other (float, bool, ...) raises ValueError naming it rather than being
+    cast.
+    """
+    vals = np.asarray(values)
+    if vals.dtype.kind not in "iu":
+        raise ValueError(f"map values must be integers, got dtype {vals.dtype}")
+    vals = vals.astype(np.int64)
     if vals.shape != (source.order,):
         raise ValueError(f"values must have shape ({source.order},), got {vals.shape}")
     if len(vals) and (vals.min() < 0 or vals.max() >= target.order):
@@ -71,7 +79,7 @@ def make_group_map(source: FiniteGroup, target: FiniteGroup, values) -> GroupMap
     p_f = counts / source.order
     uniform = 1.0 / target.order
     epsilon = float(target.order * np.sum((p_f - uniform) ** 2))
-    return GroupMap(source, target, vals.copy(), p_f, epsilon)
+    return GroupMap(source, target, vals, p_f, epsilon)
 
 
 def agreement_probability(f: GroupMap) -> float:
@@ -168,9 +176,13 @@ def genuine_hom(source: FiniteGroup, target: FiniteGroup,
     UnitaryRep.validate). Raises NotAHomomorphism when the generators do not
     generate the source group or when the extension fails the product law
     (witness pair (x, s) in the message), and ValueError when a generator or
-    an image lies outside its group's index range.
+    an image is not an integer or lies outside its group's index range.
     """
     for s, t in images.items():
+        if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
+            raise ValueError(f"generator {s!r} is not an integer index")
+        if not isinstance(t, (int, np.integer)) or isinstance(t, bool):
+            raise ValueError(f"image {t!r} of generator {s!r} is not an integer index")
         if not 0 <= s < source.order:
             raise ValueError(f"generator {s} outside the source index range "
                              f"0..{source.order - 1}")

@@ -88,31 +88,29 @@ _ANCHOR_MIN_SINGULAR = 1e-10
 class UnitaryRep:
     """A unitary representation given by one matrix per group element.
 
+    The character and the irreducibility flag are measured from the matrices
+    at construction, never supplied: the traces of every element are class
+    averaged, and traces that spread by more than 1e-6 within a class raise
+    ToleranceViolation. Unitarity and the product law are checked by validate.
+
     Attributes:
         group: the underlying FiniteGroup.
         dim: matrix dimension.
         matrices: (|G|, dim, dim) complex array.
         character: per-conjugacy-class character values.
-        is_irreducible: whether E|chi|^2 = 1 held at construction.
+        is_irreducible: whether E|chi|^2 = 1 held, within 1e-6.
     """
 
-    def __init__(self, group: FiniteGroup, matrices: np.ndarray,
-                 character: np.ndarray | None = None,
-                 is_irreducible: bool | None = None):
+    def __init__(self, group: FiniteGroup, matrices: np.ndarray):
         matrices = np.ascontiguousarray(matrices, dtype=np.complex128)
         if matrices.shape != (group.order, matrices.shape[1], matrices.shape[1]):
             raise ValueError(f"matrices must be (|G|, d, d), got {matrices.shape}")
         self.group = group
         self.dim = matrices.shape[1]
         self.matrices = matrices
-        if character is None:
-            traces = np.trace(matrices, axis1=1, axis2=2)
-            character = _class_average(group, traces)
-        self.character = np.asarray(character, dtype=np.complex128)
-        if is_irreducible is None:
-            chi = self.character_on_elements()
-            is_irreducible = abs(np.mean(np.abs(chi) ** 2) - 1.0) <= _IRREDUCIBILITY
-        self.is_irreducible = bool(is_irreducible)
+        self.character = _class_average(group, np.trace(matrices, axis1=1, axis2=2))
+        chi = self.character_on_elements()
+        self.is_irreducible = bool(abs(np.mean(np.abs(chi) ** 2) - 1.0) <= _IRREDUCIBILITY)
         self.matrices.setflags(write=False)
         self.character.setflags(write=False)
 
@@ -492,8 +490,6 @@ def _decompose_once(group: FiniteGroup, anchor: np.ndarray,
             matrices = np.exp(2j * np.pi * turns / orders).reshape(n, 1, 1)
         else:
             matrices = _restrict(group, _gauge_fix(bases[rho], anchor), tree)
-        # character=None: the traces of every element are class averaged with
-        # their spread checked, and irreducibility is read on every element
         rep = UnitaryRep(group, matrices)
         if not rep.is_irreducible:
             raise ToleranceViolation(f"piece of dim {rep.dim} is reducible")

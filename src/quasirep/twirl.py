@@ -72,6 +72,8 @@ _CHARACTERS = {
 }
 
 _MAX_DRHO = 14  # keeps d_rho^4 at or below 4e4
+# Haar subspaces drawn by error_term_audit's Monte Carlo route
+_AUDIT_SAMPLES = 200
 
 
 def all_permutations() -> tuple[tuple[int, ...], ...]:
@@ -259,34 +261,32 @@ def _word_exponents(pi: tuple[int, ...]) -> list[int]:
     return [sum(1 if k % 2 else -1 for k in cyc) for cyc in _cycles(succ)]
 
 
-def error_term_audit(rho: UnitaryRep, d_psi: int, samples: int = 200,
-                     seed=0) -> TwirlAudit:
+def error_term_audit(rho: UnitaryRep, d_psi: int, seed=0) -> TwirlAudit:
     """Evaluate E_{Pi,x} tr[(Pi rho(x)' Pi rho(x))^2] two independent ways.
 
-    Route (a): Monte Carlo over Haar-random rank-d_psi projectors Pi with the
-    group average taken exactly. Route (b): exact, through the twirl expansion;
+    Route (a): Monte Carlo over 200 Haar-random rank-d_psi projectors Pi
+    drawn from seed (the count is fixed), with the group average taken
+    exactly. Route (b): exact, through the twirl expansion;
     every permutation term reduces to character power-moments of rho. The
     leading-order prediction d_rho r^3 (2 - r) with r = d_psi / d_rho tags the
     report for scale.
     """
     d_rho = rho.dim
     _check_dims(d_rho, d_psi)
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples, got {samples}")
     group = rho.group
     n = group.order
 
     # route (a): compressions C(x) = B' rho(x) B, integrand tr((C'C)^2)
     # one stacked draw; the compressions go one basis at a time so that no
     # temporary grows with samples x |G|
-    bases = haar_basis(np.random.default_rng(seed), d_rho, d_psi, stack=(samples,))
-    vals = np.empty(samples)
+    bases = haar_basis(np.random.default_rng(seed), d_rho, d_psi, stack=(_AUDIT_SAMPLES,))
+    vals = np.empty(_AUDIT_SAMPLES)
     for s, b in enumerate(bases):
         c = b.conj().T @ rho.matrices @ b
         gram = np.einsum("xba,xbc->xac", c.conj(), c)
         vals[s] = float(np.einsum("xab,xba->", gram, gram).real) / n
     mc = float(vals.mean())
-    mc_se = float(vals.std(ddof=1) / np.sqrt(samples))
+    mc_se = float(vals.std(ddof=1) / np.sqrt(_AUDIT_SAMPLES))
 
     # route (b): per-element character powers, then the 24 collapsed terms
     chi1 = rho.character_on_elements()

@@ -95,8 +95,8 @@ def test_a8_catches_a_wrong_gram_coefficient(ctx, monkeypatch):
 def test_a8_catches_a_shifted_audit_expansion(ctx, monkeypatch):
     honest = twirl.error_term_audit
 
-    def shifted(rho, d_psi, samples=200, seed=0):
-        audit = honest(rho, d_psi, samples=samples, seed=seed)
+    def shifted(rho, d_psi, seed=0):
+        audit = honest(rho, d_psi, seed=seed)
         return dataclasses.replace(
             audit, expansion=audit.expansion + 10 * audit.monte_carlo_stderr)
 

@@ -157,13 +157,13 @@ def test_pair_scan_matches_brute_force(spec, monkeypatch):
     # takes the full scan at tolerance 0. The few-valued inputs take the
     # histogram: sign functions (k = 2) and, in these four groups, the 1-dim
     # irreps (k <= 3, so k^3 <= n^2), while every higher irrep is faithful
-    # (k = n) and takes the full scan
+    # (k = n) and takes the full scan. Many-valued functions away from a
+    # representation, at d = 1 too, take the screened scan
     top = max(r.dim for r in table)
-    pinned = {"sign": "_histogram_scan", "perturbed f=0.1": "_screened_agreement",
-              "haar d1": "_full_scan"}
+    pinned = {"sign": "_histogram_scan", "perturbed f=0.1": "_screened_agreement"}
     pinned.update({f"genuine irrep {i}": "_histogram_scan" if r.dim == 1 else "_full_scan"
                    for i, r in enumerate(table)})
-    pinned.update({f"haar d{d}": "_screened_agreement" for d in (2, 3, 4)})
+    pinned.update({f"haar d{d}": "_screened_agreement" for d in (1, 2, 3, 4)})
     if top > 2:
         pinned.update({f"{kind} minor {top - 1}": "_screened_agreement"
                        for kind in ("haar", "polar")})
@@ -254,9 +254,11 @@ def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):
     # labels come from a projection of the bits; when it merges distinct
     # matrices the bitwise check refuses them and the other scans run
     monkeypatch.setattr(approx, "_BIT_MIX", np.uint64(0))
+    sign = approx.random_sign_function(a6, seed=1)
     scans.clear()
-    approx.defect_direct(approx.random_sign_function(a6, seed=1), table)
-    assert scans == ["_full_scan"]
+    report = approx.defect_direct(sign, table)
+    assert scans == ["_screened_agreement"]
+    assert report.agreement_prob == approx._full_scan(sign, approx.AGREEMENT_TOL)[1]
 
 
 @pytest.mark.parametrize("spec,dim", [(("alternating", 6), 8), (("psl2", 7), 6)])

@@ -22,6 +22,18 @@ def test_make_group_map_validation(s3, z6):
         homs.make_group_map(s3, z6, np.full(6, -1))
 
 
+@pytest.mark.parametrize("values, dtype", [
+    pytest.param(np.array([0.0, 1.9, 0.2, 1.0]), "float64", id="float"),
+    pytest.param(np.array([False, True, False, True]), "bool", id="bool"),
+])
+def test_make_group_map_refuses_values_without_an_integer_dtype(values, dtype):
+    # a cast to int64 would load both as [0, 1, 0, 1]
+    z4, z2 = groups.named("cyclic", 4), groups.named("cyclic", 2)
+    with pytest.raises(ValueError, match=rf"^map values must be integers, got dtype {dtype}$"):
+        homs.make_group_map(z4, z2, values)
+    assert homs.make_group_map(z4, z2, [0, 1, 0, 1]).values.tolist() == [0, 1, 0, 1]
+
+
 def test_identity_map(s3, s3_table):
     f = homs.make_group_map(s3, s3, np.arange(6))
     assert homs.agreement_probability(f) == 1.0
@@ -85,6 +97,19 @@ def test_genuine_hom_rejects_out_of_range_indices(images, match):
     z3 = groups.named("cyclic", 3)
     with pytest.raises(ValueError, match=match):
         homs.genuine_hom(z4, z3, images)
+
+
+@pytest.mark.parametrize("images, match", [
+    pytest.param({1.0: 1}, r"^generator 1\.0 is not an integer index$", id="float-key"),
+    pytest.param({1: 1.0}, r"^image 1\.0 of generator 1 is not an integer index$",
+                 id="float-image"),
+])
+def test_genuine_hom_refuses_non_integer_indices(images, match):
+    # a float key used to fail as a bare IndexError, a float image was cast
+    z4 = groups.named("cyclic", 4)
+    z2 = groups.named("cyclic", 2)
+    with pytest.raises(ValueError, match=match):
+        homs.genuine_hom(z4, z2, images)
 
 
 def test_balanced_map_has_equal_fibers(a6):

@@ -498,31 +498,44 @@ def test_quaternionic_bases_are_pinned():
     assert np.max(np.abs(np.array(entries) - want)) <= 1e-9
 
 
+def _regular(group):
+    """The left regular representation: exact 0/1 matrices, trace 0 off the
+    identity, so a tamper that ties several pairs ties them exactly."""
+    n = group.order
+    mats = np.zeros((n, n, n), dtype=np.complex128)
+    mats[np.arange(n)[:, None], group.table, np.arange(n)] = 1.0
+    return mats
+
+
 @pytest.mark.parametrize("tamper,match", [
-    pytest.param("entry", None, id="entry"),
-    pytest.param("sign flip", "product law", id="sign-flip"),
+    # a moved trace is refused when the rep is constructed
+    pytest.param("entry", r"^character varies within class 1 by 6\.667e-03$", id="entry"),
+    # every class character but the identity's is 0, so scaling a matrix
+    # keeps every trace constant on its class. By -1 it stays unitary, at an
+    # element that is not a generator: only the product law on the (x, s)
+    # pairs can see it
+    pytest.param("sign flip", r"^product law fails at pair \(2, 2\): residual 4\.899e\+00$",
+                 id="sign-flip"),
+    pytest.param("scale", r"^unitarity residual 4\.923e-02 above 1e-08$", id="scale"),
 ])
-def test_validate_catches_tampering(s3_table, tamper, match):
-    g = s3_table.group
-    rep = s3_table.irreps[2]
-    mats = rep.matrices.copy()
+def test_validate_catches_tampering(s3, tamper, match):
+    mats = _regular(s3)
     if tamper == "entry":
         mats[1, 0, 0] += 0.01
-    else:
-        # still unitary, at an element that is not a generator: only the
-        # product law on the (x, s) pairs can see it
-        z = max(set(range(g.order)) - {g.identity} - set(g.generators))
+    elif tamper == "sign flip":
+        z = max(set(range(s3.order)) - {s3.identity} - set(s3.generators))
         mats[z] *= -1.0
-    bad = irreps.UnitaryRep(g, mats, character=rep.character,
-                            is_irreducible=True)
+    else:
+        mats[1] *= 1.01
     with pytest.raises(ToleranceViolation, match=match):
-        bad.validate()
+        irreps.UnitaryRep(s3, mats).validate()
 
 
 def test_validate_reaches_every_element_above_the_pair_cap():
-    # one sign-flipped matrix, a unitary, at an element that 1000 seeded
-    # random pairs (seed 0) never touch as x, y or x*y: only a product law
-    # checked against every x and a generating set must see it
+    # one matrix conjugated by a diagonal unitary, keeping its trace, at an
+    # element that 1000 seeded random pairs (seed 0) never touch as x, y or
+    # x*y: only a product law checked against every x and a generating set
+    # must see it
     g = groups.named("psl2", 11)
     rep = next(r for r in irreps.decompose(g) if r.dim == 5)
     rep.validate()
@@ -531,37 +544,51 @@ def test_validate_reaches_every_element_above_the_pair_cap():
     ys = rng.integers(0, g.order, 1000)
     untouched = set(range(g.order)) - set(xs) - set(ys) - set(g.table[xs, ys])
     z = min(untouched - {g.identity})
+    phase = np.exp(1j * np.arange(rep.dim))
     mats = rep.matrices.copy()
-    mats[z] *= -1.0
-    bad = irreps.UnitaryRep(g, mats, character=rep.character, is_irreducible=True)
-    with pytest.raises(ToleranceViolation, match="product law"):
-        bad.validate()
+    mats[z] = phase[:, None] * mats[z] * phase.conj()
+    with pytest.raises(ToleranceViolation) as caught:
+        irreps.UnitaryRep(g, mats).validate()
+    # every pair that touches z once fails by the same residual in exact
+    # arithmetic, so roundoff picks which of them is named
+    assert str(caught.value) in {f"product law fails at pair ({x}, {s}): residual 3.253e+00"
+                                 for x in range(g.order) for s in g.generators
+                                 if z in (x, g.table[x, s])}
 
 
 def test_validate_names_the_worst_pair_first_in_x_major_order(a5, a5_table):
-    # a5's generators are elements 1 and 2. An exact trivial rep with one
-    # sign flipped at element 7 fails at (7, s) and at every (x, s) with
-    # x s = 7, all by exactly 2: the first of those in x-major order is named
-    ones = np.ones((a5.order, 1, 1), dtype=np.complex128)
-    ones[7] = -1.0
-    bad = irreps.UnitaryRep(a5, ones, character=a5_table.irreps[0].character,
-                            is_irreducible=True)
+    # a5's generators are elements 1 and 2. The regular representation with
+    # its sign flipped at element 7, which keeps that trace 0, fails at
+    # (7, s) and at every (x, s) with x s = 7, all by exactly 2 sqrt(60):
+    # the first of those in x-major order is named
+    n = a5.order
+    regular = _regular(a5)
+    regular[7] *= -1.0
+    bad = irreps.UnitaryRep(a5, regular)
     with pytest.raises(ToleranceViolation,
-                       match=r"^product law fails at pair \(3, 2\): residual 2\.000e\+00$"):
+                       match=r"^product law fails at pair \(3, 2\): residual 1\.549e\+01$"):
         bad.validate()
-    # R(2) times i is still unitary; (1, 2) is the first pair to fail, by
-    # sqrt(2 d), but (2, 2) carries the corrupted matrix twice and fails by
-    # 2 sqrt(d), the largest residual
+    # the same flip on the trivial rep moves element 7's trace, and the rep
+    # is refused when constructed: its class of 20 averages 0.9
+    ones = np.ones((n, 1, 1), dtype=np.complex128)
+    ones[7] = -1.0
+    with pytest.raises(ToleranceViolation,
+                       match=r"^character varies within class 1 by 1\.900e\+00$"):
+        irreps.UnitaryRep(a5, ones)
+    # R(2) times i is still unitary, and its class character is 0; (1, 2) is
+    # the first pair to fail, by sqrt(2 d), but (2, 2) carries the corrupted
+    # matrix twice and fails by 2 sqrt(d), the largest residual
     rep = a5_table.irreps[4]
     mats = rep.matrices.copy()
     mats[2] *= 1j
-    bad = irreps.UnitaryRep(a5, mats, character=rep.character, is_irreducible=True)
+    bad = irreps.UnitaryRep(a5, mats)
     with pytest.raises(ToleranceViolation,
                        match=r"^product law fails at pair \(2, 2\): residual 4\.472e\+00$"):
         bad.validate()
+    # element 4's class character is also 0
     mats = rep.matrices.copy()
-    mats[7] *= 1.001
-    bad = irreps.UnitaryRep(a5, mats, character=rep.character, is_irreducible=True)
+    mats[4] *= 1.001
+    bad = irreps.UnitaryRep(a5, mats)
     with pytest.raises(ToleranceViolation,
                        match=r"^unitarity residual 4\.474e-03 above 1e-08$"):
         bad.validate()

@@ -2,9 +2,62 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
+
 import quasirep
+
+# every parameter with a default in the public surface; a new one fails here
+# until it is added on purpose
+OPTIONAL_PARAMETERS = {
+    "approx.MatrixFunction.admissibility_residual:gram",
+    "approx.defect_direct:agreement_tol",
+    "approx.minor_construction:seed",
+    "approx.minor_construction:subspace",
+    "cli.main:argv",
+    "errors.FileFormatError.__init__:line",
+    "groups.from_permutation_generators:name",
+    "groups.from_table:name",
+    "irreps.decompose:seed",
+    "sampling.haar_basis:stack",
+    "twirl.error_term_audit:seed",
+    "verify.CheckResult.__init__:error",
+    "verify.Comparison.__init__:slack",
+    "verify.Comparison.__init__:timing",
+    "verify.RunManifest.__init__:checks",
+    "verify.VerifyContext.__init__:seed",
+    "verify.run_battery:progress",
+    "verify.run_battery:scope",
+    "verify.run_battery:seed",
+}
 
 
 def test_every_export_resolves():
     missing = [name for name in quasirep.__all__ if not hasattr(quasirep, name)]
     assert missing == []
+
+
+def _public_callables():
+    """(label, callable) for each function in a module's __all__, and each
+    exported class's __init__ and public methods."""
+    for info in pkgutil.iter_modules(quasirep.__path__):
+        module = importlib.import_module(f"quasirep.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            label = f"{info.name}.{name}"
+            if inspect.isclass(obj):
+                yield f"{label}.__init__", obj.__init__
+                for attr, member in vars(obj).items():
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{label}.{attr}", member
+            elif inspect.isfunction(obj):
+                yield label, obj
+
+
+def test_optional_parameters_are_the_pinned_set():
+    found = set()
+    for label, func in _public_callables():
+        params = inspect.signature(func).parameters.values()
+        found |= {f"{label}:{p.name}" for p in params if p.default is not p.empty}
+    assert found == OPTIONAL_PARAMETERS

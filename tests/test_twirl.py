@@ -148,7 +148,7 @@ def test_monte_carlo_matches_exact(a5_table):
     # the case A8 runs, over a few seeds
     rho = next(r for r in a5_table if r.dim == 5)
     for seed in range(3):
-        audit = twirl.error_term_audit(rho, 2, samples=200, seed=[seed, 8])
+        audit = twirl.error_term_audit(rho, 2, seed=[seed, 8])
         assert audit.monte_carlo_stderr > 0.0
         assert abs(audit.monte_carlo - audit.expansion) <= 5 * audit.monte_carlo_stderr
 
@@ -172,14 +172,12 @@ def test_dimension_validation():
 
 def test_error_term_audit(a5_table):
     rho = next(r for r in a5_table if r.dim == 5)
-    audit = twirl.error_term_audit(rho, 3, samples=120, seed=0)
+    audit = twirl.error_term_audit(rho, 3, seed=0)
     tol = 5 * audit.monte_carlo_stderr + 1e-9
     assert abs(audit.monte_carlo - audit.expansion) <= tol
     ratio = 3 / 5
     assert audit.leading_prediction == pytest.approx(5 * ratio**3 * (2 - ratio))
     assert audit.d_rho == 5 and audit.d_psi == 3
-    with pytest.raises(ValueError):
-        twirl.error_term_audit(rho, 3, samples=1, seed=0)
 
 
 def test_expansion_json_round_trip():
