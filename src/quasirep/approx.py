@@ -24,7 +24,7 @@ survivors and checking each on its own difference gives the same count
 whatever u and r are. The full scan forms every product instead; it runs at
 tolerance 0 and near a genuine representation, and its sum of per-pair
 squares is then the defect. After the screened scan the defect is
-the spectral one.
+the spectral one. Every pair temporary is sized by irreps._BLOCK_ENTRIES.
 
 Constructions: compressions of an irrep to a subspace (exact defect
 2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts
@@ -52,7 +52,7 @@ from .errors import (
 )
 from .fourier import transform_matrix
 from .groups import FiniteGroup
-from .irreps import IrrepTable, UnitaryRep, _squared_frobenius
+from .irreps import IrrepTable, UnitaryRep, _block_rows, _squared_frobenius
 from .sampling import haar_basis
 
 __all__ = [
@@ -163,28 +163,30 @@ class DefectReport:
     admissibility_residual: float
 
 
-def _chunk_rows(n: int, d: int) -> int:
-    """Rows x per chunk of a pair scan: about 4 MiB of d x d complex per (c, n) block.
-
-    That is far below the 32 MiB ceiling of glibc's dynamic mmap threshold,
-    so peak memory does not depend on how many scans ran before. The full
-    scan holds two such blocks, the products and the gathered psi(xy), and
-    subtracts into the products. The screened scan holds (c, n) fingerprint
-    arrays, d^2 times smaller, then at most three (s, d, d) stacks for its s
-    survivors: psi(x), psi(y) and their products, later the gathered psi(xy).
-    """
-    return max(1, (1 << 18) // max(1, n * d * d))
+def _product_residuals(stack: np.ndarray, i: np.ndarray, j: np.ndarray,
+                       m: np.ndarray) -> np.ndarray:
+    """||V_m - V_i V_j||_F^2 for each index triple of a (k, d, d) stack V."""
+    d = stack.shape[1]
+    out = np.empty(len(i))
+    step = _block_rows(d * d)
+    for t0 in range(0, len(i), step):
+        part = slice(t0, t0 + step)
+        diff = stack[i[part]] @ stack[j[part]]
+        diff -= stack[m[part]]
+        out[part] = _squared_frobenius(diff)
+    return out
 
 
 def _full_scan(psi: MatrixFunction, agreement_tol: float) -> tuple[float, float]:
     """(mean squared Frobenius defect, exact-agreement fraction) over every pair.
 
     A chunk of rows x forms its products psi(x) psi(y) as one matrix product
-    against the (d, n d) array [psi(y)]_y laid side by side.
+    against the (d, n d) array [psi(y)]_y laid side by side; it holds two
+    (rows, n, d, d) blocks, the products and the gathered psi(xy).
     """
     mats, table = psi.matrices, psi.group.table
     n, d = psi.group.order, psi.dim
-    chunk = _chunk_rows(n, d)
+    chunk = _block_rows(n * d * d)
     right = np.ascontiguousarray(mats.transpose(1, 0, 2)).reshape(d, n * d)
     total = 0.0
     agree = 0
@@ -227,16 +229,14 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
     margin = agreement_tol + _SCREEN_ROUNDOFF * (top * top + top)
     agree = 0
     tol2 = agreement_tol * agreement_tol
-    chunk = _chunk_rows(n, d)
+    chunk = _block_rows(n)      # (rows, n) fingerprints, d^2 narrower than products
     for x0 in range(0, n, chunk):
         s = a[x0:x0 + chunk] @ bt
         s -= f[table[x0:x0 + chunk]]
         xs, ys = np.nonzero(np.abs(s) <= margin)
         del s
         xs += x0
-        diff = mats[xs] @ mats[ys]
-        diff -= mats[table[xs, ys]]
-        agree += int((_squared_frobenius(diff) <= tol2).sum())
+        agree += int((_product_residuals(mats, xs, ys, table[xs, ys]) <= tol2).sum())
     return agree / (n * n)
 
 
@@ -267,18 +267,11 @@ def _histogram_scan(psi: MatrixFunction, values: np.ndarray, labels: np.ndarray,
     psi(xy) = V_m; each occurring triple's ||V_m - V_i V_j||_F^2 is formed
     once, on its own difference, so both sums are exact.
     """
-    n, k, d = psi.group.order, len(values), psi.dim
+    n, k = psi.group.order, len(values)
     triple = (labels[:, None] * k + labels[None, :]) * k + labels[psi.group.table]
     counts = np.bincount(triple.ravel(), minlength=k ** 3)
     seen = np.flatnonzero(counts)
-    i, j, m = np.unravel_index(seen, (k, k, k))
-    sq = np.empty(len(seen))
-    step = _chunk_rows(1, d)      # triples per chunk, each a d x d product
-    for t0 in range(0, len(seen), step):
-        part = slice(t0, t0 + step)
-        diff = values[i[part]] @ values[j[part]]
-        diff -= values[m[part]]
-        sq[part] = _squared_frobenius(diff)
+    sq = _product_residuals(values, *np.unravel_index(seen, (k, k, k)))
     hits = counts[seen]
     tol2 = agreement_tol * agreement_tol
     return float(hits @ sq) / (n * n), int(hits[sq <= tol2].sum()) / (n * n)

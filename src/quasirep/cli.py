@@ -68,8 +68,6 @@ def _emit(args, payload, text: str | None = None) -> None:
 
 def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
     """Build or load a group. `file <path>` bypasses the group cache."""
-    if not tokens:
-        raise ValueError("empty group spec")
     if tokens[0] == "file":
         if len(tokens) != 2:
             raise ValueError("group spec 'file' takes exactly one path")
@@ -232,14 +230,13 @@ def _hom_map(kind: str, source: FiniteGroup, target: FiniteGroup, seed):
         if group_hash(source) != group_hash(target):
             raise ValueError("identity maps need identical source and target")
         return make_group_map(source, target, np.arange(source.order))
-    if kind == "genuine":
-        generator, image = _cyclic_generator(source), _cyclic_generator(target)
-        if generator is None or image is None:
-            raise ValueError("genuine homs are built for cyclic -> cyclic only")
-        if source.order % target.order:
-            raise ValueError("genuine reduction needs |target| dividing |source|")
-        return genuine_hom(source, target, {generator: image})
-    raise ValueError(f"unknown map kind {kind!r}")
+    # "genuine", the last of --kind's choices
+    generator, image = _cyclic_generator(source), _cyclic_generator(target)
+    if generator is None or image is None:
+        raise ValueError("genuine homs are built for cyclic -> cyclic only")
+    if source.order % target.order:
+        raise ValueError("genuine reduction needs |target| dividing |source|")
+    return genuine_hom(source, target, {generator: image})
 
 
 def cmd_hom(args) -> int:

@@ -78,9 +78,6 @@ _IRREDUCIBILITY = 1e-6
 _CHARACTER_MATCH = 1e-6
 # eigenvalue clustering width, relative to the largest |eigenvalue| of a probe
 _EIGENGAP = 1e-7
-# matrix entries per block of validate's temporaries: blocks of a few hundred
-# KiB keep the heap from growing by whole stacks of matrices
-_BLOCK_ENTRIES = 2 ** 15
 # smallest singular value of B' E accepted by the gauge fix
 _ANCHOR_MIN_SINGULAR = 1e-10
 
@@ -92,6 +89,9 @@ class UnitaryRep:
     at construction, never supplied: the traces of every element are class
     averaged, and traces that spread by more than 1e-6 within a class raise
     ToleranceViolation. Unitarity and the product law are checked by validate.
+
+    The rep takes ownership of the matrices: a C-contiguous complex128 array
+    is kept without a copy and made read-only, the caller's array included.
 
     Attributes:
         group: the underlying FiniteGroup.
@@ -135,21 +135,15 @@ class UnitaryRep:
         """
         g, m = self.group, self.matrices
         n, d = m.shape[:2]
-        eye = np.eye(self.dim)
-        rows = max(1, _BLOCK_ENTRIES // (d * d))
-        blocks = [slice(a, a + rows) for a in range(0, n, rows)]
-        uerr = np.empty(n)
-        for b in blocks:
-            gram = m[b].conj().transpose(0, 2, 1) @ m[b]
-            gram -= eye
-            uerr[b] = np.sqrt(_squared_frobenius(gram))
+        uerr = _unitarity_residuals(m)
         if uerr.max() > _UNITARITY:
             raise ToleranceViolation(
                 f"unitarity residual {uerr.max():.3e} above {_UNITARITY:.0e}")
-        if np.linalg.norm(m[g.identity] - eye) > _PRODUCT_LAW:
+        if np.linalg.norm(m[g.identity] - np.eye(d)) > _PRODUCT_LAW:
             raise ToleranceViolation("identity element is not the identity matrix")
         err = np.empty((n, len(g.generators)))
-        for b in blocks:
+        rows = _block_rows(d * d)
+        for b in (slice(a, a + rows) for a in range(0, n, rows)):
             stack = m[b].reshape(-1, d)
             for j, s in enumerate(g.generators):
                 residual = (stack @ m[s]).reshape(-1, d, d)
@@ -198,6 +192,29 @@ def _squared_frobenius(stack: np.ndarray) -> np.ndarray:
     as real numbers; the row width is explicit so an empty stack works."""
     flat = stack.view(np.float64).reshape(len(stack), 2 * math.prod(stack.shape[1:]))
     return np.einsum("ij,ij->i", flat, flat)
+
+
+# complex entries per block of every temporary that grows with the pairs:
+# a few hundred KiB, so the heap never grows by whole stacks of matrices
+_BLOCK_ENTRIES = 2 ** 15
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of a temporary whose rows hold width entries each."""
+    return max(1, _BLOCK_ENTRIES // width)
+
+
+def _unitarity_residuals(matrices: np.ndarray) -> np.ndarray:
+    """||M' M - 1||_F for each matrix of an (n, d, d) stack, in blocks."""
+    n, d = matrices.shape[:2]
+    out = np.empty(n)
+    rows = _block_rows(d * d)
+    for a in range(0, n, rows):
+        block = matrices[a:a + rows]
+        gram = block.conj().transpose(0, 2, 1) @ block
+        gram -= np.eye(d)
+        out[a:a + rows] = np.sqrt(_squared_frobenius(gram))
+    return out
 
 
 def _class_average(group: FiniteGroup, values: np.ndarray) -> np.ndarray:

@@ -37,7 +37,7 @@ from .approx import (
 from .fourier import invert_matrix, transform_matrix
 from .groups import FiniteGroup
 from .homs import balanced_random_map, evaluate, lift_through_irrep, make_group_map
-from .irreps import IrrepTable, decompose
+from .irreps import IrrepTable, _unitarity_residuals, decompose
 
 __all__ = [
     "Comparison",
@@ -198,15 +198,6 @@ class VerifyContext:
         return self._tables[key]
 
 
-def _unitarity_residual(table: IrrepTable) -> float:
-    worst = 0.0
-    for rho in table:
-        m = rho.matrices
-        gram = m.conj().transpose(0, 2, 1) @ m
-        worst = max(worst, float(np.abs(gram - np.eye(rho.dim)).max()))
-    return worst
-
-
 def _schur_residual(table: IrrepTable) -> float:
     """Largest deviation from E rho_ab conj(sigma_cd) = [rho=sigma] d_ac d_bd / d.
 
@@ -250,8 +241,8 @@ def _check_a1(ctx: VerifyContext) -> list[Comparison]:
                               float(g.order)))
         out.append(Comparison(f"{g.name}: irrep count vs class count", "~=",
                               float(len(table)), float(len(g.classes))))
-        out.append(Comparison(f"{g.name}: unitarity residual", "<=",
-                              _unitarity_residual(table), 1e-8))
+        unitarity = max(_unitarity_residuals(rho.matrices).max() for rho in table)
+        out.append(Comparison(f"{g.name}: unitarity residual", "<=", unitarity, 1e-8))
         out.append(Comparison(f"{g.name}: Schur orthogonality residual", "<=",
                               _schur_residual(table), 1e-7))
         if spec in _A1_DIMS:

@@ -261,14 +261,20 @@ def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):
     assert report.agreement_prob == approx._full_scan(sign, approx.AGREEMENT_TOL)[1]
 
 
-@pytest.mark.parametrize("spec,dim", [(("alternating", 6), 8), (("psl2", 7), 6)])
+@pytest.mark.parametrize("spec,dim", [(("alternating", 6), 8), (("psl2", 11), 5)])
 def test_multi_chunk_scans_match_a_row_reference(spec, dim):
-    # chunks of 11 rows (A6, d = 8) and 43 rows (psl2(7), d = 6), so both
-    # scans' chunk loops and row offsets meet the reference
+    # both scans take several chunks, so their chunk loops and row offsets
+    # meet the reference: full-scan chunks of 1 row (A6, d = 7 and 8;
+    # psl2(11), d = 5) or 3 rows (psl2(11), d = 4), fingerprint chunks of 91
+    # (A6) and 49 rows (psl2(11))
     g = groups.named(*spec)
     rho = irrep_of_dim(irreps.decompose(g), dim)
     t, n2 = g.table, g.order ** 2
-    assert approx._chunk_rows(g.order, dim - 1) < g.order
+    assert irreps._block_rows(g.order * (dim - 1) ** 2) < g.order
+    assert irreps._block_rows(g.order) < g.order
+    # every pair of the genuine irrep survives the screen, so one chunk's
+    # survivors take several blocks of _product_residuals
+    assert irreps._block_rows(g.order) * g.order > irreps._block_rows(dim * dim)
     inputs = [approx.MatrixFunction(g, dim, rho.matrices),
               approx.perturbed_irrep(rho, 0.1, seed=1),
               approx.polar_construction(rho, dim - 1, seed=2)]

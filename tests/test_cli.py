@@ -185,6 +185,22 @@ def test_sweep_polar(capsys, cache):
         assert float(row["normalized_defect"]) >= 0.0
 
 
+def test_polar_sweep_of_psl2_11_beats_random_under_the_ceiling(tmp_path, capsys):
+    # every d_psi of both 12-dim irreps: the SVD route (d_psi <= 6), the
+    # complement route (d_psi >= 7) and its SVD fallback, on the screened
+    # scan at order 660
+    code = cli.main(["sweep", "--group", "psl2", "11", "--construction", "polar",
+                     "--rho-dim", "12", "--dpsi", "1:12", "--format", "json",
+                     "--cache-dir", str(tmp_path)])
+    assert code == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 24
+    bad = [(r["irrep"], r["d_psi"]) for r in rows
+           if not (r["normalized_defect"] < 1
+                   and r["agreement_prob"] <= r["cor1_bound"] + 1e-9)]
+    assert bad == []
+
+
 def test_sweep_tolerance_flag_changes_agreement(capsys, cache):
     # with an absurdly loose entry threshold every pair counts as agreeing
     code = cli.main(["sweep", "--group", "alternating", "5", "--dpsi", "1",
@@ -304,6 +320,39 @@ def test_hom_genuine_needs_cyclic_groups(capsys, cache):
                      "--kind", "genuine", "--cache-dir", cache])
     assert code == 2
     assert "cyclic" in capsys.readouterr().err
+
+
+_HOM = ["hom", "--source", "cyclic"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["group", "file", "a", "b"], "takes exactly one path"),
+    (["group", "cyclic", "x"], "is not an integer"),
+    (["group", "cyclic", "6000"], "exceeds the order cap"),
+    (["group", "dihedral", "0"], "needs n >= 1"),
+    (["group", "dihedral", "3000"], "exceeds the order cap"),
+    ([*_HOM, "4", "--target", "cyclic", "2", "--kind", "identity"],
+     "identical source and target"),
+    ([*_HOM, "6", "--target", "cyclic", "4", "--kind", "genuine"], "dividing"),
+], ids=["file-two-paths", "non-integer", "cyclic-cap", "dihedral-0", "dihedral-cap",
+        "identity-mismatch", "genuine-not-dividing"])
+def test_refusals_name_their_cause(tmp_path, capsys, argv, message):
+    assert cli.main([*argv, "--cache-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["group"], "the following arguments are required: spec"),
+    ([*_HOM, "4", "--target", "cyclic", "2", "--kind", "other"],
+     "argument --kind: invalid choice"),
+], ids=["empty-spec", "unknown-kind"])
+def test_parser_refuses_before_the_commands_run(tmp_path, capsys, argv, message):
+    # so neither an empty group spec nor an unknown map kind reaches a command
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_hom_balanced_csv(capsys, cache):

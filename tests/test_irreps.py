@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from quasirep import groups, irreps
 from quasirep.errors import (DecompositionFailed, OrderCapExceeded,
                              ToleranceViolation)
+from quasirep.sampling import haar_basis
 
 
 def class_by_size(group, size):
@@ -592,6 +593,30 @@ def test_validate_names_the_worst_pair_first_in_x_major_order(a5, a5_table):
     with pytest.raises(ToleranceViolation,
                        match=r"^unitarity residual 4\.474e-03 above 1e-08$"):
         bad.validate()
+
+
+def test_a_rep_owns_and_freezes_its_matrices(s3):
+    # a C-contiguous complex128 stack is kept without a copy and made
+    # read-only, the caller's array included; any other stack is converted
+    mats = _regular(s3)
+    rep = irreps.UnitaryRep(s3, mats)
+    assert rep.matrices is mats and not mats.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mats[0, 0, 0] = 2.0
+    real = _regular(s3).real
+    rep = irreps.UnitaryRep(s3, real)
+    assert real.flags.writeable and not rep.matrices.flags.writeable
+
+
+def test_unitarity_residuals_match_the_per_matrix_norm():
+    # 700 scaled unitaries of dim 8 take two blocks of 512 rows
+    rng = np.random.default_rng(3)
+    n, d = 700, 8
+    scale = 1.0 + rng.uniform(0.0, 0.01, n)
+    mats = haar_basis(rng, d, d, stack=(n,)) * scale[:, None, None]
+    assert irreps._block_rows(d * d) < n
+    expected = [np.linalg.norm(m.conj().T @ m - np.eye(d)) for m in mats]
+    assert irreps._unitarity_residuals(mats) == pytest.approx(expected, rel=1e-12)
 
 
 def _class_average_by_loop(group, values):
