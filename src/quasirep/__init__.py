@@ -37,7 +37,6 @@ from .errors import (
     DegenerateDimension,
     DimensionError,
     FileFormatError,
-    IllConditionedGram,
     IncompleteTable,
     MissingIrrepTable,
     NotAGroup,
@@ -126,6 +125,5 @@ __all__ = [
     "ClosureCapExceeded", "OrderCapExceeded", "UnsupportedParameter",
     "DecompositionFailed", "ToleranceViolation", "IncompleteTable",
     "MissingIrrepTable", "DimensionError", "RankDeficient", "OddOrder",
-    "DegenerateDimension", "IllConditionedGram", "NotAHomomorphism",
-    "FileFormatError",
+    "DegenerateDimension", "NotAHomomorphism", "FileFormatError",
 ]

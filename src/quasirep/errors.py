@@ -16,7 +16,6 @@ __all__ = [
     "RankDeficient",
     "OddOrder",
     "DegenerateDimension",
-    "IllConditionedGram",
     "NotAHomomorphism",
     "FileFormatError",
 ]
@@ -72,10 +71,6 @@ class OddOrder(QuasirepError):
 
 class DegenerateDimension(QuasirepError):
     """Twirl coefficients need d_rho >= 4 so all tableau counts are positive."""
-
-
-class IllConditionedGram(QuasirepError):
-    """The permutation-operator Gram system is too ill conditioned to solve."""
 
 
 class NotAHomomorphism(QuasirepError):

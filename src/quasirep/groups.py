@@ -1,9 +1,10 @@
 """Finite groups as dense multiplication tables.
 
 A group of order n is stored as an n x n integer table over element indices
-0..n-1, validated on construction (Latin square, two-sided identity, inverses,
-associativity) together with its conjugacy classes. Groups built here are
-immutable: the backing arrays are marked read-only.
+0..n-1, validated on construction (two-sided identity, inverses,
+associativity, which make the table a Latin square) together with its
+conjugacy classes. Groups built here are immutable: the backing arrays are
+marked read-only.
 
 Construction routes: a raw table, closure of permutation generators, a
 handful of named families, and direct products. Every generated family is a
@@ -106,14 +107,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-def _check_latin(table: np.ndarray) -> None:
-    n = len(table)
-    for what, lines in (("row", table), ("column", table.T)):
-        bad = np.flatnonzero((np.sort(lines, axis=1) != np.arange(n)).any(axis=1))
-        if len(bad):
-            raise NotAGroup(f"{what} {bad[0]} is not a permutation of 0..{n - 1}")
-
-
 def _find_identity(table: np.ndarray) -> int:
     want = np.arange(len(table))
     both = (table == want).all(axis=1) & (table.T == want).all(axis=1)
@@ -128,10 +121,21 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
     The passing s are closed under products and include the identity, so it
     suffices that the s reach every element from the identity. Each s (the
     smallest element not yet reached) is checked before it extends the reached
-    set, the subgroup H the checked s generate. H is closed under the earlier
-    s, so the new subgroup is grown from the coset H*s alone, one layer of
-    right multiplications by every checked s at a time. That subgroup at
-    least doubles: at most log2(n) + 1 checks. Returns the generating set.
+    set H, the elements the checked s generate. H is closed under the earlier
+    s, so the new H is grown from H*s alone, one layer of right
+    multiplications by every checked s at a time. Returns the generating set.
+
+    The caller has checked a two-sided identity e and a left inverse for
+    every element, and nothing else: no Latin-square pass is needed, and the
+    loop stays short on a table that is no group. H is a finite associative
+    monoid. If f in H has f*f = f and u*f = e, then f = (u*f)*f = u*(f*f) = e,
+    so e is H's only idempotent. Every element of a finite monoid has an
+    idempotent power, so every element of H is invertible in H: H is a group.
+    A passing s outside H makes a new group H' holding H and s, so |H'| is a
+    multiple of |H| above it: each passing check at least doubles |H|, for at
+    most floor(log2 n) passing checks and one failing one. A table that
+    passes them all is associative with an identity and left inverses, so it
+    is a group, and a group's table is a Latin square.
     """
     reached = np.zeros(len(table), dtype=bool)
     reached[identity] = True
@@ -165,8 +169,8 @@ def from_table(table, name: str = "table") -> FiniteGroup:
 
     Entries must have an integer dtype; any other (float, bool, str, complex,
     object) raises NotAGroup naming it rather than being cast. Raises
-    NotAGroup with a witness (row, column, or triple) when any axiom fails.
-    Associativity is checked exactly at every order.
+    NotAGroup with a witness (an entry, an element, or a triple) when any
+    axiom fails. Associativity is checked exactly at every order.
     """
     arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -180,7 +184,6 @@ def from_table(table, name: str = "table") -> FiniteGroup:
     if arr.min() < 0 or arr.max() >= n:
         bad = np.argwhere((arr < 0) | (arr >= n))[0]
         raise NotAGroup(f"entry at ({bad[0]}, {bad[1]}) is outside 0..{n - 1}")
-    _check_latin(arr)
     identity = _find_identity(arr)
     inverses = np.argmax(arr == identity, axis=1)
     bad = np.flatnonzero(arr[inverses, np.arange(n)] != identity)

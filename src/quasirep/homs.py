@@ -111,21 +111,13 @@ def evaluate(f: GroupMap, source_table: IrrepTable | None,
     agreement = agreement_probability(f)
     collision = float(np.sum(f.p_f ** 2))
     d_min = source_table.d_min
-    best = None
-    for idx, sigma in enumerate(target_table.irreps):
-        if sigma.is_trivial():
-            continue
-        term = 0.5 * (1.0 + np.sqrt(f.epsilon / sigma.dim)
-                      + np.sqrt(sigma.dim / d_min))
-        key = (term, sigma.dim, idx)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        # target is the trivial group; every map is a homomorphism
-        thm2, sigma_index, sigma_dim = 1.0, -1, 0
-    else:
-        thm2 = min(1.0, best[0])
-        sigma_index, sigma_dim = best[2], best[1]
+    # the trivial target has no nontrivial sigma: every map is a homomorphism
+    term, sigma_dim, sigma_index = min(
+        ((0.5 * (1.0 + np.sqrt(f.epsilon / sigma.dim) + np.sqrt(sigma.dim / d_min)),
+          sigma.dim, idx)
+         for idx, sigma in enumerate(target_table.irreps) if not sigma.is_trivial()),
+        default=(1.0, 0, -1))
+    thm2 = min(1.0, term)
     mass = r_h(target_table, d_min)
     thm3 = min(1.0, (1.0 + f.epsilon) / f.target.order + mass)
     return HomReport(

@@ -24,7 +24,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import DegenerateDimension, IllConditionedGram
+from .errors import DegenerateDimension
 from .irreps import UnitaryRep
 from .sampling import haar_basis
 
@@ -136,10 +136,8 @@ def tableau_count(partition: tuple[int, ...], dim: int) -> int:
         (lam[r] - c - 1) + sum(1 for rr in range(r + 1, len(lam)) if lam[rr] > c) + 1
         for r, c in cells
     )
-    count, rem = divmod(num, den)
-    if rem:
-        raise AssertionError(f"hook content product not divisible for {partition}, {dim}")
-    return count
+    # exact: by Stanley's hook-content formula the quotient counts tableaux
+    return num // den
 
 
 def moment_trace(sigma: tuple[int, ...], d_psi: int) -> int:
@@ -225,9 +223,6 @@ def twirl_gram(d_rho: int, d_psi: int) -> TwirlExpansion:
             b = CLASS_NAMES.index(class_name(pi))
             gram[a, b] += float(d_rho) ** cycle_count(_compose(pi, inv))
         traces[a] = moment_trace(rep, d_psi)
-    cond = float(np.linalg.cond(gram))
-    if cond > 1e10:
-        raise IllConditionedGram(f"Gram condition number {cond:.3e} above 1e10")
     coeffs = np.linalg.solve(gram, traces)
     return TwirlExpansion(
         d_rho=d_rho,

@@ -67,6 +67,11 @@ def test_negative_control_tampered_plancherel(ctx):
     assert not bad.passed
 
 
+def test_an_unknown_relation_is_refused():
+    with pytest.raises(ValueError, match="^unknown relation '!='$"):
+        verify.Comparison("x", "!=", 0.0, 1.0).passed
+
+
 def test_a2_catches_an_inverse_missing_one_irrep(ctx, monkeypatch):
     honest = verify.invert_matrix
 

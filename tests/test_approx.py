@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasirep import approx, groups, homs, irreps
-from quasirep.errors import DimensionError, MissingIrrepTable, OddOrder, RankDeficient
+from quasirep.errors import (DimensionError, MissingIrrepTable, OddOrder, RankDeficient,
+                             ToleranceViolation)
+from quasirep.sampling import haar_basis
 
 
 def irrep_of_dim(table, dim):
@@ -67,6 +69,27 @@ def test_minor_rejects_bad_dimensions(a5_table, s3_reducible):
         approx.minor_construction(rho, 2, subspace="diagonal")
     with pytest.raises(ValueError):
         approx.minor_construction(s3_reducible, 2)
+
+
+def test_minor_refuses_a_parent_that_breaks_its_guarantees(a5_table):
+    # 1e-3 added to every (0, 1) entry keeps every trace, so the parent still
+    # reads as irreducible; E rho = 0, so E psi' psi - 1 is (1e-3)^2 in its
+    # (1, 1) entry alone
+    rho = irrep_of_dim(a5_table, 3)
+    mats = rho.matrices.copy()
+    mats[:, 0, 1] += 1e-3
+    bent = irreps.UnitaryRep(rho.group, mats)
+    assert bent.is_irreducible
+    with pytest.raises(ToleranceViolation,
+                       match=r"^minor violates its guarantees: mean error 0\.000e\+00, "
+                             r"admissibility residual 1\.000e-06$"):
+        approx.minor_construction(bent, 3)
+
+
+@pytest.mark.parametrize("count", [0, 4])
+def test_haar_basis_refuses_a_count_out_of_range(count):
+    with pytest.raises(ValueError, match=f"^need 1 <= count <= dim, got count={count} dim=3$"):
+        haar_basis(np.random.default_rng(0), 3, count)
 
 
 def test_direct_matches_fourier(s3, s3_table, a5_table):

