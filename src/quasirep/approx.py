@@ -180,32 +180,26 @@ def _product_residuals(stack: np.ndarray, i: np.ndarray, j: np.ndarray,
 def _full_scan(psi: MatrixFunction, agreement_tol: float) -> tuple[float, float]:
     """(mean squared Frobenius defect, exact-agreement fraction) over every pair.
 
-    A chunk of rows x forms its products psi(x) psi(y) as one matrix product
-    against the (d, n d) array [psi(y)]_y laid side by side; it holds two
-    (rows, n, d, d) blocks, the products and the gathered psi(xy).
+    A block of columns x forms psi(y) psi(x) for every y as the (n d, d)
+    stack [psi(y)]_y times each psi(x): entry x n + y of the (c n, d, d)
+    result is one pair's contiguous matrix, and psi(yx) is subtracted in place.
     """
     mats, table = psi.matrices, psi.group.table
     n, d = psi.group.order, psi.dim
     chunk = _block_rows(n * d * d)
-    right = np.ascontiguousarray(mats.transpose(1, 0, 2)).reshape(d, n * d)
+    stack = mats.reshape(n * d, d)
     total = 0.0
     agree = 0
     tol2 = agreement_tol * agreement_tol
     for x0 in range(0, n, chunk):
-        hi = min(n, x0 + chunk)
-        c = hi - x0
-        prod = (mats[x0:hi].reshape(c * d, d) @ right).reshape(c, d, n, d)
-        diff = np.subtract(mats[table[x0:hi]].transpose(0, 2, 1, 3), prod, out=prod)
-        del prod
-        # squared moduli summed over the real and imaginary parts, read in
-        # place through a real view of the difference
-        parts = diff.view(np.float64).reshape(c, d, n, d, 2)
-        sq = np.einsum("xaybr,xaybr->xy", parts, parts)
-        del diff, parts
+        xs = slice(x0, x0 + chunk)
+        diff = (stack @ mats[xs]).reshape(-1, d, d)
+        diff -= mats[table[:, xs].T.ravel()]
         # agreement is decided on the per-pair difference: the expanded
         # moment form would cancel far above the tol2 threshold
+        sq = _squared_frobenius(diff)
         total += float(sq.sum())
-        agree += int((sq <= tol2).sum())
+        agree += np.count_nonzero(sq <= tol2)
     return total / (n * n), agree / (n * n)
 
 

@@ -83,11 +83,16 @@ def make_group_map(source: FiniteGroup, target: FiniteGroup, values) -> GroupMap
 
 
 def agreement_probability(f: GroupMap) -> float:
-    """Exact Pr_{x,y}[f(x y) = f(x) f(y)] over all |G|^2 pairs."""
-    fv = f.values
-    lhs = fv[f.source.table]
-    rhs = f.target.table[fv[:, None], fv[None, :]]
-    return float(np.mean(lhs == rhs))
+    """Exact Pr_{x,y}[f(x y) = f(x) f(y)] over all |G|^2 pairs.
+
+    Labels take the narrowest unsigned type holding |H| - 1, so f(xy) and
+    f(x) f(y), gathered from the (|H|, n) products h f(y), are n^2 bytes
+    each (twice that when |H| > 256).
+    """
+    dtype = np.min_scalar_type(f.target.order - 1)
+    labels = f.values.astype(dtype)
+    products = f.target.table.astype(dtype)[:, labels]
+    return np.count_nonzero(labels[f.source.table] == products[labels]) / f.source.order ** 2
 
 
 def r_h(target_table: IrrepTable, d_min: int) -> float:

@@ -102,9 +102,10 @@ class UnitaryRep:
     """
 
     def __init__(self, group: FiniteGroup, matrices: np.ndarray):
+        shape = np.shape(matrices)
+        if len(shape) != 3 or shape != (group.order, shape[1], shape[1]):
+            raise ValueError(f"matrices must be (|G|, d, d), got {shape}")
         matrices = np.ascontiguousarray(matrices, dtype=np.complex128)
-        if matrices.shape != (group.order, matrices.shape[1], matrices.shape[1]):
-            raise ValueError(f"matrices must be (|G|, d, d), got {matrices.shape}")
         self.group = group
         self.dim = matrices.shape[1]
         self.matrices = matrices

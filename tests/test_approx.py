@@ -286,14 +286,15 @@ def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):
 
 @pytest.mark.parametrize("spec,dim", [(("alternating", 6), 8), (("psl2", 11), 5)])
 def test_multi_chunk_scans_match_a_row_reference(spec, dim):
-    # both scans take several chunks, so their chunk loops and row offsets
-    # meet the reference: full-scan chunks of 1 row (A6, d = 7 and 8;
-    # psl2(11), d = 5) or 3 rows (psl2(11), d = 4), fingerprint chunks of 91
-    # (A6) and 49 rows (psl2(11))
+    # both scans take several blocks, so their block loops and offsets meet
+    # the reference: full-scan blocks of 1 column (A6, d = 7 and 8;
+    # psl2(11), d = 5) or 3 columns (psl2(11), d = 4), fingerprint blocks of
+    # 91 (A6) and 49 rows (psl2(11))
     g = groups.named(*spec)
     rho = irrep_of_dim(irreps.decompose(g), dim)
     t, n2 = g.table, g.order ** 2
-    assert irreps._block_rows(g.order * (dim - 1) ** 2) < g.order
+    columns = {"alternating": (1, 1), "psl2": (1, 3)}[spec[0]]
+    assert tuple(irreps._block_rows(g.order * d * d) for d in (dim, dim - 1)) == columns
     assert irreps._block_rows(g.order) < g.order
     # every pair of the genuine irrep survives the screen, so one chunk's
     # survivors take several blocks of _product_residuals

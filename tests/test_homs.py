@@ -50,6 +50,25 @@ def test_hand_counted_agreement_on_z2():
         assert homs.agreement_probability(f) == expected
 
 
+@pytest.mark.parametrize("source, target, kind, width", [
+    (("alternating", 5), ("cyclic", 256), "random", np.uint8),
+    (("alternating", 5), ("cyclic", 257), "random", np.uint16),
+    (("sl2", 7), ("sl2", 7), "identity", np.uint16),
+])
+def test_agreement_matches_a_double_loop_over_pairs(source, target, kind, width):
+    # labels of 256 elements fit one byte and of 257 or 336 two; the count
+    # divided by n^2 must be the same float
+    g, h = groups.named(*source), groups.named(*target)
+    assert np.min_scalar_type(h.order - 1) == width
+    f = (homs.random_map(g, h, seed=3) if kind == "random"
+         else homs.make_group_map(g, h, np.arange(g.order)))
+    fv, gt, ht = f.values.tolist(), g.table.tolist(), h.table.tolist()
+    count = sum(fv[gt[x][y]] == ht[fv[x]][fv[y]]
+                for x in range(g.order) for y in range(g.order))
+    assert homs.agreement_probability(f) == count / g.order ** 2
+    assert kind == "random" or count == g.order ** 2
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_collision_identity(s3, seed):

@@ -697,7 +697,7 @@ def test_validate_names_the_worst_pair_first_in_x_major_order(a5, a5_table):
         bad.validate()
 
 
-@pytest.mark.parametrize("shape", [(5, 2, 2), (6, 2, 3), (6, 4)])
+@pytest.mark.parametrize("shape", [(5, 2, 2), (6, 2, 3), (6, 4), (6,), ()])
 def test_a_rep_refuses_matrices_of_the_wrong_shape(s3, shape):
     with pytest.raises(ValueError, match=r"^matrices must be \(\|G\|, d, d\), got "
                                          + re.escape(str(shape)) + "$"):
