@@ -10,10 +10,12 @@ bound on the defect / upper bound on agreement expressed through that norm
 and the smallest nontrivial irrep dimension d_min.
 
 defect_direct adds the exact-agreement fraction, a property of each pair,
-from one of three scans over all |G|^2 pairs. When psi takes only k distinct
-matrices V_1..V_k with k^3 <= n^2 (sign functions, maps between groups
-lifted through an irrep, irreps whose matrices repeat bitwise on the cosets
-of a kernel) and the tolerance is positive, the histogram scan counts the
+from one of three scans over all |G|^2 pairs, at an agreement tolerance of
+at least _TOL_FLOOR = 1e-11: below the roundoff of a genuine
+representation's products a threshold counts the arithmetic, not psi. When
+psi takes only k distinct matrices V_1..V_k with k^3 <= n^2 (sign
+functions, maps between groups lifted through an irrep, irreps whose matrices
+repeat bitwise on the cosets of a kernel), the histogram scan counts the
 pairs by their value triple (l(x), l(y), l(xy)) and weighs each triple by
 ||V_m - V_i V_j||_F^2, formed once per triple: the agreement and the defect
 are both exact. Otherwise the screened scan first takes a bilinear Freivalds
@@ -21,10 +23,11 @@ fingerprint u' psi(x) psi(y) r - u' psi(xy) r of every pair for fixed unit
 vectors u and r, at O(n^2 d) cost. Since |u' D r| <= ||D||_F, no pair within
 the agreement tolerance fails the screen, so multiplying out only the
 survivors and checking each on its own difference gives the same count
-whatever u and r are. The full scan forms every product instead; it runs at
-tolerance 0 and near a genuine representation, and its sum of per-pair
-squares is then the defect. After the screened scan the defect is
-the spectral one. Every pair temporary is sized by irreps._BLOCK_ENTRIES.
+whatever u and r are. The full scan forms every product instead; it runs
+near a genuine representation, where the spectral formula cancels, and its
+sum of per-pair squares is then the defect. After the screened scan the
+defect is the spectral one. Every pair temporary is sized by
+irreps._BLOCK_ENTRIES.
 
 Constructions: compressions of an irrep to a subspace (exact defect
 2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts
@@ -79,6 +82,9 @@ __all__ = [
 
 # default Frobenius threshold under which psi(xy) and psi(x) psi(y) agree
 AGREEMENT_TOL = 1e-9
+# smallest agreement threshold: 20 times the largest per-pair residual of a
+# genuine irrep (5.4e-13, dihedral 350); below it the count measures roundoff
+_TOL_FLOOR = 1e-11
 # cap on ||E psi' psi - 1||_F for admissibility, and on a minor's mean error
 _ADMISSIBILITY = 1e-8
 # singular values below this make a matrix rank deficient for the polar part
@@ -144,9 +150,8 @@ class DefectReport:
     defect_via_fourier, which never visits the pairs. defect (and
     normalized_defect) is the spectral formula's in defect_via_fourier. In
     defect_direct it is the histogram scan's exact sum where psi takes few
-    distinct matrices (k^3 <= n^2) and the tolerance is positive; else the
-    full scan's sum of per-pair squares where that scan runs: at tolerance 0
-    and where the spectral formula would cancel (genuine irreps and
+    distinct matrices (k^3 <= n^2); else the full scan's sum of per-pair
+    squares where the spectral formula would cancel (genuine irreps and
     near-representations). Elsewhere the screened scan gives only the
     agreement, and the defect is the spectral one. The triple trace,
     mean_opnorm, both bounds and the admissibility residual come from the
@@ -318,10 +323,10 @@ def _spectral_report(psi: MatrixFunction,
 
 
 def check_agreement_tol(agreement_tol: float) -> None:
-    """Raise ValueError unless the agreement tolerance is finite and non-negative."""
-    if not 0.0 <= agreement_tol < np.inf:
-        raise ValueError(f"agreement tolerance must be finite and non-negative, "
-                         f"got {agreement_tol}")
+    """Raise ValueError unless the agreement tolerance is finite and at least 1e-11."""
+    if not _TOL_FLOOR <= agreement_tol < np.inf:
+        raise ValueError(f"agreement tolerance must be finite and at least "
+                         f"{_TOL_FLOOR:g}, got {agreement_tol}")
 
 
 def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
@@ -329,19 +334,19 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
     """Exact agreement over all pairs, the defect, and the bounds.
 
     A pair (x, y) agrees when ||psi(xy) - psi(x) psi(y)||_F <= agreement_tol,
-    which must be finite and non-negative. One of three scans runs:
+    which must be finite and at least 1e-11, above the roundoff of a genuine
+    representation's products. One of three scans runs:
 
-    - the histogram scan, when agreement_tol > 0 and psi takes k distinct
-      matrices with k^3 <= n^2 (sign functions, maps between groups lifted
-      through an irrep, irreps whose matrices repeat bitwise). It counts the pairs by the
+    - the histogram scan, when psi takes k distinct matrices with
+      k^3 <= n^2 (sign functions, maps between groups lifted through an
+      irrep, irreps whose matrices repeat bitwise). It counts the pairs by the
       labels of psi(x), psi(y) and psi(xy) with one bincount and forms one
       difference per occurring triple, at n^2 integer work plus at most k^3
       products;
-    - the full scan, which forms every product, when agreement_tol = 0
-      (equality of the two sides then depends on the arithmetic path) and
-      when the spectral defect is at most 1e-6 of its positive moment terms
-      tr E psi'psi + tr(E psi'psi E psi psi'), where the spectral formula
-      cancels (to about 1e-13 near a genuine representation);
+    - the full scan, which forms every product, when the spectral defect is
+      at most 1e-6 of its positive moment terms tr E psi'psi +
+      tr(E psi'psi E psi psi'), where the spectral formula cancels (to about
+      1e-13 near a genuine representation);
     - otherwise the screened scan, which takes a bilinear fingerprint of
       every pair that no agreeing pair can fail and decides each survivor
       on its own difference, so the agreement is exact and does not depend
@@ -353,10 +358,10 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
     """
     check_agreement_tol(agreement_tol)
     report, positive = _spectral_report(psi, table)
-    few = _value_labels(psi) if agreement_tol > 0.0 else None
+    few = _value_labels(psi)
     if few is not None:
         defect, agreement = _histogram_scan(psi, *few, agreement_tol)
-    elif agreement_tol > 0.0 and report.defect > _CANCELLATION * positive:
+    elif report.defect > _CANCELLATION * positive:
         return replace(report, agreement_prob=_screened_agreement(psi, agreement_tol))
     else:
         defect, agreement = _full_scan(psi, agreement_tol)

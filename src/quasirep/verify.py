@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import groups, twirl
+from . import __version__, approx, groups, twirl
 from .approx import (
     MatrixFunction,
     beating_random_threshold,
@@ -289,9 +289,9 @@ def _check_a3(ctx: VerifyContext) -> list[Comparison]:
         dim = 1 + i % 3
         draw = haar_baseline if i % 2 else random_admissible
         psi = draw(g, dim, seed=[ctx.seed, 3, i])
-        # at tolerance 0 every pair is multiplied out, so the defect is the
-        # scan's sum, not the spectral formula compared with itself
-        direct = defect_direct(psi, table, agreement_tol=0.0).defect
+        # the full scan multiplies out every pair, so its defect is the sum
+        # of per-pair squares, not the spectral formula compared with itself
+        direct = approx._full_scan(psi, approx.AGREEMENT_TOL)[0]
         spectral = defect_via_fourier(psi, table)
         rel = abs(direct - spectral.defect) / max(direct, 1e-300)
         worst = max(worst, rel)
@@ -599,8 +599,6 @@ def run_battery(scope: str = "fast", seed: int = 0,
         ids = FULL_CHECK_IDS
     else:
         raise ValueError(f"scope must be 'fast' or 'full', got {scope!r}")
-    from quasirep import __version__
-
     ctx = VerifyContext(seed=seed)
     t0 = time.perf_counter()
     manifest = RunManifest(

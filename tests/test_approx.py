@@ -128,9 +128,8 @@ def scan_cases(g, table):
     """Inputs for all three of defect_direct's pair scans.
 
     Sign functions and the 1-dim irreps, whose values repeat bitwise, take
-    the histogram scan at a positive tolerance. Faithful genuine irreps and
-    irreps plus small noise take the full scan (the spectral defect would
-    cancel), and so does d = 1;
+    the histogram scan. Faithful genuine irreps and irreps plus small noise
+    take the full scan (the spectral defect would cancel), and so does d = 1;
     minors, polar minors, Haar baselines and perturbed irreps take the
     screened scan, perturbed irreps with most pairs surviving it.
     """
@@ -166,7 +165,7 @@ def spy_scans(monkeypatch):
     return scans
 
 
-SCAN_TOLERANCES = (0.0, 1e-9, 1e-6, 1e-3, 0.5, 10.0)
+SCAN_TOLERANCES = (1e-9, 1e-6, 1e-3, 0.5, 10.0)
 
 
 @pytest.mark.parametrize("spec", [("symmetric", 3), ("quaternion8",), ("alternating", 4),
@@ -174,14 +173,13 @@ SCAN_TOLERANCES = (0.0, 1e-9, 1e-6, 1e-3, 0.5, 10.0)
 def test_pair_scan_matches_brute_force(spec, monkeypatch):
     g = groups.named(*spec)
     table = irreps.decompose(g)
-    honest = approx._full_scan
     scans = spy_scans(monkeypatch)
-    # the scan each input must take at the default tolerance; every input
-    # takes the full scan at tolerance 0. The few-valued inputs take the
-    # histogram: sign functions (k = 2) and, in these four groups, the 1-dim
-    # irreps (k <= 3, so k^3 <= n^2), while every higher irrep is faithful
-    # (k = n) and takes the full scan. Many-valued functions away from a
-    # representation, at d = 1 too, take the screened scan
+    # the scan each input must take, which no tolerance changes. The
+    # few-valued inputs take the histogram: sign functions (k = 2) and, in
+    # these four groups, the 1-dim irreps (k <= 3, so k^3 <= n^2), while
+    # every higher irrep is faithful (k = n) and takes the full scan.
+    # Many-valued functions away from a representation, at d = 1 too, take
+    # the screened scan
     top = max(r.dim for r in table)
     pinned = {"sign": "_histogram_scan", "perturbed f=0.1": "_screened_agreement"}
     pinned.update({f"genuine irrep {i}": "_histogram_scan" if r.dim == 1 else "_full_scan"
@@ -201,22 +199,47 @@ def test_pair_scan_matches_brute_force(spec, monkeypatch):
                 scans.clear()
                 report = approx.defect_direct(psi, table, agreement_tol=tol)
             agreement = int((sq <= tol * tol).sum()) / n2
-            if tol == 0.0:
-                assert scans == ["_full_scan"], label
-                # bitwise equality depends on the arithmetic path (the double
-                # loop and the scan's GEMM differ on genuine irreps of S3), so
-                # tolerance 0 must keep the full scan's
-                assert report.agreement_prob == honest(psi, tol)[1], label
-            else:
-                if tol == approx.AGREEMENT_TOL and label in pinned:
-                    assert scans == [pinned[label]], label
-                assert report.agreement_prob == agreement, (label, tol)
+            if label in pinned:
+                assert scans == [pinned[label]], (label, tol)
+            assert report.agreement_prob == agreement, (label, tol)
             assert report.defect == pytest.approx(defect, rel=1e-7, abs=1e-24), (label, tol)
             if label.startswith("genuine"):
-                assert agreement == 1.0 or tol == 0.0
+                assert agreement == 1.0
             elif label == "perturbed f=0.1" and tol == approx.AGREEMENT_TOL:
                 assert 0.0 < agreement < 1.0
         assert report.triple_trace == pytest.approx(triple, abs=1e-12), label
+
+
+def test_the_tolerance_floor_sits_above_roundoff_and_still_discriminates():
+    # genuine irreps agree on every pair at the floor: those of dim >= 2 of
+    # psl2(7), in their own basis and Haar-rotated as a sweep's d_psi =
+    # d_rho rows are, psl2(11)'s 5-dim pair, and 2-dim irreps of dihedral
+    # 350, whose Cayley tree is the deepest
+    p7 = irreps.decompose(groups.named("psl2", 7))
+    p11 = irreps.decompose(groups.named("psl2", 11))
+    d350 = irreps.decompose(groups.named("dihedral", 350))
+    genuine = [r for r in p7 if r.dim >= 2] + [r for r in p11 if r.dim == 5]
+    genuine += [r for r in d350 if r.dim == 2][:8]
+    inputs = [approx.MatrixFunction(r.group, r.dim, r.matrices) for r in genuine]
+    inputs += [approx.minor_construction(r, r.dim, subspace="haar", seed=[0, r.dim])
+               for r in p7 if r.dim >= 2]
+    assert len(inputs) == 20
+    for psi in inputs:
+        assert approx._full_scan(psi, approx._TOL_FLOOR)[1] == 1.0, psi.dim
+    # one matrix shifted by 1e-10 breaks the pairs through it
+    rho = irrep_of_dim(p7, 3)
+    mats = rho.matrices.copy()
+    mats[1] += 1e-10
+    shifted = approx.MatrixFunction(rho.group, 3, mats)
+    assert approx._full_scan(shifted, approx._TOL_FLOOR)[1] < 1.0 - 2.0 / rho.group.order
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-12])
+def test_tolerances_below_the_floor_are_refused(a5_table, tol):
+    psi = approx.random_sign_function(a5_table.group, seed=1)
+    with pytest.raises(ValueError, match="at least 1e-11"):
+        approx.defect_direct(psi, a5_table, agreement_tol=tol)
+    assert approx.defect_direct(psi, a5_table, agreement_tol=1e-11).agreement_prob > 0.0
 
 
 def few_valued_cases(a6_table):
@@ -255,11 +278,6 @@ def test_histogram_scan_matches_the_full_scan(monkeypatch, a6_table):
             assert report.agreement_prob == agreement, (label, tol)
             assert report.defect == pytest.approx(defect, abs=1e-12), (label, tol)
             assert report.normalized_defect == report.defect / (2 * psi.dim)
-        # at tolerance 0 equality depends on the arithmetic path, so the
-        # full scan decides it
-        scans.clear()
-        approx.defect_direct(psi, table, agreement_tol=0.0)
-        assert scans == ["_full_scan"], label
 
 
 def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):

@@ -83,6 +83,8 @@ _BAD_SWEEP = ["sweep", "--group", "alternating", "5", "--dpsi", "1", "--rho-dim"
     # the tolerance is checked before any work, also when a sweep has no rows
     ["sweep", "--group", "cyclic", "4", "--dpsi", "5:4", "--tolerance", "nan"],
     [*_BAD_SWEEP[:-1], "99", "--tolerance", "-1"],
+    # below 1e-11 a threshold counts the roundoff of genuine representations
+    [*_BAD_SWEEP, "--tolerance", "0"], [*_BAD_SWEEP, "--tolerance", "1e-12"],
 ])
 def test_wrong_parameters_are_input_errors(tmp_path, capsys, cache, spec):
     directory = tmp_path / "dir"
@@ -96,6 +98,8 @@ def test_wrong_parameters_are_input_errors(tmp_path, capsys, cache, spec):
     assert ".tmp." not in err
     if "DIR" in spec:
         assert str(directory) in err
+    if "--tolerance" in spec:
+        assert "1e-11" in err
     assert list(tmp_path.rglob("*.tmp.*")) == []
 
 

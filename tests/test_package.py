@@ -34,19 +34,25 @@ OPTIONAL_PARAMETERS = {
 }
 
 
+def _modules():
+    """(name, module) for every module of the package."""
+    for info in pkgutil.iter_modules(quasirep.__path__):
+        yield info.name, importlib.import_module(f"quasirep.{info.name}")
+
+
 def test_every_export_resolves():
-    missing = [name for name in quasirep.__all__ if not hasattr(quasirep, name)]
+    missing = [f"{name}.{export}" for name, module in _modules()
+               for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
 
 
 def _public_callables():
     """(label, callable) for each function in a module's __all__, and each
     exported class's __init__ and public methods."""
-    for info in pkgutil.iter_modules(quasirep.__path__):
-        module = importlib.import_module(f"quasirep.{info.name}")
+    for module_name, module in _modules():
         for name in getattr(module, "__all__", ()):
             obj = getattr(module, name)
-            label = f"{info.name}.{name}"
+            label = f"{module_name}.{name}"
             if inspect.isclass(obj):
                 yield f"{label}.__init__", obj.__init__
                 for attr, member in vars(obj).items():
