@@ -10,7 +10,8 @@ bound on the defect / upper bound on agreement expressed through that norm
 and the smallest nontrivial irrep dimension d_min.
 
 defect_direct adds the exact-agreement fraction, a property of each pair,
-from one of three scans over all |G|^2 pairs, at an agreement tolerance of
+from one of three scans over all |G|^2 pairs or a certificate that bounds
+them all, at an agreement tolerance of
 at least _TOL_FLOOR = 1e-11: below the roundoff of a genuine
 representation's products a threshold counts the arithmetic, not psi. When
 psi takes only k distinct matrices V_1..V_k with k^3 <= n^2 (sign
@@ -23,11 +24,15 @@ fingerprint u' psi(x) psi(y) r - u' psi(xy) r of every pair for fixed unit
 vectors u and r, at O(n^2 d) cost. Since |u' D r| <= ||D||_F, no pair within
 the agreement tolerance fails the screen, so multiplying out only the
 survivors and checking each on its own difference gives the same count
-whatever u and r are. The full scan forms every product instead; it runs
-near a genuine representation, where the spectral formula cancels, and its
-sum of per-pair squares is then the defect. After the screened scan the
-defect is the spectral one. Every pair temporary is sized by
-irreps._BLOCK_ENTRIES.
+whatever u and r are. Near a genuine representation, where the spectral
+formula cancels, a certificate comes first: from the n |S| generator
+products alone it bounds every pair's residual by
+B = c^(D+1) (D eps (1 + c) + eps0), D the depth of the Cayley tree (see
+_agreement_bound). When B is within the agreement tolerance every pair
+agrees and the defect, at most B^2, reads 0.0; otherwise the full scan
+forms every product, and its sum of per-pair squares is the defect. After
+the screened scan the defect is the spectral one. Every pair temporary is
+sized by irreps._BLOCK_ENTRIES.
 
 Constructions: compressions of an irrep to a subspace (exact defect
 2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts
@@ -54,8 +59,9 @@ from .errors import (
     ToleranceViolation,
 )
 from .fourier import transform_matrix
-from .groups import FiniteGroup
-from .irreps import IrrepTable, UnitaryRep, _block_rows, _squared_frobenius
+from .groups import FiniteGroup, _cayley_tree
+from .irreps import (IrrepTable, UnitaryRep, _block_rows, _generator_residuals,
+                     _squared_frobenius, _unitarity_residuals)
 from .sampling import haar_basis
 
 __all__ = [
@@ -90,10 +96,13 @@ _ADMISSIBILITY = 1e-8
 # singular values below this make a matrix rank deficient for the polar part
 _MIN_SINGULAR = 1e-10
 # a spectral defect at most this share of its positive moment terms may be
-# cancellation error, so defect_direct takes the defect from the full scan
+# cancellation error, so defect_direct certifies the pairs or scans them all
 _CANCELLATION = 1e-6
 # relative roundoff margin of the pair screen's fingerprint
 _SCREEN_ROUNDOFF = 1e-12
+# relative roundoff of one computed residual ||A B - C||_F or ||A' A - 1||_F,
+# per unit of d (||A||_F ||B||_F + ||C||_F): the agreement certificate's margin
+_PRODUCT_ROUNDOFF = 4.0 * float(np.finfo(np.float64).eps)
 # seed of the screen's fixed unit vectors u and r
 _SCREEN_SEED = 0x5C12EE
 # odd multiplier of the bit projection that labels a function's distinct values
@@ -146,16 +155,18 @@ class PolarFunction(MatrixFunction):
 class DefectReport:
     """Measured defect statistics and the reference bounds they must respect.
 
-    agreement_prob comes from defect_direct's pair scan and is None from
-    defect_via_fourier, which never visits the pairs. defect (and
+    agreement_prob comes from defect_direct's pair scan or certificate and is
+    None from defect_via_fourier, which never visits the pairs. defect (and
     normalized_defect) is the spectral formula's in defect_via_fourier. In
     defect_direct it is the histogram scan's exact sum where psi takes few
-    distinct matrices (k^3 <= n^2); else the full scan's sum of per-pair
-    squares where the spectral formula would cancel (genuine irreps and
-    near-representations). Elsewhere the screened scan gives only the
-    agreement, and the defect is the spectral one. The triple trace,
-    mean_opnorm, both bounds and the admissibility residual come from the
-    spectral route in all cases.
+    distinct matrices (k^3 <= n^2). Where the spectral formula would cancel
+    (genuine irreps and near-representations) it reads 0.0 when the
+    certificate shows every pair within the agreement tolerance, the true
+    value lying in [0, B^2], and else is the full scan's sum of per-pair
+    squares. Elsewhere the screened scan gives only the agreement, and the
+    defect is the spectral one. The triple trace, mean_opnorm, both bounds
+    and the admissibility residual come from the spectral route in all
+    cases.
     """
 
     defect: float
@@ -237,6 +248,46 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
         xs += x0
         agree += int((_product_residuals(mats, xs, ys, table[xs, ys]) <= tol2).sum())
     return agree / (n * n)
+
+
+def _agreement_bound(psi: MatrixFunction) -> float:
+    """A bound B on ||psi(xy) - psi(x) psi(y)||_F over every pair, from the
+    n |S| generator products alone.
+
+    Let S be group.generators and D the number of non-empty layers of the
+    Cayley tree over S: every y is reached along tree edges as y_k = y with
+    y_j = y_(j-1) s_j, y_0 = e and k <= D. Suppose that
+    ||psi(x s) - psi(x) psi(s)||_F <= eps for every x and every s in S,
+    ||psi(e) - 1||_F <= eps0, and ||psi(x)||_2 <= c for every x. With
+    r_j = max_x ||psi(x y_j) - psi(x) psi(y_j)||_F and
+    ||A B||_F <= ||A||_2 ||B||_F on either side,
+
+        r_0 = max_x ||psi(x) (psi(e) - 1)||_F <= c eps0,
+        r_j <= ||psi(x y_(j-1) s_j) - psi(x y_(j-1)) psi(s_j)||_F
+               + ||(psi(x y_(j-1)) - psi(x) psi(y_(j-1))) psi(s_j)||_F
+               + ||psi(x) (psi(y_(j-1)) psi(s_j) - psi(y_j))||_F
+            <= eps + c r_(j-1) + c eps.
+
+    So r_k <= c^(k+1) eps0 + (1 + c) eps (1 + c + ... + c^(k-1)), and as
+    c >= 1 every pair's residual is at most B = c^(D+1) (D eps (1 + c) + eps0).
+    c comes from the unitarity residuals: ||M||_2^2 = ||M'M||_2 <=
+    1 + ||M'M - 1||_F, so c = sqrt(1 + u) for the largest residual u.
+
+    Each computed residual sums d products per entry, so it is within a few
+    d eps_mach (T^2 + T) of the exact one, T the largest ||psi(x)||_F, as
+    in the pair screen; that margin is added to eps, eps0 and u before they
+    are amplified. B is inf when c^(D+1) overflows.
+    """
+    group, mats, d = psi.group, psi.matrices, psi.dim
+    top = float(np.sqrt(_squared_frobenius(mats).max()))
+    margin = _PRODUCT_ROUNDOFF * d * (top * top + top)
+    eps = _generator_residuals(group, mats).max(initial=0.0) + margin
+    eps0 = np.linalg.norm(mats[group.identity] - np.eye(d)) + margin
+    c = np.sqrt(1.0 + _unitarity_residuals(mats).max() + margin)
+    tree = _cayley_tree(group.table[:, list(group.generators)], group.identity)
+    depth = sum(1 for children, _, _ in tree if len(children))
+    with np.errstate(over="ignore"):
+        return float(c ** (depth + 1) * (depth * eps * (1.0 + c) + eps0))
 
 
 def _value_labels(psi: MatrixFunction) -> tuple[np.ndarray, np.ndarray] | None:
@@ -335,7 +386,7 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
 
     A pair (x, y) agrees when ||psi(xy) - psi(x) psi(y)||_F <= agreement_tol,
     which must be finite and at least 1e-11, above the roundoff of a genuine
-    representation's products. One of three scans runs:
+    representation's products. One of these runs:
 
     - the histogram scan, when psi takes k distinct matrices with
       k^3 <= n^2 (sign functions, maps between groups lifted through an
@@ -343,17 +394,21 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
       labels of psi(x), psi(y) and psi(xy) with one bincount and forms one
       difference per occurring triple, at n^2 integer work plus at most k^3
       products;
-    - the full scan, which forms every product, when the spectral defect is
-      at most 1e-6 of its positive moment terms tr E psi'psi +
-      tr(E psi'psi E psi psi'), where the spectral formula cancels (to about
-      1e-13 near a genuine representation);
+    - when the spectral defect is at most 1e-6 of its positive moment terms
+      tr E psi'psi + tr(E psi'psi E psi psi'), where the spectral formula
+      cancels (to about 1e-13 near a genuine representation), the
+      certificate: the generator residuals, unitarity residuals and Cayley
+      tree depth bound every pair's residual by B (_agreement_bound), at
+      n |S| products. When B <= agreement_tol every pair agrees, and the
+      defect, at most B^2, reads 0.0. Otherwise the full scan forms every
+      product;
     - otherwise the screened scan, which takes a bilinear fingerprint of
       every pair that no agreeing pair can fail and decides each survivor
       on its own difference, so the agreement is exact and does not depend
       on the screen's vectors.
 
-    The defect is the histogram scan's exact sum or the full scan's sum of
-    per-pair squares where those run, and the spectral one after the
+    The defect is the histogram scan's exact sum, 0.0 under the certificate,
+    the full scan's sum of per-pair squares, or the spectral one after the
     screened scan. Every other field is the spectral one.
     """
     check_agreement_tol(agreement_tol)
@@ -363,6 +418,9 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
         defect, agreement = _histogram_scan(psi, *few, agreement_tol)
     elif report.defect > _CANCELLATION * positive:
         return replace(report, agreement_prob=_screened_agreement(psi, agreement_tol))
+    elif _agreement_bound(psi) <= agreement_tol:
+        # every pair agrees, and the defect, at most B^2, reads 0
+        defect, agreement = 0.0, 1.0
     else:
         defect, agreement = _full_scan(psi, agreement_tol)
     return replace(report, defect=defect, normalized_defect=defect / (2.0 * psi.dim),

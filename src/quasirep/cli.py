@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: group, irreps, sweep, hom, twirl, verify. Named groups are
-cached on disk in --cache-dir (default ./.quasirep). Irrep tables are
-decomposed in memory on every run: that costs about what reading a saved
-table back from disk would. Exit codes: 0 on success, 1 when a check or bound
-fails, 2 on input errors.
+cached on disk in --cache-dir (default ./.quasirep); nothing else is.
+`irreps` and `sweep` decompose the group in memory on every run, and `hom`
+builds only the two character tables, since its ceilings read nothing but
+irrep degrees. Exit codes: 0 on success, 1 when a check or bound fails, 2 on
+input errors.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .homs import (
     make_group_map,
     random_map,
 )
-from .irreps import decompose, frobenius_schur
+from .irreps import character_table, decompose, frobenius_schur
 from .textfile import write_atomic
 from .twirl import CLASS_NAMES, twirl_exact, twirl_gram
 from .verify import run_battery
@@ -242,8 +243,8 @@ def _hom_map(kind: str, source: FiniteGroup, target: FiniteGroup, seed):
 def cmd_hom(args) -> int:
     src = _group_from_spec(args.source, args.cache_dir)
     tgt = _group_from_spec(args.target, args.cache_dir)
-    ts = decompose(src, seed=args.seed)
-    tt = decompose(tgt, seed=args.seed)
+    ts = character_table(src, seed=args.seed)
+    tt = character_table(tgt, seed=args.seed)
     seeds = 1 if args.kind in ("identity", "genuine") else args.seeds
     rows = []
     for s in range(seeds):

@@ -5,7 +5,8 @@ over H gives the nonuniformity parameter eps = |H| ||p_f - uniform||^2, which
 satisfies the collision identity ||p_f||^2 = (1 + eps) / |H| exactly. Reports
 compare the exact agreement probability Pr[f(xy) = f(x) f(y)] against two
 ceilings: a best-single-irrep bound through d_min of the source, and a
-spectral-mass bound (1 + eps)/|H| + R_H. Lifting f through an irrep sigma of
+spectral-mass bound (1 + eps)/|H| + R_H. Both read only irrep degrees, so
+an irreps.CharacterTable serves as well as a full IrrepTable. Lifting f through an irrep sigma of
 H produces the matrix function sigma(f(x)) on G, which ties map agreement to
 the defect machinery.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import MissingIrrepTable, NotAHomomorphism
 from .groups import FiniteGroup, _cayley_tree
-from .irreps import IrrepTable, UnitaryRep
+from .irreps import CharacterTable, IrrepTable, UnitaryRep
 from .approx import MatrixFunction
 
 __all__ = [
@@ -95,20 +96,24 @@ def agreement_probability(f: GroupMap) -> float:
     return np.count_nonzero(labels[f.source.table] == products[labels]) / f.source.order ** 2
 
 
-def r_h(target_table: IrrepTable, d_min: int) -> float:
+def r_h(target_table: IrrepTable | CharacterTable, d_min: int) -> float:
     """Spectral mass term: sum over all sigma of (d^2/|H|) min(sqrt(d/d_min), 1)."""
     if d_min < 1:
         raise ValueError(f"d_min must be >= 1, got {d_min}")
     h = target_table.group.order
     return float(sum(
-        (sigma.dim ** 2 / h) * min(np.sqrt(sigma.dim / d_min), 1.0)
-        for sigma in target_table.irreps
+        (d ** 2 / h) * min(np.sqrt(d / d_min), 1.0) for d in target_table.dims
     ))
 
 
-def evaluate(f: GroupMap, source_table: IrrepTable | None,
-             target_table: IrrepTable | None) -> HomReport:
-    """Full report: exact agreement, collision probability, both ceilings."""
+def evaluate(f: GroupMap, source_table: IrrepTable | CharacterTable | None,
+             target_table: IrrepTable | CharacterTable | None) -> HomReport:
+    """Full report: exact agreement, collision probability, both ceilings.
+
+    The ceilings read only each table's group, dims and d_min, so an
+    IrrepTable and a CharacterTable serve alike. The dims are in canonical
+    order, the trivial irrep first: thm2_sigma_index counts from it.
+    """
     if source_table is None or target_table is None:
         raise MissingIrrepTable("evaluate needs irrep tables for both groups")
     if source_table.group is not f.source or target_table.group is not f.target:
@@ -118,9 +123,8 @@ def evaluate(f: GroupMap, source_table: IrrepTable | None,
     d_min = source_table.d_min
     # the trivial target has no nontrivial sigma: every map is a homomorphism
     term, sigma_dim, sigma_index = min(
-        ((0.5 * (1.0 + np.sqrt(f.epsilon / sigma.dim) + np.sqrt(sigma.dim / d_min)),
-          sigma.dim, idx)
-         for idx, sigma in enumerate(target_table.irreps) if not sigma.is_trivial()),
+        ((0.5 * (1.0 + np.sqrt(f.epsilon / d) + np.sqrt(d / d_min)), d, idx)
+         for idx, d in enumerate(target_table.dims) if idx),
         default=(1.0, 0, -1))
     thm2 = min(1.0, term)
     mass = r_h(target_table, d_min)

@@ -6,8 +6,10 @@ J. D. Dixon, "High speed computation of group characters", Numer. Math. 10,
 class sums by a matrix that one sqrt|C| scaling makes Hermitian: its
 eigenvectors are the characters, its eigenvalues the central characters
 omega_chi(z). A draw with two eigenvalues within the clustering width is
-rejected. An irrep of dim 1 is its character, snapped to roots of unity, so
-an abelian group needs nothing more.
+rejected. Each degree chi(1) must lie within 1e-6 of an integer, and the
+squared degrees must sum to |G|. character_table stops here: the degrees are
+all that the map bounds read. An irrep of dim 1 is its character, snapped to
+roots of unity, so an abelian group needs nothing more.
 
 The irreps of dim >= 2 come from the regular representation, never
 materialized. A matrix that commutes with every left translation is a right
@@ -41,14 +43,13 @@ a breadth-first Cayley-graph tree, rho(x s) = rho(x) rho(s).
 The final representations are checked on every element: their traces must be
 constant on classes, irreducible and equal to the table's character, and the
 product law is validated exhaustively. The table is ordered canonically
-(trivial first, then by dimension and character), and the squared dimensions
-must sum to |G|.
+(trivial first, then by dimension and character).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -58,6 +59,8 @@ from .groups import FiniteGroup, _cayley_tree, _element_orders
 __all__ = [
     "UnitaryRep",
     "IrrepTable",
+    "CharacterTable",
+    "character_table",
     "decompose",
     "frobenius_schur",
     "ORDER_CAP",
@@ -74,7 +77,8 @@ _PRODUCT_LAW = 1e-9
 # |E|chi|^2 - 1| cutoff deciding irreducibility
 _IRREDUCIBILITY = 1e-6
 # two characters within this (per class, sup norm) are the same irrep; also
-# the allowed spread of traces within one class
+# the allowed spread of traces within one class, and the largest distance of
+# a degree chi(1) from an integer
 _CHARACTER_MATCH = 1e-6
 # eigenvalue clustering width, relative to the largest |eigenvalue| of a probe
 _EIGENGAP = 1e-7
@@ -128,28 +132,20 @@ class UnitaryRep:
         The product law is checked on every pair (x, s), s in
         group.generators. That is exhaustive: the y with R(x y) = R(x) R(y)
         for all x are closed under products, so passing on the generators
-        means passing everywhere. For each block of elements and each
-        generator s, one product of the stacked (rows d, d) matrices with R(s)
-        gives every R(x) R(s). A failure names the pair with the largest
+        means passing everywhere (approx._agreement_bound makes this
+        quantitative for residuals above zero). The residuals come from
+        _generator_residuals. A failure names the pair with the largest
         residual, the first in x-major order among equals. Raises
         ToleranceViolation.
         """
         g, m = self.group, self.matrices
-        n, d = m.shape[:2]
         uerr = _unitarity_residuals(m)
         if uerr.max() > _UNITARITY:
             raise ToleranceViolation(
                 f"unitarity residual {uerr.max():.3e} above {_UNITARITY:.0e}")
-        if np.linalg.norm(m[g.identity] - np.eye(d)) > _PRODUCT_LAW:
+        if np.linalg.norm(m[g.identity] - np.eye(self.dim)) > _PRODUCT_LAW:
             raise ToleranceViolation("identity element is not the identity matrix")
-        err = np.empty((n, len(g.generators)))
-        rows = _block_rows(d * d)
-        for b in (slice(a, a + rows) for a in range(0, n, rows)):
-            stack = m[b].reshape(-1, d)
-            for j, s in enumerate(g.generators):
-                residual = (stack @ m[s]).reshape(-1, d, d)
-                residual -= m[g.table[b, s]]
-                err[b, j] = np.sqrt(_squared_frobenius(residual))
+        err = _generator_residuals(g, m)
         # the trivial group has no generators and nothing beyond the identity
         if err.max(initial=0.0) > _PRODUCT_LAW:
             x, j = np.unravel_index(err.argmax(), err.shape)
@@ -188,6 +184,30 @@ class IrrepTable:
         return f"IrrepTable(group={self.group.name!r}, dims={list(self.dims)})"
 
 
+class CharacterTable:
+    """The irrep degrees of a group, read off its class-algebra characters
+    before any irrep matrix is formed.
+
+    It carries the attributes of an IrrepTable that the degree-only bounds
+    read (homs.evaluate and homs.r_h), with the same values.
+
+    Attributes:
+        group: the underlying FiniteGroup.
+        dims: irrep dimensions in IrrepTable's canonical order: the trivial
+            irrep first, then ascending.
+        d_min: smallest nontrivial dimension, 1 for the trivial group.
+    """
+
+    def __init__(self, group: FiniteGroup, dims):
+        self.group = group
+        # the trivial irrep has dim 1, so ascending order puts it first
+        self.dims = tuple(sorted(int(d) for d in dims))
+        self.d_min = self.dims[1] if len(self.dims) > 1 else 1
+
+    def __repr__(self) -> str:
+        return f"CharacterTable(group={self.group.name!r}, dims={list(self.dims)})"
+
+
 def _squared_frobenius(stack: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix of a complex stack, read in place
     as real numbers; the row width is explicit so an empty stack works."""
@@ -203,6 +223,24 @@ _BLOCK_ENTRIES = 2 ** 15
 def _block_rows(width: int) -> int:
     """Rows per block of a temporary whose rows hold width entries each."""
     return max(1, _BLOCK_ENTRIES // width)
+
+
+def _generator_residuals(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
+    """||M(x s) - M(x) M(s)||_F for every x and each generator s, as (n, |S|).
+
+    For each block of elements and each generator s, one product of the
+    stacked (rows d, d) matrices with M(s) gives every M(x) M(s).
+    """
+    n, d = matrices.shape[:2]
+    err = np.empty((n, len(group.generators)))
+    rows = _block_rows(d * d)
+    for b in (slice(a, a + rows) for a in range(0, n, rows)):
+        stack = matrices[b].reshape(-1, d)
+        for j, s in enumerate(group.generators):
+            residual = (stack @ matrices[s]).reshape(-1, d, d)
+            residual -= matrices[group.table[b, s]]
+            err[b, j] = np.sqrt(_squared_frobenius(residual))
+    return err
 
 
 def _unitarity_residuals(matrices: np.ndarray) -> np.ndarray:
@@ -453,28 +491,55 @@ def _canonical_order(reps: list[UnitaryRep]) -> list[UnitaryRep]:
     return [reps[i] for i in np.lexsort(keys.T[::-1])]
 
 
-def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
-    """Compute the full unitary irrep table of a group of order <= 700.
+def _class_algebra(group: FiniteGroup, gauge: np.random.Generator
+                   ) -> tuple[np.ndarray, ...]:
+    """One attempt's first stage: the class coefficients a of a central
+    element drawn from gauge, then _character_table's omega, characters and
+    conjugate rows for it, and the degrees chi(1) rounded to integers.
 
-    Deterministic given (group, seed). The result is seed independent up to
-    irrep isomorphism: dimensions and the character table do not depend on the
-    seed, individual matrices may differ by a basis change.
+    A degree more than 1e-6 from an integer, or degrees whose squares do not
+    sum to |G|, raise ToleranceViolation; a draw that does not separate the
+    characters raises _SplitFailed.
+    """
+    a = _central_element(group, gauge)
+    omega, characters, conjugate = _character_table(group, a)
+    degrees = characters[:, 0]
+    dims = np.rint(degrees.real).astype(np.int64)
+    off = np.abs(degrees - dims)
+    if off.max() > _CHARACTER_MATCH:
+        raise ToleranceViolation(
+            f"irrep degree {degrees[off.argmax()].real:.9g} is {off.max():.3e} "
+            "from an integer")
+    if dims @ dims != group.order:
+        raise ToleranceViolation(
+            f"irrep dimensions {sorted(dims.tolist())} do not satisfy "
+            f"sum d^2 = {group.order}")
+    return a, omega, characters, conjugate, dims
+
+
+def _first_split(group: FiniteGroup, seed: int, finish: Callable):
+    """finish(group, stage, anchor, rng) for the first attempt whose draws
+    split what they must, stage being _class_algebra's output.
+
+    The gauge anchor E (no irrep is wider than isqrt(n)) and then each
+    attempt's central element come from the stream [seed, _RETRY_BUDGET],
+    which is none of the attempts' [seed, attempt]; attempt j's probes come
+    from [seed, j]. The anchor is drawn even when finish has no use for it,
+    so that every caller sees the same central elements. finish raises
+    _SplitFailed to retry.
     """
     n = group.order
     if n > ORDER_CAP:
         raise OrderCapExceeded(f"order {n} above decomposition cap {ORDER_CAP}")
-    # the gauge anchor E (no irrep is wider than isqrt(n)) and then each
-    # attempt's central element come from the stream [seed, _RETRY_BUDGET],
-    # which is none of the attempts' [seed, attempt]
     gauge = np.random.default_rng([seed, _RETRY_BUDGET])
     width = math.isqrt(n)
     anchor = (gauge.standard_normal((n, width))
               + 1j * gauge.standard_normal((n, width)))
     last: Exception | None = None
     for attempt in range(_RETRY_BUDGET):
-        rng = np.random.default_rng([seed, attempt])
         try:
-            return _decompose_once(group, anchor, gauge, rng)
+            stage = _class_algebra(group, gauge)
+            return finish(group, stage, anchor, np.random.default_rng([seed, attempt]))
         except _SplitFailed as exc:
             last = exc
     raise DecompositionFailed(
@@ -482,15 +547,30 @@ def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
         f"reseeded attempts: {last}")
 
 
-def _decompose_once(group: FiniteGroup, anchor: np.ndarray,
-                    gauge: np.random.Generator, rng: np.random.Generator) -> IrrepTable:
+def character_table(group: FiniteGroup, seed: int = 0) -> CharacterTable:
+    """The irrep degrees of a group of order <= 700, from its character table.
+
+    decompose's first stage with its draws, so the dims and d_min are
+    decompose(group, seed)'s; no probe is drawn and no irrep matrix formed.
+    """
+    return _first_split(group, seed,
+                        lambda group, stage, anchor, rng: CharacterTable(group, stage[-1]))
+
+
+def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
+    """Compute the full unitary irrep table of a group of order <= 700.
+
+    Deterministic given (group, seed). The result is seed independent up to
+    irrep isomorphism: dimensions and the character table do not depend on the
+    seed, individual matrices may differ by a basis change.
+    """
+    return _first_split(group, seed, _decompose_once)
+
+
+def _decompose_once(group: FiniteGroup, stage: tuple[np.ndarray, ...],
+                    anchor: np.ndarray, rng: np.random.Generator) -> IrrepTable:
     n = group.order
-    a = _central_element(group, gauge)
-    omega, characters, conjugate = _character_table(group, a)
-    dims = np.rint(characters[:, 0].real).astype(np.int64)
-    if dims @ dims != n:
-        raise ToleranceViolation(
-            f"irrep dimensions {sorted(dims.tolist())} do not satisfy sum d^2 = {n}")
+    a, omega, characters, conjugate, dims = stage
     # an irrep of dim 1 is its character; an abelian group draws no probe
     if dims.max() > 1:
         # T[x, y] = f(x^-1 y) acts as sum_g f(g) g^-1, so z acts through

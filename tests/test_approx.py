@@ -128,10 +128,11 @@ def scan_cases(g, table):
     """Inputs for all three of defect_direct's pair scans.
 
     Sign functions and the 1-dim irreps, whose values repeat bitwise, take
-    the histogram scan. Faithful genuine irreps and irreps plus small noise
-    take the full scan (the spectral defect would cancel), and so does d = 1;
-    minors, polar minors, Haar baselines and perturbed irreps take the
-    screened scan, perturbed irreps with most pairs surviving it.
+    the histogram scan. Faithful genuine irreps and irreps plus small noise,
+    where the spectral defect would cancel, take the agreement certificate,
+    and the full scan when the certificate fails; minors, polar minors, Haar
+    baselines and perturbed irreps take the screened scan, perturbed irreps
+    with most pairs surviving it.
     """
     rho = max(table, key=lambda r: r.dim)
     rng = np.random.default_rng(0)
@@ -155,9 +156,11 @@ def scan_cases(g, table):
 
 
 def spy_scans(monkeypatch):
-    """Record the name of each of defect_direct's scans as it runs."""
+    """Record the name of each of defect_direct's scans, and of the agreement
+    certificate, as it runs."""
     scans = []
-    for name in ("_full_scan", "_screened_agreement", "_histogram_scan"):
+    for name in ("_full_scan", "_screened_agreement", "_histogram_scan",
+                 "_agreement_bound"):
         def traced(*args, _name=name, _scan=getattr(approx, name)):
             scans.append(_name)
             return _scan(*args)
@@ -177,13 +180,13 @@ def test_pair_scan_matches_brute_force(spec, monkeypatch):
     # the scan each input must take, which no tolerance changes. The
     # few-valued inputs take the histogram: sign functions (k = 2) and, in
     # these four groups, the 1-dim irreps (k <= 3, so k^3 <= n^2), while
-    # every higher irrep is faithful (k = n) and takes the full scan.
-    # Many-valued functions away from a representation, at d = 1 too, take
-    # the screened scan
+    # every higher irrep is faithful (k = n) and is certified from its
+    # generators. Many-valued functions away from a representation, at
+    # d = 1 too, take the screened scan
     top = max(r.dim for r in table)
     pinned = {"sign": "_histogram_scan", "perturbed f=0.1": "_screened_agreement"}
-    pinned.update({f"genuine irrep {i}": "_histogram_scan" if r.dim == 1 else "_full_scan"
-                   for i, r in enumerate(table)})
+    pinned.update({f"genuine irrep {i}": "_histogram_scan" if r.dim == 1
+                   else "_agreement_bound" for i, r in enumerate(table)})
     pinned.update({f"haar d{d}": "_screened_agreement" for d in (1, 2, 3, 4)})
     if top > 2:
         pinned.update({f"{kind} minor {top - 1}": "_screened_agreement"
@@ -202,7 +205,12 @@ def test_pair_scan_matches_brute_force(spec, monkeypatch):
             if label in pinned:
                 assert scans == [pinned[label]], (label, tol)
             assert report.agreement_prob == agreement, (label, tol)
-            assert report.defect == pytest.approx(defect, rel=1e-7, abs=1e-24), (label, tol)
+            if scans[-1] == "_agreement_bound":
+                # certified: the defect reads 0, and the true one is at most B^2
+                assert report.defect == 0.0
+                assert defect <= approx._agreement_bound(psi) ** 2, (label, tol)
+            else:
+                assert report.defect == pytest.approx(defect, rel=1e-7, abs=1e-24), (label, tol)
             if label.startswith("genuine"):
                 assert agreement == 1.0
             elif label == "perturbed f=0.1" and tol == approx.AGREEMENT_TOL:
@@ -232,6 +240,104 @@ def test_the_tolerance_floor_sits_above_roundoff_and_still_discriminates():
     mats[1] += 1e-10
     shifted = approx.MatrixFunction(rho.group, 3, mats)
     assert approx._full_scan(shifted, approx._TOL_FLOOR)[1] < 1.0 - 2.0 / rho.group.order
+
+
+CERTIFIED_GROUPS = [("alternating", 5), ("psl2", 7), ("sl2", 7), ("alternating", 6),
+                    ("psl2", 11), ("dihedral", 350)]
+
+
+@pytest.mark.parametrize("spec", CERTIFIED_GROUPS, ids=lambda spec: " ".join(map(str, spec)))
+def test_the_certificate_agrees_with_the_full_scan(spec, monkeypatch):
+    # every irrep of dim >= 2 of the ladder groups, and the first 8 of
+    # dihedral 350, whose Cayley tree is the deepest (176 layers), in its
+    # own basis and Haar-rotated as a sweep's d_psi = d_rho rows are: each
+    # is certified at the default tolerance, and the full scan confirms
+    # every pair agrees with a defect within B^2
+    table = irreps.decompose(groups.named(*spec))
+    genuine = [r for r in table if r.dim >= 2][:8]
+    scans = spy_scans(monkeypatch)
+    for i, rho in enumerate(genuine):
+        for psi in (approx.MatrixFunction(rho.group, rho.dim, rho.matrices),
+                    approx.minor_construction(rho, rho.dim, subspace="haar", seed=[7, i])):
+            scans.clear()
+            report = approx.defect_direct(psi, table)
+            assert scans == ["_agreement_bound"], (i, rho.dim)
+            bound = approx._agreement_bound(psi)
+            defect, agreement = approx._full_scan(psi, approx.AGREEMENT_TOL)
+            assert (report.agreement_prob, report.defect) == (agreement, 0.0) == (1.0, 0.0)
+            assert 0.0 < bound <= 1e-10, (i, rho.dim)
+            assert defect <= bound ** 2, (i, rho.dim)
+
+
+def test_at_the_floor_dihedral_350_falls_back_to_the_full_scan(monkeypatch):
+    # B grows with the depth of the Cayley tree: up to about 1e-10 at
+    # dihedral 350's 176 layers, mostly above the 1e-11 floor, where the
+    # full scan decides. Below B the certificate still stands
+    table = irreps.decompose(groups.named("dihedral", 350))
+    scans = spy_scans(monkeypatch)
+    fallbacks = 0
+    for rho in [r for r in table if r.dim == 2][:8]:
+        psi = approx.MatrixFunction(rho.group, 2, rho.matrices)
+        bound = approx._agreement_bound(psi)
+        assert bound <= approx.AGREEMENT_TOL
+        scans.clear()
+        report = approx.defect_direct(psi, table, agreement_tol=approx._TOL_FLOOR)
+        assert report.agreement_prob == 1.0
+        if bound > approx._TOL_FLOOR:
+            fallbacks += 1
+            assert scans == ["_agreement_bound", "_full_scan"]
+            assert 0.0 < report.defect <= bound ** 2
+        else:
+            assert scans == ["_agreement_bound"] and report.defect == 0.0
+    assert fallbacks >= 5
+
+
+def test_a_shifted_element_is_not_certified(a5_table, monkeypatch):
+    # negative control: one matrix moved by 1e-6 breaks the pairs through it,
+    # the certificate fails, and the full scan that follows counts them
+    rho = irrep_of_dim(a5_table, 5)
+    mats = rho.matrices.copy()
+    mats[7] += 1e-6
+    psi = approx.MatrixFunction(rho.group, 5, mats)
+    assert approx._agreement_bound(psi) > approx.AGREEMENT_TOL
+    scans = spy_scans(monkeypatch)
+    with warnings.catch_warnings():
+        # the shift also moves E psi' psi off the identity
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = approx.defect_direct(psi, a5_table)
+    assert scans == ["_agreement_bound", "_full_scan"]
+    defect, agreement = approx._full_scan(psi, approx.AGREEMENT_TOL)
+    assert (report.defect, report.agreement_prob) == (defect, agreement)
+    assert agreement < 1.0
+
+
+def test_the_certificate_on_the_trivial_group():
+    # no generators and one tree layer fewer than any other group: B is
+    # c ||psi(e) - 1||_F, the roundoff margin alone at psi(e) = 1
+    g = groups.named("cyclic", 1)
+    assert g.generators == ()
+    one = approx.MatrixFunction(g, 1, np.ones((1, 1, 1)))
+    assert 0.0 < approx._agreement_bound(one) <= 1e-14
+    two = approx.MatrixFunction(g, 1, np.full((1, 1, 1), 2.0))
+    assert approx._agreement_bound(two) >= 1.0
+
+
+def test_an_ill_conditioned_representation_overflows_the_bound(monkeypatch):
+    # a genuine representation in a basis of condition number 100: the
+    # spectral defect cancels, c is about 100 and c^177 overflows, so B is
+    # inf, without a warning, and the full scan finds every pair agreeing
+    table = irreps.decompose(groups.named("dihedral", 350))
+    rho = irrep_of_dim(table, 2)
+    a = np.diag([100.0, 1.0])
+    psi = approx.MatrixFunction(rho.group, 2, a @ rho.matrices @ np.linalg.inv(a))
+    assert approx._agreement_bound(psi) == np.inf
+    scans = spy_scans(monkeypatch)
+    with warnings.catch_warnings():
+        # psi is far from admissible; the bound itself must not warn
+        warnings.filterwarnings("ignore", "psi is not admissible", RuntimeWarning)
+        report = approx.defect_direct(psi, table)
+    assert scans == ["_agreement_bound", "_full_scan"]
+    assert report.agreement_prob == 1.0
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-12])

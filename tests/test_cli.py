@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from quasirep import cli, groups, verify
+from quasirep import cli, groups, irreps, verify
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +332,66 @@ def test_genuine_hom_of_cyclic_700(tmp_path, capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["max_agreement"] == 1.0 and summary["violated"] is False
+
+
+# hom's text output as it printed when both groups were decomposed: the
+# ceilings read only irrep degrees, so the character tables alone must give
+# the same bytes
+HOM_OUTPUTS = {
+    "--source alternating 6 --target symmetric 3 --kind balanced": """\
+seed=0 agreement=0.164907 epsilon=0.000000 thm2=0.723607 thm3=0.737375
+seed=1 agreement=0.165162 epsilon=0.000000 thm2=0.723607 thm3=0.737375
+seed=2 agreement=0.164977 epsilon=0.000000 thm2=0.723607 thm3=0.737375
+seed=3 agreement=0.165756 epsilon=0.000000 thm2=0.723607 thm3=0.737375
+seed=4 agreement=0.165378 epsilon=0.000000 thm2=0.723607 thm3=0.737375
+seed=5 agreement=0.166535 epsilon=0.000000 thm2=0.723607 thm3=0.737375
+seed=6 agreement=0.165347 epsilon=0.000000 thm2=0.723607 thm3=0.737375
+seed=7 agreement=0.171420 epsilon=0.000000 thm2=0.723607 thm3=0.737375
+seed=8 agreement=0.166667 epsilon=0.000000 thm2=0.723607 thm3=0.737375
+seed=9 agreement=0.171620 epsilon=0.000000 thm2=0.723607 thm3=0.737375
+max agreement 0.171620 vs min bound 0.723607 [ok]
+""",
+    "--source psl2 11 --target symmetric 3 --kind random": """\
+seed=0 agreement=0.164979 epsilon=0.007300 thm2=0.766328 thm3=0.738592
+seed=1 agreement=0.165957 epsilon=0.007879 thm2=0.767988 thm3=0.738688
+seed=2 agreement=0.166352 epsilon=0.001074 thm2=0.739996 thm3=0.737554
+seed=3 agreement=0.166359 epsilon=0.003251 thm2=0.752114 thm3=0.737917
+seed=4 agreement=0.166233 epsilon=0.007052 thm2=0.765596 thm3=0.738550
+seed=5 agreement=0.167195 epsilon=0.003168 thm2=0.751749 thm3=0.737903
+seed=6 agreement=0.166348 epsilon=0.002837 thm2=0.750241 thm3=0.737848
+seed=7 agreement=0.166508 epsilon=0.002039 thm2=0.746182 thm3=0.737715
+seed=8 agreement=0.165925 epsilon=0.002231 thm2=0.747226 thm3=0.737747
+seed=9 agreement=0.166387 epsilon=0.009256 thm2=0.771711 thm3=0.738918
+max agreement 0.167195 vs min bound 0.737554 [ok]
+""",
+    "--source psl2 11 --target psl2 11 --kind identity": """\
+seed=0 agreement=1.000000 epsilon=0.000000 thm2=1.000000 thm3=1.000000
+max agreement 1.000000 vs min bound 1.000000 [ok]
+""",
+    "--source cyclic 700 --target cyclic 7 --kind genuine": """\
+seed=0 agreement=1.000000 epsilon=0.000000 thm2=1.000000 thm3=1.000000
+max agreement 1.000000 vs min bound 1.000000 [ok]
+""",
+    "--source alternating 5 --target cyclic 1 --kind random --seeds 3": """\
+seed=0 agreement=1.000000 epsilon=0.000000 thm2=1.000000 thm3=1.000000
+seed=1 agreement=1.000000 epsilon=0.000000 thm2=1.000000 thm3=1.000000
+seed=2 agreement=1.000000 epsilon=0.000000 thm2=1.000000 thm3=1.000000
+max agreement 1.000000 vs min bound 1.000000 [ok]
+""",
+}
+
+
+@pytest.mark.parametrize("command", HOM_OUTPUTS)
+def test_hom_builds_no_irrep_and_prints_the_pinned_bytes(monkeypatch, capsys, cache,
+                                                         command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hom decomposed a group")
+
+    monkeypatch.setattr(cli, "decompose", refuse)
+    monkeypatch.setattr(irreps, "decompose", refuse)
+    code = cli.main(["hom", *command.split(), "--cache-dir", cache])
+    assert code == 0
+    assert capsys.readouterr().out == HOM_OUTPUTS[command]
 
 
 def save_relabelled(group, path, name):

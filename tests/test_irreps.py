@@ -129,6 +129,15 @@ DECOMPOSABLE = ([("dihedral", n) for n in range(1, 13)]
                    ("cyclic", 700)])
 
 
+@pytest.mark.parametrize("spec", DECOMPOSABLE + [("dihedral", 350)])
+def test_character_table_has_the_decomposition_degrees(spec):
+    # hom reads only the degrees: they must be decompose's, in its order
+    g = groups.named(*spec)
+    degrees, ref = irreps.character_table(g), irreps.decompose(g)
+    assert degrees.group is g
+    assert (degrees.dims, degrees.d_min) == (ref.dims, ref.d_min)
+
+
 @pytest.mark.parametrize("spec", DECOMPOSABLE)
 def test_character_table_matches_the_traces(spec):
     # the class-algebra table and the traces of the decomposed reps are two
@@ -244,6 +253,33 @@ def test_a_zero_draw_on_every_attempt_fails(monkeypatch, name, spec, cause):
                              rf"{irreps._RETRY_BUDGET} reseeded attempts: {cause}$"):
         irreps.decompose(g)
     assert len(made) == irreps._RETRY_BUDGET
+
+
+OFF_INTEGER = r"^irrep degree {} is {} from an integer$"
+
+
+# decompose's sum-of-squares refusal has its own test below
+@pytest.mark.parametrize("build,shift,match", [
+    (irreps.character_table, 0.25, OFF_INTEGER.format(r"5\.25", r"2\.500e-01")),
+    (irreps.decompose, 0.25, OFF_INTEGER.format(r"5\.25", r"2\.500e-01")),
+    (irreps.character_table, 2e-6, OFF_INTEGER.format(r"5\.000002", r"2\.000e-06")),
+    (irreps.character_table, 1.0,
+     r"^irrep dimensions \[1, 3, 3, 4, 6\] do not satisfy sum d\^2 = 60$"),
+], ids=["off by 0.25", "off by 0.25 in decompose", "off by 2e-6", "sum of squares"])
+def test_a_wrong_degree_is_refused(monkeypatch, build, shift, match):
+    # a degree off an integer, or integral degrees whose squares do not sum
+    # to |G|, stops both routines before any probe is drawn
+    table = irreps._character_table
+
+    def shifted(group, a):
+        omega, characters, conjugate = table(group, a)
+        characters[characters[:, 0].real.argmax(), 0] += shift
+        return omega, characters, conjugate
+
+    monkeypatch.setattr(irreps, "_character_table", shifted)
+    monkeypatch.setattr(irreps, "_probe_bases", None)
+    with pytest.raises(ToleranceViolation, match=match):
+        build(groups.named("alternating", 5))
 
 
 def test_a_wrong_degree_fails_the_sum_of_squares(monkeypatch):
