@@ -28,11 +28,11 @@ whatever u and r are. Near a genuine representation, where the spectral
 formula cancels, a certificate comes first: from the n |S| generator
 products alone it bounds every pair's residual by
 B = c^(D+1) (D eps (1 + c) + eps0), D the depth of the Cayley tree (see
-_agreement_bound). When B is within the agreement tolerance every pair
-agrees and the defect, at most B^2, reads 0.0; otherwise the full scan
-forms every product, and its sum of per-pair squares is the defect. After
-the screened scan the defect is the spectral one. Every pair temporary is
-sized by irreps._BLOCK_ENTRIES.
+_agreement_bound). When B is within both the agreement tolerance and
+AGREEMENT_TOL every pair agrees and the defect, at most B^2 <= 1e-18, reads
+0.0; otherwise the full scan forms every product, and its sum of per-pair
+squares is the defect. After the screened scan the defect is the spectral
+one. Every pair temporary is sized by irreps._BLOCK_ENTRIES.
 
 Constructions: compressions of an irrep to a subspace (exact defect
 2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts
@@ -161,8 +161,9 @@ class DefectReport:
     defect_direct it is the histogram scan's exact sum where psi takes few
     distinct matrices (k^3 <= n^2). Where the spectral formula would cancel
     (genuine irreps and near-representations) it reads 0.0 when the
-    certificate shows every pair within the agreement tolerance, the true
-    value lying in [0, B^2], and else is the full scan's sum of per-pair
+    certificate bounds every pair's residual by B within both the agreement
+    tolerance and AGREEMENT_TOL = 1e-9, the true value lying in
+    [0, B^2] <= 1e-18, and else is the full scan's sum of per-pair
     squares. Elsewhere the screened scan gives only the agreement, and the
     defect is the spectral one. The triple trace, mean_opnorm, both bounds
     and the admissibility residual come from the spectral route in all
@@ -399,9 +400,11 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
       cancels (to about 1e-13 near a genuine representation), the
       certificate: the generator residuals, unitarity residuals and Cayley
       tree depth bound every pair's residual by B (_agreement_bound), at
-      n |S| products. When B <= agreement_tol every pair agrees, and the
-      defect, at most B^2, reads 0.0. Otherwise the full scan forms every
-      product;
+      n |S| products. When B is within both agreement_tol and
+      AGREEMENT_TOL = 1e-9, every pair agrees and the defect, at most
+      B^2 <= 1e-18, reads 0.0; a looser tolerance certifies nothing more,
+      so a near-representation keeps its measured defect. Otherwise the
+      full scan forms every product;
     - otherwise the screened scan, which takes a bilinear fingerprint of
       every pair that no agreeing pair can fail and decides each survivor
       on its own difference, so the agreement is exact and does not depend
@@ -418,8 +421,8 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
         defect, agreement = _histogram_scan(psi, *few, agreement_tol)
     elif report.defect > _CANCELLATION * positive:
         return replace(report, agreement_prob=_screened_agreement(psi, agreement_tol))
-    elif _agreement_bound(psi) <= agreement_tol:
-        # every pair agrees, and the defect, at most B^2, reads 0
+    elif _agreement_bound(psi) <= min(agreement_tol, AGREEMENT_TOL):
+        # every pair agrees, and the defect, at most B^2 <= 1e-18, reads 0
         defect, agreement = 0.0, 1.0
     else:
         defect, agreement = _full_scan(psi, agreement_tol)

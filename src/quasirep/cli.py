@@ -3,9 +3,8 @@
 Subcommands: group, irreps, sweep, hom, twirl, verify. Named groups are
 cached on disk in --cache-dir (default ./.quasirep); nothing else is.
 `irreps` and `sweep` decompose the group in memory on every run, and `hom`
-builds only the two character tables, since its ceilings read nothing but
-irrep degrees. Exit codes: 0 on success, 1 when a check or bound fails, 2 on
-input errors.
+reads only the irrep degrees of both groups off their character tables.
+Exit codes: 0 on success, 1 when a check or bound fails, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from .homs import (
     make_group_map,
     random_map,
 )
-from .irreps import character_table, decompose, frobenius_schur
+from .irreps import decompose, degrees, frobenius_schur
 from .textfile import write_atomic
 from .twirl import CLASS_NAMES, twirl_exact, twirl_gram
 from .verify import run_battery
@@ -243,8 +242,8 @@ def _hom_map(kind: str, source: FiniteGroup, target: FiniteGroup, seed):
 def cmd_hom(args) -> int:
     src = _group_from_spec(args.source, args.cache_dir)
     tgt = _group_from_spec(args.target, args.cache_dir)
-    ts = character_table(src, seed=args.seed)
-    tt = character_table(tgt, seed=args.seed)
+    ts = degrees(src)
+    tt = degrees(tgt)
     seeds = 1 if args.kind in ("identity", "genuine") else args.seeds
     rows = []
     for s in range(seeds):

@@ -6,9 +6,9 @@ satisfies the collision identity ||p_f||^2 = (1 + eps) / |H| exactly. Reports
 compare the exact agreement probability Pr[f(xy) = f(x) f(y)] against two
 ceilings: a best-single-irrep bound through d_min of the source, and a
 spectral-mass bound (1 + eps)/|H| + R_H. Both read only irrep degrees, so
-an irreps.CharacterTable serves as well as a full IrrepTable. Lifting f through an irrep sigma of
-H produces the matrix function sigma(f(x)) on G, which ties map agreement to
-the defect machinery.
+irreps.degrees serves as well as a full IrrepTable. Lifting f through an
+irrep sigma of H produces the matrix function sigma(f(x)) on G, which ties
+map agreement to the defect machinery.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MissingIrrepTable, NotAHomomorphism
 from .groups import FiniteGroup, _cayley_tree
-from .irreps import CharacterTable, IrrepTable, UnitaryRep
+from .irreps import IrrepDegrees, UnitaryRep
 from .approx import MatrixFunction
 
 __all__ = [
@@ -96,7 +96,7 @@ def agreement_probability(f: GroupMap) -> float:
     return np.count_nonzero(labels[f.source.table] == products[labels]) / f.source.order ** 2
 
 
-def r_h(target_table: IrrepTable | CharacterTable, d_min: int) -> float:
+def r_h(target_table: IrrepDegrees, d_min: int) -> float:
     """Spectral mass term: sum over all sigma of (d^2/|H|) min(sqrt(d/d_min), 1)."""
     if d_min < 1:
         raise ValueError(f"d_min must be >= 1, got {d_min}")
@@ -106,13 +106,13 @@ def r_h(target_table: IrrepTable | CharacterTable, d_min: int) -> float:
     ))
 
 
-def evaluate(f: GroupMap, source_table: IrrepTable | CharacterTable | None,
-             target_table: IrrepTable | CharacterTable | None) -> HomReport:
+def evaluate(f: GroupMap, source_table: IrrepDegrees | None,
+             target_table: IrrepDegrees | None) -> HomReport:
     """Full report: exact agreement, collision probability, both ceilings.
 
-    The ceilings read only each table's group, dims and d_min, so an
-    IrrepTable and a CharacterTable serve alike. The dims are in canonical
-    order, the trivial irrep first: thm2_sigma_index counts from it.
+    The ceilings read only each table's group, dims and d_min, so the
+    IrrepDegrees of irreps.degrees and a full IrrepTable serve alike.
+    dims[0] is the trivial irrep's, and thm2_sigma_index counts from it.
     """
     if source_table is None or target_table is None:
         raise MissingIrrepTable("evaluate needs irrep tables for both groups")

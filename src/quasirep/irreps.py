@@ -7,7 +7,7 @@ class sums by a matrix that one sqrt|C| scaling makes Hermitian: its
 eigenvectors are the characters, its eigenvalues the central characters
 omega_chi(z). A draw with two eigenvalues within the clustering width is
 rejected. Each degree chi(1) must lie within 1e-6 of an integer, and the
-squared degrees must sum to |G|. character_table stops here: the degrees are
+squared degrees must sum to |G|. degrees() stops here: the degrees are
 all that the map bounds read. An irrep of dim 1 is its character, snapped to
 roots of unity, so an abelian group needs nothing more.
 
@@ -58,9 +58,9 @@ from .groups import FiniteGroup, _cayley_tree, _element_orders
 
 __all__ = [
     "UnitaryRep",
+    "IrrepDegrees",
     "IrrepTable",
-    "CharacterTable",
-    "character_table",
+    "degrees",
     "decompose",
     "frobenius_schur",
     "ORDER_CAP",
@@ -158,54 +158,44 @@ class UnitaryRep:
         return f"UnitaryRep(group={self.group.name!r}, dim={self.dim}, {flag})"
 
 
-class IrrepTable:
+class IrrepDegrees:
+    """The irrep degrees of a group: all that the map bounds read.
+
+    degrees() reads them off the class-algebra characters before any irrep
+    matrix is formed; an IrrepTable is one too, with its irreps' dims, so
+    homs.evaluate and homs.r_h take either.
+
+    Attributes:
+        group: the underlying FiniteGroup.
+        dims: irrep dimensions in canonical order, the trivial irrep first.
+        d_min: smallest nontrivial dimension, 1 for the trivial group.
+    """
+
+    def __init__(self, group: FiniteGroup, dims):
+        self.group = group
+        self.dims = tuple(int(d) for d in dims)
+        # dims[0] is the trivial irrep's; the one-irrep (trivial) group gets
+        # d_min = 1 by convention
+        self.d_min = min(self.dims[1:], default=1)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(group={self.group.name!r}, dims={list(self.dims)})"
+
+
+class IrrepTable(IrrepDegrees):
     """Complete list of irreducibles for one group, canonically ordered."""
 
     def __init__(self, group: FiniteGroup, irreps: tuple[UnitaryRep, ...]):
-        self.group = group
         self.irreps = tuple(irreps)
-        nontrivial = [r.dim for r in self.irreps if not r.is_trivial()]
-        # the one-irrep (trivial) group gets d_min = 1 by convention
-        self.d_min = min(nontrivial) if nontrivial else 1
+        super().__init__(group, (r.dim for r in self.irreps))
         self.character_table = np.array([r.character for r in self.irreps])
         self.character_table.setflags(write=False)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(r.dim for r in self.irreps)
 
     def __iter__(self) -> Iterator[UnitaryRep]:
         return iter(self.irreps)
 
     def __len__(self) -> int:
         return len(self.irreps)
-
-    def __repr__(self) -> str:
-        return f"IrrepTable(group={self.group.name!r}, dims={list(self.dims)})"
-
-
-class CharacterTable:
-    """The irrep degrees of a group, read off its class-algebra characters
-    before any irrep matrix is formed.
-
-    It carries the attributes of an IrrepTable that the degree-only bounds
-    read (homs.evaluate and homs.r_h), with the same values.
-
-    Attributes:
-        group: the underlying FiniteGroup.
-        dims: irrep dimensions in IrrepTable's canonical order: the trivial
-            irrep first, then ascending.
-        d_min: smallest nontrivial dimension, 1 for the trivial group.
-    """
-
-    def __init__(self, group: FiniteGroup, dims):
-        self.group = group
-        # the trivial irrep has dim 1, so ascending order puts it first
-        self.dims = tuple(sorted(int(d) for d in dims))
-        self.d_min = self.dims[1] if len(self.dims) > 1 else 1
-
-    def __repr__(self) -> str:
-        return f"CharacterTable(group={self.group.name!r}, dims={list(self.dims)})"
 
 
 def _squared_frobenius(stack: np.ndarray) -> np.ndarray:
@@ -547,14 +537,16 @@ def _first_split(group: FiniteGroup, seed: int, finish: Callable):
         f"reseeded attempts: {last}")
 
 
-def character_table(group: FiniteGroup, seed: int = 0) -> CharacterTable:
+def degrees(group: FiniteGroup) -> IrrepDegrees:
     """The irrep degrees of a group of order <= 700, from its character table.
 
-    decompose's first stage with its draws, so the dims and d_min are
-    decompose(group, seed)'s; no probe is drawn and no irrep matrix formed.
+    decompose's first stage with its draws at seed 0, so the dims and d_min
+    are decompose(group)'s, which no seed changes; no probe is drawn and no
+    irrep matrix formed.
     """
-    return _first_split(group, seed,
-                        lambda group, stage, anchor, rng: CharacterTable(group, stage[-1]))
+    # ascending order is canonical: the trivial irrep's 1 comes first
+    return _first_split(group, 0, lambda group, stage, anchor, rng:
+                        IrrepDegrees(group, sorted(stage[-1])))
 
 
 def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:

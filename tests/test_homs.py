@@ -181,10 +181,10 @@ def test_a_character_table_serves_as_an_irrep_table(a5, a5_table, s3, s3_table, 
     target, table = (a5, a5_table) if kind == "identity" else (s3, s3_table)
     f = (homs.make_group_map(a5, a5, np.arange(60)) if kind == "identity"
          else homs.random_map(a5, s3, seed=2))
-    degrees = irreps.character_table(a5), irreps.character_table(target)
+    degrees = irreps.degrees(a5), irreps.degrees(target)
     assert homs.evaluate(f, *degrees) == homs.evaluate(f, a5_table, table)
     assert homs.r_h(degrees[1], 3) == homs.r_h(table, 3)
-    assert repr(degrees[0]) == "CharacterTable(group='alternating(5)', dims=[1, 3, 3, 4, 5])"
+    assert repr(degrees[0]) == "IrrepDegrees(group='alternating(5)', dims=[1, 3, 3, 4, 5])"
 
 
 def test_evaluate_requires_matching_tables(s3, s3_table, z6, z6_table, a5_table):

@@ -133,8 +133,8 @@ DECOMPOSABLE = ([("dihedral", n) for n in range(1, 13)]
 def test_character_table_has_the_decomposition_degrees(spec):
     # hom reads only the degrees: they must be decompose's, in its order
     g = groups.named(*spec)
-    degrees, ref = irreps.character_table(g), irreps.decompose(g)
-    assert degrees.group is g
+    degrees, ref = irreps.degrees(g), irreps.decompose(g)
+    assert degrees.group is g and isinstance(ref, irreps.IrrepDegrees)
     assert (degrees.dims, degrees.d_min) == (ref.dims, ref.d_min)
 
 
@@ -260,10 +260,10 @@ OFF_INTEGER = r"^irrep degree {} is {} from an integer$"
 
 # decompose's sum-of-squares refusal has its own test below
 @pytest.mark.parametrize("build,shift,match", [
-    (irreps.character_table, 0.25, OFF_INTEGER.format(r"5\.25", r"2\.500e-01")),
+    (irreps.degrees, 0.25, OFF_INTEGER.format(r"5\.25", r"2\.500e-01")),
     (irreps.decompose, 0.25, OFF_INTEGER.format(r"5\.25", r"2\.500e-01")),
-    (irreps.character_table, 2e-6, OFF_INTEGER.format(r"5\.000002", r"2\.000e-06")),
-    (irreps.character_table, 1.0,
+    (irreps.degrees, 2e-6, OFF_INTEGER.format(r"5\.000002", r"2\.000e-06")),
+    (irreps.degrees, 1.0,
      r"^irrep dimensions \[1, 3, 3, 4, 6\] do not satisfy sum d\^2 = 60$"),
 ], ids=["off by 0.25", "off by 0.25 in decompose", "off by 2e-6", "sum of squares"])
 def test_a_wrong_degree_is_refused(monkeypatch, build, shift, match):

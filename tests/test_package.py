@@ -20,7 +20,6 @@ OPTIONAL_PARAMETERS = {
     "errors.FileFormatError.__init__:line",
     "groups.from_permutation_generators:name",
     "groups.from_table:name",
-    "irreps.character_table:seed",
     "irreps.decompose:seed",
     "sampling.haar_basis:stack",
     "twirl.error_term_audit:seed",
