@@ -2,8 +2,9 @@
 
 Subcommands: group, irreps, sweep, hom, twirl, verify. Named groups are
 cached on disk in --cache-dir (default ./.quasirep); nothing else is.
-`irreps` and `sweep` decompose the group in memory on every run, and `hom`
-reads only the irrep degrees of both groups off their character tables.
+`sweep` decomposes the group in memory on every run; `irreps` and `hom` read
+only the character table (degrees, d_min, Frobenius-Schur indicators) off the
+class algebra and form no irrep matrix.
 Exit codes: 0 on success, 1 when a check or bound fails, 2 on input errors.
 """
 
@@ -35,7 +36,7 @@ from .homs import (
     make_group_map,
     random_map,
 )
-from .irreps import decompose, degrees, frobenius_schur
+from .irreps import decompose, degrees
 from .textfile import write_atomic
 from .twirl import CLASS_NAMES, twirl_exact, twirl_gram
 from .verify import run_battery
@@ -158,19 +159,18 @@ def cmd_group(args) -> int:
 
 def cmd_irreps(args) -> int:
     g = _group_from_spec(args.spec, args.cache_dir)
-    table = decompose(g, seed=args.seed)
-    indicators = [frobenius_schur(r) for r in table]
+    table = degrees(g)
     info = {
         "group": g.name,
         "order": g.order,
         "dims": list(table.dims),
         "d_min": table.d_min,
-        "frobenius_schur": indicators,
+        "frobenius_schur": list(table.indicators),
         "sum_d2": sum(d * d for d in table.dims),
         "hash": group_hash(g),
     }
     dims = ",".join(str(d) for d in table.dims)
-    fs = ",".join(f"{i:+d}" for i in indicators)
+    fs = ",".join(f"{i:+d}" for i in table.indicators)
     _emit(args, info, f"group={g.name} dims={dims} d_min={table.d_min} "
                       f"fs={fs} sum_d2={info['sum_d2']}\n")
     return 0
@@ -349,7 +349,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("irreps", parents=[common],
-                       help="decompose a group and print its irrep summary")
+                       help="print a group's irrep degrees and Frobenius-Schur "
+                            "indicators from its character table")
     p.add_argument("spec", nargs="+")
     add_format(p, "json")
     p.set_defaults(func=cmd_irreps)

@@ -7,9 +7,11 @@ class sums by a matrix that one sqrt|C| scaling makes Hermitian: its
 eigenvectors are the characters, its eigenvalues the central characters
 omega_chi(z). A draw with two eigenvalues within the clustering width is
 rejected. Each degree chi(1) must lie within 1e-6 of an integer, and the
-squared degrees must sum to |G|. degrees() stops here: the degrees are
-all that the map bounds read. An irrep of dim 1 is its character, snapped to
-roots of unity, so an abelian group needs nothing more.
+squared degrees must sum to |G|. degrees() stops here: the map bounds read
+only the degrees, and the Frobenius-Schur indicator E_x chi(x^2) is a dot
+product of each row with the class counts of the squares. An irrep of dim 1
+is its character, snapped to roots of unity, so an abelian group needs
+nothing more.
 
 The irreps of dim >= 2 come from the regular representation, never
 materialized. A matrix that commutes with every left translation is a right
@@ -159,24 +161,31 @@ class UnitaryRep:
 
 
 class IrrepDegrees:
-    """The irrep degrees of a group: all that the map bounds read.
+    """The character table of a group, one row per irrep in canonical order,
+    and what the map bounds and the irreps summary read off it.
 
-    degrees() reads them off the class-algebra characters before any irrep
-    matrix is formed; an IrrepTable is one too, with its irreps' dims, so
-    homs.evaluate and homs.r_h take either.
+    degrees() takes the rows from the class algebra before any irrep matrix
+    is formed; an IrrepTable is one too, with its irreps' traces, so
+    homs.evaluate and homs.r_h take either. A Frobenius-Schur indicator more
+    than 1e-6 from -1, 0 or +1 raises ToleranceViolation.
 
     Attributes:
         group: the underlying FiniteGroup.
-        dims: irrep dimensions in canonical order, the trivial irrep first.
+        character_table: (irreps, classes) complex array, read-only.
+        dims: the degrees chi(1), the trivial irrep first.
         d_min: smallest nontrivial dimension, 1 for the trivial group.
+        indicators: the Frobenius-Schur indicator of each irrep.
     """
 
-    def __init__(self, group: FiniteGroup, dims):
+    def __init__(self, group: FiniteGroup, character_table: np.ndarray):
         self.group = group
-        self.dims = tuple(int(d) for d in dims)
+        self.character_table = np.array(character_table, dtype=np.complex128)
+        self.character_table.setflags(write=False)
+        self.dims = tuple(int(d) for d in np.rint(self.character_table[:, 0].real))
         # dims[0] is the trivial irrep's; the one-irrep (trivial) group gets
         # d_min = 1 by convention
         self.d_min = min(self.dims[1:], default=1)
+        self.indicators = _indicators(group, self.character_table)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(group={self.group.name!r}, dims={list(self.dims)})"
@@ -187,15 +196,30 @@ class IrrepTable(IrrepDegrees):
 
     def __init__(self, group: FiniteGroup, irreps: tuple[UnitaryRep, ...]):
         self.irreps = tuple(irreps)
-        super().__init__(group, (r.dim for r in self.irreps))
-        self.character_table = np.array([r.character for r in self.irreps])
-        self.character_table.setflags(write=False)
+        super().__init__(group, np.array([r.character for r in self.irreps]))
 
     def __iter__(self) -> Iterator[UnitaryRep]:
         return iter(self.irreps)
 
     def __len__(self) -> int:
         return len(self.irreps)
+
+
+def _indicators(group: FiniteGroup, characters: np.ndarray) -> tuple[int, ...]:
+    """E_x chi(x^2) for each row of class characters, snapped to {-1, 0, +1}.
+
+    The squares are counted per class once, so each average is one dot
+    product with the class counts. Raises ToleranceViolation when an average
+    is not within 1e-6 of an admissible indicator value.
+    """
+    counts = np.bincount(group.class_of[group.squares()], minlength=len(group.classes))
+    raw = characters @ counts / group.order
+    snapped = np.rint(raw.real)
+    off = (np.abs(snapped) > 1) | (np.abs(raw - snapped) > 1e-6)
+    if off.any():
+        raise ToleranceViolation(
+            f"indicator average {raw[off.argmax()]} is not near -1, 0, or +1")
+    return tuple(int(i) for i in snapped)
 
 
 def _squared_frobenius(stack: np.ndarray) -> np.ndarray:
@@ -469,16 +493,19 @@ def _gauge_fix(basis: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     return basis @ (u @ vh)
 
 
-def _canonical_order(reps: list[UnitaryRep]) -> list[UnitaryRep]:
-    """Sort by dimension, then by the class character rounded to 6 decimals,
-    read as (real, imaginary) pairs class by class."""
-    if not reps:
-        return reps
-    rounded = np.round(np.array([r.character for r in reps]), 6)
-    keys = np.column_stack([[r.dim for r in reps],
-                            np.stack([rounded.real, rounded.imag], axis=2)
-                            .reshape(len(reps), -1)])
-    return [reps[i] for i in np.lexsort(keys.T[::-1])]
+def _canonical_order(dims: np.ndarray, characters: np.ndarray) -> np.ndarray:
+    """The permutation putting irreps of the given dims and class characters
+    (rows) in canonical order: the trivial irrep first, then by dimension,
+    then by the character rounded to 6 decimals, read as (real, imaginary)
+    pairs class by class. Raises ToleranceViolation unless exactly one irrep
+    is trivial."""
+    trivial = (dims == 1) & (np.abs(characters - 1.0).max(axis=1) < 1e-6)
+    if trivial.sum() != 1:
+        raise ToleranceViolation(f"expected exactly one trivial irrep, got {trivial.sum()}")
+    rounded = np.round(characters, 6)
+    keys = np.column_stack([~trivial, dims, np.stack([rounded.real, rounded.imag], axis=2)
+                            .reshape(len(dims), -1)])
+    return np.lexsort(keys.T[::-1])
 
 
 def _class_algebra(group: FiniteGroup, gauge: np.random.Generator
@@ -538,15 +565,17 @@ def _first_split(group: FiniteGroup, seed: int, finish: Callable):
 
 
 def degrees(group: FiniteGroup) -> IrrepDegrees:
-    """The irrep degrees of a group of order <= 700, from its character table.
+    """The character table of a group of order <= 700, with its degrees,
+    d_min and Frobenius-Schur indicators.
 
-    decompose's first stage with its draws at seed 0, so the dims and d_min
-    are decompose(group)'s, which no seed changes; no probe is drawn and no
-    irrep matrix formed.
+    decompose's first stage with its draws at seed 0, in the same canonical
+    order, so the dims, d_min and indicators are decompose(group)'s, which no
+    seed changes; no probe is drawn and no irrep matrix formed.
     """
-    # ascending order is canonical: the trivial irrep's 1 comes first
-    return _first_split(group, 0, lambda group, stage, anchor, rng:
-                        IrrepDegrees(group, sorted(stage[-1])))
+    def finish(group, stage, anchor, rng):
+        characters, dims = stage[2], stage[-1]
+        return IrrepDegrees(group, characters[_canonical_order(dims, characters)])
+    return _first_split(group, 0, finish)
 
 
 def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
@@ -590,10 +619,8 @@ def _decompose_once(group: FiniteGroup, stage: tuple[np.ndarray, ...],
                 f"character by {gap:.3e}")
         reps.append(rep)
 
-    trivial = [r for r in reps if r.is_trivial()]
-    if len(trivial) != 1:
-        raise ToleranceViolation(f"expected exactly one trivial irrep, got {len(trivial)}")
-    ordered = tuple(trivial + _canonical_order([r for r in reps if not r.is_trivial()]))
+    ordered = tuple(reps[i] for i in _canonical_order(
+        dims, np.array([r.character for r in reps])))
     for rep in ordered:
         rep.validate()
     return IrrepTable(group, ordered)
@@ -607,9 +634,4 @@ def frobenius_schur(rho: UnitaryRep) -> int:
     """
     if not rho.is_irreducible:
         raise ValueError("Frobenius-Schur indicator needs an irreducible rep")
-    chi = rho.character_on_elements()
-    raw = np.mean(chi[rho.group.squares()])
-    snapped = int(round(raw.real))
-    if snapped not in (-1, 0, 1) or abs(raw - snapped) > 1e-6:
-        raise ToleranceViolation(f"indicator average {raw} is not near -1, 0, or +1")
-    return snapped
+    return _indicators(rho.group, rho.character[None])[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -314,15 +315,96 @@ def test_hom_into_the_trivial_group(tmp_path, capsys):
 
 
 def test_irreps_of_the_widest_groups(tmp_path, capsys):
-    # the two supported groups with the most classes: cyclic(700), abelian,
-    # from the class algebra alone, and dihedral(350), whose 174 irreps of
-    # dim 2 come from the probe
-    for spec, dims in ((["cyclic", "700"], [1] * 700),
-                       (["dihedral", "350"], [1] * 4 + [2] * 174)):
+    # the two supported groups with the most classes, both read off the
+    # class algebra's character table: cyclic(700), whose only real
+    # characters are the trivial one and the sign of x -> x mod 2, and
+    # dihedral(350), all of whose 178 irreps are of real type
+    for spec, dims, fs in ((["cyclic", "700"], [1] * 700, [1, 1] + [0] * 698),
+                           (["dihedral", "350"], [1] * 4 + [2] * 174, [1] * 178)):
         code = cli.main(["irreps", *spec, "--format", "json", "--cache-dir", str(tmp_path)])
         assert code == 0
         info = json.loads(capsys.readouterr().out)
         assert (info["order"], info["dims"], info["sum_d2"]) == (700, dims, 700)
+        assert sorted(info["frobenius_schur"], reverse=True) == fs
+
+
+# sha256 prefixes of `irreps` stdout, text and JSON, as it printed when the
+# summary came from a full decomposition, for every spec of order <= 700 the
+# families pin: the character table alone must give the same bytes
+IRREPS_OUTPUTS = {
+    "alternating 1": ("4c787c1f925fa623", "69ae4d679061e285"),
+    "alternating 2": ("446de8fd6327dbb2", "92c65b9c727b1144"),
+    "alternating 3": ("7fd9c6acd3759795", "c01bb0cf7b8beb5c"),
+    "alternating 4": ("bd775c7827369a59", "31eabb79305d2e46"),
+    "alternating 5": ("9cd5bf58b5f9deca", "ef22e245e8f054a2"),
+    "alternating 6": ("1a49867491bc9ab3", "e2342ca9b64aeefc"),
+    "cyclic 1": ("29a12fa35610cfb4", "2c7f6443f9b1f311"),
+    "cyclic 2": ("061ba685c62144f4", "171e58046a282179"),
+    "cyclic 12": ("7b1c85e8dc6fbf8f", "8fce327246ab1f59"),
+    "cyclic 700": ("1385cb32b5c7866c", "2697eb0d1637a40b"),
+    "dihedral 1": ("4feee1de0a457161", "b3245c683ba19aed"),
+    "dihedral 2": ("34deee12f720fe0b", "cc5ca0a1a6e697d6"),
+    "dihedral 3": ("a26c75655f81ad84", "0cb420963019d5e9"),
+    "dihedral 4": ("4edfbbdc33a33e1e", "5011750de6d7425c"),
+    "dihedral 5": ("f3371c083b71ed13", "9ab3d053ff95a392"),
+    "dihedral 6": ("bdc1b17af27e930d", "84f976199abd94e4"),
+    "dihedral 7": ("9aceafa3dd7a7b42", "cd25d6948bf16048"),
+    "dihedral 8": ("4d30bfca15b1ee04", "76e9f23195fb3824"),
+    "dihedral 9": ("1dbb15bd3abcd4ca", "cb06f3a1cfd012d2"),
+    "dihedral 10": ("0b826a2cab4e7195", "e1d753cc9f44237e"),
+    "dihedral 11": ("7d394052038c0ce6", "8f927855de3eb125"),
+    "dihedral 12": ("4babbba3e28d3663", "680f579d76659b09"),
+    "dihedral 350": ("de0b7b28ad636dfc", "59aebc068424a431"),
+    "heisenberg 3": ("0d464ffec3f90d97", "10642c29ea4fed2f"),
+    "heisenberg 5": ("5c39a4df53f5c2b0", "ac88ceb0e0cda3af"),
+    "psl2 5": ("147f3125b7d04bd1", "808b0d0bd44e59b8"),
+    "psl2 7": ("2175246ce0da9039", "d770bc0e3ee127fa"),
+    "psl2 11": ("ae96c0880c916676", "a080bfb32215fc1d"),
+    "quaternion8": ("467489742dbd98d9", "a2eba2497da06503"),
+    "sl2 3": ("8a8244c09eb5b639", "e9ade06353f87561"),
+    "sl2 5": ("92e73d2b08261ce0", "6dfcd563f5320c7a"),
+    "sl2 7": ("745b6f5c9240bbd4", "e12a00c875a00b79"),
+    "symmetric 1": ("1aca7234a3168abf", "20b3812c08be627b"),
+    "symmetric 2": ("cff461554cd5b41c", "93ee2f83d286f3b4"),
+    "symmetric 3": ("2d5e5c4e52c1b353", "d7c0613c7fee911b"),
+    "symmetric 4": ("7419f24c52914ec5", "8ade9f05178642a7"),
+    "symmetric 5": ("e790e9245ffa709d", "93a97a495fb629f5"),
+}
+
+
+@pytest.mark.parametrize("spec", IRREPS_OUTPUTS)
+def test_irreps_builds_no_irrep_and_prints_the_pinned_bytes(monkeypatch, capsys, cache,
+                                                            spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("irreps decomposed a group")
+
+    monkeypatch.setattr(cli, "decompose", refuse)
+    monkeypatch.setattr(irreps, "decompose", refuse)
+    for fmt, want in zip(([], ["--format", "json"]), IRREPS_OUTPUTS[spec]):
+        code = cli.main(["irreps", *spec.split(), *fmt, "--cache-dir", cache])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == want, out
+
+
+def test_irreps_refuses_an_indicator_off_the_admissible_values(monkeypatch, capsys,
+                                                               cache):
+    # shifting every non-identity character value of A5's 5-dim irrep by
+    # 0.5 keeps the degrees integral but moves its E chi(x^2) to 1 + 0.5 *
+    # 44 / 60, the 44 being the x with x^2 != e
+    table = irreps._character_table
+
+    def shifted(group, a):
+        omega, characters, conjugate = table(group, a)
+        characters[characters[:, 0].real.argmax(), 1:] += 0.5
+        return omega, characters, conjugate
+
+    monkeypatch.setattr(irreps, "_character_table", shifted)
+    code = cli.main(["irreps", "alternating", "5", "--cache-dir", cache])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: indicator average (1.366")
+    assert "is not near -1, 0, or +1" in captured.err
 
 
 def test_genuine_hom_of_cyclic_700(tmp_path, capsys):

@@ -131,11 +131,17 @@ DECOMPOSABLE = ([("dihedral", n) for n in range(1, 13)]
 
 @pytest.mark.parametrize("spec", DECOMPOSABLE + [("dihedral", 350)])
 def test_character_table_has_the_decomposition_degrees(spec):
-    # hom reads only the degrees: they must be decompose's, in its order
+    # hom and irreps read only the degrees and indicators: they must be
+    # decompose's, in its order
     g = groups.named(*spec)
     degrees, ref = irreps.degrees(g), irreps.decompose(g)
     assert degrees.group is g and isinstance(ref, irreps.IrrepDegrees)
     assert (degrees.dims, degrees.d_min) == (ref.dims, ref.d_min)
+    assert degrees.indicators == tuple(irreps.frobenius_schur(r) for r in ref)
+    assert ref.indicators == degrees.indicators
+    # sum_chi nu(chi) chi(1) counts the solutions of x^2 = e, with no matrix
+    involutions = np.count_nonzero(g.squares() == g.identity)
+    assert np.dot(degrees.indicators, degrees.dims) == involutions
 
 
 @pytest.mark.parametrize("spec", DECOMPOSABLE)
@@ -803,9 +809,12 @@ def test_class_average_matches_the_loop_over_classes(a5, a5_table):
 
 def test_canonical_order_matches_the_rounded_tuple_key(a6_table):
     def key(rep):
-        return (rep.dim, tuple((round(float(c.real), 6), round(float(c.imag), 6))
-                               for c in rep.character))
+        return (not rep.is_trivial(), rep.dim,
+                tuple((round(float(c.real), 6), round(float(c.imag), 6))
+                      for c in rep.character))
 
-    for reps in (list(a6_table.irreps[1:]), list(a6_table.irreps[:0:-1]),
+    for reps in (list(a6_table.irreps), list(a6_table.irreps[::-1]),
                  list(irreps.decompose(groups.named("sl2", 7)).irreps[::-1])):
-        assert irreps._canonical_order(reps) == sorted(reps, key=key)
+        order = irreps._canonical_order(np.array([r.dim for r in reps]),
+                                        np.array([r.character for r in reps]))
+        assert [reps[i] for i in order] == sorted(reps, key=key)
