@@ -32,7 +32,9 @@ _agreement_bound). When B is within both the agreement tolerance and
 AGREEMENT_TOL every pair agrees and the defect, at most B^2 <= 1e-18, reads
 0.0; otherwise the full scan forms every product, and its sum of per-pair
 squares is the defect. After the screened scan the defect is the spectral
-one. Every pair temporary is sized by irreps._BLOCK_ENTRIES.
+one. The certificate and the full scan share one blocked loop with
+UnitaryRep.validate, irreps._right_residuals. Every pair temporary is sized
+by irreps._BLOCK_ENTRIES.
 
 Constructions: compressions of an irrep to a subspace (exact defect
 2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts
@@ -60,7 +62,7 @@ from .errors import (
 )
 from .fourier import transform_matrix
 from .groups import FiniteGroup, _cayley_tree
-from .irreps import (IrrepTable, UnitaryRep, _block_rows, _generator_residuals,
+from .irreps import (IrrepTable, UnitaryRep, _block_rows, _right_residuals,
                      _squared_frobenius, _unitarity_residuals)
 from .sampling import haar_basis
 
@@ -197,24 +199,19 @@ def _product_residuals(stack: np.ndarray, i: np.ndarray, j: np.ndarray,
 def _full_scan(psi: MatrixFunction, agreement_tol: float) -> tuple[float, float]:
     """(mean squared Frobenius defect, exact-agreement fraction) over every pair.
 
-    A block of columns x forms psi(y) psi(x) for every y as the (n d, d)
-    stack [psi(y)]_y times each psi(x): entry x n + y of the (c n, d, d)
-    result is one pair's contiguous matrix, and psi(yx) is subtracted in place.
+    irreps._right_residuals, the loop of UnitaryRep.validate and the
+    certificate, gives the squared residuals of _block_rows(n d^2) right
+    factors at a time: one summation order, whatever blocks it takes inside.
     """
-    mats, table = psi.matrices, psi.group.table
-    n, d = psi.group.order, psi.dim
-    chunk = _block_rows(n * d * d)
-    stack = mats.reshape(n * d, d)
+    n = psi.group.order
+    chunk = _block_rows(n * psi.dim * psi.dim)
     total = 0.0
     agree = 0
     tol2 = agreement_tol * agreement_tol
-    for x0 in range(0, n, chunk):
-        xs = slice(x0, x0 + chunk)
-        diff = (stack @ mats[xs]).reshape(-1, d, d)
-        diff -= mats[table[:, xs].T.ravel()]
+    for y0 in range(0, n, chunk):
         # agreement is decided on the per-pair difference: the expanded
         # moment form would cancel far above the tol2 threshold
-        sq = _squared_frobenius(diff)
+        sq = _right_residuals(psi.group, psi.matrices, range(y0, min(n, y0 + chunk)))
         total += float(sq.sum())
         agree += np.count_nonzero(sq <= tol2)
     return total / (n * n), agree / (n * n)
@@ -277,12 +274,13 @@ def _agreement_bound(psi: MatrixFunction) -> float:
     Each computed residual sums d products per entry, so it is within a few
     d eps_mach (T^2 + T) of the exact one, T the largest ||psi(x)||_F, as
     in the pair screen; that margin is added to eps, eps0 and u before they
-    are amplified. B is inf when c^(D+1) overflows.
+    are amplified. B is inf when c^(D+1) overflows. The residuals come from
+    irreps._right_residuals, as in UnitaryRep.validate and the full scan.
     """
     group, mats, d = psi.group, psi.matrices, psi.dim
     top = float(np.sqrt(_squared_frobenius(mats).max()))
     margin = _PRODUCT_ROUNDOFF * d * (top * top + top)
-    eps = _generator_residuals(group, mats).max(initial=0.0) + margin
+    eps = np.sqrt(_right_residuals(group, mats, group.generators).max(initial=0.0)) + margin
     eps0 = np.linalg.norm(mats[group.identity] - np.eye(d)) + margin
     c = np.sqrt(1.0 + _unitarity_residuals(mats).max() + margin)
     tree = _cayley_tree(group.table[:, list(group.generators)], group.identity)

@@ -74,9 +74,6 @@ def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
             raise ValueError("group spec 'file' takes exactly one path")
         return load_group(tokens[1])
     family = tokens[0]
-    if family == "product":
-        raise ValueError("family 'product' takes two groups, not integers, "
-                         "and has no group spec")
     params = []
     for t in tokens[1:]:
         try:
@@ -97,8 +94,9 @@ def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
     return g
 
 
-def _parse_range(text: str) -> list[int]:
-    """'2:5' -> [2, 3, 4, 5]; '3' -> [3]; '5:4' -> [] (empty sweep).
+def _parse_range(text: str) -> range:
+    """'2:5' -> range(2, 6); '3' -> range(3, 4); '5:4' -> range(5, 5) (empty
+    sweep). A range is never expanded, so a huge upper end costs nothing.
 
     The value, or the start of a range, must be a positive integer.
     """
@@ -111,7 +109,7 @@ def _parse_range(text: str) -> list[int]:
     if lo < 1:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer or a range a:b from one, got {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _int_at_least(low: int, kind: str):
@@ -187,8 +185,9 @@ def cmd_sweep(args) -> int:
         if args.rho_dim is not None and rho.dim != args.rho_dim:
             continue
         for d_psi in args.dpsi:
+            # --dpsi ascends, so no later value fits this irrep either
             if d_psi > rho.dim:
-                continue
+                break
             for s in range(args.seeds):
                 seed = args.seed + s
                 if args.construction == "minor":

@@ -405,7 +405,6 @@ _FAMILIES: dict[str, Callable] = {
     "heisenberg": _heisenberg,
     "sl2": lambda p: _sl2(p, projective=False),
     "psl2": lambda p: _sl2(p, projective=True),
-    "product": product,
 }
 
 
@@ -413,8 +412,8 @@ def named(family: str, *params) -> FiniteGroup:
     """Build a named family member: named("alternating", 5), named("quaternion8"), ...
 
     Supported families: cyclic(n), dihedral(n), symmetric(n<=6), alternating(n<=6),
-    quaternion8, heisenberg(p in {3,5}), sl2(p in {3,5,7}), psl2(p in {5,7,11}),
-    product(g1, g2).
+    quaternion8, heisenberg(p in {3,5}), sl2(p in {3,5,7}), psl2(p in {5,7,11}).
+    Direct products come from product(g1, g2).
     """
     check_family(family, len(params))
     return _FAMILIES[family](*params)

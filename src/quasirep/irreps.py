@@ -51,7 +51,7 @@ product law is validated exhaustively. The table is ordered canonically
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,7 +64,6 @@ __all__ = [
     "IrrepTable",
     "degrees",
     "decompose",
-    "frobenius_schur",
     "ORDER_CAP",
 ]
 
@@ -136,9 +135,9 @@ class UnitaryRep:
         for all x are closed under products, so passing on the generators
         means passing everywhere (approx._agreement_bound makes this
         quantitative for residuals above zero). The residuals come from
-        _generator_residuals. A failure names the pair with the largest
-        residual, the first in x-major order among equals. Raises
-        ToleranceViolation.
+        _right_residuals, as in the certificate and the full scan. A failure
+        names the pair with the largest residual, the first in x-major order
+        among equals. Raises ToleranceViolation.
         """
         g, m = self.group, self.matrices
         uerr = _unitarity_residuals(m)
@@ -147,7 +146,7 @@ class UnitaryRep:
                 f"unitarity residual {uerr.max():.3e} above {_UNITARITY:.0e}")
         if np.linalg.norm(m[g.identity] - np.eye(self.dim)) > _PRODUCT_LAW:
             raise ToleranceViolation("identity element is not the identity matrix")
-        err = _generator_residuals(g, m)
+        err = np.sqrt(_right_residuals(g, m, g.generators).T)
         # the trivial group has no generators and nothing beyond the identity
         if err.max(initial=0.0) > _PRODUCT_LAW:
             x, j = np.unravel_index(err.argmax(), err.shape)
@@ -239,22 +238,31 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_ENTRIES // width)
 
 
-def _generator_residuals(group: FiniteGroup, matrices: np.ndarray) -> np.ndarray:
-    """||M(x s) - M(x) M(s)||_F for every x and each generator s, as (n, |S|).
+def _right_residuals(group: FiniteGroup, matrices: np.ndarray,
+                     rights: Sequence[int]) -> np.ndarray:
+    """||M(x) M(s) - M(x s)||_F^2 for every x and each s in rights, as
+    (len(rights), n).
 
-    For each block of elements and each generator s, one product of the
-    stacked (rows d, d) matrices with M(s) gives every M(x) M(s).
+    One product of rows <= _block_rows(d^2) left elements, stacked as a
+    (rows d, d) matrix, with the M(s) of _block_rows(rows d^2) right factors
+    stays within _BLOCK_ENTRIES. The result is assembled after the last
+    product, so it never sits beside one.
     """
     n, d = matrices.shape[:2]
-    err = np.empty((n, len(group.generators)))
-    rows = _block_rows(d * d)
-    for b in (slice(a, a + rows) for a in range(0, n, rows)):
-        stack = matrices[b].reshape(-1, d)
-        for j, s in enumerate(group.generators):
-            residual = (stack @ matrices[s]).reshape(-1, d, d)
-            residual -= matrices[group.table[b, s]]
-            err[b, j] = np.sqrt(_squared_frobenius(residual))
-    return err
+    rights = np.asarray(rights, dtype=np.intp)
+    rows = min(n, _block_rows(d * d))
+    cols = _block_rows(rows * d * d)
+    blocks = []
+    for c in range(0, len(rights), cols):
+        s = rights[c:c + cols]
+        blocks.append([])
+        for a in range(0, n, rows):
+            residual = (matrices[a:a + rows].reshape(-1, d) @ matrices[s]).reshape(-1, d, d)
+            residual -= matrices[group.table[a:a + rows, s].T.ravel()]
+            blocks[-1].append(_squared_frobenius(residual).reshape(len(s), -1))
+    if not blocks:
+        return np.empty((0, n))
+    return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
 
 
 def _unitarity_residuals(matrices: np.ndarray) -> np.ndarray:
@@ -625,13 +633,3 @@ def _decompose_once(group: FiniteGroup, stage: tuple[np.ndarray, ...],
         rep.validate()
     return IrrepTable(group, ordered)
 
-
-def frobenius_schur(rho: UnitaryRep) -> int:
-    """E_x chi(x^2), snapped to {-1, 0, +1}.
-
-    Raises ToleranceViolation when the average is not within 1e-6 of an
-    admissible indicator value, and ValueError for reducible input.
-    """
-    if not rho.is_irreducible:
-        raise ValueError("Frobenius-Schur indicator needs an irreducible rep")
-    return _indicators(rho.group, rho.character[None])[0]

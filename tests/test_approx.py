@@ -417,14 +417,17 @@ def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):
 @pytest.mark.parametrize("spec,dim", [(("alternating", 6), 8), (("psl2", 11), 5)])
 def test_multi_chunk_scans_match_a_row_reference(spec, dim):
     # both scans take several blocks, so their block loops and offsets meet
-    # the reference: full-scan blocks of 1 column (A6, d = 7 and 8;
-    # psl2(11), d = 5) or 3 columns (psl2(11), d = 4), fingerprint blocks of
-    # 91 (A6) and 49 rows (psl2(11))
+    # the reference: the full scan's residual loop takes every left element
+    # in one row block and the right factors 1 at a time (A6, d = 7 and 8;
+    # psl2(11), d = 5) or 3 at a time (psl2(11), d = 4), with fingerprint
+    # blocks of 91 (A6) and 49 rows (psl2(11))
     g = groups.named(*spec)
     rho = irrep_of_dim(irreps.decompose(g), dim)
     t, n2 = g.table, g.order ** 2
     columns = {"alternating": (1, 1), "psl2": (1, 3)}[spec[0]]
-    assert tuple(irreps._block_rows(g.order * d * d) for d in (dim, dim - 1)) == columns
+    for d, cols in zip((dim, dim - 1), columns):
+        rows = min(g.order, irreps._block_rows(d * d))
+        assert (rows, irreps._block_rows(rows * d * d)) == (g.order, cols)
     assert irreps._block_rows(g.order) < g.order
     # every pair of the genuine irrep survives the screen, so one chunk's
     # survivors take several blocks of _product_residuals
@@ -443,6 +446,44 @@ def test_multi_chunk_scans_match_a_row_reference(spec, dim):
             assert approx._screened_agreement(psi, tol) == agreement, (psi.dim, tol)
             # the genuine irrep's defect is roundoff, hence the absolute floor
             assert defect == pytest.approx(float(sq.sum()) / n2, rel=1e-9, abs=1e-24)
+
+
+@pytest.mark.parametrize("spec,dim,budgets", [
+    (("alternating", 5), 3, {2 ** 8: (3, 60), 2 ** 12: (1, 9)}),
+    (("psl2", 7), 8, {2 ** 10: (11, 168), 5 * 168 * 64: (1, 34)}),
+])
+def test_right_residuals_keep_every_product_within_the_budget(monkeypatch, spec, dim,
+                                                              budgets):
+    # a small budget splits the left elements into several row blocks with
+    # one right factor each, or keeps them in one row block and takes the
+    # right factors several at a time, the last block ragged: (row blocks,
+    # column blocks) for every element as a right factor. The full scan
+    # runs the same loop, so its products stay within the budget too.
+    g = groups.named(*spec)
+    psi = approx.perturbed_irrep(irrep_of_dim(irreps.decompose(g), dim), 0.1, seed=1)
+    m, t, n = psi.matrices, g.table, g.order
+    sq = np.array([(np.abs(m @ m[y] - m[t[:, y]]) ** 2).sum(axis=(1, 2)) for y in range(n)])
+    frobenius, sizes = irreps._squared_frobenius, []
+
+    def spy(stack):
+        sizes.append(stack.size)
+        return frobenius(stack)
+
+    monkeypatch.setattr(irreps, "_squared_frobenius", spy)
+    monkeypatch.setattr(approx, "_squared_frobenius", spy)
+    for budget, blocks in budgets.items():
+        monkeypatch.setattr(irreps, "_BLOCK_ENTRIES", budget)
+        sizes.clear()
+        got = irreps._right_residuals(g, m, range(n))
+        assert len(sizes) == math.prod(blocks) and max(sizes) <= budget, budget
+        np.testing.assert_allclose(got, sq, rtol=1e-12, atol=1e-24)
+        got = irreps._right_residuals(g, m, g.generators)
+        np.testing.assert_allclose(got, sq[list(g.generators)], rtol=1e-12, atol=1e-24)
+        sizes.clear()
+        defect, agreement = approx._full_scan(psi, 0.5)
+        assert max(sizes) <= budget, budget
+        assert defect == pytest.approx(sq.sum() / n ** 2, rel=1e-12)
+        assert agreement == np.count_nonzero(sq <= 0.25) / n ** 2
 
 
 def test_screen_vectors_do_not_change_the_report(monkeypatch, a5_table):

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,10 @@ def test_wrong_parameters_are_input_errors(tmp_path, capsys, cache, spec):
         assert str(directory) in err
     if "--tolerance" in spec:
         assert "1e-11" in err
+    if spec[1] == "product":
+        # direct products have no group spec, so the known families omit it
+        assert err.startswith("error: unknown family 'product'; know [")
+        assert err.count("product") == 1
     assert list(tmp_path.rglob("*.tmp.*")) == []
 
 
@@ -168,6 +173,25 @@ def test_sweep_empty_range(capsys, cache):
     out = capsys.readouterr().out
     assert code == 0
     assert out == ",".join(cli._SWEEP_COLUMNS) + "\n"
+
+
+def test_a_huge_dpsi_range_is_never_expanded(capsys, cache):
+    # no irrep is wider than isqrt(700) = 26, so a range far beyond that
+    # must cost nothing to hold and sweep the same cells as its useful part
+    tracemalloc.start()
+    try:
+        cli._parse_range("1:1000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    outputs = []
+    for dpsi in ("1:5", "1:1000000"):
+        assert cli.main(["sweep", "--group", "alternating", "5", "--dpsi", dpsi,
+                         "--cache-dir", cache]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(read_csv(outputs[0])) == 3 + 3 + 4 + 5
 
 
 def test_sweep_json(capsys, cache):

@@ -54,22 +54,22 @@ def test_cyclic_twelve_all_linear():
 
 def test_quaternion_table(q8_table):
     assert q8_table.dims == (1, 1, 1, 1, 2)
-    assert irreps.frobenius_schur(q8_table.irreps[4]) == -1
+    assert q8_table.indicators[4] == -1
 
 
 def test_frobenius_schur_values(a5_table):
     # A5 is totally orthogonal
-    assert [irreps.frobenius_schur(r) for r in a5_table] == [1, 1, 1, 1, 1]
+    assert a5_table.indicators == (1, 1, 1, 1, 1)
     z3 = irreps.decompose(groups.named("cyclic", 3))
-    indicators = sorted(irreps.frobenius_schur(r) for r in z3)
-    assert indicators == [0, 0, 1]
+    assert sorted(z3.indicators) == [0, 0, 1]
 
 
-def test_frobenius_schur_rejects_reducible(s3_reducible):
+def test_a_reducible_rep_validates_but_has_no_indicator(s3_reducible):
+    # sign + the 2-dim irrep of S3: E chi(x^2) = 1 + 1 is no indicator value
     s3_reducible.validate()
     assert not s3_reducible.is_irreducible
-    with pytest.raises(ValueError):
-        irreps.frobenius_schur(s3_reducible)
+    with pytest.raises(ToleranceViolation, match=r"^indicator average \(.*\) is not near"):
+        irreps._indicators(s3_reducible.group, s3_reducible.character[None])
 
 
 def test_frobenius_schur_refuses_an_average_off_the_indicator_values():
@@ -81,7 +81,7 @@ def test_frobenius_schur_refuses_an_average_off_the_indicator_values():
     with pytest.raises(ToleranceViolation,
                        match=r"^indicator average \(0\.333\d*\+0\.666\d*j\) is not "
                              r"near -1, 0, or \+1$"):
-        irreps.frobenius_schur(rho)
+        irreps._indicators(z3, rho.character[None])
 
 
 def test_a5_dimensions(a5_table):
@@ -137,7 +137,6 @@ def test_character_table_has_the_decomposition_degrees(spec):
     degrees, ref = irreps.degrees(g), irreps.decompose(g)
     assert degrees.group is g and isinstance(ref, irreps.IrrepDegrees)
     assert (degrees.dims, degrees.d_min) == (ref.dims, ref.d_min)
-    assert degrees.indicators == tuple(irreps.frobenius_schur(r) for r in ref)
     assert ref.indicators == degrees.indicators
     # sum_chi nu(chi) chi(1) counts the solutions of x^2 = e, with no matrix
     involutions = np.count_nonzero(g.squares() == g.identity)
@@ -366,7 +365,7 @@ def test_one_compressed_split_per_reducible_character(draws, spec, compressed):
     # a compressed probe is drawn for, and splits, only the first cluster of
     # each quaternionic irrep; an abelian group draws no probe at all
     table = irreps.decompose(groups.named(*spec))
-    indicators = [irreps.frobenius_schur(r) for r in table]
+    indicators = list(table.indicators)
     assert draws["whole"] == (max(table.dims) > 1)
     assert draws["split"] == compressed == indicators.count(-1)
     assert draws["compressed"] == compressed
@@ -462,16 +461,15 @@ def test_direct_product_irreps_are_tensor_products(spec1, spec2, seed):
     assert len(table) == len(t1) * len(t2)
     rows = np.array([r.character_on_elements() for r in table])
     unmatched = set(range(len(table)))
-    for r1 in t1:
-        for r2 in t2:
+    for r1, nu1 in zip(t1, t1.indicators):
+        for r2, nu2 in zip(t2, t2.indicators):
             want = np.kron(r1.character_on_elements(), r2.character_on_elements())
             hits = [i for i in unmatched if np.max(np.abs(rows[i] - want)) <= 1e-8]
             assert len(hits) == 1
             rep = table.irreps[hits[0]]
             unmatched.discard(hits[0])
             assert rep.dim == r1.dim * r2.dim
-            assert (irreps.frobenius_schur(rep)
-                    == irreps.frobenius_schur(r1) * irreps.frobenius_schur(r2))
+            assert table.indicators[hits[0]] == nu1 * nu2
     assert not unmatched
 
 
@@ -635,8 +633,8 @@ def test_quaternionic_bases_are_pinned():
     g = groups.named("sl2", 7)
     s = g.generators[0]
     assert s == 1
-    entries = [r.matrices[s, 0, 0] for r in irreps.decompose(g)
-               if irreps.frobenius_schur(r) == -1]
+    table = irreps.decompose(g)
+    entries = [r.matrices[s, 0, 0] for r, nu in zip(table, table.indicators) if nu == -1]
     want = [-0.14663153464260295 - 0.26380052424182526j,
             -0.02337871437517378 - 0.055435104842537955j,
             0.3949110728996536 - 0.07169141013935598j]
