@@ -178,6 +178,19 @@ def cmd_sweep(args) -> int:
     check_agreement_tol(args.tolerance)
     g = _group_from_spec(args.group, args.cache_dir)
     table = decompose(g, seed=args.seed)
+    # a selection that can give no cell is refused; an empty --dpsi range
+    # (b < a) asks for none and gets a header-only sweep
+    dims = sorted({rho.dim for rho in table if not rho.is_trivial()})
+    if not dims:
+        raise ValueError(f"{g.name} has no non-trivial irrep to sweep")
+    if args.rho_dim is not None and args.rho_dim not in dims:
+        raise ValueError(
+            f"{g.name} has no irrep of dimension {args.rho_dim}; its non-trivial "
+            f"irreps have dimensions {', '.join(map(str, dims))}")
+    widest = args.rho_dim or dims[-1]
+    if args.dpsi and args.dpsi.start > widest:
+        raise ValueError(f"--dpsi starts at {args.dpsi.start}, above the dimension "
+                         f"of every selected irrep (at most {widest})")
     rows = []
     for ri, rho in enumerate(table):
         if rho.is_trivial():

@@ -75,16 +75,13 @@ class FiniteGroup:
 
     def __init__(self, name: str, table: np.ndarray, identity: int,
                  inverses: np.ndarray, classes: tuple[tuple[int, ...], ...],
-                 generators: tuple[int, ...]):
+                 class_of: np.ndarray, generators: tuple[int, ...]):
         self.name = name
         self.table = table
         self.identity = int(identity)
         self.inverses = inverses
         self.classes = classes
         self.generators = generators
-        class_of = np.empty(len(table), dtype=np.int64)
-        for ci, cls in enumerate(classes):
-            class_of[list(cls)] = ci
         self.class_of = class_of
         for arr in (self.table, self.inverses, self.class_of):
             arr.setflags(write=False)
@@ -137,13 +134,17 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
     passes them all is associative with an identity and left inverses, so it
     is a group, and a group's table is a Latin square.
     """
-    reached = np.zeros(len(table), dtype=bool)
+    n = len(table)
+    # the products are compared on a copy of the fewest bytes per entry
+    # (uint16 at every supported order); the index arrays stay n long
+    narrow = table.astype(np.min_scalar_type(n - 1))
+    reached = np.zeros(n, dtype=bool)
     reached[identity] = True
     gens: list[int] = []
     while not reached.all():
         s = int(np.argmin(reached))
-        lhs = table[table[:, s]]            # lhs[x, y] = (x*s)*y
-        rhs = table[:, table[s]]            # rhs[x, y] = x*(s*y)
+        lhs = narrow[table[:, s]]           # lhs[x, y] = (x*s)*y
+        rhs = narrow[:, table[s]]           # rhs[x, y] = x*(s*y)
         if not np.array_equal(lhs, rhs):
             x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
             raise NotAGroup(f"associativity fails at (x, y, z) = ({x}, {s}, {y})")
@@ -156,12 +157,44 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _conjugacy_partition(table: np.ndarray, inverses: np.ndarray,
-                         identity: int) -> tuple[tuple[int, ...], ...]:
-    """Classes as sorted tuples: the identity's first, then by smallest member."""
-    smallest = table[table, inverses[:, None]].min(axis=0)   # min over g of g*x*g^-1
-    reps = [identity, *(r for r in np.unique(smallest) if r != identity)]
-    return tuple(tuple(int(m) for m in np.flatnonzero(smallest == r)) for r in reps)
+def _conjugacy_partition(table: np.ndarray, inverses: np.ndarray, identity: int,
+                         generators: Sequence[int]
+                         ) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Conjugacy classes as sorted tuples, the identity's first, then by
+    smallest member; and class_of, each element's class index.
+
+    The classes are the orbits of the group acting on itself by conjugation,
+    and conjugation by a product is the composition of the conjugations by
+    its factors, so the orbits under the generators' conjugations
+    x -> s*x*s^-1 (and their inverses x -> s^-1*x*s) are the classes. Each
+    element's label starts as itself and only falls, label = min(label,
+    label[c]) over each conjugation c, with a pointer jump label[label]
+    after every sweep; a label always lies in its element's orbit. When a
+    sweep changes no label, each label is at most the label of every
+    conjugate, so it is constant along every edge, hence on each orbit, and
+    equals the orbit's smallest member. The classes are numbered in order
+    of their labels, and one stable argsort of the class numbers lists the
+    members of each in ascending order.
+    """
+    gens = np.asarray(generators, dtype=np.intp)
+    conjugations = np.concatenate([
+        table[table[gens], inverses[gens][:, None]],    # s*x*s^-1
+        table[table[inverses[gens]], gens[:, None]],    # s^-1*x*s
+    ])
+    label = np.arange(len(table))
+    while True:
+        before = label
+        for c in conjugations:
+            label = np.minimum(label, label[c])
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    label[identity] = -1                        # the class {identity} comes first
+    _, class_of = np.unique(label, return_inverse=True)
+    members = np.argsort(class_of, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(class_of)).tolist()
+    classes = tuple(tuple(members[a:b]) for a, b in zip([0, *bounds], bounds))
+    return classes, class_of
 
 
 def from_table(table, name: str = "table") -> FiniteGroup:
@@ -190,8 +223,8 @@ def from_table(table, name: str = "table") -> FiniteGroup:
     if len(bad):
         raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
     generators = _check_associativity(arr, identity)
-    classes = _conjugacy_partition(arr, inverses, identity)
-    return FiniteGroup(name, arr, identity, inverses, classes, generators)
+    classes, class_of = _conjugacy_partition(arr, inverses, identity, generators)
+    return FiniteGroup(name, arr, identity, inverses, classes, class_of, generators)
 
 
 def _element_orders(group: FiniteGroup) -> np.ndarray:
@@ -430,26 +463,32 @@ def check_family(family: str, count: int) -> None:
             f"{family} takes {arity} parameter(s), got {count}")
 
 
-def _table_rows(table: np.ndarray) -> str:
-    """The table as space-joined rows, each ending in a newline.
+def _table_rows(table: np.ndarray) -> bytes:
+    """The table as space-joined ASCII rows, each ending in a newline.
 
-    Rendered in one pass: an (n, w) byte table holds the token "{i} " of
-    each element i, zero padded to the widest; gathering it by the table
-    lays out every entry, the last column's space becomes the newline, and
-    dropping the padding leaves the text. Byte for byte what joining
-    str(entry) per row gives.
+    Rendered in one pass: the token "{i} " of each element i is zero padded
+    to one machine word, uint32 while the widest token fits in 4 bytes
+    (order up to 1000) and uint64 above. One integer gather of the words by
+    the table lays out every entry, whatever the table's memory order, since
+    the gathered words are made C-contiguous before they are read as bytes.
+    The last column's space becomes the newline, and dropping the zero
+    padding leaves the text: byte for byte what joining str(entry) per row
+    gives.
     """
     n = len(table)
-    tokens = np.array([b"%d " % i for i in range(n)])
-    text = tokens.view(np.uint8).reshape(n, tokens.itemsize)[table]
-    last = text[:, -1]
+    width = len(b"%d " % (n - 1))
+    word = np.dtype(np.uint32 if width <= 4 else np.uint64)
+    words = np.array([b"%d " % i for i in range(n)], dtype=f"S{word.itemsize}")
+    text = np.ascontiguousarray(words.view(word)[table]).view(np.uint8)
+    last = text.reshape(n, n, word.itemsize)[:, -1]
     last[last == ord(" ")] = ord("\n")
-    return text[text != 0].tobytes().decode("ascii")
+    return text[text != 0].tobytes()
 
 
-def _table_digest(order: int, rows: str) -> str:
-    text = f"quasirep-group\n{order}\n" + rows
-    return hashlib.sha256(text.encode()).hexdigest()
+def _table_digest(order: int, rows: bytes) -> str:
+    digest = hashlib.sha256(b"quasirep-group\n%d\n" % order)
+    digest.update(rows)
+    return digest.hexdigest()
 
 
 def group_hash(group: FiniteGroup) -> str:
@@ -476,7 +515,7 @@ def save_group(group: FiniteGroup, path: str) -> None:
             raise ValueError(f"group name {group.name!r} holds the line break {brk!r}")
     rows = _table_rows(group.table)
     header = f"{GROUP_MAGIC}\nname={group.name}\norder={group.order}\n"
-    write_atomic(path, [header, rows])
+    write_atomic(path, [header, rows.decode("ascii")])
     if group._digest is None:
         group._digest = _table_digest(group.order, rows)
 
@@ -487,6 +526,9 @@ def load_group(path: str) -> FiniteGroup:
     Table entries are decimal int64 tokens as np.loadtxt reads them (ASCII
     digits, an optional sign). One pass parses the table (_parse_table); only
     a table it refuses is read row by row, which names the first bad line.
+    The table is validated in full by from_table, as any other table is,
+    and its digest is rendered from the table when first asked, as a built
+    group's is, whatever the spelling of the file.
     """
     lines = read_lines(path, GROUP_MAGIC)
     if len(lines) < 3:

@@ -175,6 +175,24 @@ def test_sweep_empty_range(capsys, cache):
     assert out == ",".join(cli._SWEEP_COLUMNS) + "\n"
 
 
+@pytest.mark.parametrize("group, argv, message", [
+    (["alternating", "5"], ["--rho-dim", "7", "--dpsi", "1"],
+     "alternating(5) has no irrep of dimension 7; "
+     "its non-trivial irreps have dimensions 3, 4, 5"),
+    (["alternating", "5"], ["--dpsi", "30:40"],
+     "--dpsi starts at 30, above the dimension of every selected irrep (at most 5)"),
+    (["alternating", "5"], ["--rho-dim", "3", "--dpsi", "4:5"],
+     "--dpsi starts at 4, above the dimension of every selected irrep (at most 3)"),
+    (["cyclic", "1"], ["--dpsi", "1"], "cyclic(1) has no non-trivial irrep to sweep"),
+], ids=["rho-dim", "dpsi", "dpsi-above-rho-dim", "trivial-group"])
+def test_sweep_refuses_a_selection_with_no_cell(capsys, cache, group, argv, message):
+    code = cli.main(["sweep", "--group", *group, *argv, "--cache-dir", cache])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_a_huge_dpsi_range_is_never_expanded(capsys, cache):
     # no irrep is wider than isqrt(700) = 26, so a range far beyond that
     # must cost nothing to hold and sweep the same cells as its useful part

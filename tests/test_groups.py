@@ -427,12 +427,13 @@ def test_group_hash_distinguishes_groups():
 
 
 def _per_entry_rows(table):
-    return "".join(" ".join(map(str, row)) + "\n" for row in table.tolist())
+    return "".join(" ".join(map(str, row)) + "\n" for row in table.tolist()).encode()
 
 
-@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000])
+@pytest.mark.parametrize("n", [1, 9, 10, 11, 99, 100, 101, 1000, 1001])
 def test_table_rows_match_the_per_entry_render(n):
-    # token widths change at 10, 100 and 1000 elements
+    # token widths change at 10, 100 and 1000 elements; from 1001 on the
+    # widest token "1000 " no longer fits a 4-byte word
     table = groups.named("cyclic", n).table
     assert groups._table_rows(table) == _per_entry_rows(table)
 
@@ -443,6 +444,13 @@ def test_table_rows_match_the_per_entry_render_relabelled():
     inv = np.argsort(perm)
     relabelled = perm[table[np.ix_(inv, inv)]]
     assert groups._table_rows(relabelled) == _per_entry_rows(relabelled)
+
+
+def test_table_rows_match_the_per_entry_render_fortran_ordered():
+    # from_table keeps the memory order of the table it is given
+    table = groups.from_table(np.asfortranarray(groups.named("psl2", 7).table)).table
+    assert table.flags.f_contiguous and not table.flags.c_contiguous
+    assert groups._table_rows(table) == _per_entry_rows(table)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -635,6 +643,84 @@ def test_damaged_group_file_is_rejected_or_unchanged(tmp_path, s3_file, data):
     except FileFormatError:
         return
     assert np.array_equal(back.table, groups.named("symmetric", 3).table)
+    assert groups.group_hash(back) == groups.group_hash(groups.from_table(back.table))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows.replace(" 5 ", " 05 ", 1),
+    lambda rows: rows.replace(" 5 ", " +5 ", 1),
+    lambda rows: rows.replace(" ", "\t", 1),
+    lambda rows: rows.replace(" ", "\u00a0", 1),
+    lambda rows: rows.replace("\n", " \n", 1),
+    lambda rows: rows[:-1],
+    lambda rows: rows.replace(" 5 ", " 05 ", 1)[:-1],
+    lambda rows: rows.replace(" 5 ", " +5 ", 1)[:-1],
+    lambda rows: rows.replace("\n", "\t\n", 1)[:-1],
+    lambda rows: rows.replace("\n", "\r\n"),
+    lambda rows: rows.replace("\n", "\r"),
+    lambda rows: rows,
+], ids=["leading-zero", "plus-sign", "tab", "nbsp", "trailing-space", "no-last-newline",
+        "leading-zero-no-last-newline", "plus-sign-no-last-newline",
+        "trailing-tab-no-last-newline", "crlf", "cr", "as-saved"])
+def test_a_loaded_group_hashes_as_its_table(tmp_path, edit):
+    # every spelling of the table that loads has the digest of the table
+    g = groups.named("psl2", 7)
+    path = tmp_path / "g.grp"
+    groups.save_group(g, str(path))
+    header, _, rows = path.read_text(encoding="utf-8").partition("order=168\n")
+    path.write_bytes((header + "order=168\n" + edit(rows)).encode("utf-8"))
+    back = groups.load_group(str(path))
+    assert np.array_equal(back.table, g.table)
+    assert groups.group_hash(back) == groups.group_hash(groups.from_table(back.table))
+    assert groups.group_hash(back) == PINNED_DIGESTS[("psl2", 7)]
+
+
+def classes_by_definition(g):
+    """The classes by definition: x's class is named by min over h of h x h^-1;
+    the identity's class first, then the others by smallest member."""
+    smallest = g.table[g.table, g.inverses[:, None]].min(axis=0)
+    names = [g.identity, *sorted(set(smallest.tolist()) - {g.identity})]
+    return tuple(tuple(np.flatnonzero(smallest == r).tolist()) for r in names)
+
+
+def assert_classes_by_definition(g):
+    classes = classes_by_definition(g)
+    assert g.classes == classes
+    assert all(type(x) is int for c in g.classes for x in c)
+    assert [set(np.flatnonzero(g.class_of == i).tolist()) for i in range(len(classes))] == [
+        set(c) for c in classes]
+
+
+def relabelled(table, seed):
+    perm = np.random.default_rng(seed).permutation(len(table))     # new label of old x
+    inverse = np.argsort(perm)
+    return perm[table[np.ix_(inverse, inverse)]]
+
+
+# the small groups of test_irreps and the trivial group; a product of two
+# stays below the order cap
+PARTITION_FACTORS = [("cyclic", 1), ("symmetric", 3), ("quaternion8",), ("dihedral", 4),
+                     ("alternating", 4), ("cyclic", 5), ("heisenberg", 3), ("sl2", 3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(PARTITION_FACTORS), st.sampled_from(PARTITION_FACTORS),
+       st.none() | st.integers(min_value=0, max_value=2**32 - 1))
+def test_conjugacy_classes_match_the_definition(spec1, spec2, seed):
+    table = groups.product(groups.named(*spec1), groups.named(*spec2)).table
+    assert_classes_by_definition(groups.from_table(
+        table if seed is None else relabelled(table, seed)))
+
+
+@pytest.mark.parametrize("spec", [("dihedral", 350), ("psl2", 11), ("cyclic", 700)],
+                         ids=["dihedral350", "psl2_11", "cyclic700"])
+@pytest.mark.parametrize("seed", [None, 7], ids=["as-built", "relabelled"])
+def test_conjugacy_classes_of_wide_groups_match_the_definition(spec, seed):
+    # dihedral(350)'s reflections form two classes of 175, which the label
+    # loop joins over many sweeps
+    table = groups.named(*spec).table
+    assert_classes_by_definition(groups.from_table(
+        table if seed is None else relabelled(table, seed)))
 
 
 def test_inverse_and_class_invariants(a5):
