@@ -61,7 +61,7 @@ from .errors import (
     ToleranceViolation,
 )
 from .fourier import transform_matrix
-from .groups import FiniteGroup, _cayley_tree
+from .groups import FiniteGroup
 from .irreps import (IrrepTable, UnitaryRep, _block_rows, _right_residuals,
                      _squared_frobenius, _unitarity_residuals)
 from .sampling import haar_basis
@@ -90,8 +90,8 @@ __all__ = [
 
 # default Frobenius threshold under which psi(xy) and psi(x) psi(y) agree
 AGREEMENT_TOL = 1e-9
-# smallest agreement threshold: 20 times the largest per-pair residual of a
-# genuine irrep (5.4e-13, dihedral 350); below it the count measures roundoff
+# smallest agreement threshold: 14 times the largest per-pair residual of a
+# genuine irrep (7.3e-13, dihedral 350); below it the count measures roundoff
 _TOL_FLOOR = 1e-11
 # cap on ||E psi' psi - 1||_F for admissibility, and on a minor's mean error
 _ADMISSIBILITY = 1e-8
@@ -252,9 +252,9 @@ def _agreement_bound(psi: MatrixFunction) -> float:
     """A bound B on ||psi(xy) - psi(x) psi(y)||_F over every pair, from the
     n |S| generator products alone.
 
-    Let S be group.generators and D the number of non-empty layers of the
-    Cayley tree over S: every y is reached along tree edges as y_k = y with
-    y_j = y_(j-1) s_j, y_0 = e and k <= D. Suppose that
+    Let S be group.generators and D the number of non-empty layers of
+    group.tree, the Cayley tree over S: every y is reached along its edges
+    as y_k = y with y_j = y_(j-1) s_j, y_0 = e and k <= D. Suppose that
     ||psi(x s) - psi(x) psi(s)||_F <= eps for every x and every s in S,
     ||psi(e) - 1||_F <= eps0, and ||psi(x)||_2 <= c for every x. With
     r_j = max_x ||psi(x y_j) - psi(x) psi(y_j)||_F and
@@ -283,8 +283,7 @@ def _agreement_bound(psi: MatrixFunction) -> float:
     eps = np.sqrt(_right_residuals(group, mats, group.generators).max(initial=0.0)) + margin
     eps0 = np.linalg.norm(mats[group.identity] - np.eye(d)) + margin
     c = np.sqrt(1.0 + _unitarity_residuals(mats).max() + margin)
-    tree = _cayley_tree(group.table[:, list(group.generators)], group.identity)
-    depth = sum(1 for children, _, _ in tree if len(children))
+    depth = sum(1 for children, _, _ in group.tree if len(children))
     with np.errstate(over="ignore"):
         return float(c ** (depth + 1) * (depth * eps * (1.0 + c) + eps0))
 

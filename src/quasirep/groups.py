@@ -71,11 +71,13 @@ class FiniteGroup:
         class_of: int array mapping each element to its class index.
         generators: element indices that generate the group, the ones
             Light's associativity test checked (see _check_associativity).
+        tree: the layers of _cayley_tree over the generators from the
+            identity, Light's last walk; its arrays are read-only too.
     """
 
     def __init__(self, name: str, table: np.ndarray, identity: int,
                  inverses: np.ndarray, classes: tuple[tuple[int, ...], ...],
-                 class_of: np.ndarray, generators: tuple[int, ...]):
+                 class_of: np.ndarray, generators: tuple[int, ...], tree: list):
         self.name = name
         self.table = table
         self.identity = int(identity)
@@ -83,7 +85,9 @@ class FiniteGroup:
         self.classes = classes
         self.generators = generators
         self.class_of = class_of
-        for arr in (self.table, self.inverses, self.class_of):
+        self.tree = tuple(tree)
+        for arr in (self.table, self.inverses, self.class_of,
+                    *(a for layer in self.tree for a in layer)):
             arr.setflags(write=False)
         # set by group_hash on first use; valid because the table is read-only
         self._digest: str | None = None
@@ -112,15 +116,14 @@ def _find_identity(table: np.ndarray) -> int:
     return int(np.argmax(both))
 
 
-def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
+def _check_associativity(table: np.ndarray, identity: int) -> tuple[tuple[int, ...], list]:
     """Light's test: (x*s)*y = x*(s*y) for all x, y and each s of a generating set.
 
     The passing s are closed under products and include the identity, so it
     suffices that the s reach every element from the identity. Each s (the
     smallest element not yet reached) is checked before it extends the reached
-    set H, the elements the checked s generate. H is closed under the earlier
-    s, so the new H is grown from H*s alone, one layer of right
-    multiplications by every checked s at a time. Returns the generating set.
+    set H, the elements the checked s generate, which _cayley_tree walks anew
+    from the identity. Returns the generating set and the last walk's tree.
 
     The caller has checked a two-sided identity e and a left inverse for
     every element, and nothing else: no Latin-square pass is needed, and the
@@ -130,9 +133,9 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
     idempotent power, so every element of H is invertible in H: H is a group.
     A passing s outside H makes a new group H' holding H and s, so |H'| is a
     multiple of |H| above it: each passing check at least doubles |H|, for at
-    most floor(log2 n) passing checks and one failing one. A table that
-    passes them all is associative with an identity and left inverses, so it
-    is a group, and a group's table is a Latin square.
+    most floor(log2 n) passing checks and walks and one failing check. A
+    table that passes them all is associative with an identity and left
+    inverses, so it is a group, and a group's table is a Latin square.
     """
     n = len(table)
     # the products are compared on a copy of the fewest bytes per entry
@@ -141,6 +144,7 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
     gens: list[int] = []
+    tree: list = []
     while not reached.all():
         s = int(np.argmin(reached))
         lhs = narrow[table[:, s]]           # lhs[x, y] = (x*s)*y
@@ -149,12 +153,9 @@ def _check_associativity(table: np.ndarray, identity: int) -> tuple[int, ...]:
             x, y = (int(v) for v in np.argwhere(lhs != rhs)[0])
             raise NotAGroup(f"associativity fails at (x, y, z) = ({x}, {s}, {y})")
         gens.append(s)
-        frontier = table[reached, s]
-        while len(frontier):
-            frontier = np.unique(frontier[~reached[frontier]])
-            reached[frontier] = True
-            frontier = table[np.ix_(frontier, gens)].ravel()
-    return tuple(gens)
+        tree = _cayley_tree(table[:, gens], identity)
+        reached[np.concatenate([children for children, _, _ in tree])] = True
+    return tuple(gens), tree
 
 
 def _conjugacy_partition(table: np.ndarray, inverses: np.ndarray, identity: int,
@@ -222,9 +223,9 @@ def from_table(table, name: str = "table") -> FiniteGroup:
     bad = np.flatnonzero(arr[inverses, np.arange(n)] != identity)
     if len(bad):
         raise NotAGroup(f"element {bad[0]} has no two-sided inverse")
-    generators = _check_associativity(arr, identity)
+    generators, tree = _check_associativity(arr, identity)
     classes, class_of = _conjugacy_partition(arr, inverses, identity, generators)
-    return FiniteGroup(name, arr, identity, inverses, classes, class_of, generators)
+    return FiniteGroup(name, arr, identity, inverses, classes, class_of, generators, tree)
 
 
 def _element_orders(group: FiniteGroup) -> np.ndarray:
@@ -241,7 +242,7 @@ def _element_orders(group: FiniteGroup) -> np.ndarray:
 
 def _cayley_tree(right: np.ndarray, root: int) -> list[tuple[np.ndarray, ...]]:
     """Breadth-first tree of the Cayley graph from root, the one walk that
-    closure, irrep restriction and homomorphism extension share.
+    Light's test, closure, irrep restriction and homomorphism extension share.
 
     right is an (n, k) array of right multiplications by k generators,
     right[x, j] = x * s_j. One (children, parents, steps) triple per layer,

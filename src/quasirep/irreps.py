@@ -40,7 +40,7 @@ do not separate what they must is retried. Each kept basis is gauge fixed,
 B -> B polar(B' E), a function of span(B) alone, so neither the eigensolver's
 basis nor the BLAS summation order moves the matrices beyond roundoff. The
 restriction B' R(s) B is computed for the generators s only and filled along
-a breadth-first Cayley-graph tree, rho(x s) = rho(x) rho(s).
+the group's breadth-first Cayley-graph tree, rho(x s) = rho(x) rho(s).
 
 The final representations are checked on every element: their traces must be
 constant on classes, irreducible and equal to the table's character, and the
@@ -56,7 +56,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DecompositionFailed, OrderCapExceeded, ToleranceViolation
-from .groups import FiniteGroup, _cayley_tree, _element_orders
+from .groups import FiniteGroup, _element_orders
 
 __all__ = [
     "UnitaryRep",
@@ -477,16 +477,15 @@ def _split_copies(group: FiniteGroup, g: np.ndarray, basis: np.ndarray,
     return basis @ v[:, lowest]
 
 
-def _restrict(group: FiniteGroup, basis: np.ndarray,
-              tree: list[tuple[np.ndarray, ...]]) -> np.ndarray:
-    """B' R(x) B for every x: computed on the generators, filled along the tree."""
+def _restrict(group: FiniteGroup, basis: np.ndarray) -> np.ndarray:
+    """B' R(x) B for every x: computed on the generators, filled along group.tree."""
     n, d = basis.shape
     bc = basis.conj().T
     images = np.array([bc @ basis[group.table[group.inverses[s]]] for s in group.generators],
                       dtype=np.complex128).reshape(-1, d, d)
     mats = np.empty((n, d, d), dtype=np.complex128)
     mats[group.identity] = np.eye(d)
-    for children, parents, steps in tree:
+    for children, parents, steps in group.tree:
         mats[children] = mats[parents] @ images[steps]
     return mats
 
@@ -606,7 +605,6 @@ def _decompose_once(group: FiniteGroup, stage: tuple[np.ndarray, ...],
         # f(x) = a(class of x^-1)
         bases = _probe_bases(group, a[group.class_of[group.inverses]], omega,
                              conjugate, dims, rng)
-        tree = _cayley_tree(group.table[:, list(group.generators)], group.identity)
     orders = _element_orders(group)
     reps = []
     for rho, chi in enumerate(characters):
@@ -616,7 +614,7 @@ def _decompose_once(group: FiniteGroup, stage: tuple[np.ndarray, ...],
             turns = np.round(np.angle(chi[group.class_of]) * orders / (2 * np.pi))
             matrices = np.exp(2j * np.pi * turns / orders).reshape(n, 1, 1)
         else:
-            matrices = _restrict(group, _gauge_fix(bases[rho], anchor), tree)
+            matrices = _restrict(group, _gauge_fix(bases[rho], anchor))
         rep = UnitaryRep(group, matrices)
         if not rep.is_irreducible:
             raise ToleranceViolation(f"piece of dim {rep.dim} is reducible")

@@ -329,16 +329,24 @@ def reference_closure(table, root, gens):
     (("dihedral", 350), None),
     (("alternating", 5), (1, 33)),      # generate a subgroup of order 12
     (("psl2", 7), (1, 112)),            # generate a subgroup of order 21
+    (("cyclic", 1), None),              # no generators: an empty tree
 ])
 def test_cayley_tree_layers(spec, subset):
     g = groups.named(*spec)
     gens = list(g.generators if subset is None else subset)
     right = g.table[:, gens]
     layers = groups._cayley_tree(right, g.identity)
+    if subset is None:
+        # the group keeps the walk of Light's last check, read-only
+        assert len(g.tree) == len(layers)
+        for kept, layer in zip(g.tree, layers):
+            assert all(np.array_equal(a, b) for a, b in zip(kept, layer, strict=True))
+            assert not any(a.flags.writeable for a in kept)
+        assert (g.generators == ()) == (g.tree == ()) == (g.order == 1)
     reached = reference_closure(g.table, g.identity, gens)
     assert len(reached) == g.order if subset is None else 1 < len(reached) < g.order
     # the layers partition the reached set minus the root
-    children = np.concatenate([c for c, _, _ in layers]).tolist()
+    children = [x for c, _, _ in layers for x in c.tolist()]
     assert len(children) == len(set(children))
     assert set(children) == reached - {g.identity}
     depth = {g.identity: 0}

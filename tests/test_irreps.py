@@ -304,7 +304,7 @@ def test_a_wrong_degree_fails_the_sum_of_squares(monkeypatch):
 
 def test_a_reducible_piece_is_refused(monkeypatch):
     # R(x) = 1 for every x: chi = d everywhere, so E|chi|^2 = d^2
-    monkeypatch.setattr(irreps, "_restrict", lambda group, basis, tree: np.tile(
+    monkeypatch.setattr(irreps, "_restrict", lambda group, basis: np.tile(
         np.eye(basis.shape[1], dtype=np.complex128), (group.order, 1, 1)))
     with pytest.raises(ToleranceViolation, match="^piece of dim 2 is reducible$"):
         irreps.decompose(groups.named("symmetric", 3))
