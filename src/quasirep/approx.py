@@ -1,13 +1,16 @@
 """Matrix-valued functions on a group and how far they are from representations.
 
-The central quantity is the defect E_{x,y} ||psi(xy) - psi(x) psi(y)||_F^2,
-evaluated two independent ways. The spectral route (defect_via_fourier)
-goes through the blockwise transform: the triple product average
-E tr psi(xy)' psi(x) psi(y) equals sum_rho d_rho tr(W W' W), and the defect
-follows from it and two second moments, at O(n^2 d^2 + sum (d d_rho)^3)
-cost. It also gives the operator norm of the mean and the reference lower
-bound on the defect / upper bound on agreement expressed through that norm
-and the smallest nontrivial irrep dimension d_min.
+The central quantity is the defect E_{x,y} ||psi(xy) - psi(x) psi(y)||_F^2
+of a psi given as an irreps.MatrixFunction. A representation is one too
+(irreps.UnitaryRep), so an irrep is passed as psi as it is and reads defect
+0.0 and agreement 1.0. The defect is evaluated two independent ways. The
+spectral route (defect_via_fourier) goes through the blockwise transform:
+the triple product average E tr psi(xy)' psi(x) psi(y) equals
+sum_rho d_rho tr(W W' W), and the defect follows from it and two second
+moments, at O(n^2 d^2 + sum (d d_rho)^3) cost. It also gives the operator
+norm of the mean and the reference lower bound on the defect / upper bound
+on agreement expressed through that norm and the smallest nontrivial irrep
+dimension d_min.
 
 defect_direct adds the exact-agreement fraction, a property of each pair,
 from one of three scans over all |G|^2 pairs or a certificate that bounds
@@ -62,14 +65,13 @@ from .errors import (
 )
 from .fourier import transform_matrix
 from .groups import FiniteGroup
-from .irreps import (IrrepTable, UnitaryRep, _block_rows, _right_residuals,
+from .irreps import (IrrepTable, MatrixFunction, UnitaryRep, _block_rows, _right_residuals,
                      _squared_frobenius, _unitarity_residuals)
 from .sampling import haar_basis
 
 __all__ = [
     "AGREEMENT_TOL",
     "check_agreement_tol",
-    "MatrixFunction",
     "PolarFunction",
     "DefectReport",
     "defect_direct",
@@ -111,39 +113,6 @@ _SCREEN_SEED = 0x5C12EE
 _BIT_MIX = np.uint64(0x9E3779B97F4A7C15)
 # the complement polar route hands elements with a smaller sigma_min to the SVD
 _COMPLEMENT_MIN_SINGULAR = 1e-3
-
-
-@dataclass(eq=False)
-class MatrixFunction:
-    """A d x d complex matrix for every group element."""
-
-    group: FiniteGroup
-    dim: int
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        self.matrices = np.ascontiguousarray(self.matrices, dtype=np.complex128)
-        if self.matrices.shape != (self.group.order, self.dim, self.dim):
-            raise ValueError(
-                f"matrices must be ({self.group.order}, {self.dim}, {self.dim}), "
-                f"got {self.matrices.shape}")
-
-    def mean(self) -> np.ndarray:
-        return self.matrices.mean(axis=0)
-
-    def mean_gram(self) -> np.ndarray:
-        """E_x psi(x)' psi(x), one product over the (n d, d) stack of the psi(x)."""
-        stack = self.matrices.reshape(-1, self.dim)
-        return stack.conj().T @ stack / self.group.order
-
-    def admissibility_residual(self, gram: np.ndarray | None = None) -> float:
-        """Frobenius distance of E psi' psi from the identity.
-
-        gram: E psi' psi when the caller already holds it.
-        """
-        if gram is None:
-            gram = self.mean_gram()
-        return float(np.linalg.norm(gram - np.eye(self.dim)))
 
 
 @dataclass(eq=False)

@@ -11,20 +11,15 @@ scalar function is the case d = 1.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .errors import IncompleteTable
-from .irreps import IrrepTable
-
-if TYPE_CHECKING:
-    from .approx import MatrixFunction
+from .irreps import IrrepTable, MatrixFunction
 
 __all__ = ["transform_matrix", "invert_matrix"]
 
 
-def transform_matrix(psi: "MatrixFunction", table: IrrepTable) -> tuple[np.ndarray, ...]:
+def transform_matrix(psi: MatrixFunction, table: IrrepTable) -> tuple[np.ndarray, ...]:
     """Blockwise transform W_rho = E_x psi(x) (x) rho(x) of a matrix function.
 
     Returns the blocks aligned with table.irreps. Block i is a square matrix

@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import MissingIrrepTable, NotAHomomorphism
 from .groups import FiniteGroup, _cayley_tree
-from .irreps import IrrepDegrees, UnitaryRep
-from .approx import MatrixFunction
+from .irreps import IrrepDegrees, MatrixFunction, UnitaryRep
 
 __all__ = [
     "GroupMap",

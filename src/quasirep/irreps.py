@@ -46,11 +46,15 @@ The final representations are checked on every element: their traces must be
 constant on classes, irreducible and equal to the table's character, and the
 product law is validated exhaustively. The table is ordered canonically
 (trivial first, then by dimension and character).
+
+A UnitaryRep is a MatrixFunction, the package's one type for a matrix per
+group element, whose product law validate checks.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -59,6 +63,7 @@ from .errors import DecompositionFailed, OrderCapExceeded, ToleranceViolation
 from .groups import FiniteGroup, _element_orders
 
 __all__ = [
+    "MatrixFunction",
     "UnitaryRep",
     "IrrepDegrees",
     "IrrepTable",
@@ -87,8 +92,41 @@ _EIGENGAP = 1e-7
 _ANCHOR_MIN_SINGULAR = 1e-10
 
 
-class UnitaryRep:
-    """A unitary representation given by one matrix per group element.
+@dataclass(eq=False)
+class MatrixFunction:
+    """A d x d complex matrix for every group element."""
+
+    group: FiniteGroup
+    dim: int
+    matrices: np.ndarray
+
+    def __post_init__(self):
+        self.matrices = np.ascontiguousarray(self.matrices, dtype=np.complex128)
+        if self.matrices.shape != (self.group.order, self.dim, self.dim):
+            raise ValueError(
+                f"matrices must be ({self.group.order}, {self.dim}, {self.dim}), "
+                f"got {self.matrices.shape}")
+
+    def mean(self) -> np.ndarray:
+        return self.matrices.mean(axis=0)
+
+    def mean_gram(self) -> np.ndarray:
+        """E_x psi(x)' psi(x), one product over the (n d, d) stack of the psi(x)."""
+        stack = self.matrices.reshape(-1, self.dim)
+        return stack.conj().T @ stack / self.group.order
+
+    def admissibility_residual(self, gram: np.ndarray | None = None) -> float:
+        """Frobenius distance of E psi' psi from the identity.
+
+        gram: E psi' psi when the caller already holds it.
+        """
+        if gram is None:
+            gram = self.mean_gram()
+        return float(np.linalg.norm(gram - np.eye(self.dim)))
+
+
+class UnitaryRep(MatrixFunction):
+    """A unitary representation: a MatrixFunction meant to obey the product law.
 
     The character and the irreducibility flag are measured from the matrices
     at construction, never supplied: the traces of every element are class
@@ -100,7 +138,7 @@ class UnitaryRep:
 
     Attributes:
         group: the underlying FiniteGroup.
-        dim: matrix dimension.
+        dim: matrix dimension, read from the shape.
         matrices: (|G|, dim, dim) complex array.
         character: per-conjugacy-class character values.
         is_irreducible: whether E|chi|^2 = 1 held, within 1e-6.
@@ -108,13 +146,10 @@ class UnitaryRep:
 
     def __init__(self, group: FiniteGroup, matrices: np.ndarray):
         shape = np.shape(matrices)
-        if len(shape) != 3 or shape != (group.order, shape[1], shape[1]):
+        if len(shape) != 3:
             raise ValueError(f"matrices must be (|G|, d, d), got {shape}")
-        matrices = np.ascontiguousarray(matrices, dtype=np.complex128)
-        self.group = group
-        self.dim = matrices.shape[1]
-        self.matrices = matrices
-        self.character = _class_average(group, np.trace(matrices, axis1=1, axis2=2))
+        super().__init__(group, shape[1], matrices)
+        self.character = _class_average(group, np.trace(self.matrices, axis1=1, axis2=2))
         chi = self.character_on_elements()
         self.is_irreducible = bool(abs(np.mean(np.abs(chi) ** 2) - 1.0) <= _IRREDUCIBILITY)
         self.matrices.setflags(write=False)

@@ -5,9 +5,10 @@ them against fixed tolerances. A manifest records every comparison with both
 sides (measured value and bound), never a bare boolean, so a failing run can
 be diagnosed from the report alone.
 
-The fast scope (A1..A7) finishes in well under two minutes; the full scope
-adds the twirl checks (two exact coefficient routes and the error-term audit's
-Monte Carlo), the polar-minor study, and the threshold identity (A8..A10).
+The fast scope (A1..A7) takes about a second, interpreter start included, on
+a 2-core machine; the full scope adds the twirl checks (two exact coefficient
+routes and the error-term audit's Monte Carlo), the polar-minor study, and the
+threshold identity (A8..A10), about a third of a second more.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import __version__, approx, groups, twirl
 from .approx import (
-    MatrixFunction,
     beating_random_threshold,
     defect_direct,
     defect_via_fourier,
@@ -37,7 +37,7 @@ from .approx import (
 from .fourier import invert_matrix, transform_matrix
 from .groups import FiniteGroup
 from .homs import balanced_random_map, evaluate, lift_through_irrep, make_group_map
-from .irreps import IrrepTable, _unitarity_residuals, decompose
+from .irreps import IrrepTable, MatrixFunction, _unitarity_residuals, decompose
 
 __all__ = [
     "Comparison",

@@ -53,7 +53,7 @@ def test_negative_control_tampered_plancherel(ctx):
     g = table.group
     rng = np.random.default_rng(123)
     shape = (g.order, 3, 3)
-    psi = approx.MatrixFunction(
+    psi = irreps.MatrixFunction(
         g, 3, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     blocks = fourier.transform_matrix(psi, table)
     lhs = float(np.sum(np.abs(psi.matrices) ** 2)) / g.order

@@ -22,12 +22,27 @@ def irrep_of_dim(table, dim):
 
 def test_genuine_irrep_has_zero_defect(a5_table):
     rho = irrep_of_dim(a5_table, 3)
-    psi = approx.MatrixFunction(rho.group, rho.dim, rho.matrices)
-    report = approx.defect_direct(psi, a5_table)
+    report = approx.defect_direct(rho, a5_table)
     assert report.defect < 1e-12
     assert report.agreement_prob == 1.0
     assert report.mean_opnorm < 1e-10
     assert report.thm1_bound == 0.0
+
+
+@pytest.mark.parametrize("spec", [("alternating", 5), ("psl2", 7), ("psl2", 11)],
+                         ids=lambda spec: " ".join(map(str, spec)))
+def test_every_irrep_is_a_psi_of_zero_defect(spec, monkeypatch):
+    # an irrep is passed as psi as it is: the trivial one takes the
+    # histogram scan, every other one (each is faithful, the groups being
+    # simple) only the certificate, and the spectral defect is roundoff
+    table = irreps.decompose(groups.named(*spec))
+    scans = spy_scans(monkeypatch)
+    for i, rho in enumerate(table):
+        scans.clear()
+        report = approx.defect_direct(rho, table)
+        assert (report.defect, report.agreement_prob) == (0.0, 1.0), i
+        assert scans == ["_histogram_scan" if i == 0 else "_agreement_bound"], i
+        assert abs(approx.defect_via_fourier(rho, table).defect) <= 1e-9, i
 
 
 @pytest.mark.parametrize("subspace", ["leading", "haar"])
@@ -136,8 +151,7 @@ def scan_cases(g, table):
     """
     rho = max(table, key=lambda r: r.dim)
     rng = np.random.default_rng(0)
-    cases = [(f"genuine irrep {i}", approx.MatrixFunction(g, r.dim, r.matrices))
-             for i, r in enumerate(table)]
+    cases = [(f"genuine irrep {i}", r) for i, r in enumerate(table)]
     cases += [(f"perturbed f={f}", approx.perturbed_irrep(rho, f, seed=1))
               for f in (0.1, 0.25, 0.5)]
     for d_psi in range(1, rho.dim + 1):
@@ -150,7 +164,7 @@ def scan_cases(g, table):
         noise = rng.standard_normal(rho.matrices.shape) + 1j * rng.standard_normal(
             rho.matrices.shape)
         cases.append((f"irrep + {eps} noise",
-                      approx.MatrixFunction(g, rho.dim, rho.matrices + eps * noise)))
+                      irreps.MatrixFunction(g, rho.dim, rho.matrices + eps * noise)))
     cases += [(f"haar d{d}", approx.haar_baseline(g, d, seed=d)) for d in (1, 2, 3, 4)]
     return cases
 
@@ -234,9 +248,8 @@ def test_the_tolerance_floor_sits_above_roundoff_and_still_discriminates():
     d350 = irreps.decompose(groups.named("dihedral", 350))
     genuine = [r for r in p7 if r.dim >= 2] + [r for r in p11 if r.dim == 5]
     genuine += [r for r in d350 if r.dim == 2][:8]
-    inputs = [approx.MatrixFunction(r.group, r.dim, r.matrices) for r in genuine]
-    inputs += [approx.minor_construction(r, r.dim, subspace="haar", seed=[0, r.dim])
-               for r in p7 if r.dim >= 2]
+    inputs = genuine + [approx.minor_construction(r, r.dim, subspace="haar", seed=[0, r.dim])
+                        for r in p7 if r.dim >= 2]
     assert len(inputs) == 20
     for psi in inputs:
         assert approx._full_scan(psi, approx._TOL_FLOOR)[1] == 1.0, psi.dim
@@ -244,7 +257,7 @@ def test_the_tolerance_floor_sits_above_roundoff_and_still_discriminates():
     rho = irrep_of_dim(p7, 3)
     mats = rho.matrices.copy()
     mats[1] += 1e-10
-    shifted = approx.MatrixFunction(rho.group, 3, mats)
+    shifted = irreps.MatrixFunction(rho.group, 3, mats)
     assert approx._full_scan(shifted, approx._TOL_FLOOR)[1] < 1.0 - 2.0 / rho.group.order
 
 
@@ -263,7 +276,7 @@ def test_the_certificate_agrees_with_the_full_scan(spec, monkeypatch):
     genuine = [r for r in table if r.dim >= 2][:8]
     scans = spy_scans(monkeypatch)
     for i, rho in enumerate(genuine):
-        for psi in (approx.MatrixFunction(rho.group, rho.dim, rho.matrices),
+        for psi in (rho,
                     approx.minor_construction(rho, rho.dim, subspace="haar", seed=[7, i])):
             scans.clear()
             report = approx.defect_direct(psi, table)
@@ -283,11 +296,10 @@ def test_at_the_floor_dihedral_350_falls_back_to_the_full_scan(monkeypatch):
     scans = spy_scans(monkeypatch)
     fallbacks = 0
     for rho in [r for r in table if r.dim == 2][:8]:
-        psi = approx.MatrixFunction(rho.group, 2, rho.matrices)
-        bound = approx._agreement_bound(psi)
+        bound = approx._agreement_bound(rho)
         assert bound <= approx.AGREEMENT_TOL
         scans.clear()
-        report = approx.defect_direct(psi, table, agreement_tol=approx._TOL_FLOOR)
+        report = approx.defect_direct(rho, table, agreement_tol=approx._TOL_FLOOR)
         assert report.agreement_prob == 1.0
         if bound > approx._TOL_FLOOR:
             fallbacks += 1
@@ -304,7 +316,7 @@ def test_a_shifted_element_is_not_certified(a5_table, monkeypatch):
     rho = irrep_of_dim(a5_table, 5)
     mats = rho.matrices.copy()
     mats[7] += 1e-6
-    psi = approx.MatrixFunction(rho.group, 5, mats)
+    psi = irreps.MatrixFunction(rho.group, 5, mats)
     assert approx._agreement_bound(psi) > approx.AGREEMENT_TOL
     scans = spy_scans(monkeypatch)
     with warnings.catch_warnings():
@@ -322,9 +334,9 @@ def test_the_certificate_on_the_trivial_group():
     # c ||psi(e) - 1||_F, the roundoff margin alone at psi(e) = 1
     g = groups.named("cyclic", 1)
     assert g.generators == ()
-    one = approx.MatrixFunction(g, 1, np.ones((1, 1, 1)))
+    one = irreps.MatrixFunction(g, 1, np.ones((1, 1, 1)))
     assert 0.0 < approx._agreement_bound(one) <= 1e-14
-    two = approx.MatrixFunction(g, 1, np.full((1, 1, 1), 2.0))
+    two = irreps.MatrixFunction(g, 1, np.full((1, 1, 1), 2.0))
     assert approx._agreement_bound(two) >= 1.0
 
 
@@ -335,7 +347,7 @@ def test_an_ill_conditioned_representation_overflows_the_bound(monkeypatch):
     table = irreps.decompose(groups.named("dihedral", 350))
     rho = irrep_of_dim(table, 2)
     a = np.diag([100.0, 1.0])
-    psi = approx.MatrixFunction(rho.group, 2, a @ rho.matrices @ np.linalg.inv(a))
+    psi = irreps.MatrixFunction(rho.group, 2, a @ rho.matrices @ np.linalg.inv(a))
     assert approx._agreement_bound(psi) == np.inf
     scans = spy_scans(monkeypatch)
     with warnings.catch_warnings():
@@ -367,7 +379,7 @@ def few_valued_cases(a6_table):
     _, first, coset = np.unique(np.round(rho.matrices, 6).reshape(24, -1), axis=0,
                                 return_index=True, return_inverse=True)
     assert len(first) == 6
-    kernel_constant = approx.MatrixFunction(rho.group, 2, rho.matrices[first[coset.ravel()]])
+    kernel_constant = irreps.MatrixFunction(rho.group, 2, rho.matrices[first[coset.ravel()]])
     return [
         ("A6 sign", approx.random_sign_function(a6_table.group, seed=1), a6_table),
         ("psl2(11) sign", approx.random_sign_function(p11_table.group, seed=2), p11_table),
@@ -399,7 +411,7 @@ def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):
     a6, table = a6_table.group, a6_table
     values = approx.haar_baseline(a6, 2, seed=5).matrices
     for k, route in ((50, "_histogram_scan"), (51, "_screened_agreement")):
-        psi = approx.MatrixFunction(a6, 2, values[np.arange(a6.order) % k])
+        psi = irreps.MatrixFunction(a6, 2, values[np.arange(a6.order) % k])
         scans.clear()
         report = approx.defect_direct(psi, table, agreement_tol=0.5)
         assert scans == [route], k
@@ -432,7 +444,7 @@ def test_multi_chunk_scans_match_a_row_reference(spec, dim):
     # every pair of the genuine irrep survives the screen, so one chunk's
     # survivors take several blocks of _product_residuals
     assert irreps._block_rows(g.order) * g.order > irreps._block_rows(dim * dim)
-    inputs = [approx.MatrixFunction(g, dim, rho.matrices),
+    inputs = [rho,
               approx.perturbed_irrep(rho, 0.1, seed=1),
               approx.polar_construction(rho, dim - 1, seed=2)]
     for psi in inputs:
@@ -611,7 +623,7 @@ def test_polar_construction(a5_table):
     psi = approx.polar_construction(irrep_of_dim(a5_table, 4), 2, seed=6)
     gram = np.einsum("xba,xbc->xac", psi.matrices.conj(), psi.matrices)
     assert np.max(np.abs(gram - np.eye(2))) < 1e-10
-    assert isinstance(psi.parent_minor, approx.MatrixFunction)
+    assert isinstance(psi.parent_minor, irreps.MatrixFunction)
     diff = psi.parent_minor.matrices - psi.matrices
     manual = float(np.mean(np.einsum("xab,xab->x", diff, diff.conj()).real))
     assert approx.polar_residual(psi) == pytest.approx(manual)
@@ -647,13 +659,13 @@ def test_perturbed_irrep(a5_table):
 
 def test_matrix_function_shape_check(s3):
     with pytest.raises(ValueError):
-        approx.MatrixFunction(s3, 1, np.ones(5))
+        irreps.MatrixFunction(s3, 1, np.ones(5))
     with pytest.raises(ValueError):
-        approx.MatrixFunction(s3, 2, np.ones((s3.order, 1, 1)))
+        irreps.MatrixFunction(s3, 2, np.ones((s3.order, 1, 1)))
 
 
 def test_inadmissible_input_warns(s3, s3_table):
-    psi = approx.MatrixFunction(s3, 1, np.full((6, 1, 1), 2.0 + 0.0j))
+    psi = irreps.MatrixFunction(s3, 1, np.full((6, 1, 1), 2.0 + 0.0j))
     for route in (approx.defect_direct, approx.defect_via_fourier):
         with pytest.warns(RuntimeWarning) as record:
             route(psi, s3_table)

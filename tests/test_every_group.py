@@ -1,10 +1,12 @@
 """Every supported group, exhaustively: its degrees against the textbook
 list, the hash round trip through the group file, and its Cayley tree.
 
-Tier-1 runs the checks on every family member up to order 100. Run as a
-script, `python tests/test_every_group.py`, the module checks all 1,070
-specs that `irreps` accepts (order at most irreps.ORDER_CAP) through the
-installed package, and exits non-zero naming each spec that fails.
+Tier-1 runs the checks on every family member up to order 100, and there
+also decomposes each group into irreps that the agreement certificate
+bounds. Run as a script, `python tests/test_every_group.py`, the module
+checks all 1,070 specs that `irreps` accepts (order at most
+irreps.ORDER_CAP) through the installed package, and exits non-zero naming
+each spec that fails.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import tempfile
 import numpy as np
 import pytest
 
-from quasirep import groups, irreps
+from quasirep import approx, groups, irreps
 
 
 def partitions(n: int, largest: int | None = None):
@@ -121,6 +123,17 @@ def test_the_spec_lists_have_their_sizes():
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: " ".join(map(str, spec)))
 def test_every_small_group(spec, tmp_path):
     check_group(spec, str(tmp_path))
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda spec: " ".join(map(str, spec)))
+def test_every_small_group_decomposes_into_certified_irreps(spec):
+    # decompose keeps degrees' dims and indicators, and the agreement
+    # certificate bounds every pair's residual of every irrep it returns
+    g = groups.named(*spec)
+    table, expected = irreps.decompose(g), irreps.degrees(g)
+    assert (table.dims, table.indicators) == (expected.dims, expected.indicators)
+    bounds = [approx._agreement_bound(rho) for rho in table]
+    assert max(bounds) <= approx.AGREEMENT_TOL, f"irrep {int(np.argmax(bounds))}"
 
 
 def main() -> int:

@@ -737,10 +737,16 @@ def test_validate_names_the_worst_pair_first_in_x_major_order(a5, a5_table):
         bad.validate()
 
 
-@pytest.mark.parametrize("shape", [(5, 2, 2), (6, 2, 3), (6, 4), (6,), ()])
+# the shape each stack is refused for: a stack with three axes gets
+# MatrixFunction's one shape rule, d read from its second axis
+WRONG_SHAPES = {(5, 2, 2): "(6, 2, 2)", (6, 2, 3): "(6, 2, 2)", (6, 4): "(|G|, d, d)",
+                (6,): "(|G|, d, d)", (): "(|G|, d, d)"}
+
+
+@pytest.mark.parametrize("shape", list(WRONG_SHAPES))
 def test_a_rep_refuses_matrices_of_the_wrong_shape(s3, shape):
-    with pytest.raises(ValueError, match=r"^matrices must be \(\|G\|, d, d\), got "
-                                         + re.escape(str(shape)) + "$"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"matrices must be {WRONG_SHAPES[shape]}, got {shape}") + "$"):
         irreps.UnitaryRep(s3, np.zeros(shape))
 
 

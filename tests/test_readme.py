@@ -86,4 +86,6 @@ def test_readme_python_values():
                 checked.append(code)
             else:
                 exec(code, namespace)
-    assert checked == ["report.defect", "report.agreement_prob", "report.cor1_bound"]
+    assert checked == ["approx.defect_direct(rho, table).defect",
+                       "approx.defect_direct(rho, table).agreement_prob",
+                       "report.defect", "report.agreement_prob", "report.cor1_bound"]
