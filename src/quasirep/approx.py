@@ -22,14 +22,16 @@ functions, maps between groups lifted through an irrep, irreps whose matrices
 repeat bitwise on the cosets of a kernel), the histogram scan counts the
 pairs by their value triple (l(x), l(y), l(xy)) and weighs each triple by
 ||V_m - V_i V_j||_F^2, formed once per triple: the agreement and the defect
-are both exact. Otherwise the screened scan first takes a bilinear Freivalds
-fingerprint u' psi(x) psi(y) r - u' psi(xy) r of every pair for fixed unit
-vectors u and r, at O(n^2 d) cost. Since |u' D r| <= ||D||_F, no pair within
-the agreement tolerance fails the screen, so multiplying out only the
-survivors and checking each on its own difference gives the same count
-whatever u and r are. Near a genuine representation, where the spectral
-formula cancels, a certificate comes first: from the n |S| generator
-products alone it bounds every pair's residual by
+are both exact. Otherwise the screened scan first takes the real part of a
+bilinear Freivalds fingerprint S = u' psi(x) psi(y) r - u' psi(xy) r of
+every pair for fixed unit vectors u and r, at O(n^2 d) cost: one real
+product of width 2 d per chunk of rows. Since |Re S| <= |S| <= ||D||_F, no
+pair within the agreement tolerance fails the screen, so multiplying out only
+the survivors, read off each chunk's flat indices, and checking each on its
+own difference gives the same count whatever u and r are. Near a genuine
+representation, where the spectral formula cancels, a certificate comes
+first: from the n |S| generator products alone it bounds every pair's
+residual by
 B = c^(D+1) (D eps (1 + c) + eps0), D the depth of the Cayley tree (see
 _agreement_bound). When B is within both the agreement tolerance and
 AGREEMENT_TOL every pair agrees and the defect, at most B^2 <= 1e-18, reads
@@ -43,16 +45,17 @@ Constructions: compressions of an irrep to a subspace (exact defect
 2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts
 (through the complement of the subspace when it is the narrower side, else
 by SVD), balanced sign functions, independent Haar baselines, and Haar
-perturbations of a genuine irrep. Each returns a plain MatrixFunction,
-except that the polar part (PolarFunction) keeps its minor for
-polar_residual. Every Haar draw, subspace or unitary, is
+perturbations of a genuine irrep. A compression B1' rho(x) B2 is formed
+for every x at once, as two products (irreps._sandwiches). Each returns a
+plain MatrixFunction, except that the polar part (PolarFunction) keeps its
+minor for polar_residual. Every Haar draw, subspace or unitary, is
 sampling.haar_basis.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -66,7 +69,7 @@ from .errors import (
 from .fourier import transform_matrix
 from .groups import FiniteGroup
 from .irreps import (IrrepTable, MatrixFunction, UnitaryRep, _block_rows, _right_residuals,
-                     _squared_frobenius, _unitarity_residuals)
+                     _sandwiches, _squared_frobenius, _unitarity_residuals)
 from .sampling import haar_basis
 
 __all__ = [
@@ -139,6 +142,13 @@ class DefectReport:
     defect is the spectral one. The triple trace, mean_opnorm, both bounds
     and the admissibility residual come from the spectral route in all
     cases.
+
+    blocks holds the transform blocks W_rho = E psi(x) (x) rho(x) that the
+    triple trace came from, aligned with table.irreps, so that a caller
+    checking the blocks themselves (verify's A5) need not transform psi
+    again. It is left out of repr and of equality. The blocks hold
+    d^2 |G| entries, as many as psi itself: read them while the case is at
+    hand, and keep neither them nor the report past it.
     """
 
     defect: float
@@ -149,6 +159,7 @@ class DefectReport:
     thm1_bound: float
     cor1_bound: float
     admissibility_residual: float
+    blocks: tuple[np.ndarray, ...] = field(repr=False, compare=False)
 
 
 def _product_residuals(stack: np.ndarray, i: np.ndarray, j: np.ndarray,
@@ -190,15 +201,20 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
     """Exact-agreement fraction, multiplying out only the pairs a screen keeps.
 
     The fingerprint S(x, y) = u' (psi(x) psi(y) - psi(xy)) r has
-    |S| <= ||psi(x) psi(y) - psi(xy)||_F, so a pair with |S| above
-    agreement_tol (plus a roundoff margin) cannot agree.
+    |Re S| <= |S| <= ||psi(x) psi(y) - psi(xy)||_F, so a pair with |Re S|
+    above agreement_tol (plus a roundoff margin) cannot agree. Re S is
+    Re a(x) Re b(y) - Im a(x) Im b(y) - Re f(xy), one real product of width
+    2 d per chunk of rows; the survivors of a chunk are read off its flat
+    indices, and a chunk with none costs no more.
     """
     mats, table = psi.matrices, psi.group.table
     n, d = psi.group.order, psi.dim
     u, r = haar_basis(np.random.default_rng(_SCREEN_SEED), d, 1, stack=(2,))[:, :, 0]
     a = u.conj() @ mats                    # a(x) = u' psi(x), (n, d)
-    bt = np.ascontiguousarray((mats @ r).T)  # b(y) = psi(y) r, as (d, n)
-    f = a @ r                              # f(z) = u' psi(z) r
+    b = mats @ r                           # b(y) = psi(y) r, (n, d)
+    f = (a @ r).real                       # Re f(z), f(z) = u' psi(z) r
+    left = np.concatenate((a.real, -a.imag), axis=1)          # (n, 2 d)
+    right = np.ascontiguousarray(np.concatenate((b.real, b.imag), axis=1).T)
     # the computed fingerprint is within a small multiple of
     # d eps (||psi(x)|| ||psi(y)|| + ||psi(xy)||) of its exact value,
     # whatever u and r are; top bounds every Frobenius norm
@@ -208,12 +224,14 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
     tol2 = agreement_tol * agreement_tol
     chunk = _block_rows(n)      # (rows, n) fingerprints, d^2 narrower than products
     for x0 in range(0, n, chunk):
-        s = a[x0:x0 + chunk] @ bt
+        s = left[x0:x0 + chunk] @ right
         s -= f[table[x0:x0 + chunk]]
-        xs, ys = np.nonzero(np.abs(s) <= margin)
+        keep = np.abs(s, out=s) <= margin
         del s
-        xs += x0
-        agree += int((_product_residuals(mats, xs, ys, table[xs, ys]) <= tol2).sum())
+        if keep.any():
+            xs, ys = np.divmod(np.flatnonzero(keep), n)
+            xs += x0
+            agree += int((_product_residuals(mats, xs, ys, table[xs, ys]) <= tol2).sum())
     return agree / (n * n)
 
 
@@ -285,7 +303,11 @@ def _histogram_scan(psi: MatrixFunction, values: np.ndarray, labels: np.ndarray,
     once, on its own difference, so both sums are exact.
     """
     n, k = psi.group.order, len(values)
-    triple = (labels[:, None] * k + labels[None, :]) * k + labels[psi.group.table]
+    # k^3 <= n^2 <= 490,000 triples: 32-bit indices, summed in place
+    labels = labels.astype(np.int32)
+    triple = np.take(labels, psi.group.table)
+    triple += (labels * (k * k))[:, None]
+    triple += (labels * k)[None, :]
     counts = np.bincount(triple.ravel(), minlength=k ** 3)
     seen = np.flatnonzero(counts)
     sq = _product_residuals(values, *np.unravel_index(seen, (k, k, k)))
@@ -316,10 +338,10 @@ def _spectral_report(psi: MatrixFunction,
         warnings.warn(
             f"psi is not admissible (||E psi' psi - 1||_F = {residual:.3e}); "
             "bounds assume admissibility", RuntimeWarning, stacklevel=3)
-    triple = sum(
-        rho.dim * complex(np.trace(w @ w.conj().T @ w))
-        for rho, w in zip(table.irreps, transform_matrix(psi, table))
-    )
+    blocks = transform_matrix(psi, table)
+    # tr(W W' W) = sum_ij (W W')_ij W_ji
+    triple = sum(rho.dim * complex(np.vdot((w @ w.conj().T).T.conj(), w))
+                 for rho, w in zip(table.irreps, blocks))
     # E psi psi' as one product over the (d, n d) array of the psi(x) side by side
     side = np.ascontiguousarray(psi.matrices.transpose(1, 0, 2)).reshape(psi.dim, -1)
     cogram = side @ side.conj().T / psi.group.order
@@ -336,6 +358,7 @@ def _spectral_report(psi: MatrixFunction,
         thm1_bound=max(0.0, 2.0 * psi.dim * (1.0 - m ** 3 - root)),
         cor1_bound=min(1.0, 0.5 * (1.0 + m ** 3 + root)),
         admissibility_residual=residual,
+        blocks=blocks,
     )
     return report, positive
 
@@ -438,7 +461,7 @@ def _minor(rho: UnitaryRep, d_psi: int, subspace: str,
     else:
         raise ValueError(f"unknown subspace {subspace!r}; use 'leading' or 'haar'")
     scale = np.sqrt(rho.dim / d_psi)
-    out = MatrixFunction(rho.group, d_psi, scale * (basis.conj().T @ rho.matrices @ basis))
+    out = MatrixFunction(rho.group, d_psi, _sandwich(basis, rho, scale * basis))
     # the mean must agree with the compressed parent mean, which is zero
     # exactly when the parent is nontrivial
     expected = scale * basis.conj().T @ rho.matrices.mean(axis=0) @ basis
@@ -449,6 +472,11 @@ def _minor(rho: UnitaryRep, d_psi: int, subspace: str,
             f"minor violates its guarantees: mean error {mean_err:.3e}, "
             f"admissibility residual {residual:.3e}")
     return out, basis
+
+
+def _sandwich(left: np.ndarray, rho: UnitaryRep, right: np.ndarray) -> np.ndarray:
+    """left' rho(x) right for every x, as an (n, d1, d2) view."""
+    return _sandwiches(left[None], rho.matrices, right[None])[0].transpose(1, 0, 2)
 
 
 def polar_unitary(matrix: np.ndarray) -> np.ndarray:
@@ -484,7 +512,7 @@ def _complement_polar(rho: UnitaryRep, minor: MatrixFunction,
     floor = max(_COMPLEMENT_MIN_SINGULAR, _MIN_SINGULAR) ** 2
     u, thin = a, np.empty(0, dtype=np.int64)
     if r:
-        c = perp.conj().T @ rho.matrices @ basis
+        c = np.ascontiguousarray(_sandwich(perp, rho, basis))
         gram = c @ c.conj().transpose(0, 2, 1)
         lam, w = np.linalg.eigh(gram)
         s = np.sqrt(np.maximum(1.0 - lam, floor))

@@ -220,6 +220,7 @@ def cmd_sweep(args) -> int:
                 }
                 rows.append({c: cell[c] if c in cell else getattr(rep, c)
                              for c in _SWEEP_COLUMNS})
+                del rep         # its transform blocks go with their cell
     _emit(args, {"rows": rows}, _csv(_SWEEP_COLUMNS, rows))
     beating = sum(1 for r in rows if r["normalized_defect"] < 1.0)
     print(f"{beating} of {len(rows)} rows beat the random baseline "

@@ -266,6 +266,8 @@ def _squared_frobenius(stack: np.ndarray) -> np.ndarray:
 # complex entries per block of every temporary that grows with the pairs:
 # a few hundred KiB, so the heap never grows by whole stacks of matrices
 _BLOCK_ENTRIES = 2 ** 15
+# slices of a block in which _right_residuals gathers the M(x s) it subtracts
+_GATHER_SLICES = 8
 
 
 def _block_rows(width: int) -> int:
@@ -280,24 +282,45 @@ def _right_residuals(group: FiniteGroup, matrices: np.ndarray,
 
     One product of rows <= _block_rows(d^2) left elements, stacked as a
     (rows d, d) matrix, with the M(s) of _block_rows(rows d^2) right factors
-    stays within _BLOCK_ENTRIES. The result is assembled after the last
-    product, so it never sits beside one.
+    stays within _BLOCK_ENTRIES. The M(x s) it is checked against are
+    gathered and subtracted in _GATHER_SLICES slices, and a block's product
+    is freed before the next is formed, so one product is the only
+    temporary of its size. The result is assembled after the last product,
+    so it never sits beside one.
     """
     n, d = matrices.shape[:2]
     rights = np.asarray(rights, dtype=np.intp)
     rows = min(n, _block_rows(d * d))
     cols = _block_rows(rows * d * d)
+    piece = _block_rows(_GATHER_SLICES * d * d)
     blocks = []
     for c in range(0, len(rights), cols):
         s = rights[c:c + cols]
         blocks.append([])
         for a in range(0, n, rows):
             residual = (matrices[a:a + rows].reshape(-1, d) @ matrices[s]).reshape(-1, d, d)
-            residual -= matrices[group.table[a:a + rows, s].T.ravel()]
+            elements = group.table[a:a + rows, s].T.ravel()      # the x s, in order
+            for p in range(0, len(elements), piece):
+                residual[p:p + piece] -= matrices[elements[p:p + piece]]
             blocks[-1].append(_squared_frobenius(residual).reshape(len(s), -1))
+            del residual        # before the next block's product is formed
     if not blocks:
         return np.empty((0, n))
     return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
+
+
+def _sandwiches(left: np.ndarray, matrices: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """L_s' M(x) R_s for each pair of bases L_s, R_s of (k, e, d1) and
+    (k, e, d2) stacks and every M(x) of an (n, e, e) stack, as (k, d1, n, d2).
+
+    Two products, not k n small ones: M(x) R_s for every x and s at once, as
+    (n e, e) @ (e, k d2), then L_s' over its (e, n d2) layout, batched over s.
+    """
+    k, e, d2 = right.shape
+    n = len(matrices)
+    half = matrices.reshape(n * e, e) @ right.transpose(1, 0, 2).reshape(e, k * d2)
+    half = half.reshape(n, e, k, d2).transpose(2, 1, 0, 3).reshape(k, e, n * d2)
+    return (left.conj().transpose(0, 2, 1) @ half).reshape(k, -1, n, d2)
 
 
 def _unitarity_residuals(matrices: np.ndarray) -> np.ndarray:

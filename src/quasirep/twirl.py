@@ -25,7 +25,7 @@ from math import prod
 import numpy as np
 
 from .errors import DegenerateDimension
-from .irreps import UnitaryRep
+from .irreps import UnitaryRep, _block_rows, _sandwiches
 from .sampling import haar_basis
 
 __all__ = [
@@ -272,14 +272,16 @@ def error_term_audit(rho: UnitaryRep, d_psi: int, seed=0) -> TwirlAudit:
     n = group.order
 
     # route (a): compressions C(x) = B' rho(x) B, integrand tr((C'C)^2)
-    # one stacked draw; the compressions go one basis at a time so that no
-    # temporary grows with samples x |G|
+    # one stacked draw; the compressions go a block of bases at a time, two
+    # products per block, so that no temporary grows with samples x |G|
     bases = haar_basis(np.random.default_rng(seed), d_rho, d_psi, stack=(_AUDIT_SAMPLES,))
     vals = np.empty(_AUDIT_SAMPLES)
-    for s, b in enumerate(bases):
-        c = b.conj().T @ rho.matrices @ b
-        gram = np.einsum("xba,xbc->xac", c.conj(), c)
-        vals[s] = float(np.einsum("xab,xba->", gram, gram).real) / n
+    step = _block_rows(n * d_rho * d_psi)
+    for s0 in range(0, _AUDIT_SAMPLES, step):
+        b = bases[s0:s0 + step]
+        c = _sandwiches(b, rho.matrices, b)          # c[s, j, x, k] = C_s(x)_jk
+        gram = np.einsum("sjxa,sjxb->sxab", c.conj(), c)
+        vals[s0:s0 + step] = np.einsum("sxab,sxba->s", gram, gram).real / n
     mc = float(vals.mean())
     mc_se = float(vals.std(ddof=1) / np.sqrt(_AUDIT_SAMPLES))
 

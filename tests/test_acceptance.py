@@ -112,12 +112,32 @@ def test_a8_catches_a_shifted_audit_expansion(ctx, monkeypatch):
 
 
 def test_a5_catches_a_block_above_the_opnorm_lemma(ctx, monkeypatch):
-    honest = verify.transform_matrix
-    monkeypatch.setattr(verify, "transform_matrix", lambda psi, table: tuple(
-        (1 + 1e-6) * w for w in honest(psi, table)))
+    # A5 reads the transform blocks of defect_direct's report; scaling them
+    # alone leaves every other field it compares as it was
+    honest = verify.defect_direct
+
+    def inflated(psi, table):
+        report = honest(psi, table)
+        return dataclasses.replace(report,
+                                   blocks=tuple((1 + 1e-6) * w for w in report.blocks))
+
+    monkeypatch.setattr(verify, "defect_direct", inflated)
     result = verify.run_check("A5", ctx)
     assert [c.label for c in result.failures()] == [
         "max (||E psi (x) rho|| - sqrt(d_psi/d_rho)) over the tables' irreps"]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a5_pruned_block_margin_is_the_exhaustive_maximum(seed):
+    # the SVDs A5 skips cannot move its maximum, to the last bit: the
+    # exhaustive maximum takes every block's SVD from a fresh transform
+    pruned = exhaustive = -np.inf
+    for _, psi, table in verify._corpus(verify.VerifyContext(seed=seed)):
+        report = approx.defect_direct(psi, table)
+        pruned = verify._largest_block_margin(report.blocks, table, psi.dim, pruned)
+        for rho, w in zip(table, fourier.transform_matrix(psi, table)):
+            exhaustive = max(exhaustive, np.linalg.norm(w, 2) - np.sqrt(psi.dim / rho.dim))
+    assert float(pruned).hex() == float(exhaustive).hex()
 
 
 def test_a3_catches_a_scan_defect_off_by_a_part_in_a_million(ctx, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -496,6 +497,58 @@ def test_right_residuals_keep_every_product_within_the_budget(monkeypatch, spec,
         assert max(sizes) <= budget, budget
         assert defect == pytest.approx(sq.sum() / n ** 2, rel=1e-12)
         assert agreement == np.count_nonzero(sq <= 0.25) / n ** 2
+
+
+def test_the_full_scan_holds_one_product_block_at_a_time():
+    # psl2(11)'s 12-dim irrep: a block of 227 left elements against one right
+    # factor is 32,688 entries (0.50 MiB), within _BLOCK_ENTRIES. The M(x s)
+    # are gathered in slices and each block is freed before the next is
+    # formed, so the scan's traced peak stays near one block
+    table = irreps.decompose(groups.named("psl2", 11))
+    rho = irrep_of_dim(table, 12)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        defect, agreement = approx._full_scan(rho, approx.AGREEMENT_TOL)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * 2 ** 20
+    assert agreement == 1.0 and defect < 1e-24
+
+
+def test_the_screen_keeps_every_agreeing_pair_at_the_tolerance_boundary(a5_table,
+                                                                       monkeypatch):
+    # three matrices of a genuine irrep move by 1e-6 in Frobenius norm, so a
+    # pair through exactly one of them has residual 1e-6 and the others
+    # roundoff or more: tolerances a part in a million either side of 1e-6
+    # split those pairs, and at both the screened count is the full scan's,
+    # with every agreeing pair among those the screen kept. A fourth matrix
+    # flips sign, so the screen has pairs far from agreeing to drop
+    rho = irrep_of_dim(a5_table, 3)
+    mats = rho.matrices.copy()
+    mats[[7, 23, 41], 0, 1] += 1e-6
+    mats[50] *= -1.0
+    psi = irreps.MatrixFunction(rho.group, 3, mats)
+    sq = brute_force_pairs(psi)[0]
+    kept = set()
+    honest = approx._product_residuals
+
+    def spy(stack, i, j, m):
+        kept.update(zip(i.tolist(), j.tolist()))
+        return honest(stack, i, j, m)
+
+    monkeypatch.setattr(approx, "_product_residuals", spy)
+    counts = []
+    for tol in (1e-6 * (1 - 1e-6), 1e-6 * (1 + 1e-6)):
+        kept.clear()
+        agreeing = set(zip(*(a.tolist() for a in np.nonzero(sq <= tol * tol))))
+        agreement = approx._screened_agreement(psi, tol)
+        assert agreement == approx._full_scan(psi, tol)[1] == len(agreeing) / sq.size
+        assert agreeing <= kept
+        assert len(kept) < sq.size
+        counts.append(len(agreeing))
+    assert counts[0] < counts[1] < sq.size
 
 
 def test_screen_vectors_do_not_change_the_report(monkeypatch, a5_table):
