@@ -28,10 +28,10 @@ every pair for fixed unit vectors u and r, at O(n^2 d) cost: one real
 product of width 2 d per chunk of rows. Since |Re S| <= |S| <= ||D||_F, no
 pair within the agreement tolerance fails the screen, so multiplying out only
 the survivors, read off each chunk's flat indices, and checking each on its
-own difference gives the same count whatever u and r are. Near a genuine
-representation, where the spectral formula cancels, a certificate comes
-first: from the n |S| generator products alone it bounds every pair's
-residual by
+own difference gives the same count whatever u and r are; they are drawn
+once per d. Near a genuine representation, where the spectral formula
+cancels, a certificate comes first: from the n |S| generator products alone
+it bounds every pair's residual by
 B = c^(D+1) (D eps (1 + c) + eps0), D the depth of the Cayley tree (see
 _agreement_bound). When B is within both the agreement tolerance and
 AGREEMENT_TOL every pair agrees and the defect, at most B^2 <= 1e-18, reads
@@ -48,14 +48,17 @@ by SVD), balanced sign functions, independent Haar baselines, and Haar
 perturbations of a genuine irrep. A compression B1' rho(x) B2 is formed
 for every x at once, as two products (irreps._sandwiches). Each returns a
 plain MatrixFunction, except that the polar part (PolarFunction) keeps its
-minor for polar_residual. Every Haar draw, subspace or unitary, is
-sampling.haar_basis.
+minor for polar_residual. Each owns read-only matrices and forms its mean
+and Gram once: a minor's guarantee check and its defect report read the
+same two, and the check reads the parent irrep's own mean. Every Haar draw,
+subspace or unitary, is sampling.haar_basis.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -69,7 +72,7 @@ from .errors import (
 from .fourier import transform_matrix
 from .groups import FiniteGroup
 from .irreps import (IrrepTable, MatrixFunction, UnitaryRep, _block_rows, _right_residuals,
-                     _sandwiches, _squared_frobenius, _unitarity_residuals)
+                     _sandwiches, _squared_frobenius)
 from .sampling import haar_basis
 
 __all__ = [
@@ -209,7 +212,7 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
     """
     mats, table = psi.matrices, psi.group.table
     n, d = psi.group.order, psi.dim
-    u, r = haar_basis(np.random.default_rng(_SCREEN_SEED), d, 1, stack=(2,))[:, :, 0]
+    u, r = _screen_vectors(d)
     a = u.conj() @ mats                    # a(x) = u' psi(x), (n, d)
     b = mats @ r                           # b(y) = psi(y) r, (n, d)
     f = (a @ r).real                       # Re f(z), f(z) = u' psi(z) r
@@ -233,6 +236,16 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
             xs += x0
             agree += int((_product_residuals(mats, xs, ys, table[xs, ys]) <= tol2).sum())
     return agree / (n * n)
+
+
+@lru_cache(maxsize=None)
+def _screen_vectors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pair screen's fixed unit vectors u and r in C^d, read-only: one
+    draw per d from the stream _SCREEN_SEED."""
+    u, r = haar_basis(np.random.default_rng(_SCREEN_SEED), d, 1, stack=(2,))[:, :, 0]
+    u.setflags(write=False)
+    r.setflags(write=False)
+    return u, r
 
 
 def _agreement_bound(psi: MatrixFunction) -> float:
@@ -261,15 +274,17 @@ def _agreement_bound(psi: MatrixFunction) -> float:
     Each computed residual sums d products per entry, so it is within a few
     d eps_mach (T^2 + T) of the exact one, T the largest ||psi(x)||_F, as
     in the pair screen; that margin is added to eps, eps0 and u before they
-    are amplified. B is inf when c^(D+1) overflows. The residuals come from
-    irreps._right_residuals, as in UnitaryRep.validate and the full scan.
+    are amplified. B is inf when c^(D+1) overflows. The product-law
+    residuals come from irreps._right_residuals, as in UnitaryRep.validate
+    and the full scan; the unitarity residuals are psi's own, the ones
+    validate read.
     """
     group, mats, d = psi.group, psi.matrices, psi.dim
     top = float(np.sqrt(_squared_frobenius(mats).max()))
     margin = _PRODUCT_ROUNDOFF * d * (top * top + top)
     eps = np.sqrt(_right_residuals(group, mats, group.generators).max(initial=0.0)) + margin
     eps0 = np.linalg.norm(mats[group.identity] - np.eye(d)) + margin
-    c = np.sqrt(1.0 + _unitarity_residuals(mats).max() + margin)
+    c = np.sqrt(1.0 + psi.unitarity_residuals().max() + margin)
     depth = sum(1 for children, _, _ in group.tree if len(children))
     with np.errstate(over="ignore"):
         return float(c ** (depth + 1) * (depth * eps * (1.0 + c) + eps0))
@@ -333,7 +348,7 @@ def _spectral_report(psi: MatrixFunction,
     if table.group is not psi.group:
         raise ValueError("irrep table belongs to a different group")
     gram = psi.mean_gram()
-    residual = psi.admissibility_residual(gram)
+    residual = psi.admissibility_residual()
     if residual > _ADMISSIBILITY:
         warnings.warn(
             f"psi is not admissible (||E psi' psi - 1||_F = {residual:.3e}); "
@@ -464,7 +479,7 @@ def _minor(rho: UnitaryRep, d_psi: int, subspace: str,
     out = MatrixFunction(rho.group, d_psi, _sandwich(basis, rho, scale * basis))
     # the mean must agree with the compressed parent mean, which is zero
     # exactly when the parent is nontrivial
-    expected = scale * basis.conj().T @ rho.matrices.mean(axis=0) @ basis
+    expected = scale * basis.conj().T @ rho.mean() @ basis
     mean_err = float(np.linalg.norm(out.mean() - expected))
     residual = out.admissibility_residual()
     if mean_err > _ADMISSIBILITY or residual > _ADMISSIBILITY:

@@ -144,7 +144,7 @@ def lift_through_irrep(f: GroupMap, sigma: UnitaryRep) -> MatrixFunction:
     """psi(x) = sigma(f(x)) as a MatrixFunction on the source group."""
     if sigma.group is not f.target:
         raise ValueError("sigma must be an irrep of the map's target group")
-    return MatrixFunction(f.source, sigma.dim, sigma.matrices[f.values].copy())
+    return MatrixFunction(f.source, sigma.dim, sigma.matrices[f.values])
 
 
 def random_map(source: FiniteGroup, target: FiniteGroup, seed) -> GroupMap:

@@ -48,7 +48,11 @@ product law is validated exhaustively. The table is ordered canonically
 (trivial first, then by dimension and character).
 
 A UnitaryRep is a MatrixFunction, the package's one type for a matrix per
-group element, whose product law validate checks.
+group element, whose product law validate checks. Every MatrixFunction owns
+its matrices, read-only, and keeps what it measures from them: its mean, its
+Gram E psi' psi and its unitarity residuals, each formed once. validate
+reads the residuals there, so the agreement certificate and the battery's A1
+take them without a second pass.
 """
 
 from __future__ import annotations
@@ -94,7 +98,15 @@ _ANCHOR_MIN_SINGULAR = 1e-10
 
 @dataclass(eq=False)
 class MatrixFunction:
-    """A d x d complex matrix for every group element."""
+    """A d x d complex matrix for every group element.
+
+    The function takes ownership of the matrices: a C-contiguous complex128
+    array is kept without a copy and made read-only, the caller's array
+    included; any other array is converted first. What is measured from
+    them (the mean, the Gram E psi' psi and the unitarity residuals) is
+    formed on first use, kept and returned read-only, as a FiniteGroup keeps
+    its digest, so every reader after the first gets the same array.
+    """
 
     group: FiniteGroup
     dim: int
@@ -106,23 +118,33 @@ class MatrixFunction:
             raise ValueError(
                 f"matrices must be ({self.group.order}, {self.dim}, {self.dim}), "
                 f"got {self.matrices.shape}")
+        self.matrices.setflags(write=False)
+        # filled by _measure on first use; valid because the matrices are read-only
+        self._measured: dict[str, np.ndarray] = {}
+
+    def _measure(self, name: str, form: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """form(matrices), formed once and kept read-only under name."""
+        if name not in self._measured:
+            value = form(self.matrices)
+            value.setflags(write=False)
+            self._measured[name] = value
+        return self._measured[name]
 
     def mean(self) -> np.ndarray:
-        return self.matrices.mean(axis=0)
+        """E_x psi(x)."""
+        return self._measure("mean", _mean)
 
     def mean_gram(self) -> np.ndarray:
-        """E_x psi(x)' psi(x), one product over the (n d, d) stack of the psi(x)."""
-        stack = self.matrices.reshape(-1, self.dim)
-        return stack.conj().T @ stack / self.group.order
+        """E_x psi(x)' psi(x)."""
+        return self._measure("gram", _gram)
 
-    def admissibility_residual(self, gram: np.ndarray | None = None) -> float:
-        """Frobenius distance of E psi' psi from the identity.
+    def unitarity_residuals(self) -> np.ndarray:
+        """||psi(x)' psi(x) - 1||_F for every x, in element order."""
+        return self._measure("unitarity", _unitarity_residuals)
 
-        gram: E psi' psi when the caller already holds it.
-        """
-        if gram is None:
-            gram = self.mean_gram()
-        return float(np.linalg.norm(gram - np.eye(self.dim)))
+    def admissibility_residual(self) -> float:
+        """Frobenius distance of E psi' psi from the identity."""
+        return float(np.linalg.norm(self.mean_gram() - np.eye(self.dim)))
 
 
 class UnitaryRep(MatrixFunction):
@@ -131,16 +153,15 @@ class UnitaryRep(MatrixFunction):
     The character and the irreducibility flag are measured from the matrices
     at construction, never supplied: the traces of every element are class
     averaged, and traces that spread by more than 1e-6 within a class raise
-    ToleranceViolation. Unitarity and the product law are checked by validate.
-
-    The rep takes ownership of the matrices: a C-contiguous complex128 array
-    is kept without a copy and made read-only, the caller's array included.
+    ToleranceViolation. Unitarity and the product law are checked by
+    validate; the unitarity residuals it reads stay on the rep, so the
+    agreement certificate and verify's A1 get them without a second pass.
 
     Attributes:
         group: the underlying FiniteGroup.
         dim: matrix dimension, read from the shape.
-        matrices: (|G|, dim, dim) complex array.
-        character: per-conjugacy-class character values.
+        matrices: (|G|, dim, dim) complex array, read-only.
+        character: per-conjugacy-class character values, read-only.
         is_irreducible: whether E|chi|^2 = 1 held, within 1e-6.
     """
 
@@ -152,7 +173,6 @@ class UnitaryRep(MatrixFunction):
         self.character = _class_average(group, np.trace(self.matrices, axis1=1, axis2=2))
         chi = self.character_on_elements()
         self.is_irreducible = bool(abs(np.mean(np.abs(chi) ** 2) - 1.0) <= _IRREDUCIBILITY)
-        self.matrices.setflags(write=False)
         self.character.setflags(write=False)
 
     def character_on_elements(self) -> np.ndarray:
@@ -165,17 +185,18 @@ class UnitaryRep(MatrixFunction):
     def validate(self) -> None:
         """Check unitarity everywhere and the product law on pairs.
 
-        The product law is checked on every pair (x, s), s in
-        group.generators. That is exhaustive: the y with R(x y) = R(x) R(y)
-        for all x are closed under products, so passing on the generators
-        means passing everywhere (approx._agreement_bound makes this
-        quantitative for residuals above zero). The residuals come from
-        _right_residuals, as in the certificate and the full scan. A failure
-        names the pair with the largest residual, the first in x-major order
-        among equals. Raises ToleranceViolation.
+        Unitarity reads unitarity_residuals, which the rep keeps. The product
+        law is checked on every pair (x, s), s in group.generators. That is
+        exhaustive: the y with R(x y) = R(x) R(y) for all x are closed under
+        products, so passing on the generators means passing everywhere
+        (approx._agreement_bound makes this quantitative for residuals above
+        zero). The residuals come from _right_residuals, as in the
+        certificate and the full scan. A failure names the pair with the
+        largest residual, the first in x-major order among equals. Raises
+        ToleranceViolation.
         """
         g, m = self.group, self.matrices
-        uerr = _unitarity_residuals(m)
+        uerr = self.unitarity_residuals()
         if uerr.max() > _UNITARITY:
             raise ToleranceViolation(
                 f"unitarity residual {uerr.max():.3e} above {_UNITARITY:.0e}")
@@ -321,6 +342,18 @@ def _sandwiches(left: np.ndarray, matrices: np.ndarray, right: np.ndarray) -> np
     half = matrices.reshape(n * e, e) @ right.transpose(1, 0, 2).reshape(e, k * d2)
     half = half.reshape(n, e, k, d2).transpose(2, 1, 0, 3).reshape(k, e, n * d2)
     return (left.conj().transpose(0, 2, 1) @ half).reshape(k, -1, n, d2)
+
+
+def _mean(matrices: np.ndarray) -> np.ndarray:
+    """E_x M(x) of an (n, d, d) stack."""
+    return matrices.mean(axis=0)
+
+
+def _gram(matrices: np.ndarray) -> np.ndarray:
+    """E_x M(x)' M(x), one product over the (n d, d) stack of the M(x)."""
+    n, d = matrices.shape[:2]
+    stack = matrices.reshape(-1, d)
+    return stack.conj().T @ stack / n
 
 
 def _unitarity_residuals(matrices: np.ndarray) -> np.ndarray:

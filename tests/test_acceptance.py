@@ -127,6 +127,47 @@ def test_a5_catches_a_block_above_the_opnorm_lemma(ctx, monkeypatch):
         "max (||E psi (x) rho|| - sqrt(d_psi/d_rho)) over the tables' irreps"]
 
 
+def pushed_once(monkeypatch, **change):
+    """Makes verify's defect_direct apply change(report) to its first report."""
+    honest = verify.defect_direct
+    calls = []
+
+    def pushed(psi, table):
+        report = honest(psi, table)
+        calls.append(psi)
+        if len(calls) > 1:
+            return report
+        return dataclasses.replace(report, **{k: f(report) for k, f in change.items()})
+
+    monkeypatch.setattr(verify, "defect_direct", pushed)
+
+
+def test_a5_catches_a_defect_below_the_lower_bound(ctx, monkeypatch):
+    pushed_once(monkeypatch, defect=lambda report: report.thm1_bound - 1e-6)
+    result = verify.run_check("A5", ctx)
+    assert [c.label for c in result.failures()] == [
+        "min (defect - lower bound)", "bound violations"]
+
+
+def test_a5_catches_an_agreement_above_the_ceiling(ctx, monkeypatch):
+    pushed_once(monkeypatch, agreement_prob=lambda report: report.cor1_bound + 1e-6)
+    result = verify.run_check("A5", ctx)
+    assert [c.label for c in result.failures()] == [
+        "max (agreement - ceiling)", "bound violations"]
+
+
+def test_a1_reads_the_unitarity_residuals_decompose_measured(ctx, monkeypatch):
+    # every irrep was validated when its table was built; A1 runs no second pass
+    for spec in verify._A1_SPECS:
+        ctx.table(*spec)
+    calls = []
+    honest = irreps._unitarity_residuals
+    monkeypatch.setattr(irreps, "_unitarity_residuals",
+                        lambda matrices: calls.append(matrices) or honest(matrices))
+    assert verify.run_check("A1", ctx).passed
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a5_pruned_block_margin_is_the_exhaustive_maximum(seed):
     # the SVDs A5 skips cannot move its maximum, to the last bit: the

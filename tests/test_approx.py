@@ -717,6 +717,79 @@ def test_matrix_function_shape_check(s3):
         irreps.MatrixFunction(s3, 2, np.ones((s3.order, 1, 1)))
 
 
+def test_every_construction_returns_read_only_matrices(a5_table, s3_table):
+    rho = irrep_of_dim(a5_table, 4)
+    polar = approx.polar_construction(rho, 3, seed=2)
+    f = homs.balanced_random_map(a5_table.group, s3_table.group, seed=1)
+    built = {
+        "leading minor": approx.minor_construction(rho, 2),
+        "haar minor": approx.minor_construction(rho, 2, subspace="haar", seed=1),
+        "polar": polar,
+        "polar's minor": polar.parent_minor,
+        "sign function": approx.random_sign_function(a5_table.group, seed=1),
+        "haar baseline": approx.haar_baseline(a5_table.group, 2, seed=1),
+        "perturbed irrep": approx.perturbed_irrep(rho, 0.5, seed=1),
+        "random admissible": approx.random_admissible(a5_table.group, 2, seed=1),
+        "lift": homs.lift_through_irrep(f, s3_table.irreps[2]),
+    }
+    for name, psi in built.items():
+        assert not psi.matrices.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            psi.matrices[0, 0, 0] = 0.0
+
+
+def formations(monkeypatch, *kernels):
+    """Wraps the named irreps kernels; returns the (kernel, stack) of each call."""
+    calls = []
+    for name in kernels:
+        def spy(matrices, name=name, honest=getattr(irreps, name)):
+            calls.append((name, matrices))
+            return honest(matrices)
+        monkeypatch.setattr(irreps, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("subspace, seed", [("leading", None), ("haar", 3)])
+def test_a_minor_and_its_report_form_its_gram_and_mean_once(a5_table, monkeypatch,
+                                                            subspace, seed):
+    # the minor's guarantee check and the spectral report share one of each
+    calls = formations(monkeypatch, "_mean", "_gram", "_unitarity_residuals")
+    rho = irrep_of_dim(a5_table, 5)
+    psi = approx.minor_construction(rho, 3, subspace=subspace, seed=seed)
+    approx.defect_direct(psi, a5_table)
+    approx.defect_via_fourier(psi, a5_table)
+    assert sorted(name for name, m in calls if m is psi.matrices) == ["_gram", "_mean"]
+    assert all(m is psi.matrices or m is rho.matrices for _, m in calls)
+
+
+def test_the_certificate_reads_the_unitarity_residuals_validate_measured(a5_table,
+                                                                       monkeypatch):
+    rho = irrep_of_dim(a5_table, 4)
+    validated = rho.unitarity_residuals()
+    calls = formations(monkeypatch, "_unitarity_residuals")
+    assert approx._agreement_bound(rho) <= approx.AGREEMENT_TOL
+    assert approx.defect_direct(rho, a5_table).agreement_prob == 1.0
+    assert calls == [] and rho.unitarity_residuals() is validated
+
+
+def test_the_screen_draws_its_vectors_once_per_dim(a5_table, monkeypatch):
+    # two screened cases of dim 3 and one of dim 2 take one draw per dim,
+    # bitwise the draw each call made for itself
+    cases = [approx.haar_baseline(a5_table.group, d, seed=j) for j, d in enumerate((3, 3, 2))]
+    fresh = haar_basis(np.random.default_rng(approx._SCREEN_SEED), 3, 1, stack=(2,))[:, :, 0]
+    approx._screen_vectors.cache_clear()
+    draws = []
+    monkeypatch.setattr(approx, "haar_basis",
+                        lambda *args, **kw: draws.append(args[1:]) or haar_basis(*args, **kw))
+    for psi in cases:
+        assert approx.defect_direct(psi, a5_table).agreement_prob == 0.0
+    assert draws == [(3, 1), (2, 1)]
+    u, r = approx._screen_vectors(3)
+    assert np.array_equal(u, fresh[0]) and np.array_equal(r, fresh[1])
+    assert approx._screen_vectors(3)[0] is u
+    assert not (u.flags.writeable or r.flags.writeable)
+
+
 def test_inadmissible_input_warns(s3, s3_table):
     psi = irreps.MatrixFunction(s3, 1, np.full((6, 1, 1), 2.0 + 0.0j))
     for route in (approx.defect_direct, approx.defect_via_fourier):

@@ -770,6 +770,30 @@ def test_a_rep_owns_and_freezes_its_matrices(s3):
     assert real.flags.writeable and not rep.matrices.flags.writeable
 
 
+def test_a_matrix_function_owns_its_matrices_and_what_it_measures(s3):
+    # the rule of the rep above, on the base class; each measured array is
+    # formed on first use, kept, read-only and bitwise the kernel's value
+    mats = haar_basis(np.random.default_rng(5), 2, 2, stack=(s3.order,)) * 1.5
+    psi = irreps.MatrixFunction(s3, 2, mats)
+    assert psi.matrices is mats and not mats.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mats[0, 0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        psi.matrices[1, 1, 1] = 2.0
+    real = mats.real.copy()
+    converted = irreps.MatrixFunction(s3, 2, real)
+    assert real.flags.writeable and not converted.matrices.flags.writeable
+    for measure, kernel in ((psi.mean, irreps._mean), (psi.mean_gram, irreps._gram),
+                            (psi.unitarity_residuals, irreps._unitarity_residuals)):
+        value = measure()
+        assert measure() is value and not value.flags.writeable
+        assert np.array_equal(value, kernel(mats))
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 0.0
+    assert psi.unitarity_residuals() == pytest.approx(np.full(s3.order, 1.25 * 2 ** 0.5))
+    assert psi.admissibility_residual() == pytest.approx(1.25 * 2 ** 0.5, rel=1e-14)
+
+
 def test_unitarity_residuals_match_the_per_matrix_norm():
     # 700 scaled unitaries of dim 8 take two blocks of 512 rows
     rng = np.random.default_rng(3)

@@ -19,7 +19,6 @@ OPTIONAL_PARAMETERS = {
     "errors.FileFormatError.__init__:line",
     "groups.from_permutation_generators:name",
     "groups.from_table:name",
-    "irreps.MatrixFunction.admissibility_residual:gram",
     "irreps.decompose:seed",
     "sampling.haar_basis:stack",
     "twirl.error_term_audit:seed",
