@@ -121,14 +121,14 @@ _BIT_MIX = np.uint64(0x9E3779B97F4A7C15)
 _COMPLEMENT_MIN_SINGULAR = 1e-3
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PolarFunction(MatrixFunction):
     """Elementwise unitary polar part of a minor; keeps the minor for polar_residual."""
 
     parent_minor: MatrixFunction
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefectReport:
     """Measured defect statistics and the reference bounds they must respect.
 

@@ -3,8 +3,8 @@
 A group of order n is stored as an n x n integer table over element indices
 0..n-1, validated on construction (two-sided identity, inverses,
 associativity, which make the table a Latin square) together with its
-conjugacy classes. Groups built here are immutable: the backing arrays are
-marked read-only.
+conjugacy classes. A FiniteGroup is a frozen dataclass: no attribute can be
+rebound or deleted once it is built, and its arrays are read-only.
 
 Construction routes: a raw table, closure of permutation generators, a
 handful of named families, and direct products. Every generated family is a
@@ -27,6 +27,8 @@ import hashlib
 import inspect
 import math
 import warnings
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -57,8 +59,13 @@ CLOSURE_CAP = 5000
 GROUP_MAGIC = "quasirep-group v1"
 
 
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Immutable finite group over indices 0..order-1.
+    """Finite group over indices 0..order-1, frozen once built.
+
+    A frozen dataclass: no attribute can be assigned or deleted after the
+    constructor returns, and every array it holds is read-only, so the
+    digest, the classes and the tree stay those of the table.
 
     Attributes:
         name: human-readable label ("alternating(5)", "table", ...).
@@ -72,25 +79,29 @@ class FiniteGroup:
         generators: element indices that generate the group, the ones
             Light's associativity test checked (see _check_associativity).
         tree: the layers of _cayley_tree over the generators from the
-            identity, Light's last walk; its arrays are read-only too.
+            identity, Light's last walk, as a tuple; its arrays are read-only.
     """
 
-    def __init__(self, name: str, table: np.ndarray, identity: int,
-                 inverses: np.ndarray, classes: tuple[tuple[int, ...], ...],
-                 class_of: np.ndarray, generators: tuple[int, ...], tree: list):
-        self.name = name
-        self.table = table
-        self.identity = int(identity)
-        self.inverses = inverses
-        self.classes = classes
-        self.generators = generators
-        self.class_of = class_of
-        self.tree = tuple(tree)
+    name: str
+    table: np.ndarray
+    identity: int
+    inverses: np.ndarray
+    classes: tuple[tuple[int, ...], ...]
+    class_of: np.ndarray
+    generators: tuple[int, ...]
+    tree: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "identity", int(self.identity))
+        object.__setattr__(self, "tree", tuple(self.tree))
         for arr in (self.table, self.inverses, self.class_of,
                     *(a for layer in self.tree for a in layer)):
             arr.setflags(write=False)
-        # set by group_hash on first use; valid because the table is read-only
-        self._digest: str | None = None
+
+    @cached_property
+    def _digest(self) -> str:
+        """group_hash's digest, rendered on first use (or kept by save_group)."""
+        return _table_digest(self.order, _table_rows(self.table))
 
     @property
     def order(self) -> int:
@@ -499,8 +510,6 @@ def group_hash(group: FiniteGroup) -> str:
     _table_rows, each on its own line. Computed once per group object and
     remembered on it; save_group remembers it too, from the rows it writes.
     """
-    if group._digest is None:
-        group._digest = _table_digest(group.order, _table_rows(group.table))
     return group._digest
 
 
@@ -517,8 +526,10 @@ def save_group(group: FiniteGroup, path: str) -> None:
     rows = _table_rows(group.table)
     header = f"{GROUP_MAGIC}\nname={group.name}\norder={group.order}\n"
     write_atomic(path, [header, rows.decode("ascii")])
-    if group._digest is None:
-        group._digest = _table_digest(group.order, rows)
+    # the rendered rows give _digest's value; storing it in the cached
+    # property's slot spares group_hash rendering them again
+    if "_digest" not in vars(group):
+        vars(group)["_digest"] = _table_digest(group.order, rows)
 
 
 def load_group(path: str) -> FiniteGroup:
@@ -560,15 +571,19 @@ def _parse_table(rows: list[str], order: int) -> np.ndarray:
 
     A well-formed table is parsed by one np.loadtxt call and one range check.
     A table that call refuses, or of the wrong shape or range, is read again
-    one row at a time by _check_rows, which names the first bad line.
+    one row at a time by _check_rows, which names the first bad line. It
+    always finds one (see _check_rows); were it not to, the table is still
+    refused, with no line named.
     """
     try:
         table = _loadtxt(rows)
     except (ValueError, Warning):
-        return _check_rows(rows, order)
-    if table.shape != (order, order) or table.min() < 0 or table.max() >= order:
-        return _check_rows(rows, order)
-    return table
+        table = None
+    if (table is not None and table.shape == (order, order)
+            and table.min() >= 0 and table.max() < order):
+        return table
+    _check_rows(rows, order)
+    raise FileFormatError("the table rows pass one by one but not as a whole")
 
 
 def _loadtxt(rows: list[str]) -> np.ndarray:
@@ -581,9 +596,20 @@ def _loadtxt(rows: list[str]) -> np.ndarray:
         return np.loadtxt(rows, dtype=np.int64, comments=None, ndmin=2)
 
 
-def _check_rows(rows: list[str], order: int) -> np.ndarray:
-    """Parse the table row by row; raise FileFormatError at the first bad line."""
-    table = np.empty((order, order), dtype=np.int64)
+def _check_rows(rows: list[str], order: int) -> None:
+    """Raise FileFormatError at the first row that is not order decimal
+    tokens in 0..order-1.
+
+    It only raises: it runs on a table the whole-table np.loadtxt call
+    refused or found of the wrong shape or range, and such a table has a
+    row that fails here. That call reads each line with the same tokenizer
+    as the one-row call here (no comments, the same whitespace), and
+    load_group has checked that there are order rows. It refuses a table
+    only for a line that does not convert, for lines of unequal length, or
+    for a warning, and if every row converts alone to order tokens, none of
+    those happens: it returns the rows stacked, an (order, order) array in
+    range.
+    """
     for r, row in enumerate(rows):
         lineno = 4 + r
         count = len(row.split())    # loadtxt splits on the same whitespace
@@ -591,11 +617,10 @@ def _check_rows(rows: list[str], order: int) -> np.ndarray:
             raise FileFormatError(f"row has {count} entries, expected {order}",
                                   line=lineno)
         try:
-            table[r] = _loadtxt([row])
+            values = _loadtxt([row]).reshape(order)
         except (ValueError, Warning):
             raise FileFormatError("non-integer table entry", line=lineno) from None
-        outside = np.flatnonzero((table[r] < 0) | (table[r] >= order))
+        outside = np.flatnonzero((values < 0) | (values >= order))
         if len(outside):
-            raise FileFormatError(f"entry {table[r, outside[0]]} outside 0..{order - 1}",
+            raise FileFormatError(f"entry {values[outside[0]]} outside 0..{order - 1}",
                                   line=lineno)
-    return table

@@ -35,9 +35,13 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GroupMap:
-    """A function between groups with its pushforward statistics precomputed."""
+    """A function between groups with its pushforward statistics precomputed.
+
+    p_f and epsilon are computed from values, so both arrays are made
+    read-only at construction, without a copy.
+    """
 
     source: FiniteGroup
     target: FiniteGroup
@@ -45,8 +49,12 @@ class GroupMap:
     p_f: np.ndarray
     epsilon: float
 
+    def __post_init__(self):
+        self.values.setflags(write=False)
+        self.p_f.setflags(write=False)
 
-@dataclass
+
+@dataclass(frozen=True)
 class HomReport:
     """Agreement statistics of a map and the ceilings they must respect."""
 

@@ -53,12 +53,19 @@ its matrices, read-only, and keeps what it measures from them: its mean, its
 Gram E psi' psi and its unitarity residuals, each formed once. validate
 reads the residuals there, so the agreement certificate and the battery's A1
 take them without a second pass.
+
+The package's value types (FiniteGroup, MatrixFunction, UnitaryRep,
+IrrepDegrees, IrrepTable and those of approx, homs and twirl) are frozen
+dataclasses: assigning or deleting an attribute raises FrozenInstanceError,
+an AttributeError, so nothing kept can go stale. Only constructors write,
+through object.__setattr__ (a FiniteGroup's cached digest aside), and
+dataclasses.replace builds a new value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -96,31 +103,32 @@ _EIGENGAP = 1e-7
 _ANCHOR_MIN_SINGULAR = 1e-10
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MatrixFunction:
     """A d x d complex matrix for every group element.
 
     The function takes ownership of the matrices: a C-contiguous complex128
     array is kept without a copy and made read-only, the caller's array
-    included; any other array is converted first. What is measured from
-    them (the mean, the Gram E psi' psi and the unitarity residuals) is
-    formed on first use, kept and returned read-only, as a FiniteGroup keeps
-    its digest, so every reader after the first gets the same array.
+    included; any other array is converted first. It is a frozen dataclass,
+    so the matrices cannot be rebound either. What is measured from them
+    (the mean, the Gram E psi' psi and the unitarity residuals) is formed on
+    first use, kept and returned read-only, so every reader after the first
+    gets the same array.
     """
 
     group: FiniteGroup
     dim: int
     matrices: np.ndarray
+    _measured: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.matrices = np.ascontiguousarray(self.matrices, dtype=np.complex128)
-        if self.matrices.shape != (self.group.order, self.dim, self.dim):
+        matrices = np.ascontiguousarray(self.matrices, dtype=np.complex128)
+        if matrices.shape != (self.group.order, self.dim, self.dim):
             raise ValueError(
                 f"matrices must be ({self.group.order}, {self.dim}, {self.dim}), "
-                f"got {self.matrices.shape}")
-        self.matrices.setflags(write=False)
-        # filled by _measure on first use; valid because the matrices are read-only
-        self._measured: dict[str, np.ndarray] = {}
+                f"got {matrices.shape}")
+        matrices.setflags(write=False)
+        object.__setattr__(self, "matrices", matrices)
 
     def _measure(self, name: str, form: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
         """form(matrices), formed once and kept read-only under name."""
@@ -147,6 +155,7 @@ class MatrixFunction:
         return float(np.linalg.norm(self.mean_gram() - np.eye(self.dim)))
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class UnitaryRep(MatrixFunction):
     """A unitary representation: a MatrixFunction meant to obey the product law.
 
@@ -165,15 +174,20 @@ class UnitaryRep(MatrixFunction):
         is_irreducible: whether E|chi|^2 = 1 held, within 1e-6.
     """
 
+    character: np.ndarray = field(init=False)
+    is_irreducible: bool = field(init=False)
+
     def __init__(self, group: FiniteGroup, matrices: np.ndarray):
         shape = np.shape(matrices)
         if len(shape) != 3:
             raise ValueError(f"matrices must be (|G|, d, d), got {shape}")
         super().__init__(group, shape[1], matrices)
-        self.character = _class_average(group, np.trace(self.matrices, axis1=1, axis2=2))
+        character = _class_average(group, np.trace(self.matrices, axis1=1, axis2=2))
+        character.setflags(write=False)
+        object.__setattr__(self, "character", character)
         chi = self.character_on_elements()
-        self.is_irreducible = bool(abs(np.mean(np.abs(chi) ** 2) - 1.0) <= _IRREDUCIBILITY)
-        self.character.setflags(write=False)
+        object.__setattr__(self, "is_irreducible",
+                           bool(abs(np.mean(np.abs(chi) ** 2) - 1.0) <= _IRREDUCIBILITY))
 
     def character_on_elements(self) -> np.ndarray:
         """Character as a length-|G| vector, constant on classes."""
@@ -215,6 +229,7 @@ class UnitaryRep(MatrixFunction):
         return f"UnitaryRep(group={self.group.name!r}, dim={self.dim}, {flag})"
 
 
+@dataclass(frozen=True, eq=False)
 class IrrepDegrees:
     """The character table of a group, one row per irrep in canonical order,
     and what the map bounds and the irreps summary read off it.
@@ -222,7 +237,8 @@ class IrrepDegrees:
     degrees() takes the rows from the class algebra before any irrep matrix
     is formed; an IrrepTable is one too, with its irreps' traces, so
     homs.evaluate and homs.r_h take either. A Frobenius-Schur indicator more
-    than 1e-6 from -1, 0 or +1 raises ToleranceViolation.
+    than 1e-6 from -1, 0 or +1 raises ToleranceViolation. Both are frozen
+    dataclasses: the rest is derived from the table at construction.
 
     Attributes:
         group: the underlying FiniteGroup.
@@ -232,25 +248,35 @@ class IrrepDegrees:
         indicators: the Frobenius-Schur indicator of each irrep.
     """
 
-    def __init__(self, group: FiniteGroup, character_table: np.ndarray):
-        self.group = group
-        self.character_table = np.array(character_table, dtype=np.complex128)
-        self.character_table.setflags(write=False)
-        self.dims = tuple(int(d) for d in np.rint(self.character_table[:, 0].real))
+    group: FiniteGroup
+    character_table: np.ndarray
+    dims: tuple[int, ...] = field(init=False)
+    d_min: int = field(init=False)
+    indicators: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        table = np.array(self.character_table, dtype=np.complex128)
+        table.setflags(write=False)
+        dims = tuple(int(d) for d in np.rint(table[:, 0].real))
+        object.__setattr__(self, "character_table", table)
+        object.__setattr__(self, "dims", dims)
         # dims[0] is the trivial irrep's; the one-irrep (trivial) group gets
         # d_min = 1 by convention
-        self.d_min = min(self.dims[1:], default=1)
-        self.indicators = _indicators(group, self.character_table)
+        object.__setattr__(self, "d_min", min(dims[1:], default=1))
+        object.__setattr__(self, "indicators", _indicators(self.group, table))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(group={self.group.name!r}, dims={list(self.dims)})"
 
 
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class IrrepTable(IrrepDegrees):
     """Complete list of irreducibles for one group, canonically ordered."""
 
+    irreps: tuple[UnitaryRep, ...]
+
     def __init__(self, group: FiniteGroup, irreps: tuple[UnitaryRep, ...]):
-        self.irreps = tuple(irreps)
+        object.__setattr__(self, "irreps", tuple(irreps))
         super().__init__(group, np.array([r.character for r in self.irreps]))
 
     def __iter__(self) -> Iterator[UnitaryRep]:

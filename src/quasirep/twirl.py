@@ -147,7 +147,7 @@ def moment_trace(sigma: tuple[int, ...], d_psi: int) -> int:
     return d_psi ** cycle_count(tuple(sigma))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwirlExpansion:
     """Coefficients of the fourth-moment twirl in the permutation-operator basis."""
 
@@ -231,7 +231,7 @@ def twirl_gram(d_rho: int, d_psi: int) -> TwirlExpansion:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TwirlAudit:
     """Two routes to E_{Pi,x} tr[(Pi rho(x)' Pi rho(x))^2] plus the leading term."""
 

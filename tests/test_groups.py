@@ -584,6 +584,41 @@ def test_well_formed_files_skip_the_row_loop(tmp_path, monkeypatch):
         groups.load_group(str(path))
 
 
+@pytest.mark.parametrize("edit", [
+    lambda row: row + "\r",
+    lambda row: row + " ",
+    lambda row: row.replace(" ", "\f", 1),
+    lambda row: row.replace(" 0", " +0", 1),
+    lambda row: row.replace(" ", "\r", 1),
+    lambda row: row.replace(" ", "\0", 1),
+    lambda row: row.replace(" ", " #", 1),
+    lambda row: row.replace(" ", "  ", 1),
+    lambda row: row.replace(" ", "", 1),
+    lambda row: row.replace(" ", " x ", 1),
+    lambda row: row.replace(" ", " 99 ", 1).rsplit(" ", 1)[0],
+], ids=["trailing-cr", "trailing-space", "form-feed", "plus-zero", "inner-cr", "nul",
+        "hash", "double-space", "joined", "extra-token", "out-of-range"])
+def test_the_table_parses_whole_or_is_refused_at_a_line(edit):
+    # the row check only raises: a table whose rows all pass it one by one
+    # would have passed the whole-table parse
+    g = groups.named("symmetric", 3)
+    rows = [" ".join(map(str, row)) for row in g.table.tolist()]
+    rows[4] = edit(rows[4])
+    try:
+        table = groups._parse_table(rows, g.order)
+    except FileFormatError as exc:
+        assert exc.line == 8
+    else:
+        assert np.array_equal(table, g.table)
+
+
+def test_a_table_the_row_check_passes_is_refused_without_a_line(monkeypatch):
+    monkeypatch.setattr(groups, "_check_rows", lambda rows, order: None)
+    with pytest.raises(FileFormatError, match="pass one by one") as err:
+        groups._parse_table(["x"], 1)
+    assert err.value.line is None
+
+
 @pytest.mark.parametrize("name", ["a\nb", "a\rb", "a\r\nb"])
 def test_save_refuses_a_name_with_a_line_break(tmp_path, name):
     # the loader reads a line break in the name as the end of the name line

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
 
 import quasirep
-from quasirep import verify
+from quasirep import approx, groups, homs, irreps, twirl, verify
 
 # every parameter with a default in the public surface; a new one fails here
 # until it is added on purpose
@@ -88,3 +93,76 @@ def test_reprs_and_the_first_failure_of_a_passing_manifest(a5_table, s3_reducibl
     passing = verify.CheckResult("A1", "stub", [verify.Comparison("x", "<=", 0.0, 1.0)], 0.0)
     manifest = verify.RunManifest("quasirep test", "fast", 0, "now", 0.0, [passing])
     assert manifest.passed and manifest.first_failure() is None
+
+
+# one builder per value type, from the session fixtures s3, s3_table and a5_table
+VALUE_TYPES = {
+    "FiniteGroup": lambda fx: fx.s3,
+    "MatrixFunction": lambda fx: approx.haar_baseline(fx.s3, 2, 0),
+    "UnitaryRep": lambda fx: fx.s3_table.irreps[2],
+    "IrrepDegrees": lambda fx: irreps.degrees(fx.s3),
+    "IrrepTable": lambda fx: fx.s3_table,
+    "PolarFunction": lambda fx: approx.polar_construction(fx.a5_table.irreps[4], 2, 0),
+    "DefectReport": lambda fx: approx.defect_direct(fx.s3_table.irreps[2], fx.s3_table),
+    "GroupMap": lambda fx: homs.random_map(fx.s3, fx.s3, 0),
+    "HomReport": lambda fx: homs.evaluate(homs.random_map(fx.s3, fx.s3, 0),
+                                          fx.s3_table, fx.s3_table),
+    "TwirlExpansion": lambda fx: twirl.twirl_exact(6, 3),
+    "TwirlAudit": lambda fx: twirl.error_term_audit(fx.a5_table.irreps[4], 2),
+}
+
+
+def _public_attributes(value):
+    """Every public name an instance holds or its class computes as a property."""
+    held = {name for name in vars(value) if not name.startswith("_")}
+    computed = {name for name, member in inspect.getmembers(type(value))
+                if isinstance(member, property) and not name.startswith("_")}
+    return sorted(held | computed)
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_types_refuse_assignment_and_deletion(name, s3, s3_table, a5_table):
+    value = VALUE_TYPES[name](SimpleNamespace(s3=s3, s3_table=s3_table, a5_table=a5_table))
+    assert type(value).__name__ == name
+    assert dataclasses.is_dataclass(value)
+    attributes = _public_attributes(value)
+    fields = {f.name for f in dataclasses.fields(value) if not f.name.startswith("_")}
+    assert fields <= set(attributes)
+    # a frozen dataclass refuses only its own field names on an instance of
+    # a plain subclass, so UnitaryRep, IrrepTable and PolarFunction are
+    # frozen dataclasses themselves, and what their constructors set (such
+    # as character, irreps and dims) is refused like the rest
+    held = dict(vars(value))
+    for attr in [*attributes, "not_an_attribute"]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, attr, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(value, attr)
+    assert vars(value).keys() == held.keys()
+    assert all(vars(value)[k] is v for k, v in held.items())
+
+
+def test_rebinding_the_matrices_raises_and_the_measurements_stand(s3):
+    psi = approx.haar_baseline(s3, 2, 0)
+    mean = psi.mean()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        psi.matrices = 2 * psi.matrices
+    assert psi.mean() is mean
+    assert np.array_equal(mean, psi.matrices.mean(axis=0))
+
+
+def test_a_group_map_holds_read_only_arrays(s3):
+    f = homs.random_map(s3, s3, 0)
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        f.p_f[0] = 0.0
+
+
+def test_save_group_keeps_the_digest_group_hash_reads(tmp_path):
+    g = groups.named("symmetric", 3)
+    assert "_digest" not in vars(g)
+    groups.save_group(g, str(tmp_path / "s3.grp"))
+    kept = vars(g)["_digest"]
+    assert groups.group_hash(g) is kept
+    assert kept == groups.group_hash(groups.named("symmetric", 3))
