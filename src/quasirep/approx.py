@@ -149,9 +149,10 @@ class DefectReport:
     blocks holds the transform blocks W_rho = E psi(x) (x) rho(x) that the
     triple trace came from, aligned with table.irreps, so that a caller
     checking the blocks themselves (verify's A5) need not transform psi
-    again. It is left out of repr and of equality. The blocks hold
-    d^2 |G| entries, as many as psi itself: read them while the case is at
-    hand, and keep neither them nor the report past it.
+    again. It is left out of repr and of equality, and its arrays are
+    read-only. The blocks hold d^2 |G| entries, as many as psi itself: read
+    them while the case is at hand, and keep neither them nor the report
+    past it.
     """
 
     defect: float
@@ -354,6 +355,8 @@ def _spectral_report(psi: MatrixFunction,
             f"psi is not admissible (||E psi' psi - 1||_F = {residual:.3e}); "
             "bounds assume admissibility", RuntimeWarning, stacklevel=3)
     blocks = transform_matrix(psi, table)
+    for w in blocks:
+        w.setflags(write=False)
     # tr(W W' W) = sum_ij (W W')_ij W_ji
     triple = sum(rho.dim * complex(np.vdot((w @ w.conj().T).T.conj(), w))
                  for rho, w in zip(table.irreps, blocks))

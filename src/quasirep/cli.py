@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: group, irreps, sweep, hom, twirl, verify. Named groups are
-cached on disk in --cache-dir (default ./.quasirep); nothing else is.
+cached on disk in --cache-dir (default ./.quasirep) as binary .npz archives
+of the table and the name, each hit validated in full; nothing else is.
 `sweep` decomposes the group in memory on every run; `irreps` and `hom` read
 only the character table (degrees, d_min, Frobenius-Schur indicators) off the
 class algebra and form no irrep matrix.
@@ -11,9 +12,12 @@ Exit codes: 0 on success, 1 when a check or bound fails, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
+import zipfile
+import zlib
 
 import numpy as np
 
@@ -26,9 +30,9 @@ from .approx import (
     thm4_defect,
     thm5_bound,
 )
-from .errors import QuasirepError
-from .groups import (FiniteGroup, _element_orders, check_family, group_hash, load_group,
-                     named, save_group)
+from .errors import FileFormatError, QuasirepError
+from .groups import (FiniteGroup, _element_orders, check_family, from_table, group_hash,
+                     load_group, named)
 from .homs import (
     balanced_random_map,
     evaluate,
@@ -67,6 +71,12 @@ def _emit(args, payload, text: str | None = None) -> None:
         write_atomic(args.out, [text])
 
 
+# what np.load, the archive's keys and from_table raise on a corrupt or
+# foreign entry; an OSError reading it is an error, as for any other file
+_STALE_ENTRY = (EOFError, KeyError, ValueError, zipfile.BadZipFile, zlib.error,
+                QuasirepError)
+
+
 def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
     """Build or load a group. `file <path>` bypasses the group cache."""
     if tokens[0] == "file":
@@ -82,16 +92,30 @@ def _group_from_spec(tokens: list[str], cache: str) -> FiniteGroup:
             raise ValueError(f"group parameter {t!r} is not an integer") from None
     # the family names the cache file, so it must be known before any lookup
     check_family(family, len(params))
-    path = os.path.join(cache, "-".join([family, *map(str, params)]) + ".grp")
+    path = os.path.join(cache, "-".join([family, *map(str, params)]) + ".npz")
     if os.path.exists(path):
         try:
-            return load_group(path)
-        except QuasirepError as exc:
+            return _read_entry(path)
+        except _STALE_ENTRY as exc:
             print(f"note: rebuilding stale cache {path}: {exc}", file=sys.stderr)
     g = named(family, *params)
     os.makedirs(cache, exist_ok=True)
-    save_group(g, path)
+    archive = io.BytesIO()
+    np.savez(archive, table=g.table.astype(np.min_scalar_type(g.order - 1)), name=g.name)
+    write_atomic(path, archive.getvalue())
     return g
+
+
+def _read_entry(path: str) -> FiniteGroup:
+    """The group of a cache entry, its table validated in full by from_table."""
+    with open(path, "rb") as fh:
+        archive = np.load(fh, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise FileFormatError("not an .npz archive")
+        table, name = archive["table"], archive["name"]
+    if name.dtype.kind != "U" or name.ndim:
+        raise FileFormatError(f"name is a {name.dtype} array of shape {name.shape}")
+    return from_table(table, name=str(name))
 
 
 def _parse_range(text: str) -> range:

@@ -1,4 +1,4 @@
-"""The text-file layer of the group format and of --out:
+"""The file layer of the group format, the group cache and --out:
 atomic writes (temp file, then rename) and header-checked line reads."""
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from .errors import FileFormatError
 __all__ = ["write_atomic", "read_lines"]
 
 
-def write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write the text chunks in order to a temp file, then rename it over path.
+def write_atomic(path: str, chunks: Iterable[str] | bytes) -> None:
+    """Write bytes, or the text chunks in order, to a temp file, then rename
+    it over path.
 
     Chunks are written as they are produced, so a generator keeps only one
     chunk of a large file in memory. When the write or the rename fails, the
@@ -22,8 +23,9 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w") as fh:
-            fh.writelines(chunks)
+        binary = isinstance(chunks, bytes)
+        with open(tmp, "wb" if binary else "w") as fh:
+            fh.writelines([chunks] if binary else chunks)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):

@@ -17,10 +17,12 @@ character power-moments of rho. Only that Monte Carlo has sampling variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import prod
+from types import MappingProxyType
 
 import numpy as np
 
@@ -149,11 +151,19 @@ def moment_trace(sigma: tuple[int, ...], d_psi: int) -> int:
 
 @dataclass(frozen=True)
 class TwirlExpansion:
-    """Coefficients of the fourth-moment twirl in the permutation-operator basis."""
+    """Coefficients of the fourth-moment twirl in the permutation-operator basis.
+
+    coefficients is a read-only view of a copy of the mapping passed in, by
+    class name. It is left out of the hash, which is that of (d_rho, d_psi),
+    so equal expansions hash alike.
+    """
 
     d_rho: int
     d_psi: int
-    coefficients: dict[str, float]
+    coefficients: Mapping[str, float] = field(hash=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", MappingProxyType(dict(self.coefficients)))
 
     def coefficient(self, perm: tuple[int, ...]) -> float:
         return self.coefficients[class_name(perm)]

@@ -88,8 +88,9 @@ def test_a8_catches_a_wrong_gram_coefficient(ctx, monkeypatch):
 
     def one_coefficient_off(d_rho, d_psi):
         expansion = honest(d_rho, d_psi)
-        expansion.coefficients["(123)"] += 1e-10
-        return expansion
+        coefficients = dict(expansion.coefficients)
+        coefficients["(123)"] += 1e-10
+        return dataclasses.replace(expansion, coefficients=coefficients)
 
     monkeypatch.setattr(twirl, "twirl_gram", one_coefficient_off)
     result = verify.run_check("A8", ctx)

@@ -738,6 +738,17 @@ def test_every_construction_returns_read_only_matrices(a5_table, s3_table):
             psi.matrices[0, 0, 0] = 0.0
 
 
+def test_report_blocks_are_read_only(s3, s3_table):
+    # the blocks a report keeps are those its triple trace came from
+    psi = approx.haar_baseline(s3, 2, 0)
+    for route in (approx.defect_direct, approx.defect_via_fourier):
+        blocks = route(psi, s3_table).blocks
+        assert len(blocks) == len(s3_table.irreps), route.__name__
+        assert not any(w.flags.writeable for w in blocks), route.__name__
+        with pytest.raises(ValueError, match="read-only"):
+            blocks[0][0, 0] = 0.0
+
+
 def formations(monkeypatch, *kernels):
     """Wraps the named irreps kernels; returns the (kernel, stack) of each call."""
     calls = []

@@ -109,16 +109,26 @@ def test_wrong_parameters_are_input_errors(tmp_path, capsys, cache, spec):
     assert list(tmp_path.rglob("*.tmp.*")) == []
 
 
+def save_entry(path, bare=False, **arrays):
+    """Write a group cache entry holding the given arrays; bare writes the
+    table alone as a .npy file instead of an archive."""
+    with open(path, "wb") as fh:
+        if bare:
+            np.save(fh, arrays["table"])
+        else:
+            np.savez(fh, **arrays)
+
+
 def test_family_is_checked_before_the_cache(tmp_path, monkeypatch, capsys):
-    # valid groups saved where an unknown family or a wrong arity would point
+    # valid entries saved where an unknown family or a wrong arity would point
     # the group cache lookup
     cache = tmp_path / "c"
     cache.mkdir()
     d3 = groups.named("dihedral", 3)
-    groups.save_group(d3, str(tmp_path / "x-4.grp"))
-    groups.save_group(d3, str(cache / "cyclic-4-4.grp"))
+    for path in (tmp_path / "x-4.npz", cache / "cyclic-4-4.npz"):
+        save_entry(path, table=d3.table, name=d3.name)
     read = []
-    monkeypatch.setattr(cli, "load_group", read.append)
+    monkeypatch.setattr(cli, "_read_entry", read.append)
     for spec in (["../x", "4"], ["cyclic", "4", "4"]):
         assert cli.main(["group", *spec, "--cache-dir", str(cache)]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -129,7 +139,7 @@ def test_group_cache_is_named_by_parsed_parameters(tmp_path, capsys):
     for param in ("04", "+4", "4"):
         assert cli.main(["group", "cyclic", param, "--cache-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert [p.name for p in tmp_path.glob("*.grp")] == ["cyclic-4.grp"]
+    assert [p.name for p in tmp_path.iterdir()] == ["cyclic-4.npz"]
 
 
 def test_irreps_text_output(capsys, cache):
@@ -665,7 +675,7 @@ def test_twirl_degenerate_dimension(capsys):
 def test_cache_survives_corruption(tmp_path, capsys):
     cache_dir = tmp_path / "c"
     assert cli.main(["group", "dihedral", "4", "--cache-dir", str(cache_dir)]) == 0
-    cached = cache_dir / "dihedral-4.grp"
+    cached = cache_dir / "dihedral-4.npz"
     assert cached.exists()
     first = capsys.readouterr().out
     cached.write_text("garbage\n")
@@ -673,7 +683,7 @@ def test_cache_survives_corruption(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "rebuilding stale cache" in captured.err
     assert captured.out == first
-    assert groups.load_group(str(cached)).order == 8
+    assert cli._read_entry(str(cached)).order == 8
 
 
 def test_non_utf8_cache_entry_is_rebuilt(tmp_path, capsys):
@@ -681,16 +691,91 @@ def test_non_utf8_cache_entry_is_rebuilt(tmp_path, capsys):
     argv = ["group", "symmetric", "3", "--cache-dir", str(cache_dir)]
     assert cli.main(argv) == 0
     first = capsys.readouterr().out
-    cached = cache_dir / "symmetric-3.grp"
+    cached = cache_dir / "symmetric-3.npz"
     data = bytearray(cached.read_bytes())
-    data[data.index(b"order=")] = 0xFF
+    # a 0xff byte in the stored table; the archive's checksum no longer matches
+    data[data.index(groups.named("symmetric", 3).table.astype(np.uint8).tobytes())] = 0xFF
     cached.write_bytes(bytes(data))
     assert cli.main(argv) == 0
     captured = capsys.readouterr()
     assert "rebuilding stale cache" in captured.err
-    assert "line 3: byte 0xff is not UTF-8" in captured.err
+    assert "Bad CRC-32 for file 'table.npy'" in captured.err
     assert captured.out == first
-    assert groups.load_group(str(cached)).order == 6
+    assert cli._read_entry(str(cached)).order == 6
+
+
+_S3 = groups.named("symmetric", 3)
+_NONASSOC_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1],
+                  [4, 3, 1, 2, 0]]
+
+
+def _half(path):
+    path.write_bytes(path.read_bytes()[:path.stat().st_size // 2])
+
+
+# each way an entry can be corrupt or foreign, and the reason the note gives
+_CORRUPT_ENTRIES = {
+    "truncated": (_half, "File is not a zip file"),
+    "garbage": (lambda path: path.write_bytes(bytes(range(256)) * 4), "pickled"),
+    "pickled objects": (lambda path: save_entry(
+        path, table=np.array(_S3.table.tolist(), dtype=object), name=_S3.name),
+        "Object arrays cannot be loaded when allow_pickle=False"),
+    "no name": (lambda path: save_entry(path, table=_S3.table),
+                "'name is not a file in the archive'"),
+    "no table": (lambda path: save_entry(path, name=_S3.name),
+                 "'table is not a file in the archive'"),
+    "float table": (lambda path: save_entry(path, table=_S3.table.astype(float),
+                                            name=_S3.name),
+                    "table entries must be integers, got dtype float64"),
+    "entry out of range": (lambda path: save_entry(
+        path, table=np.where(_S3.table == 5, 6, _S3.table), name=_S3.name),
+        "is outside 0..5"),
+    "not associative": (lambda path: save_entry(path, table=np.array(_NONASSOC_LOOP),
+                                                name="loop"),
+                        "associativity fails"),
+    "bare npy array": (lambda path: save_entry(path, table=_S3.table, bare=True),
+                       "not an .npz archive"),
+    "name array": (lambda path: save_entry(path, table=_S3.table,
+                                           name=np.array([_S3.name])),
+                   "name is a <U12 array of shape (1,)"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CORRUPT_ENTRIES))
+def test_corrupt_cache_entries_are_rebuilt(tmp_path, capsys, case):
+    corrupt, reason = _CORRUPT_ENTRIES[case]
+    argv = ["group", "symmetric", "3", "--cache-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    cached = tmp_path / "symmetric-3.npz"
+    corrupt(cached)
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"note: rebuilding stale cache {cached}: ")
+    assert reason in captured.err
+    assert captured.out == cold
+    assert cli._read_entry(str(cached)).name == "symmetric(3)"
+    assert [p.name for p in tmp_path.iterdir()] == ["symmetric-3.npz"]
+
+
+def test_stale_group_files_are_ignored(tmp_path, capsys):
+    # a text entry an earlier version left is neither read nor removed, even
+    # one that holds a valid group of the same order
+    argv = ["group", "symmetric", "3", "--cache-dir", str(tmp_path / "fresh")]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    cache_dir = tmp_path / "c"
+    cache_dir.mkdir()
+    stale = cache_dir / "symmetric-3.grp"
+    groups.save_group(groups.named("cyclic", 6), str(stale))
+    text = stale.read_text()
+    assert cli.main(argv[:-1] + [str(cache_dir)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+    assert stale.read_text() == text
+    assert sorted(p.name for p in cache_dir.iterdir()) == ["symmetric-3.grp",
+                                                          "symmetric-3.npz"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -711,7 +796,7 @@ def test_file_spec_commands_use_the_cache(tmp_path, capsys, argv):
         assert cli.main(full) == 0
         assert capsys.readouterr().out == first
     names = sorted(p.name for p in cache_dir.iterdir())
-    assert names and all(name.endswith(".grp") for name in names), names
+    assert names and all(name.endswith(".npz") for name in names), names
 
 
 def test_irrep_cache_is_keyed_by_group(tmp_path, capsys):
@@ -728,7 +813,7 @@ def test_irrep_cache_is_keyed_by_group(tmp_path, capsys):
     assert cli.main(["irreps", "symmetric", "3", "--cache-dir", str(cache_dir)]) == 0
     outputs.append(capsys.readouterr().out)
     assert outputs[0] and outputs.count(outputs[0]) == 3
-    assert sorted(p.name for p in cache_dir.iterdir()) == ["symmetric-3.grp"]
+    assert sorted(p.name for p in cache_dir.iterdir()) == ["symmetric-3.npz"]
 
 
 def test_stale_irrep_files_are_ignored(tmp_path, capsys):
@@ -756,7 +841,7 @@ def test_cache_dir_defaults_to_dot_quasirep(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("QUASIREP_CACHE", str(tmp_path / "envcache"))
     assert cli.main(["group", "cyclic", "4"]) == 0
     capsys.readouterr()
-    assert (tmp_path / ".quasirep" / "cyclic-4.grp").exists()
+    assert (tmp_path / ".quasirep" / "cyclic-4.npz").exists()
     assert not (tmp_path / "envcache").exists()
 
 

@@ -200,3 +200,19 @@ def test_expansion_json_round_trip():
     payload = json.loads(json.dumps(expansion.to_json_dict()))
     assert payload == expansion.to_json_dict()
     assert set(payload) == {"d_rho", "d_psi", "coefficients"}
+
+
+def test_an_expansion_is_read_only_and_hashes_by_its_dimensions():
+    expansion = twirl.twirl_exact(6, 3)
+    with pytest.raises(TypeError):
+        expansion.coefficients["e"] = 0.0
+    assert expansion == twirl.twirl_exact(6, 3)
+    # the coefficients are left out of the hash, so equal expansions hash alike
+    assert hash(expansion) == hash((6, 3)) == hash(twirl.twirl_exact(6, 3))
+    assert len({expansion, twirl.twirl_exact(6, 3)}) == 1
+    # the expansion keeps a copy of the mapping it was built from
+    coefficients = dict(expansion.coefficients)
+    copy = twirl.TwirlExpansion(6, 3, coefficients)
+    coefficients["e"] = 0.0
+    assert copy == expansion and copy.coefficients["e"] == expansion.coefficients["e"]
+    assert json.dumps(copy.to_json_dict()) == json.dumps(expansion.to_json_dict())
