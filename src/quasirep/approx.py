@@ -14,9 +14,10 @@ dimension d_min.
 
 defect_direct adds the exact-agreement fraction, a property of each pair,
 from one of three scans over all |G|^2 pairs or a certificate that bounds
-them all, at an agreement tolerance of
-at least _TOL_FLOOR = 1e-11: below the roundoff of a genuine
-representation's products a threshold counts the arithmetic, not psi. When
+them all. A pair agrees when its residual ||psi(xy) - psi(x) psi(y)||_F is
+at most AGREEMENT_TOL = 1e-9, a fixed constant like every other threshold
+here: it absorbs roundoff (at most 7.3e-13 per pair on a genuine irrep) and
+nothing more. When
 psi takes only k distinct matrices V_1..V_k with k^3 <= n^2 (sign
 functions, maps between groups lifted through an irrep, irreps whose matrices
 repeat bitwise on the cosets of a kernel), the histogram scan counts the
@@ -26,20 +27,20 @@ are both exact. Otherwise the screened scan first takes the real part of a
 bilinear Freivalds fingerprint S = u' psi(x) psi(y) r - u' psi(xy) r of
 every pair for fixed unit vectors u and r, at O(n^2 d) cost: one real
 product of width 2 d per chunk of rows. Since |Re S| <= |S| <= ||D||_F, no
-pair within the agreement tolerance fails the screen, so multiplying out only
+agreeing pair fails the screen, so multiplying out only
 the survivors, read off each chunk's flat indices, and checking each on its
 own difference gives the same count whatever u and r are; they are drawn
 once per d. Near a genuine representation, where the spectral formula
 cancels, a certificate comes first: from the n |S| generator products alone
 it bounds every pair's residual by
 B = c^(D+1) (D eps (1 + c) + eps0), D the depth of the Cayley tree (see
-_agreement_bound). When B is within both the agreement tolerance and
-AGREEMENT_TOL every pair agrees and the defect, at most B^2 <= 1e-18, reads
-0.0; otherwise the full scan forms every product, and its sum of per-pair
-squares is the defect. After the screened scan the defect is the spectral
-one. The certificate and the full scan share one blocked loop with
-UnitaryRep.validate, irreps._right_residuals. Every pair temporary is sized
-by irreps._BLOCK_ENTRIES.
+_agreement_bound). When B is within AGREEMENT_TOL every pair agrees and the
+defect, at most B^2 <= 1e-18, reads 0.0; otherwise the full scan forms
+every product, and its sum of per-pair squares is the defect. After the
+screened scan the defect is the spectral one. The certificate and the full
+scan share one blocked loop with UnitaryRep.validate,
+irreps._right_residuals. Every pair temporary is sized by
+irreps._BLOCK_ENTRIES.
 
 Constructions: compressions of an irrep to a subspace (exact defect
 2 d_psi (1 - sqrt(d_psi / d_rho))), their elementwise unitary polar parts
@@ -77,7 +78,6 @@ from .sampling import haar_basis
 
 __all__ = [
     "AGREEMENT_TOL",
-    "check_agreement_tol",
     "PolarFunction",
     "DefectReport",
     "defect_direct",
@@ -96,11 +96,10 @@ __all__ = [
     "beating_random_threshold",
 ]
 
-# default Frobenius threshold under which psi(xy) and psi(x) psi(y) agree
+# Frobenius threshold under which psi(xy) and psi(x) psi(y) agree
 AGREEMENT_TOL = 1e-9
-# smallest agreement threshold: 14 times the largest per-pair residual of a
-# genuine irrep (7.3e-13, dihedral 350); below it the count measures roundoff
-_TOL_FLOOR = 1e-11
+# its square, the bound on a pair's squared residual
+_AGREEMENT_TOL_SQ = AGREEMENT_TOL * AGREEMENT_TOL
 # cap on ||E psi' psi - 1||_F for admissibility, and on a minor's mean error
 _ADMISSIBILITY = 1e-8
 # singular values below this make a matrix rank deficient for the polar part
@@ -138,13 +137,12 @@ class DefectReport:
     defect_direct it is the histogram scan's exact sum where psi takes few
     distinct matrices (k^3 <= n^2). Where the spectral formula would cancel
     (genuine irreps and near-representations) it reads 0.0 when the
-    certificate bounds every pair's residual by B within both the agreement
-    tolerance and AGREEMENT_TOL = 1e-9, the true value lying in
-    [0, B^2] <= 1e-18, and else is the full scan's sum of per-pair
-    squares. Elsewhere the screened scan gives only the agreement, and the
-    defect is the spectral one. The triple trace, mean_opnorm, both bounds
-    and the admissibility residual come from the spectral route in all
-    cases.
+    certificate bounds every pair's residual by B within AGREEMENT_TOL =
+    1e-9, the true value lying in [0, B^2] <= 1e-18, and else is the full
+    scan's sum of per-pair squares. Elsewhere the screened scan gives only
+    the agreement, and the defect is the spectral one. The triple trace,
+    mean_opnorm, both bounds and the admissibility residual come from the
+    spectral route in all cases.
 
     blocks holds the transform blocks W_rho = E psi(x) (x) rho(x) that the
     triple trace came from, aligned with table.irreps, so that a caller
@@ -180,7 +178,7 @@ def _product_residuals(stack: np.ndarray, i: np.ndarray, j: np.ndarray,
     return out
 
 
-def _full_scan(psi: MatrixFunction, agreement_tol: float) -> tuple[float, float]:
+def _full_scan(psi: MatrixFunction) -> tuple[float, float]:
     """(mean squared Frobenius defect, exact-agreement fraction) over every pair.
 
     irreps._right_residuals, the loop of UnitaryRep.validate and the
@@ -191,22 +189,21 @@ def _full_scan(psi: MatrixFunction, agreement_tol: float) -> tuple[float, float]
     chunk = _block_rows(n * psi.dim * psi.dim)
     total = 0.0
     agree = 0
-    tol2 = agreement_tol * agreement_tol
     for y0 in range(0, n, chunk):
         # agreement is decided on the per-pair difference: the expanded
-        # moment form would cancel far above the tol2 threshold
+        # moment form would cancel far above the threshold
         sq = _right_residuals(psi.group, psi.matrices, range(y0, min(n, y0 + chunk)))
         total += float(sq.sum())
-        agree += np.count_nonzero(sq <= tol2)
+        agree += np.count_nonzero(sq <= _AGREEMENT_TOL_SQ)
     return total / (n * n), agree / (n * n)
 
 
-def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
+def _screened_agreement(psi: MatrixFunction) -> float:
     """Exact-agreement fraction, multiplying out only the pairs a screen keeps.
 
     The fingerprint S(x, y) = u' (psi(x) psi(y) - psi(xy)) r has
     |Re S| <= |S| <= ||psi(x) psi(y) - psi(xy)||_F, so a pair with |Re S|
-    above agreement_tol (plus a roundoff margin) cannot agree. Re S is
+    above AGREEMENT_TOL (plus a roundoff margin) cannot agree. Re S is
     Re a(x) Re b(y) - Im a(x) Im b(y) - Re f(xy), one real product of width
     2 d per chunk of rows; the survivors of a chunk are read off its flat
     indices, and a chunk with none costs no more.
@@ -223,9 +220,8 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
     # d eps (||psi(x)|| ||psi(y)|| + ||psi(xy)||) of its exact value,
     # whatever u and r are; top bounds every Frobenius norm
     top = float(np.sqrt(_squared_frobenius(mats).max()))
-    margin = agreement_tol + _SCREEN_ROUNDOFF * (top * top + top)
+    margin = AGREEMENT_TOL + _SCREEN_ROUNDOFF * (top * top + top)
     agree = 0
-    tol2 = agreement_tol * agreement_tol
     chunk = _block_rows(n)      # (rows, n) fingerprints, d^2 narrower than products
     for x0 in range(0, n, chunk):
         s = left[x0:x0 + chunk] @ right
@@ -235,7 +231,8 @@ def _screened_agreement(psi: MatrixFunction, agreement_tol: float) -> float:
         if keep.any():
             xs, ys = np.divmod(np.flatnonzero(keep), n)
             xs += x0
-            agree += int((_product_residuals(mats, xs, ys, table[xs, ys]) <= tol2).sum())
+            sq = _product_residuals(mats, xs, ys, table[xs, ys])
+            agree += int((sq <= _AGREEMENT_TOL_SQ).sum())
     return agree / (n * n)
 
 
@@ -310,8 +307,8 @@ def _value_labels(psi: MatrixFunction) -> tuple[np.ndarray, np.ndarray] | None:
     return psi.matrices[first], labels
 
 
-def _histogram_scan(psi: MatrixFunction, values: np.ndarray, labels: np.ndarray,
-                    agreement_tol: float) -> tuple[float, float]:
+def _histogram_scan(psi: MatrixFunction, values: np.ndarray,
+                    labels: np.ndarray) -> tuple[float, float]:
     """(mean squared Frobenius defect, exact-agreement fraction) from value triples.
 
     N[i, j, m] counts the pairs with psi(x) = V_i, psi(y) = V_j and
@@ -328,8 +325,7 @@ def _histogram_scan(psi: MatrixFunction, values: np.ndarray, labels: np.ndarray,
     seen = np.flatnonzero(counts)
     sq = _product_residuals(values, *np.unravel_index(seen, (k, k, k)))
     hits = counts[seen]
-    tol2 = agreement_tol * agreement_tol
-    return float(hits @ sq) / (n * n), int(hits[sq <= tol2].sum()) / (n * n)
+    return float(hits @ sq) / (n * n), int(hits[sq <= _AGREEMENT_TOL_SQ].sum()) / (n * n)
 
 
 def _spectral_report(psi: MatrixFunction,
@@ -381,20 +377,12 @@ def _spectral_report(psi: MatrixFunction,
     return report, positive
 
 
-def check_agreement_tol(agreement_tol: float) -> None:
-    """Raise ValueError unless the agreement tolerance is finite and at least 1e-11."""
-    if not _TOL_FLOOR <= agreement_tol < np.inf:
-        raise ValueError(f"agreement tolerance must be finite and at least "
-                         f"{_TOL_FLOOR:g}, got {agreement_tol}")
-
-
-def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
-                  agreement_tol: float = AGREEMENT_TOL) -> DefectReport:
+def defect_direct(psi: MatrixFunction, table: IrrepTable | None) -> DefectReport:
     """Exact agreement over all pairs, the defect, and the bounds.
 
-    A pair (x, y) agrees when ||psi(xy) - psi(x) psi(y)||_F <= agreement_tol,
-    which must be finite and at least 1e-11, above the roundoff of a genuine
-    representation's products. One of these runs:
+    A pair (x, y) agrees when ||psi(xy) - psi(x) psi(y)||_F <= AGREEMENT_TOL
+    = 1e-9, far above the roundoff of a genuine representation's products.
+    One of these runs:
 
     - the histogram scan, when psi takes k distinct matrices with
       k^3 <= n^2 (sign functions, maps between groups lifted through an
@@ -407,11 +395,9 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
       cancels (to about 1e-13 near a genuine representation), the
       certificate: the generator residuals, unitarity residuals and Cayley
       tree depth bound every pair's residual by B (_agreement_bound), at
-      n |S| products. When B is within both agreement_tol and
-      AGREEMENT_TOL = 1e-9, every pair agrees and the defect, at most
-      B^2 <= 1e-18, reads 0.0; a looser tolerance certifies nothing more,
-      so a near-representation keeps its measured defect. Otherwise the
-      full scan forms every product;
+      n |S| products. When B is within AGREEMENT_TOL, every pair agrees
+      and the defect, at most B^2 <= 1e-18, reads 0.0. Otherwise the full
+      scan forms every product;
     - otherwise the screened scan, which takes a bilinear fingerprint of
       every pair that no agreeing pair can fail and decides each survivor
       on its own difference, so the agreement is exact and does not depend
@@ -421,18 +407,17 @@ def defect_direct(psi: MatrixFunction, table: IrrepTable | None,
     the full scan's sum of per-pair squares, or the spectral one after the
     screened scan. Every other field is the spectral one.
     """
-    check_agreement_tol(agreement_tol)
     report, positive = _spectral_report(psi, table)
     few = _value_labels(psi)
     if few is not None:
-        defect, agreement = _histogram_scan(psi, *few, agreement_tol)
+        defect, agreement = _histogram_scan(psi, *few)
     elif report.defect > _CANCELLATION * positive:
-        return replace(report, agreement_prob=_screened_agreement(psi, agreement_tol))
-    elif _agreement_bound(psi) <= min(agreement_tol, AGREEMENT_TOL):
+        return replace(report, agreement_prob=_screened_agreement(psi))
+    elif _agreement_bound(psi) <= AGREEMENT_TOL:
         # every pair agrees, and the defect, at most B^2 <= 1e-18, reads 0
         defect, agreement = 0.0, 1.0
     else:
-        defect, agreement = _full_scan(psi, agreement_tol)
+        defect, agreement = _full_scan(psi)
     return replace(report, defect=defect, normalized_defect=defect / (2.0 * psi.dim),
                    agreement_prob=agreement)
 

@@ -22,8 +22,6 @@ import zlib
 import numpy as np
 
 from .approx import (
-    AGREEMENT_TOL,
-    check_agreement_tol,
     defect_direct,
     minor_construction,
     polar_construction,
@@ -68,7 +66,7 @@ def _emit(args, payload, text: str | None = None) -> None:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        write_atomic(args.out, [text])
+        write_atomic(args.out, text.encode("utf-8"))
 
 
 # what np.load, the archive's keys and from_table raise on a corrupt or
@@ -199,7 +197,6 @@ def cmd_irreps(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    check_agreement_tol(args.tolerance)
     g = _group_from_spec(args.group, args.cache_dir)
     table = decompose(g, seed=args.seed)
     # a selection that can give no cell is refused; an empty --dpsi range
@@ -232,7 +229,7 @@ def cmd_sweep(args) -> int:
                                              seed=[seed, ri, d_psi])
                 else:
                     psi = polar_construction(rho, d_psi, seed=[seed, ri, d_psi])
-                rep = defect_direct(psi, table, agreement_tol=args.tolerance)
+                rep = defect_direct(psi, table)
                 ratio = d_psi / rho.dim
                 cell = {
                     "group": g.name, "construction": args.construction,
@@ -402,9 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to irreps of this dimension")
     p.add_argument("--seeds", type=_positive_int, default=1,
                    help="replicates per (irrep, d_psi) cell")
-    p.add_argument("--tolerance", type=float, default=AGREEMENT_TOL,
-                   help="Frobenius threshold under which a pair counts as "
-                        f"agreeing (default {AGREEMENT_TOL:g})")
     add_format(p, "csv", "json")
     p.set_defaults(func=cmd_sweep)
 

@@ -525,7 +525,7 @@ def save_group(group: FiniteGroup, path: str) -> None:
             raise ValueError(f"group name {group.name!r} holds the line break {brk!r}")
     rows = _table_rows(group.table)
     header = f"{GROUP_MAGIC}\nname={group.name}\norder={group.order}\n"
-    write_atomic(path, [header, rows.decode("ascii")])
+    write_atomic(path, header.encode("utf-8") + rows)
     # the rendered rows give _digest's value; storing it in the cached
     # property's slot spares group_hash rendering them again
     if "_digest" not in vars(group):

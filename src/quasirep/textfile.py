@@ -5,27 +5,23 @@ from __future__ import annotations
 
 import contextlib
 import os
-from collections.abc import Iterable
 
 from .errors import FileFormatError
 
 __all__ = ["write_atomic", "read_lines"]
 
 
-def write_atomic(path: str, chunks: Iterable[str] | bytes) -> None:
-    """Write bytes, or the text chunks in order, to a temp file, then rename
-    it over path.
+def write_atomic(path: str, data: bytes) -> None:
+    """Write data to a temp file, then rename it over path.
 
-    Chunks are written as they are produced, so a generator keeps only one
-    chunk of a large file in memory. When the write or the rename fails, the
-    temp file is removed and the error re-raised; an OS error is re-raised
-    as the same error type naming only path, since the temp file is gone.
+    When the write or the rename fails, the temp file is removed and the
+    error re-raised; an OS error is re-raised as the same error type naming
+    only path, since the temp file is gone.
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        binary = isinstance(chunks, bytes)
-        with open(tmp, "wb" if binary else "w") as fh:
-            fh.writelines([chunks] if binary else chunks)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):

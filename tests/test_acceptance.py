@@ -185,8 +185,8 @@ def test_a5_pruned_block_margin_is_the_exhaustive_maximum(seed):
 def test_a3_catches_a_scan_defect_off_by_a_part_in_a_million(ctx, monkeypatch):
     honest = approx._full_scan
 
-    def off(psi, agreement_tol):
-        defect, agreement = honest(psi, agreement_tol)
+    def off(psi):
+        defect, agreement = honest(psi)
         return defect * (1.0 + 1e-6), agreement
 
     monkeypatch.setattr(approx, "_full_scan", off)

@@ -183,21 +183,17 @@ def spy_scans(monkeypatch):
     return scans
 
 
-SCAN_TOLERANCES = (1e-9, 1e-6, 1e-3, 0.5, 10.0)
-
-
 @pytest.mark.parametrize("spec", [("symmetric", 3), ("quaternion8",), ("alternating", 4),
                                   ("alternating", 5)])
 def test_pair_scan_matches_brute_force(spec, monkeypatch):
     g = groups.named(*spec)
     table = irreps.decompose(g)
     scans = spy_scans(monkeypatch)
-    # the scan each input must take, which no tolerance changes. The
-    # few-valued inputs take the histogram: sign functions (k = 2) and, in
-    # these four groups, the 1-dim irreps (k <= 3, so k^3 <= n^2), while
-    # every higher irrep is faithful (k = n) and is certified from its
-    # generators. Irreps plus 1e-7 or 1e-5 noise are not certified at any
-    # tolerance, however loose, and take the full scan. Many-valued
+    # the scan each input must take. The few-valued inputs take the
+    # histogram: sign functions (k = 2) and, in these four groups, the 1-dim
+    # irreps (k <= 3, so k^3 <= n^2), while every higher irrep is faithful
+    # (k = n) and is certified from its generators. Irreps plus 1e-7 or
+    # 1e-5 noise are not certified and take the full scan. Many-valued
     # functions away from a representation, at d = 1 too, take the
     # screened scan
     top = max(r.dim for r in table)
@@ -215,35 +211,35 @@ def test_pair_scan_matches_brute_force(spec, monkeypatch):
     for label, psi in scan_cases(g, table):
         sq, triple = brute_force_pairs(psi)
         defect = float(sq.sum()) / n2
-        for tol in SCAN_TOLERANCES:
-            with warnings.catch_warnings():
-                # irreps plus noise are not admissible
-                warnings.simplefilter("ignore", RuntimeWarning)
-                scans.clear()
-                report = approx.defect_direct(psi, table, agreement_tol=tol)
-            agreement = int((sq <= tol * tol).sum()) / n2
-            if label in pinned:
-                assert scans == pinned[label], (label, tol)
-            assert report.agreement_prob == agreement, (label, tol)
-            if scans == ["_agreement_bound"]:
-                # certified: B is within 1e-9, so the defect reads 0 and the
-                # true one is at most B^2 <= 1e-18
-                assert report.defect == 0.0
-                assert defect <= approx._agreement_bound(psi) ** 2 <= 1e-18, (label, tol)
-            else:
-                assert report.defect == pytest.approx(defect, rel=1e-7, abs=1e-24), (label, tol)
-            if label.startswith("genuine"):
-                assert agreement == 1.0
-            elif label == "perturbed f=0.1" and tol == approx.AGREEMENT_TOL:
-                assert 0.0 < agreement < 1.0
+        with warnings.catch_warnings():
+            # irreps plus noise are not admissible
+            warnings.simplefilter("ignore", RuntimeWarning)
+            scans.clear()
+            report = approx.defect_direct(psi, table)
+        agreement = int((sq <= approx.AGREEMENT_TOL ** 2).sum()) / n2
+        if label in pinned:
+            assert scans == pinned[label], label
+        assert report.agreement_prob == agreement, label
+        if scans == ["_agreement_bound"]:
+            # certified: B is within 1e-9, so the defect reads 0 and the
+            # true one is at most B^2 <= 1e-18
+            assert report.defect == 0.0
+            assert defect <= approx._agreement_bound(psi) ** 2 <= 1e-18, label
+        else:
+            assert report.defect == pytest.approx(defect, rel=1e-7, abs=1e-24), label
+        if label.startswith("genuine"):
+            assert agreement == 1.0
+        elif label == "perturbed f=0.1":
+            assert 0.0 < agreement < 1.0
         assert report.triple_trace == pytest.approx(triple, abs=1e-12), label
 
 
-def test_the_tolerance_floor_sits_above_roundoff_and_still_discriminates():
-    # genuine irreps agree on every pair at the floor: those of dim >= 2 of
-    # psl2(7), in their own basis and Haar-rotated as a sweep's d_psi =
-    # d_rho rows are, psl2(11)'s 5-dim pair, and 2-dim irreps of dihedral
-    # 350, whose Cayley tree is the deepest
+def test_the_threshold_sits_far_above_roundoff_and_still_discriminates():
+    # genuine irreps, whose per-pair residuals are roundoff a thousand times
+    # below 1e-9: those of dim >= 2 of psl2(7), in their own basis and
+    # Haar-rotated as a sweep's d_psi = d_rho rows are, psl2(11)'s 5-dim
+    # pair, and 2-dim irreps of dihedral 350, whose Cayley tree is the
+    # deepest
     p7 = irreps.decompose(groups.named("psl2", 7))
     p11 = irreps.decompose(groups.named("psl2", 11))
     d350 = irreps.decompose(groups.named("dihedral", 350))
@@ -253,13 +249,17 @@ def test_the_tolerance_floor_sits_above_roundoff_and_still_discriminates():
                         for r in p7 if r.dim >= 2]
     assert len(inputs) == 20
     for psi in inputs:
-        assert approx._full_scan(psi, approx._TOL_FLOOR)[1] == 1.0, psi.dim
-    # one matrix shifted by 1e-10 breaks the pairs through it
+        m, t = psi.matrices, psi.group.table
+        worst = max(float((np.abs(m[t[x]] - m[x] @ m) ** 2).sum(axis=(1, 2)).max())
+                    for x in range(psi.group.order))
+        assert np.sqrt(worst) <= 1e-3 * approx.AGREEMENT_TOL, psi.dim
+        assert approx._full_scan(psi)[1] == 1.0, psi.dim
+    # one matrix shifted by 1e-8 breaks the pairs through it
     rho = irrep_of_dim(p7, 3)
     mats = rho.matrices.copy()
-    mats[1] += 1e-10
+    mats[1] += 1e-8
     shifted = irreps.MatrixFunction(rho.group, 3, mats)
-    assert approx._full_scan(shifted, approx._TOL_FLOOR)[1] < 1.0 - 2.0 / rho.group.order
+    assert approx._full_scan(shifted)[1] < 1.0 - 2.0 / rho.group.order
 
 
 CERTIFIED_GROUPS = [("alternating", 5), ("psl2", 7), ("sl2", 7), ("alternating", 6),
@@ -271,7 +271,7 @@ def test_the_certificate_agrees_with_the_full_scan(spec, monkeypatch):
     # every irrep of dim >= 2 of the ladder groups, and the first 8 of
     # dihedral 350, whose Cayley tree is the deepest (176 layers), in its
     # own basis and Haar-rotated as a sweep's d_psi = d_rho rows are: each
-    # is certified at the default tolerance, and the full scan confirms
+    # is certified, and the full scan confirms
     # every pair agrees with a defect within B^2
     table = irreps.decompose(groups.named(*spec))
     genuine = [r for r in table if r.dim >= 2][:8]
@@ -283,32 +283,10 @@ def test_the_certificate_agrees_with_the_full_scan(spec, monkeypatch):
             report = approx.defect_direct(psi, table)
             assert scans == ["_agreement_bound"], (i, rho.dim)
             bound = approx._agreement_bound(psi)
-            defect, agreement = approx._full_scan(psi, approx.AGREEMENT_TOL)
+            defect, agreement = approx._full_scan(psi)
             assert (report.agreement_prob, report.defect) == (agreement, 0.0) == (1.0, 0.0)
             assert 0.0 < bound <= 1e-10, (i, rho.dim)
             assert defect <= bound ** 2, (i, rho.dim)
-
-
-def test_at_the_floor_dihedral_350_falls_back_to_the_full_scan(monkeypatch):
-    # B grows with the depth of the Cayley tree: up to about 1e-10 at
-    # dihedral 350's 176 layers, mostly above the 1e-11 floor, where the
-    # full scan decides. Below B the certificate still stands
-    table = irreps.decompose(groups.named("dihedral", 350))
-    scans = spy_scans(monkeypatch)
-    fallbacks = 0
-    for rho in [r for r in table if r.dim == 2][:8]:
-        bound = approx._agreement_bound(rho)
-        assert bound <= approx.AGREEMENT_TOL
-        scans.clear()
-        report = approx.defect_direct(rho, table, agreement_tol=approx._TOL_FLOOR)
-        assert report.agreement_prob == 1.0
-        if bound > approx._TOL_FLOOR:
-            fallbacks += 1
-            assert scans == ["_agreement_bound", "_full_scan"]
-            assert 0.0 < report.defect <= bound ** 2
-        else:
-            assert scans == ["_agreement_bound"] and report.defect == 0.0
-    assert fallbacks >= 5
 
 
 def test_a_shifted_element_is_not_certified(a5_table, monkeypatch):
@@ -325,7 +303,7 @@ def test_a_shifted_element_is_not_certified(a5_table, monkeypatch):
         warnings.simplefilter("ignore", RuntimeWarning)
         report = approx.defect_direct(psi, a5_table)
     assert scans == ["_agreement_bound", "_full_scan"]
-    defect, agreement = approx._full_scan(psi, approx.AGREEMENT_TOL)
+    defect, agreement = approx._full_scan(psi)
     assert (report.defect, report.agreement_prob) == (defect, agreement)
     assert agreement < 1.0
 
@@ -359,14 +337,6 @@ def test_an_ill_conditioned_representation_overflows_the_bound(monkeypatch):
     assert report.agreement_prob == 1.0
 
 
-@pytest.mark.parametrize("tol", [0.0, 1e-12])
-def test_tolerances_below_the_floor_are_refused(a5_table, tol):
-    psi = approx.random_sign_function(a5_table.group, seed=1)
-    with pytest.raises(ValueError, match="at least 1e-11"):
-        approx.defect_direct(psi, a5_table, agreement_tol=tol)
-    assert approx.defect_direct(psi, a5_table, agreement_tol=1e-11).agreement_prob > 0.0
-
-
 def few_valued_cases(a6_table):
     """(label, psi, table) for functions that take k^3 <= n^2 distinct matrices."""
     s3_table = irreps.decompose(groups.named("symmetric", 3))
@@ -395,14 +365,13 @@ def few_valued_cases(a6_table):
 def test_histogram_scan_matches_the_full_scan(monkeypatch, a6_table):
     scans = spy_scans(monkeypatch)
     for label, psi, table in few_valued_cases(a6_table):
-        for tol in (approx.AGREEMENT_TOL, 0.5):
-            scans.clear()
-            report = approx.defect_direct(psi, table, agreement_tol=tol)
-            assert scans == ["_histogram_scan"], (label, tol)
-            defect, agreement = approx._full_scan(psi, tol)
-            assert report.agreement_prob == agreement, (label, tol)
-            assert report.defect == pytest.approx(defect, abs=1e-12), (label, tol)
-            assert report.normalized_defect == report.defect / (2 * psi.dim)
+        scans.clear()
+        report = approx.defect_direct(psi, table)
+        assert scans == ["_histogram_scan"], label
+        defect, agreement = approx._full_scan(psi)
+        assert report.agreement_prob == agreement, label
+        assert report.defect == pytest.approx(defect, abs=1e-12), label
+        assert report.normalized_defect == report.defect / (2 * psi.dim)
 
 
 def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):
@@ -414,9 +383,9 @@ def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):
     for k, route in ((50, "_histogram_scan"), (51, "_screened_agreement")):
         psi = irreps.MatrixFunction(a6, 2, values[np.arange(a6.order) % k])
         scans.clear()
-        report = approx.defect_direct(psi, table, agreement_tol=0.5)
+        report = approx.defect_direct(psi, table)
         assert scans == [route], k
-        assert report.agreement_prob == approx._full_scan(psi, 0.5)[1], k
+        assert report.agreement_prob == approx._full_scan(psi)[1], k
     # labels come from a projection of the bits; when it merges distinct
     # matrices the bitwise check refuses them and the other scans run
     monkeypatch.setattr(approx, "_BIT_MIX", np.uint64(0))
@@ -424,7 +393,7 @@ def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):
     scans.clear()
     report = approx.defect_direct(sign, table)
     assert scans == ["_screened_agreement"]
-    assert report.agreement_prob == approx._full_scan(sign, approx.AGREEMENT_TOL)[1]
+    assert report.agreement_prob == approx._full_scan(sign)[1]
 
 
 @pytest.mark.parametrize("spec,dim", [(("alternating", 6), 8), (("psl2", 11), 5)])
@@ -452,13 +421,12 @@ def test_multi_chunk_scans_match_a_row_reference(spec, dim):
         m = psi.matrices
         sq = np.array([(np.abs(m[t[x]] - m[x] @ m) ** 2).sum(axis=(1, 2))
                        for x in range(g.order)])
-        for tol in (approx.AGREEMENT_TOL, 0.5):
-            agreement = int((sq <= tol * tol).sum()) / n2
-            defect, full = approx._full_scan(psi, tol)
-            assert full == agreement, (psi.dim, tol)
-            assert approx._screened_agreement(psi, tol) == agreement, (psi.dim, tol)
-            # the genuine irrep's defect is roundoff, hence the absolute floor
-            assert defect == pytest.approx(float(sq.sum()) / n2, rel=1e-9, abs=1e-24)
+        agreement = int((sq <= approx.AGREEMENT_TOL ** 2).sum()) / n2
+        defect, full = approx._full_scan(psi)
+        assert full == agreement, psi.dim
+        assert approx._screened_agreement(psi) == agreement, psi.dim
+        # the genuine irrep's defect is roundoff, hence the absolute floor
+        assert defect == pytest.approx(float(sq.sum()) / n2, rel=1e-9, abs=1e-24)
 
 
 @pytest.mark.parametrize("spec,dim,budgets", [
@@ -493,10 +461,10 @@ def test_right_residuals_keep_every_product_within_the_budget(monkeypatch, spec,
         got = irreps._right_residuals(g, m, g.generators)
         np.testing.assert_allclose(got, sq[list(g.generators)], rtol=1e-12, atol=1e-24)
         sizes.clear()
-        defect, agreement = approx._full_scan(psi, 0.5)
+        defect, agreement = approx._full_scan(psi)
         assert max(sizes) <= budget, budget
         assert defect == pytest.approx(sq.sum() / n ** 2, rel=1e-12)
-        assert agreement == np.count_nonzero(sq <= 0.25) / n ** 2
+        assert agreement == np.count_nonzero(sq <= approx.AGREEMENT_TOL ** 2) / n ** 2
 
 
 def test_the_full_scan_holds_one_product_block_at_a_time():
@@ -509,7 +477,7 @@ def test_the_full_scan_holds_one_product_block_at_a_time():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        defect, agreement = approx._full_scan(rho, approx.AGREEMENT_TOL)
+        defect, agreement = approx._full_scan(rho)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -519,20 +487,19 @@ def test_the_full_scan_holds_one_product_block_at_a_time():
 
 def test_the_screen_keeps_every_agreeing_pair_at_the_tolerance_boundary(a5_table,
                                                                        monkeypatch):
-    # three matrices of a genuine irrep move by 1e-6 in Frobenius norm, so a
-    # pair through exactly one of them has residual 1e-6 and the others
-    # roundoff or more: tolerances a part in a million either side of 1e-6
-    # split those pairs, and at both the screened count is the full scan's,
-    # with every agreeing pair among those the screen kept. A fourth matrix
-    # flips sign, so the screen has pairs far from agreeing to drop
+    # three matrices of a genuine irrep move by a part in ten thousand
+    # either side of 1e-9 in Frobenius norm, so a pair through exactly one
+    # of them has residual just within or just beyond the threshold, and
+    # the others roundoff or more: the two shifts split those pairs, and at
+    # both the screened count is the full scan's, with every agreeing pair
+    # among those the screen kept. The shift is along u r', the screen's
+    # own vectors, so a pair whose product moved has |Re S| equal to its
+    # residual and only the screen's margin keeps it. A fourth matrix flips
+    # sign, so the screen has pairs far from agreeing to drop
     rho = irrep_of_dim(a5_table, 3)
-    mats = rho.matrices.copy()
-    mats[[7, 23, 41], 0, 1] += 1e-6
-    mats[50] *= -1.0
-    psi = irreps.MatrixFunction(rho.group, 3, mats)
-    sq = brute_force_pairs(psi)[0]
-    kept = set()
+    u, r = approx._screen_vectors(3)
     honest = approx._product_residuals
+    kept = set()
 
     def spy(stack, i, j, m):
         kept.update(zip(i.tolist(), j.tolist()))
@@ -540,15 +507,20 @@ def test_the_screen_keeps_every_agreeing_pair_at_the_tolerance_boundary(a5_table
 
     monkeypatch.setattr(approx, "_product_residuals", spy)
     counts = []
-    for tol in (1e-6 * (1 - 1e-6), 1e-6 * (1 + 1e-6)):
+    for shift in (1e-9 * (1 - 1e-4), 1e-9 * (1 + 1e-4)):
+        mats = rho.matrices.copy()
+        mats[[7, 23, 41]] += shift * np.outer(u, r.conj())
+        mats[50] *= -1.0
+        psi = irreps.MatrixFunction(rho.group, 3, mats)
+        sq = brute_force_pairs(psi)[0]
         kept.clear()
-        agreeing = set(zip(*(a.tolist() for a in np.nonzero(sq <= tol * tol))))
-        agreement = approx._screened_agreement(psi, tol)
-        assert agreement == approx._full_scan(psi, tol)[1] == len(agreeing) / sq.size
+        agreeing = set(zip(*(a.tolist() for a in np.nonzero(sq <= approx.AGREEMENT_TOL ** 2))))
+        agreement = approx._screened_agreement(psi)
+        assert agreement == approx._full_scan(psi)[1] == len(agreeing) / sq.size
         assert agreeing <= kept
         assert len(kept) < sq.size
         counts.append(len(agreeing))
-    assert counts[0] < counts[1] < sq.size
+    assert sq.size > counts[0] > counts[1]
 
 
 def test_screen_vectors_do_not_change_the_report(monkeypatch, a5_table):
@@ -557,12 +529,10 @@ def test_screen_vectors_do_not_change_the_report(monkeypatch, a5_table):
               approx.minor_construction(rho, 2, subspace="haar", seed=2),
               approx.perturbed_irrep(rho, 0.1, seed=3),
               approx.haar_baseline(a5_table.group, 3, seed=4)]
-    tolerances = (approx.AGREEMENT_TOL, 0.5, 2.0)
-    reports = [approx.defect_direct(psi, a5_table, tol) for psi in inputs for tol in tolerances]
+    reports = [approx.defect_direct(psi, a5_table) for psi in inputs]
     for seed in (1, 2, 3):
         monkeypatch.setattr(approx, "_SCREEN_SEED", seed)
-        assert reports == [approx.defect_direct(psi, a5_table, tol)
-                           for psi in inputs for tol in tolerances]
+        assert reports == [approx.defect_direct(psi, a5_table) for psi in inputs]
 
 
 def test_spectral_route_skips_the_pair_scan(monkeypatch, a5_table):

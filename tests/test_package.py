@@ -17,7 +17,6 @@ from quasirep import approx, groups, homs, irreps, twirl, verify
 # every parameter with a default in the public surface; a new one fails here
 # until it is added on purpose
 OPTIONAL_PARAMETERS = {
-    "approx.defect_direct:agreement_tol",
     "approx.minor_construction:seed",
     "approx.minor_construction:subspace",
     "cli.main:argv",

@@ -5,7 +5,8 @@ degrees, the indicators, the characters as functions on elements, a map's
 agreement, and a matrix function's defect and agreement are all invariant
 under a relabelling pi, although the routes the code takes (Light's
 generators, the tree depth, the certificate's bound) follow the labels.
-Each group here is relabelled by three fixed-seed permutations.
+Each group here is relabelled by three fixed-seed permutations, and
+dihedral 350, whose named Cayley tree is the deepest, by two.
 """
 
 from __future__ import annotations
@@ -86,3 +87,31 @@ def test_transported_functions_keep_their_defect_and_agreement(case):
         after = approx.defect_direct(pair.transport(psi), table_h)
         assert after.agreement_prob == before.agreement_prob
         assert abs(after.defect - before.defect) <= 1e-12 * 2 * psi.dim
+
+
+def tree_depth(group) -> int:
+    """D, the number of non-empty layers of the group's Cayley tree."""
+    return sum(1 for children, _, _ in group.tree if len(children))
+
+
+def test_genuine_dihedral_350_irreps_are_certified_in_every_labelling():
+    # the certificate's bound grows with the Cayley tree's depth D, which
+    # follows the labels: 176 on the named group, 16 and 350 on these two
+    # relabellings. At every D each 2-dim irrep, the group's own and the
+    # named ones transported along pi, reads agreement 1.0 and defect 0.0
+    g = groups.named("dihedral", 350)
+    table_g = irreps.decompose(g)
+    named = [r for r in table_g if r.dim == 2]
+    assert len(named) == 174 and tree_depth(g) == 176
+    cases = [(rho, table_g) for rho in named]
+    for seed, depth in ((0, 16), (2, 350)):
+        pair = Relabelled(("dihedral", 350), seed)
+        assert tree_depth(pair.h) == depth
+        table_h = irreps.decompose(pair.h)
+        own = [r for r in table_h if r.dim == 2]
+        assert len(own) == 174
+        cases += [(rho, table_h) for rho in own]
+        cases += [(pair.transport(rho), table_h) for rho in named]
+    for psi, table in cases:
+        report = approx.defect_direct(psi, table)
+        assert (report.agreement_prob, report.defect) == (1.0, 0.0)
