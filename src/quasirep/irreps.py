@@ -54,9 +54,11 @@ Gram E psi' psi and its unitarity residuals, each formed once. validate
 reads the residuals there, so the agreement certificate and the battery's A1
 take them without a second pass.
 
-The package's value types (FiniteGroup, MatrixFunction, UnitaryRep,
-IrrepDegrees, IrrepTable and those of approx, homs and twirl) are frozen
-dataclasses: assigning or deleting an attribute raises FrozenInstanceError,
+The package's 14 value types are frozen dataclasses: FiniteGroup,
+MatrixFunction, UnitaryRep, IrrepDegrees and IrrepTable; approx's
+PolarFunction and DefectReport; homs' GroupMap and HomReport; twirl's
+TwirlExpansion and TwirlAudit; and verify's Comparison, CheckResult and
+RunManifest. Assigning or deleting an attribute raises FrozenInstanceError,
 an AttributeError, so nothing kept can go stale. Only constructors write,
 through object.__setattr__ (a FiniteGroup's cached digest aside), and
 dataclasses.replace builds a new value.

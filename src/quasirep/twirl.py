@@ -48,13 +48,13 @@ __all__ = [
 
 # conjugacy classes of S4 by cycle-type representative
 CLASS_NAMES = ("e", "(12)", "(123)", "(12)(34)", "(1234)")
-CLASS_REPRESENTATIVES = {
+CLASS_REPRESENTATIVES = MappingProxyType({
     "e": (0, 1, 2, 3),
     "(12)": (1, 0, 2, 3),
     "(123)": (1, 2, 0, 3),
     "(12)(34)": (1, 0, 3, 2),
     "(1234)": (1, 2, 3, 0),
-}
+})
 _TYPE_TO_NAME = {
     (1, 1, 1, 1): "e",
     (1, 1, 2): "(12)",

@@ -3,7 +3,7 @@
 Each check measures quantities with the library's own oracles and compares
 them against fixed tolerances. A manifest records every comparison with both
 sides (measured value and bound), never a bare boolean, so a failing run can
-be diagnosed from the report alone.
+be diagnosed from the report alone. Results are frozen values, built once.
 
 The fast scope (A1..A7) takes 0.43 s from a fresh interpreter on a 2-core
 machine (Python 3.11, numpy 2.4, the median of 7 runs); the full scope adds
@@ -15,9 +15,10 @@ about a tenth of a second more (0.55 s in all).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterator
+from types import MappingProxyType
 
 import numpy as np
 
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Comparison:
     """One recorded inequality or equality, with both sides kept.
 
@@ -71,6 +72,10 @@ class Comparison:
     slack: float = 0.0
     timing: bool = False
 
+    def __post_init__(self):
+        if self.relation not in ("<=", ">=", "<", "~="):
+            raise ValueError(f"unknown relation {self.relation!r}")
+
     @property
     def passed(self) -> bool:
         if self.relation == "<=":
@@ -79,9 +84,7 @@ class Comparison:
             return bool(self.measured >= self.bound - self.slack)
         if self.relation == "<":
             return bool(self.measured < self.bound)
-        if self.relation == "~=":
-            return bool(abs(self.measured - self.bound) <= self.slack)
-        raise ValueError(f"unknown relation {self.relation!r}")
+        return bool(abs(self.measured - self.bound) <= self.slack)
 
     def to_dict(self) -> dict:
         return {
@@ -95,13 +98,16 @@ class Comparison:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     check_id: str
     description: str
-    comparisons: list[Comparison]
+    comparisons: tuple[Comparison, ...]
     elapsed_s: float
     error: str | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "comparisons", tuple(self.comparisons))
 
     @property
     def passed(self) -> bool:
@@ -128,24 +134,24 @@ class CheckResult:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunManifest:
     tool: str
     scope: str
     seed: int
     generated_at: str
     wall_clock_s: float
-    checks: list[CheckResult] = field(default_factory=list)
+    checks: tuple[CheckResult, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "checks", tuple(self.checks))
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def first_failure(self) -> CheckResult | None:
-        for c in self.checks:
-            if not c.passed:
-                return c
-        return None
+        return next((c for c in self.checks if not c.passed), None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -426,6 +432,7 @@ def _largest_block_margin(blocks: tuple[np.ndarray, ...], table: IrrepTable, dim
 def _check_a5(ctx: VerifyContext) -> list[Comparison]:
     cases = 0
     min_defect_margin = np.inf
+    min_tight_margin = np.inf
     max_agree_margin = -np.inf
     max_block_margin = -np.inf
     violations = 0
@@ -435,6 +442,8 @@ def _check_a5(ctx: VerifyContext) -> list[Comparison]:
         dm = rep.defect - rep.thm1_bound
         am = rep.agreement_prob - rep.cor1_bound
         min_defect_margin = min(min_defect_margin, dm)
+        if rep.thm1_bound > 0.0:
+            min_tight_margin = min(min_tight_margin, dm)
         max_agree_margin = max(max_agree_margin, am)
         if dm < -1e-9 or am > 1e-9:
             violations += 1
@@ -450,15 +459,21 @@ def _check_a5(ctx: VerifyContext) -> list[Comparison]:
         Comparison("bound violations", "~=", float(violations), 0.0),
         Comparison("max (||E psi (x) rho|| - sqrt(d_psi/d_rho)) over the "
                    "tables' irreps", "<=", float(max_block_margin), 0.0, 1e-8),
+        # the floor is tight: the minors reach it wherever it is positive
+        Comparison("min (defect - lower bound) where the bound is positive", "~=",
+                   float(min_tight_margin), 0.0, 1e-9),
     ]
 
 
 def _check_a6(ctx: VerifyContext) -> list[Comparison]:
     table = ctx.table("alternating", 6)
     agreements = []
+    ceilings = []
     for i in range(20):
         psi = random_sign_function(table.group, seed=[ctx.seed, 6, i])
-        agreements.append(defect_direct(psi, table).agreement_prob)
+        rep = defect_direct(psi, table)
+        agreements.append(rep.agreement_prob)
+        ceilings.append(rep.cor1_bound)
     ceiling = 0.5 * (1.0 + np.sqrt(1.0 / 5.0))
     return [
         Comparison("min agreement over 20 sign functions", ">=",
@@ -467,6 +482,9 @@ def _check_a6(ctx: VerifyContext) -> list[Comparison]:
                    float(max(agreements)), 0.55),
         Comparison("max agreement vs (1 + sqrt(1/5))/2", "<=",
                    float(max(agreements)), float(ceiling), 1e-9),
+        # a balanced sign function has mean 0, so its ceiling is exactly this
+        Comparison("max |agreement ceiling - (1 + sqrt(1/5))/2|", "~=",
+                   float(max(abs(c - ceiling) for c in ceilings)), 0.0, 1e-12),
     ]
 
 
@@ -499,6 +517,15 @@ def _check_a7(ctx: VerifyContext) -> list[Comparison]:
                    float(irep.thm2_bound), 1.0, 1e-12),
         Comparison("balanced maps: min (agreement of the lift through S3's "
                    "2-dim irrep - map agreement)", ">=", float(lift_gain), 0.0),
+        # every balanced A6 -> S3 map has eps = 0, so the last one's ceilings
+        # stand for all; from S3's degrees 1, 1, 2 and A6's d_min = 5, the
+        # lift ceiling is least at d = 1 and the mass term is
+        # sum_d (d^2 / 6) sqrt(d / 5)
+        Comparison("balanced map lift ceiling vs (1 + sqrt(1/5))/2", "~=",
+                   float(rep.thm2_bound), 0.5 * (1.0 + np.sqrt(1 / 5)), 1e-12),
+        Comparison("balanced map collision ceiling vs 1/6 + (2 sqrt(1/5) + "
+                   "4 sqrt(2/5))/6", "~=", float(rep.thm3_bound),
+                   1 / 6 + (2 * np.sqrt(1 / 5) + 4 * np.sqrt(2 / 5)) / 6, 1e-12),
     ]
 
 
@@ -581,7 +608,7 @@ def _check_a10(ctx: VerifyContext) -> list[Comparison]:
     ]
 
 
-CHECKS: dict[str, tuple[str, object]] = {
+CHECKS: Mapping[str, tuple[str, object]] = MappingProxyType({
     "A1": ("irrep tables complete and orthonormal on seven groups", _check_a1),
     "A2": ("Fourier inversion round-trip and Plancherel identity", _check_a2),
     "A3": ("pair-scan defect matches the spectral formula", _check_a3),
@@ -593,7 +620,7 @@ CHECKS: dict[str, tuple[str, object]] = {
            _check_a8),
     "A9": ("polar minors at ratio 0.9 beat the random baseline", _check_a9),
     "A10": ("closed-form threshold solves bound(r) = 1", _check_a10),
-}
+})
 
 FAST_CHECK_IDS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7")
 FULL_CHECK_IDS = FAST_CHECK_IDS + ("A8", "A9", "A10")
@@ -628,17 +655,12 @@ def run_battery(scope: str = "fast", seed: int = 0,
         raise ValueError(f"scope must be 'fast' or 'full', got {scope!r}")
     ctx = VerifyContext(seed=seed)
     t0 = time.perf_counter()
-    manifest = RunManifest(
-        tool=f"quasirep {__version__}",
-        scope=scope,
-        seed=int(seed),
-        generated_at=datetime.now(timezone.utc).isoformat(),
-        wall_clock_s=0.0,
-    )
+    generated_at = datetime.now(timezone.utc).isoformat()
+    results = []
     for check_id in ids:
-        result = run_check(check_id, ctx)
-        manifest.checks.append(result)
+        results.append(run_check(check_id, ctx))
         if progress is not None:
-            progress(result)
-    manifest.wall_clock_s = round(time.perf_counter() - t0, 3)
-    return manifest
+            progress(results[-1])
+    return RunManifest(tool=f"quasirep {__version__}", scope=scope, seed=int(seed),
+                       generated_at=generated_at,
+                       wall_clock_s=round(time.perf_counter() - t0, 3), checks=results)

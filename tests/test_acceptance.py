@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quasirep import approx, fourier, groups, irreps, twirl, verify
+from quasirep import approx, fourier, groups, homs, irreps, twirl, verify
 
 
 @pytest.fixture(scope="module")
@@ -144,10 +144,13 @@ def pushed_once(monkeypatch, **change):
 
 
 def test_a5_catches_a_defect_below_the_lower_bound(ctx, monkeypatch):
+    # the first case is a minor with a positive floor, so the tightness
+    # comparison sees the push too
     pushed_once(monkeypatch, defect=lambda report: report.thm1_bound - 1e-6)
     result = verify.run_check("A5", ctx)
     assert [c.label for c in result.failures()] == [
-        "min (defect - lower bound)", "bound violations"]
+        "min (defect - lower bound)", "bound violations",
+        "min (defect - lower bound) where the bound is positive"]
 
 
 def test_a5_catches_an_agreement_above_the_ceiling(ctx, monkeypatch):
@@ -195,6 +198,69 @@ def test_a3_catches_a_scan_defect_off_by_a_part_in_a_million(ctx, monkeypatch):
         "max relative disagreement of the two defect routes"]
 
 
+def _scaled_spectral_report(name, scale):
+    """approx._spectral_report with the bound `name` scaled inside its clamp."""
+    honest = approx._spectral_report
+
+    def scaled(psi, table):
+        report, positive = honest(psi, table)
+        m3, root = report.mean_opnorm ** 3, np.sqrt(psi.dim / table.d_min)
+        bounds = {"thm1_bound": max(0.0, scale * 2.0 * psi.dim * (1.0 - m3 - root)),
+                  "cor1_bound": min(1.0, scale * 0.5 * (1.0 + m3 + root))}
+        return dataclasses.replace(report, **{name: bounds[name]}), positive
+    return scaled
+
+
+def _scaled_evaluate(name, scale):
+    """verify.evaluate with the ceiling `name` scaled inside its clamp."""
+    honest = verify.evaluate
+
+    def scaled(f, source_table, target_table):
+        report = honest(f, source_table, target_table)
+        eps, d, d_min = report.epsilon, report.thm2_sigma_dim, source_table.d_min
+        bounds = {"thm2_bound": min(1.0, scale * 0.5 * (1.0 + np.sqrt(eps / d)
+                                                        + np.sqrt(d / d_min))),
+                  "thm3_bound": min(1.0, scale * ((1.0 + eps) / f.target.order
+                                                  + report.r_h))}
+        return dataclasses.replace(report, **{name: bounds[name]})
+    return scaled
+
+
+def _scaled(fn, scale):
+    return lambda *args: scale * fn(*args)
+
+
+# each bound formula, the check that must fail when it is scaled by 1 %
+# either way, and how to scale it
+MUTANTS = {
+    "thm1": ("A5", lambda mp, s: mp.setattr(
+        approx, "_spectral_report", _scaled_spectral_report("thm1_bound", s))),
+    "cor1": ("A6", lambda mp, s: mp.setattr(
+        approx, "_spectral_report", _scaled_spectral_report("cor1_bound", s))),
+    "thm2": ("A7", lambda mp, s: mp.setattr(
+        verify, "evaluate", _scaled_evaluate("thm2_bound", s))),
+    "thm3": ("A7", lambda mp, s: mp.setattr(
+        verify, "evaluate", _scaled_evaluate("thm3_bound", s))),
+    "r_h": ("A7", lambda mp, s: mp.setattr(homs, "r_h", _scaled(homs.r_h, s))),
+    "thm4": ("A4", lambda mp, s: mp.setattr(
+        verify, "thm4_defect", _scaled(verify.thm4_defect, s))),
+    "thm5": ("A10", lambda mp, s: mp.setattr(
+        verify, "thm5_normalized_bound", _scaled(verify.thm5_normalized_bound, s))),
+}
+
+
+@pytest.mark.parametrize("scale", [0.99, 1.0, 1.01])
+@pytest.mark.parametrize("formula", sorted(MUTANTS))
+def test_a_bound_off_by_one_percent_fails_its_check(ctx, monkeypatch, formula, scale):
+    # the battery checks every bound from both sides; at scale 1 the
+    # rewritten formula is the package's own, and its check passes
+    check_id, mutate = MUTANTS[formula]
+    mutate(monkeypatch, scale)
+    result = verify.run_check(check_id, ctx)
+    assert result.error is None
+    assert result.passed == (scale == 1.0)
+
+
 def test_cheap_checks_are_deterministic():
     runs = []
     for _ in range(2):
@@ -232,7 +298,7 @@ def test_run_battery_runs_its_scope_in_order(monkeypatch, scope, ids):
     seen = []
     manifest = verify.run_battery(scope, seed=3, progress=seen.append)
     assert [c.check_id for c in manifest.checks] == list(ids)
-    assert seen == manifest.checks
+    assert tuple(seen) == manifest.checks
     assert manifest.passed and manifest.scope == scope and manifest.seed == 3
 
 
@@ -248,6 +314,6 @@ def test_a_raising_check_becomes_a_failed_result(monkeypatch):
     assert [c.check_id for c in manifest.checks] == list(verify.FAST_CHECK_IDS)
     first = manifest.first_failure()
     assert first.check_id == "A2"
-    assert not first.passed and first.comparisons == []
+    assert not first.passed and first.comparisons == ()
     assert first.error == "RuntimeError: A2 broke"
     assert all(c.passed for c in manifest.checks if c is not first)

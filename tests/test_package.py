@@ -29,7 +29,6 @@ OPTIONAL_PARAMETERS = {
     "verify.CheckResult.__init__:error",
     "verify.Comparison.__init__:slack",
     "verify.Comparison.__init__:timing",
-    "verify.RunManifest.__init__:checks",
     "verify.VerifyContext.__init__:seed",
     "verify.run_battery:progress",
     "verify.run_battery:scope",
@@ -108,6 +107,11 @@ VALUE_TYPES = {
                                           fx.s3_table, fx.s3_table),
     "TwirlExpansion": lambda fx: twirl.twirl_exact(6, 3),
     "TwirlAudit": lambda fx: twirl.error_term_audit(fx.a5_table.irreps[4], 2),
+    "Comparison": lambda fx: verify.Comparison("x", "<=", 0.0, 1.0),
+    "CheckResult": lambda fx: verify.run_check("A10", verify.VerifyContext()),
+    "RunManifest": lambda fx: verify.RunManifest(
+        "quasirep test", "fast", 0, "now", 0.0,
+        [verify.run_check("A10", verify.VerifyContext())]),
 }
 
 
@@ -148,6 +152,27 @@ def test_rebinding_the_matrices_raises_and_the_measurements_stand(s3):
         psi.matrices = 2 * psi.matrices
     assert psi.mean() is mean
     assert np.array_equal(mean, psi.matrices.mean(axis=0))
+
+
+def test_the_battery_results_hold_tuples():
+    # the lists the checks return are copied into tuples, so a result
+    # cannot gain or lose a comparison after its verdict is read
+    comparisons = [verify.Comparison("x", "<=", 0.0, 1.0)]
+    result = verify.CheckResult("A1", "stub", comparisons, 0.0)
+    comparisons.append(verify.Comparison("y", "<=", 2.0, 1.0))
+    manifest = verify.RunManifest("quasirep test", "fast", 0, "now", 0.0, [result])
+    assert result.comparisons == (comparisons[0],) and result.passed
+    assert manifest.checks == (result,) and manifest.passed
+
+
+def test_public_tables_are_read_only():
+    for table, key in ((twirl.CLASS_REPRESENTATIVES, "e"), (verify.CHECKS, "A1")):
+        value = table[key]
+        with pytest.raises(TypeError):
+            table[key] = value
+        with pytest.raises(TypeError):
+            table["not_a_key"] = value
+        assert table[key] is value
 
 
 def test_a_group_map_holds_read_only_arrays(s3):
