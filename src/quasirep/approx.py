@@ -250,9 +250,9 @@ def _agreement_bound(psi: MatrixFunction) -> float:
     """A bound B on ||psi(xy) - psi(x) psi(y)||_F over every pair, from the
     n |S| generator products alone.
 
-    Let S be group.generators and D the number of non-empty layers of
-    group.tree, the Cayley tree over S: every y is reached along its edges
-    as y_k = y with y_j = y_(j-1) s_j, y_0 = e and k <= D. Suppose that
+    Let S be group.generators and D = len(group.tree), the depth of the
+    Cayley tree over S: every y is reached along its edges as y_k = y with
+    y_j = y_(j-1) s_j, y_0 = e and k <= D. Suppose that
     ||psi(x s) - psi(x) psi(s)||_F <= eps for every x and every s in S,
     ||psi(e) - 1||_F <= eps0, and ||psi(x)||_2 <= c for every x. With
     r_j = max_x ||psi(x y_j) - psi(x) psi(y_j)||_F and
@@ -283,7 +283,7 @@ def _agreement_bound(psi: MatrixFunction) -> float:
     eps = np.sqrt(_right_residuals(group, mats, group.generators).max(initial=0.0)) + margin
     eps0 = np.linalg.norm(mats[group.identity] - np.eye(d)) + margin
     c = np.sqrt(1.0 + psi.unitarity_residuals().max() + margin)
-    depth = sum(1 for children, _, _ in group.tree if len(children))
+    depth = len(group.tree)
     with np.errstate(over="ignore"):
         return float(c ** (depth + 1) * (depth * eps * (1.0 + c) + eps0))
 

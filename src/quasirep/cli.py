@@ -29,8 +29,7 @@ from .approx import (
     thm5_bound,
 )
 from .errors import FileFormatError, QuasirepError
-from .groups import (FiniteGroup, _element_orders, check_family, from_table, group_hash,
-                     load_group, named)
+from .groups import FiniteGroup, check_family, from_table, group_hash, load_group, named
 from .homs import (
     balanced_random_map,
     evaluate,
@@ -251,7 +250,7 @@ def cmd_sweep(args) -> int:
 
 def _cyclic_generator(g: FiniteGroup) -> int | None:
     """Smallest element of order |g|, or None when g is not cyclic."""
-    generators = np.flatnonzero(_element_orders(g) == g.order)
+    generators = np.flatnonzero(g.element_orders == g.order)
     return int(generators[0]) if generators.size else None
 
 

@@ -65,7 +65,9 @@ class FiniteGroup:
 
     A frozen dataclass: no attribute can be assigned or deleted after the
     constructor returns, and every array it holds is read-only, so the
-    digest, the classes and the tree stay those of the table.
+    digest, the element orders, the classes and the tree stay those of the
+    table. The digest (group_hash) and element_orders are formed on first
+    use and kept; they are the only slots written after construction.
 
     Attributes:
         name: human-readable label ("alternating(5)", "table", ...).
@@ -79,7 +81,8 @@ class FiniteGroup:
         generators: element indices that generate the group, the ones
             Light's associativity test checked (see _check_associativity).
         tree: the layers of _cayley_tree over the generators from the
-            identity, Light's last walk, as a tuple; its arrays are read-only.
+            identity, Light's last walk, as a tuple; its arrays are read-only,
+            and len(tree) is the tree's depth D.
     """
 
     name: str
@@ -100,8 +103,23 @@ class FiniteGroup:
 
     @cached_property
     def _digest(self) -> str:
-        """group_hash's digest, rendered on first use (or kept by save_group)."""
-        return _table_digest(self.order, _table_rows(self.table))
+        """group_hash's digest, rendered on first use."""
+        digest = hashlib.sha256(b"quasirep-group\n%d\n" % self.order)
+        digest.update(_table_rows(self.table))
+        return digest.hexdigest()
+
+    @cached_property
+    def element_orders(self) -> np.ndarray:
+        """The order of every element, the least t >= 1 with x^t = e: formed
+        on first use and kept read-only, so every reader gets the same array."""
+        elements = np.arange(self.order)
+        orders = np.zeros(self.order, dtype=np.int64)
+        power, t = elements, 1
+        while not orders.all():
+            orders[(power == self.identity) & (orders == 0)] = t
+            power, t = self.table[power, elements], t + 1
+        orders.setflags(write=False)
+        return orders
 
     @property
     def order(self) -> int:
@@ -239,18 +257,6 @@ def from_table(table, name: str = "table") -> FiniteGroup:
     return FiniteGroup(name, arr, identity, inverses, classes, class_of, generators, tree)
 
 
-def _element_orders(group: FiniteGroup) -> np.ndarray:
-    """The order of every element: the least t >= 1 with x^t = e."""
-    elements = np.arange(group.order)
-    orders = np.zeros(group.order, dtype=np.int64)
-    power, t = elements, 1
-    while True:
-        orders[(power == group.identity) & (orders == 0)] = t
-        if orders.all():
-            return orders
-        power, t = group.table[power, elements], t + 1
-
-
 def _cayley_tree(right: np.ndarray, root: int) -> list[tuple[np.ndarray, ...]]:
     """Breadth-first tree of the Cayley graph from root, the one walk that
     Light's test, closure, irrep restriction and homomorphism extension share.
@@ -258,17 +264,20 @@ def _cayley_tree(right: np.ndarray, root: int) -> list[tuple[np.ndarray, ...]]:
     right is an (n, k) array of right multiplications by k generators,
     right[x, j] = x * s_j. One (children, parents, steps) triple per layer,
     with right[parents, steps] = children and every parent in an earlier
-    layer, the root in the first; the last layer is empty. Elements the
-    generators do not reach from root are in no layer.
+    layer, the root in the first; no layer is empty, so the number of layers
+    is the tree's depth. Elements the generators do not reach from root are
+    in no layer.
     """
     n, k = right.shape
     reached = np.zeros(n, dtype=bool)
     reached[root] = True
     frontier = np.array([root])
     layers = []
-    while len(frontier) and k:
+    while k:
         children, first = np.unique(right[frontier].ravel(), return_index=True)
         new = ~reached[children]
+        if not new.any():
+            break
         children, first = children[new], first[new]
         reached[children] = True
         layers.append((children, frontier[first // k], first % k))
@@ -497,18 +506,12 @@ def _table_rows(table: np.ndarray) -> bytes:
     return text[text != 0].tobytes()
 
 
-def _table_digest(order: int, rows: bytes) -> str:
-    digest = hashlib.sha256(b"quasirep-group\n%d\n" % order)
-    digest.update(rows)
-    return digest.hexdigest()
-
-
 def group_hash(group: FiniteGroup) -> str:
     """SHA-256 hex digest of the multiplication table in canonical text form.
 
     The canonical text is "quasirep-group", the order and the rows of
     _table_rows, each on its own line. Computed once per group object and
-    remembered on it; save_group remembers it too, from the rows it writes.
+    remembered on it.
     """
     return group._digest
 
@@ -516,20 +519,14 @@ def group_hash(group: FiniteGroup) -> str:
 def save_group(group: FiniteGroup, path: str) -> None:
     """Write the line-oriented group format (atomic: write then rename).
 
-    The table is rendered once, for the file and for the group's remembered
-    digest. A name holding a line break would not read back, so it raises
-    ValueError before anything is written.
+    A name holding a line break would not read back, so it raises ValueError
+    before anything is written.
     """
     for brk in ("\n", "\r"):
         if brk in group.name:
             raise ValueError(f"group name {group.name!r} holds the line break {brk!r}")
-    rows = _table_rows(group.table)
     header = f"{GROUP_MAGIC}\nname={group.name}\norder={group.order}\n"
-    write_atomic(path, header.encode("utf-8") + rows)
-    # the rendered rows give _digest's value; storing it in the cached
-    # property's slot spares group_hash rendering them again
-    if "_digest" not in vars(group):
-        vars(group)["_digest"] = _table_digest(group.order, rows)
+    write_atomic(path, header.encode("utf-8") + _table_rows(group.table))
 
 
 def load_group(path: str) -> FiniteGroup:

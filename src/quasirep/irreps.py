@@ -60,8 +60,9 @@ PolarFunction and DefectReport; homs' GroupMap and HomReport; twirl's
 TwirlExpansion and TwirlAudit; and verify's Comparison, CheckResult and
 RunManifest. Assigning or deleting an attribute raises FrozenInstanceError,
 an AttributeError, so nothing kept can go stale. Only constructors write,
-through object.__setattr__ (a FiniteGroup's cached digest aside), and
-dataclasses.replace builds a new value.
+through object.__setattr__ (a FiniteGroup's digest and element_orders,
+formed on first use and kept, aside), and dataclasses.replace builds a new
+value.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DecompositionFailed, OrderCapExceeded, ToleranceViolation
-from .groups import FiniteGroup, _element_orders
+from .groups import FiniteGroup
 
 __all__ = [
     "MatrixFunction",
@@ -476,7 +477,7 @@ def _cyclic_orbits(group: FiniteGroup) -> np.ndarray:
     """The orbits {h^j a} of left translation by <h>, for the first element h
     of largest order k: an (n / k, k) array whose row i holds h^j a_i, j =
     0..k-1, with a_i the least index of its orbit."""
-    orders = _element_orders(group)
+    orders = group.element_orders
     h, k = int(orders.argmax()), int(orders.max())
     cycle = [group.identity]
     for _ in range(k - 1):
@@ -638,11 +639,13 @@ def _class_algebra(group: FiniteGroup, gauge: np.random.Generator
                    ) -> tuple[np.ndarray, ...]:
     """One attempt's first stage: the class coefficients a of a central
     element drawn from gauge, then _character_table's omega, characters and
-    conjugate rows for it, and the degrees chi(1) rounded to integers.
+    conjugate rows for it, and the degrees chi(1) rounded to integers, the
+    rows in canonical order (_canonical_order).
 
     A degree more than 1e-6 from an integer, or degrees whose squares do not
-    sum to |G|, raise ToleranceViolation; a draw that does not separate the
-    characters raises _SplitFailed.
+    sum to |G|, raise ToleranceViolation, as does a table without exactly
+    one trivial irrep; a draw that does not separate the characters raises
+    _SplitFailed.
     """
     a = _central_element(group, gauge)
     omega, characters, conjugate = _character_table(group, a)
@@ -657,7 +660,9 @@ def _class_algebra(group: FiniteGroup, gauge: np.random.Generator
         raise ToleranceViolation(
             f"irrep dimensions {sorted(dims.tolist())} do not satisfy "
             f"sum d^2 = {group.order}")
-    return a, omega, characters, conjugate, dims
+    order = _canonical_order(dims, characters)
+    rank = np.argsort(order)            # the new row of each old one
+    return a, omega[order], characters[order], rank[conjugate[order]], dims[order]
 
 
 def _first_split(group: FiniteGroup, seed: int, finish: Callable):
@@ -698,10 +703,8 @@ def degrees(group: FiniteGroup) -> IrrepDegrees:
     order, so the dims, d_min and indicators are decompose(group)'s, which no
     seed changes; no probe is drawn and no irrep matrix formed.
     """
-    def finish(group, stage, anchor, rng):
-        characters, dims = stage[2], stage[-1]
-        return IrrepDegrees(group, characters[_canonical_order(dims, characters)])
-    return _first_split(group, 0, finish)
+    return _first_split(group, 0, lambda group, stage, anchor, rng:
+                        IrrepDegrees(group, stage[2]))
 
 
 def decompose(group: FiniteGroup, seed: int = 0) -> IrrepTable:
@@ -724,7 +727,7 @@ def _decompose_once(group: FiniteGroup, stage: tuple[np.ndarray, ...],
         # f(x) = a(class of x^-1)
         bases = _probe_bases(group, a[group.class_of[group.inverses]], omega,
                              conjugate, dims, rng)
-    orders = _element_orders(group)
+    orders = group.element_orders
     reps = []
     for rho, chi in enumerate(characters):
         if dims[rho] == 1:
@@ -743,10 +746,7 @@ def _decompose_once(group: FiniteGroup, stage: tuple[np.ndarray, ...],
                 f"piece of dim {rep.dim}: traces differ from its class "
                 f"character by {gap:.3e}")
         reps.append(rep)
-
-    ordered = tuple(reps[i] for i in _canonical_order(
-        dims, np.array([r.character for r in reps])))
-    for rep in ordered:
+    for rep in reps:
         rep.validate()
-    return IrrepTable(group, ordered)
+    return IrrepTable(group, tuple(reps))
 

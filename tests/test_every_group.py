@@ -127,10 +127,12 @@ def check_group(spec: tuple, folder: str) -> None:
     groups.save_group(g, path)
     assert groups.group_hash(groups.load_group(path)) == groups.group_hash(g), (
         "the reloaded group has another hash")
-    # the tree's layers and the identity list every element once
+    # the tree's layers and the identity list every element once, and no
+    # layer is empty, so len(g.tree) is the tree's depth
     reached = np.concatenate([[g.identity], *(children for children, _, _ in g.tree)])
     assert np.array_equal(np.sort(reached), np.arange(g.order)), (
         "the Cayley tree does not list every element once")
+    assert all(len(children) for children, _, _ in g.tree), "a tree layer is empty"
 
 
 def check_decomposition(spec: tuple) -> tuple[float, int]:
@@ -144,7 +146,7 @@ def check_decomposition(spec: tuple) -> tuple[float, int]:
     bounds = [approx._agreement_bound(rho) for rho in table]
     worst = int(np.argmax(bounds))
     assert bounds[worst] <= approx.AGREEMENT_TOL, f"irrep {worst}: B = {bounds[worst]:.3e}"
-    return bounds[worst], sum(1 for children, _, _ in g.tree if len(children))
+    return bounds[worst], len(g.tree)
 
 
 def check_relabelled(spec: tuple, seed: int) -> None:

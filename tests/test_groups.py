@@ -354,6 +354,22 @@ def test_cayley_tree_layers(spec, subset):
         assert all(depth.get(int(p), i) < i for p in parents)
         assert np.array_equal(right[parents, steps], c)
         depth.update(dict.fromkeys(c.tolist(), i))
+    # no layer is empty, so the number of layers is the tree's depth D
+    assert max(depth.values()) == len(layers)
+
+
+@pytest.mark.parametrize("spec", [("cyclic", 1), ("cyclic", 12), ("dihedral", 7),
+                                  ("quaternion8",), ("psl2", 7)])
+def test_element_orders_are_kept_read_only(spec):
+    g = groups.named(*spec)
+    orders = g.element_orders
+    assert g.element_orders is orders
+    assert not orders.flags.writeable
+    for x in range(g.order):
+        t, power = 1, x
+        while power != g.identity:
+            power, t = g.table[power, x], t + 1
+        assert orders[x] == t, x
 
 
 def test_light_generators_are_the_smallest_unreached_elements():

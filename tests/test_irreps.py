@@ -311,8 +311,8 @@ def test_a_reducible_piece_is_refused(monkeypatch):
 
 
 def test_a_second_trivial_irrep_is_refused(monkeypatch):
-    # S3's sign character replaced by the trivial one: every piece matches
-    # its row, and two trivial irreps reach the final count
+    # S3's sign character replaced by the trivial one: the class-algebra
+    # stage, which puts the rows in canonical order, finds two trivial irreps
     table = irreps._character_table
 
     def doubled(group, a):

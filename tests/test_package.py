@@ -183,10 +183,12 @@ def test_a_group_map_holds_read_only_arrays(s3):
         f.p_f[0] = 0.0
 
 
-def test_save_group_keeps_the_digest_group_hash_reads(tmp_path):
-    g = groups.named("symmetric", 3)
-    assert "_digest" not in vars(g)
-    groups.save_group(g, str(tmp_path / "s3.grp"))
-    kept = vars(g)["_digest"]
-    assert groups.group_hash(g) is kept
-    assert kept == groups.group_hash(groups.named("symmetric", 3))
+def test_save_group_writes_the_file_and_leaves_the_group_alone(tmp_path):
+    # the digest is the group's own, formed from its table when first read;
+    # saving writes the file and nothing into the group
+    g, path = groups.named("symmetric", 3), str(tmp_path / "s3.grp")
+    held = dict(vars(g))
+    groups.save_group(g, path)
+    assert vars(g).keys() == held.keys()
+    assert all(vars(g)[k] is v for k, v in held.items())
+    assert groups.group_hash(groups.load_group(path)) == groups.group_hash(g)

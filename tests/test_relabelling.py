@@ -89,11 +89,6 @@ def test_transported_functions_keep_their_defect_and_agreement(case):
         assert abs(after.defect - before.defect) <= 1e-12 * 2 * psi.dim
 
 
-def tree_depth(group) -> int:
-    """D, the number of non-empty layers of the group's Cayley tree."""
-    return sum(1 for children, _, _ in group.tree if len(children))
-
-
 def test_genuine_dihedral_350_irreps_are_certified_in_every_labelling():
     # the certificate's bound grows with the Cayley tree's depth D, which
     # follows the labels: 176 on the named group, 16 and 350 on these two
@@ -102,11 +97,11 @@ def test_genuine_dihedral_350_irreps_are_certified_in_every_labelling():
     g = groups.named("dihedral", 350)
     table_g = irreps.decompose(g)
     named = [r for r in table_g if r.dim == 2]
-    assert len(named) == 174 and tree_depth(g) == 176
+    assert len(named) == 174 and len(g.tree) == 176
     cases = [(rho, table_g) for rho in named]
     for seed, depth in ((0, 16), (2, 350)):
         pair = Relabelled(("dihedral", 350), seed)
-        assert tree_depth(pair.h) == depth
+        assert len(pair.h.tree) == depth
         table_h = irreps.decompose(pair.h)
         own = [r for r in table_h if r.dim == 2]
         assert len(own) == 174
