@@ -44,8 +44,10 @@ the group's breadth-first Cayley-graph tree, rho(x s) = rho(x) rho(s).
 
 The final representations are checked on every element: their traces must be
 constant on classes, irreducible and equal to the table's character, and the
-product law is validated exhaustively. The table is ordered canonically
-(trivial first, then by dimension and character).
+product law is validated exhaustively. The table is ordered canonically:
+the trivial irrep first, then by dimension, then by type (real, complex,
+quaternionic), then by character. The printed dims and indicators follow
+that order, so they do not depend on how the elements are numbered.
 
 A UnitaryRep is a MatrixFunction, the package's one type for a matrix per
 group element, whose product law validate checks. Every MatrixFunction owns
@@ -289,15 +291,20 @@ class IrrepTable(IrrepDegrees):
         return len(self.irreps)
 
 
-def _indicators(group: FiniteGroup, characters: np.ndarray) -> tuple[int, ...]:
-    """E_x chi(x^2) for each row of class characters, snapped to {-1, 0, +1}.
+def _indicator_averages(group: FiniteGroup, characters: np.ndarray) -> np.ndarray:
+    """E_x chi(x^2) for each row of class characters, unchecked.
 
     The squares are counted per class once, so each average is one dot
-    product with the class counts. Raises ToleranceViolation when an average
-    is not within 1e-6 of an admissible indicator value.
+    product with the class counts.
     """
     counts = np.bincount(group.class_of[group.squares()], minlength=len(group.classes))
-    raw = characters @ counts / group.order
+    return characters @ counts / group.order
+
+
+def _indicators(group: FiniteGroup, characters: np.ndarray) -> tuple[int, ...]:
+    """_indicator_averages snapped to {-1, 0, +1}. Raises ToleranceViolation
+    when an average is not within 1e-6 of an admissible indicator value."""
+    raw = _indicator_averages(group, characters)
     snapped = np.rint(raw.real)
     off = (np.abs(snapped) > 1) | (np.abs(raw - snapped) > 1e-6)
     if off.any():
@@ -335,28 +342,25 @@ def _right_residuals(group: FiniteGroup, matrices: np.ndarray,
     stays within _BLOCK_ENTRIES. The M(x s) it is checked against are
     gathered and subtracted in _GATHER_SLICES slices, and a block's product
     is freed before the next is formed, so one product is the only
-    temporary of its size. The result is assembled after the last product,
-    so it never sits beside one.
+    temporary of its size. Each block's residuals go straight into the
+    result, allocated once.
     """
     n, d = matrices.shape[:2]
     rights = np.asarray(rights, dtype=np.intp)
     rows = min(n, _block_rows(d * d))
     cols = _block_rows(rows * d * d)
     piece = _block_rows(_GATHER_SLICES * d * d)
-    blocks = []
+    out = np.empty((len(rights), n))
     for c in range(0, len(rights), cols):
         s = rights[c:c + cols]
-        blocks.append([])
         for a in range(0, n, rows):
             residual = (matrices[a:a + rows].reshape(-1, d) @ matrices[s]).reshape(-1, d, d)
             elements = group.table[a:a + rows, s].T.ravel()      # the x s, in order
             for p in range(0, len(elements), piece):
                 residual[p:p + piece] -= matrices[elements[p:p + piece]]
-            blocks[-1].append(_squared_frobenius(residual).reshape(len(s), -1))
+            out[c:c + cols, a:a + rows] = _squared_frobenius(residual).reshape(len(s), -1)
             del residual        # before the next block's product is formed
-    if not blocks:
-        return np.empty((0, n))
-    return np.concatenate([np.concatenate(row, axis=1) for row in blocks])
+    return out
 
 
 def _sandwiches(left: np.ndarray, matrices: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -620,17 +624,26 @@ def _gauge_fix(basis: np.ndarray, anchor: np.ndarray) -> np.ndarray:
     return basis @ (u @ vh)
 
 
-def _canonical_order(dims: np.ndarray, characters: np.ndarray) -> np.ndarray:
+def _canonical_order(group: FiniteGroup, dims: np.ndarray,
+                     characters: np.ndarray) -> np.ndarray:
     """The permutation putting irreps of the given dims and class characters
     (rows) in canonical order: the trivial irrep first, then by dimension,
-    then by the character rounded to 6 decimals, read as (real, imaginary)
-    pairs class by class. Raises ToleranceViolation unless exactly one irrep
-    is trivial."""
+    then by type (real, complex, quaternionic: the Frobenius-Schur indicator
+    +1, 0, -1, its average rounded and not checked here), then by the
+    character rounded to 6 decimals, read as (real, imaginary) pairs class
+    by class. Raises ToleranceViolation unless exactly one irrep is trivial.
+
+    Dimension and type do not depend on the element labels. The characters
+    do, through the class numbering, but they only break ties between irreps
+    that print the same dims and indicators.
+    """
     trivial = (dims == 1) & (np.abs(characters - 1.0).max(axis=1) < 1e-6)
     if trivial.sum() != 1:
         raise ToleranceViolation(f"expected exactly one trivial irrep, got {trivial.sum()}")
+    kind = -np.rint(_indicator_averages(group, characters).real)
     rounded = np.round(characters, 6)
-    keys = np.column_stack([~trivial, dims, np.stack([rounded.real, rounded.imag], axis=2)
+    keys = np.column_stack([~trivial, dims, kind,
+                            np.stack([rounded.real, rounded.imag], axis=2)
                             .reshape(len(dims), -1)])
     return np.lexsort(keys.T[::-1])
 
@@ -660,7 +673,7 @@ def _class_algebra(group: FiniteGroup, gauge: np.random.Generator
         raise ToleranceViolation(
             f"irrep dimensions {sorted(dims.tolist())} do not satisfy "
             f"sum d^2 = {group.order}")
-    order = _canonical_order(dims, characters)
+    order = _canonical_order(group, dims, characters)
     rank = np.argsort(order)            # the new row of each old one
     return a, omega[order], characters[order], rank[conjugate[order]], dims[order]
 

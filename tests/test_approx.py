@@ -309,10 +309,10 @@ def test_a_shifted_element_is_not_certified(a5_table, monkeypatch):
 
 
 def test_the_certificate_on_the_trivial_group():
-    # no generators and one tree layer fewer than any other group: B is
-    # c ||psi(e) - 1||_F, the roundoff margin alone at psi(e) = 1
+    # no generators and an empty tree, D = 0: B is c ||psi(e) - 1||_F, the
+    # roundoff margin alone at psi(e) = 1
     g = groups.named("cyclic", 1)
-    assert g.generators == ()
+    assert g.generators == () == g.tree
     one = irreps.MatrixFunction(g, 1, np.ones((1, 1, 1)))
     assert 0.0 < approx._agreement_bound(one) <= 1e-14
     two = irreps.MatrixFunction(g, 1, np.full((1, 1, 1), 2.0))

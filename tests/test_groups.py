@@ -360,7 +360,7 @@ def test_cayley_tree_layers(spec, subset):
 
 @pytest.mark.parametrize("spec", [("cyclic", 1), ("cyclic", 12), ("dihedral", 7),
                                   ("quaternion8",), ("psl2", 7)])
-def test_element_orders_are_kept_read_only(spec):
+def test_element_orders_match_brute_force_and_are_kept_read_only(spec):
     g = groups.named(*spec)
     orders = g.element_orders
     assert g.element_orders is orders

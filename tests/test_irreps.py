@@ -836,13 +836,16 @@ def test_class_average_matches_the_loop_over_classes(a5, a5_table):
 
 
 def test_canonical_order_matches_the_rounded_tuple_key(a6_table):
+    # trivial first, then by dimension, then real, complex and quaternionic
+    # (indicator +1, 0, -1), then by the rounded character
     def key(rep):
-        return (not rep.is_trivial(), rep.dim,
+        indicator = irreps.IrrepDegrees(rep.group, rep.character[None]).indicators[0]
+        return (not rep.is_trivial(), rep.dim, -indicator,
                 tuple((round(float(c.real), 6), round(float(c.imag), 6))
                       for c in rep.character))
 
     for reps in (list(a6_table.irreps), list(a6_table.irreps[::-1]),
                  list(irreps.decompose(groups.named("sl2", 7)).irreps[::-1])):
-        order = irreps._canonical_order(np.array([r.dim for r in reps]),
+        order = irreps._canonical_order(reps[0].group, np.array([r.dim for r in reps]),
                                         np.array([r.character for r in reps]))
         assert [reps[i] for i in order] == sorted(reps, key=key)

@@ -5,8 +5,9 @@ degrees, the indicators, the characters as functions on elements, a map's
 agreement, and a matrix function's defect and agreement are all invariant
 under a relabelling pi, although the routes the code takes (Light's
 generators, the tree depth, the certificate's bound) follow the labels.
-Each group here is relabelled by three fixed-seed permutations, and
-dihedral 350, whose named Cayley tree is the deepest, by two.
+A5, psl2(7) and S4 are relabelled by three fixed-seed permutations each;
+psl2(11), the largest supported group, sl2(7), A6 and cyclic 12 by one;
+and dihedral 350, whose named Cayley tree is the deepest, by two.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ import pytest
 
 from quasirep import approx, groups, homs, irreps
 
-SPECS = [("alternating", 5), ("psl2", 7), ("symmetric", 4)]
-SEEDS = [0, 1, 2]
+CASES = ([(spec, seed) for spec in [("alternating", 5), ("psl2", 7), ("symmetric", 4)]
+          for seed in [0, 1, 2]]
+         + [(spec, 0) for spec in [("psl2", 11), ("sl2", 7), ("alternating", 6),
+                                   ("cyclic", 12)]])
 
 
 class Relabelled:
@@ -34,8 +37,7 @@ class Relabelled:
         return irreps.MatrixFunction(self.h, psi.dim, psi.matrices[self.back])
 
 
-@pytest.fixture(scope="module", params=[(spec, seed) for spec in SPECS for seed in SEEDS],
-                ids=lambda p: f"{p[0][0]}{p[0][1]}-pi{p[1]}")
+@pytest.fixture(scope="module", params=CASES, ids=lambda p: f"{p[0][0]}{p[0][1]}-pi{p[1]}")
 def case(request):
     spec, seed = request.param
     pair = Relabelled(spec, seed)
@@ -43,8 +45,8 @@ def case(request):
 
 
 def assert_same_characters(pair, table_g, table_h):
-    """Equal dims and indicators, and each character of G is one of H's
-    composed with pi, a different one for each row."""
+    """Equal dims and indicators in the same order, and each character of G
+    is one of H's composed with pi, a different one for each row."""
     assert table_h.dims == table_g.dims
     assert table_h.indicators == table_g.indicators
     on_g = table_g.character_table[:, pair.g.class_of]
@@ -79,7 +81,7 @@ def test_transported_functions_keep_their_defect_and_agreement(case):
     pair, table_g, table_h = case
     widest = table_g.irreps[-1]
     functions = [approx.random_sign_function(pair.g, 3),
-                 approx.minor_construction(widest, widest.dim - 1, "haar", 5),
+                 approx.minor_construction(widest, max(widest.dim - 1, 1), "haar", 5),
                  approx.perturbed_irrep(widest, 0.1, 9),
                  *table_g.irreps]
     for psi in functions:
