@@ -282,7 +282,7 @@ def _agreement_bound(psi: MatrixFunction) -> float:
     margin = _PRODUCT_ROUNDOFF * d * (top * top + top)
     eps = np.sqrt(_right_residuals(group, mats, group.generators).max(initial=0.0)) + margin
     eps0 = np.linalg.norm(mats[group.identity] - np.eye(d)) + margin
-    c = np.sqrt(1.0 + psi.unitarity_residuals().max() + margin)
+    c = np.sqrt(1.0 + psi.unitarity_residuals.max() + margin)
     depth = len(group.tree)
     with np.errstate(over="ignore"):
         return float(c ** (depth + 1) * (depth * eps * (1.0 + c) + eps0))
@@ -344,7 +344,7 @@ def _spectral_report(psi: MatrixFunction,
         raise MissingIrrepTable("defect bounds need an irrep table for d_min")
     if table.group is not psi.group:
         raise ValueError("irrep table belongs to a different group")
-    gram = psi.mean_gram()
+    gram = psi.mean_gram
     residual = psi.admissibility_residual()
     if residual > _ADMISSIBILITY:
         warnings.warn(
@@ -361,7 +361,7 @@ def _spectral_report(psi: MatrixFunction,
     cogram = side @ side.conj().T / psi.group.order
     positive = float(np.trace(gram).real + np.trace(gram @ cogram).real)
     defect = positive - 2.0 * triple.real
-    m = float(np.linalg.norm(psi.mean(), 2))
+    m = float(np.linalg.norm(psi.mean, 2))
     root = float(np.sqrt(psi.dim / table.d_min))
     report = DefectReport(
         defect=defect,
@@ -464,11 +464,11 @@ def _minor(rho: UnitaryRep, d_psi: int, subspace: str,
     else:
         raise ValueError(f"unknown subspace {subspace!r}; use 'leading' or 'haar'")
     scale = np.sqrt(rho.dim / d_psi)
-    out = MatrixFunction(rho.group, d_psi, _sandwich(basis, rho, scale * basis))
+    out = MatrixFunction(rho.group, _sandwich(basis, rho, scale * basis))
     # the mean must agree with the compressed parent mean, which is zero
     # exactly when the parent is nontrivial
-    expected = scale * basis.conj().T @ rho.mean() @ basis
-    mean_err = float(np.linalg.norm(out.mean() - expected))
+    expected = scale * basis.conj().T @ rho.mean @ basis
+    mean_err = float(np.linalg.norm(out.mean - expected))
     residual = out.admissibility_residual()
     if mean_err > _ADMISSIBILITY or residual > _ADMISSIBILITY:
         raise ToleranceViolation(
@@ -535,10 +535,13 @@ def polar_construction(rho: UnitaryRep, d_psi: int, seed) -> PolarFunction:
     polar factors come from an r x r eigenproblem per element
     (_complement_polar), with every element whose smallest singular value is
     below 1e-3 recomputed by polar_unitary; otherwise all of them come from
-    polar_unitary's batched SVD. Retries with derived seeds (up to 8) when
-    some element of the minor is numerically rank deficient, then gives up
-    with RankDeficient.
+    polar_unitary's batched SVD. The seed is required, as for a Haar minor:
+    None raises ValueError. Retries with derived seeds (up to 8) when some
+    element of the minor is numerically rank deficient, then gives up with
+    RankDeficient.
     """
+    if seed is None:
+        raise ValueError("polar_construction needs a seed")
     for attempt in range(8):
         minor, basis = _minor(
             rho, d_psi, "haar",
@@ -551,7 +554,7 @@ def polar_construction(rho: UnitaryRep, d_psi: int, seed) -> PolarFunction:
         except RankDeficient as exc:
             last = exc
             continue
-        return PolarFunction(rho.group, d_psi, mats, parent_minor=minor)
+        return PolarFunction(rho.group, mats, parent_minor=minor)
     raise RankDeficient(f"minor stayed rank deficient over 8 seeds (last: {last})")
 
 
@@ -569,13 +572,13 @@ def random_sign_function(group: FiniteGroup, seed) -> MatrixFunction:
     rng = np.random.default_rng(seed)
     values = np.ones(n)
     values[rng.permutation(n)[: n // 2]] = -1.0
-    return MatrixFunction(group, 1, values.reshape(n, 1, 1).astype(np.complex128))
+    return MatrixFunction(group, values.reshape(n, 1, 1).astype(np.complex128))
 
 
 def haar_baseline(group: FiniteGroup, dim: int, seed) -> MatrixFunction:
     """Independent Haar unitary at every element; the no-structure baseline."""
-    return MatrixFunction(group, dim, haar_basis(np.random.default_rng(seed), dim, dim,
-                                                 stack=(group.order,)))
+    return MatrixFunction(group, haar_basis(np.random.default_rng(seed), dim, dim,
+                                            stack=(group.order,)))
 
 
 def perturbed_irrep(rho: UnitaryRep, fraction: float, seed) -> MatrixFunction:
@@ -587,7 +590,7 @@ def perturbed_irrep(rho: UnitaryRep, fraction: float, seed) -> MatrixFunction:
     count = int(round(fraction * rho.group.order))
     replaced = rng.choice(rho.group.order, size=count, replace=False)
     mats[replaced] = haar_basis(rng, rho.dim, rho.dim, stack=(count,))
-    return MatrixFunction(rho.group, rho.dim, mats)
+    return MatrixFunction(rho.group, mats)
 
 
 def random_admissible(group: FiniteGroup, dim: int, seed) -> MatrixFunction:
@@ -601,10 +604,10 @@ def random_admissible(group: FiniteGroup, dim: int, seed) -> MatrixFunction:
     n = group.order
     a = (rng.standard_normal((n, dim, dim))
          + 1j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0 * dim)
-    gram = MatrixFunction(group, dim, a).mean_gram()
+    gram = MatrixFunction(group, a).mean_gram
     w, v = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     inv_root = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return MatrixFunction(group, dim, a @ inv_root)
+    return MatrixFunction(group, a @ inv_root)
 
 
 def thm4_defect(d_psi: int, d_rho: int) -> float:

@@ -30,13 +30,7 @@ from .approx import (
 )
 from .errors import FileFormatError, QuasirepError
 from .groups import FiniteGroup, check_family, from_table, group_hash, load_group, named
-from .homs import (
-    balanced_random_map,
-    evaluate,
-    genuine_hom,
-    make_group_map,
-    random_map,
-)
+from .homs import GroupMap, balanced_random_map, evaluate, genuine_hom, random_map
 from .irreps import decompose, degrees
 from .textfile import write_atomic
 from .twirl import CLASS_NAMES, twirl_exact, twirl_gram
@@ -262,7 +256,7 @@ def _hom_map(kind: str, source: FiniteGroup, target: FiniteGroup, seed):
     if kind == "identity":
         if group_hash(source) != group_hash(target):
             raise ValueError("identity maps need identical source and target")
-        return make_group_map(source, target, np.arange(source.order))
+        return GroupMap(source, target, np.arange(source.order))
     # "genuine", the last of --kind's choices
     generator, image = _cyclic_generator(source), _cyclic_generator(target)
     if generator is None or image is None:

@@ -1,8 +1,9 @@
 """Maps between groups and how far they are from homomorphisms.
 
-A map f: G -> H is stored by image index. Its pushforward distribution p_f
-over H gives the nonuniformity parameter eps = |H| ||p_f - uniform||^2, which
-satisfies the collision identity ||p_f||^2 = (1 + eps) / |H| exactly. Reports
+A map f: G -> H is a GroupMap, stored by image index. It derives its
+pushforward distribution p_f over H from its values, and from p_f the
+nonuniformity parameter eps = |H| ||p_f - uniform||^2, which satisfies the
+collision identity ||p_f||^2 = (1 + eps) / |H| exactly; neither is supplied. Reports
 compare the exact agreement probability Pr[f(xy) = f(x) f(y)] against two
 ceilings: a best-single-irrep bound through d_min of the source, and a
 spectral-mass bound (1 + eps)/|H| + R_H. Both read only irrep degrees, so
@@ -13,7 +14,7 @@ map agreement to the defect machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +25,6 @@ from .irreps import IrrepDegrees, MatrixFunction, UnitaryRep
 __all__ = [
     "GroupMap",
     "HomReport",
-    "make_group_map",
     "agreement_probability",
     "evaluate",
     "r_h",
@@ -37,21 +37,39 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GroupMap:
-    """A function between groups with its pushforward statistics precomputed.
+    """A function between groups, stored by image index, with its pushforward.
 
-    p_f and epsilon are computed from values, so both arrays are made
-    read-only at construction, without a copy.
+    values must have an integer dtype (a list of Python ints has one), shape
+    (|G|,) and entries in the target's index range; anything else raises
+    ValueError naming it rather than being cast. p_f and epsilon are derived
+    from values at construction, never supplied. values is kept as an int64
+    copy, and both arrays are read-only.
     """
 
     source: FiniteGroup
     target: FiniteGroup
     values: np.ndarray
-    p_f: np.ndarray
-    epsilon: float
+    p_f: np.ndarray = field(init=False)
+    epsilon: float = field(init=False)
 
     def __post_init__(self):
-        self.values.setflags(write=False)
-        self.p_f.setflags(write=False)
+        source, target = self.source, self.target
+        vals = np.asarray(self.values)
+        if vals.dtype.kind not in "iu":
+            raise ValueError(f"map values must be integers, got dtype {vals.dtype}")
+        vals = vals.astype(np.int64)
+        if vals.shape != (source.order,):
+            raise ValueError(f"values must have shape ({source.order},), got {vals.shape}")
+        if len(vals) and (vals.min() < 0 or vals.max() >= target.order):
+            raise ValueError("map values outside the target index range")
+        p_f = np.bincount(vals, minlength=target.order) / source.order
+        uniform = 1.0 / target.order
+        vals.setflags(write=False)
+        p_f.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "p_f", p_f)
+        object.__setattr__(self, "epsilon",
+                           float(target.order * np.sum((p_f - uniform) ** 2)))
 
 
 @dataclass(frozen=True)
@@ -68,28 +86,6 @@ class HomReport:
     r_h: float
 
 
-def make_group_map(source: FiniteGroup, target: FiniteGroup, values) -> GroupMap:
-    """Wrap an image array as a GroupMap, computing p_f and epsilon.
-
-    values must have an integer dtype (a list of Python ints has one); any
-    other (float, bool, ...) raises ValueError naming it rather than being
-    cast.
-    """
-    vals = np.asarray(values)
-    if vals.dtype.kind not in "iu":
-        raise ValueError(f"map values must be integers, got dtype {vals.dtype}")
-    vals = vals.astype(np.int64)
-    if vals.shape != (source.order,):
-        raise ValueError(f"values must have shape ({source.order},), got {vals.shape}")
-    if len(vals) and (vals.min() < 0 or vals.max() >= target.order):
-        raise ValueError("map values outside the target index range")
-    counts = np.bincount(vals, minlength=target.order)
-    p_f = counts / source.order
-    uniform = 1.0 / target.order
-    epsilon = float(target.order * np.sum((p_f - uniform) ** 2))
-    return GroupMap(source, target, vals, p_f, epsilon)
-
-
 def agreement_probability(f: GroupMap) -> float:
     """Exact Pr_{x,y}[f(x y) = f(x) f(y)] over all |G|^2 pairs.
 
@@ -100,7 +96,8 @@ def agreement_probability(f: GroupMap) -> float:
     dtype = np.min_scalar_type(f.target.order - 1)
     labels = f.values.astype(dtype)
     products = f.target.table.astype(dtype)[:, labels]
-    return np.count_nonzero(labels[f.source.table] == products[labels]) / f.source.order ** 2
+    return float(np.count_nonzero(labels[f.source.table] == products[labels])
+                 / f.source.order ** 2)
 
 
 def r_h(target_table: IrrepDegrees, d_min: int) -> float:
@@ -152,14 +149,13 @@ def lift_through_irrep(f: GroupMap, sigma: UnitaryRep) -> MatrixFunction:
     """psi(x) = sigma(f(x)) as a MatrixFunction on the source group."""
     if sigma.group is not f.target:
         raise ValueError("sigma must be an irrep of the map's target group")
-    return MatrixFunction(f.source, sigma.dim, sigma.matrices[f.values])
+    return MatrixFunction(f.source, sigma.matrices[f.values])
 
 
 def random_map(source: FiniteGroup, target: FiniteGroup, seed) -> GroupMap:
     """Uniform independent image for every source element."""
     rng = np.random.default_rng(seed)
-    return make_group_map(source, target,
-                          rng.integers(0, target.order, source.order))
+    return GroupMap(source, target, rng.integers(0, target.order, source.order))
 
 
 def balanced_random_map(source: FiniteGroup, target: FiniteGroup, seed) -> GroupMap:
@@ -169,7 +165,7 @@ def balanced_random_map(source: FiniteGroup, target: FiniteGroup, seed) -> Group
         raise ValueError(f"balanced map needs |H| | |G|, got {h} and {n}")
     rng = np.random.default_rng(seed)
     values = np.repeat(np.arange(h), n // h)
-    return make_group_map(source, target, values[rng.permutation(n)])
+    return GroupMap(source, target, values[rng.permutation(n)])
 
 
 def genuine_hom(source: FiniteGroup, target: FiniteGroup,
@@ -217,4 +213,4 @@ def genuine_hom(source: FiniteGroup, target: FiniteGroup,
         raise NotAHomomorphism(
             f"images are inconsistent: f({x}*{gens[j]}) = {int(lhs[x, j])} but "
             f"f({x})f({gens[j]}) = {int(rhs[x, j])}")
-    return make_group_map(source, target, values)
+    return GroupMap(source, target, values)

@@ -51,26 +51,30 @@ that order, so they do not depend on how the elements are numbered.
 
 A UnitaryRep is a MatrixFunction, the package's one type for a matrix per
 group element, whose product law validate checks. Every MatrixFunction owns
-its matrices, read-only, and keeps what it measures from them: its mean, its
-Gram E psi' psi and its unitarity residuals, each formed once. validate
-reads the residuals there, so the agreement certificate and the battery's A1
-take them without a second pass.
+its matrices, read-only, reads its dim off their shape, and keeps what it
+measures from them as cached properties: its mean, its Gram E psi' psi
+(mean_gram) and its unitarity residuals, each formed once. validate reads
+the residuals there, so the agreement certificate and the battery's A1 take
+them without a second pass.
 
 The package's 14 value types are frozen dataclasses: FiniteGroup,
 MatrixFunction, UnitaryRep, IrrepDegrees and IrrepTable; approx's
 PolarFunction and DefectReport; homs' GroupMap and HomReport; twirl's
 TwirlExpansion and TwirlAudit; and verify's Comparison, CheckResult and
 RunManifest. Assigning or deleting an attribute raises FrozenInstanceError,
-an AttributeError, so nothing kept can go stale. Only constructors write,
-through object.__setattr__ (a FiniteGroup's digest and element_orders,
-formed on first use and kept, aside), and dataclasses.replace builds a new
-value.
+an AttributeError, so nothing kept can go stale. Only two things write:
+constructors, through object.__setattr__, and the cached properties, which
+functools.cached_property forms from the frozen fields on first use and
+keeps (a FiniteGroup's digest and element_orders, a MatrixFunction's mean,
+mean_gram and unitarity_residuals, each array read-only).
+dataclasses.replace builds a new value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -114,53 +118,50 @@ class MatrixFunction:
 
     The function takes ownership of the matrices: a C-contiguous complex128
     array is kept without a copy and made read-only, the caller's array
-    included; any other array is converted first. It is a frozen dataclass,
-    so the matrices cannot be rebound either. What is measured from them
-    (the mean, the Gram E psi' psi and the unitarity residuals) is formed on
-    first use, kept and returned read-only, so every reader after the first
-    gets the same array.
+    included; any other array is converted first. Anything but a
+    (|G|, d, d) stack raises ValueError, and dim is d, read from it. It is a
+    frozen dataclass, so the matrices cannot be rebound either. What is
+    measured from them (mean, mean_gram and unitarity_residuals) are cached
+    properties: formed on first use, kept and returned read-only, so every
+    reader after the first gets the same array.
     """
 
     group: FiniteGroup
-    dim: int
     matrices: np.ndarray
-    _measured: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    dim: int = field(init=False)
 
     def __post_init__(self):
+        shape, n = np.shape(self.matrices), self.group.order
+        if len(shape) != 3:
+            raise ValueError(f"matrices must be (|G|, d, d), got {shape}")
+        if shape != (n, shape[1], shape[1]):
+            raise ValueError(f"matrices must be ({n}, {shape[1]}, {shape[1]}), got {shape}")
         matrices = np.ascontiguousarray(self.matrices, dtype=np.complex128)
-        if matrices.shape != (self.group.order, self.dim, self.dim):
-            raise ValueError(
-                f"matrices must be ({self.group.order}, {self.dim}, {self.dim}), "
-                f"got {matrices.shape}")
         matrices.setflags(write=False)
         object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "dim", shape[1])
 
-    def _measure(self, name: str, form: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """form(matrices), formed once and kept read-only under name."""
-        if name not in self._measured:
-            value = form(self.matrices)
-            value.setflags(write=False)
-            self._measured[name] = value
-        return self._measured[name]
-
+    @cached_property
     def mean(self) -> np.ndarray:
         """E_x psi(x)."""
-        return self._measure("mean", _mean)
+        return _read_only(_mean(self.matrices))
 
+    @cached_property
     def mean_gram(self) -> np.ndarray:
         """E_x psi(x)' psi(x)."""
-        return self._measure("gram", _gram)
+        return _read_only(_gram(self.matrices))
 
+    @cached_property
     def unitarity_residuals(self) -> np.ndarray:
         """||psi(x)' psi(x) - 1||_F for every x, in element order."""
-        return self._measure("unitarity", _unitarity_residuals)
+        return _read_only(_unitarity_residuals(self.matrices))
 
     def admissibility_residual(self) -> float:
         """Frobenius distance of E psi' psi from the identity."""
-        return float(np.linalg.norm(self.mean_gram() - np.eye(self.dim)))
+        return float(np.linalg.norm(self.mean_gram - np.eye(self.dim)))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class UnitaryRep(MatrixFunction):
     """A unitary representation: a MatrixFunction meant to obey the product law.
 
@@ -173,8 +174,8 @@ class UnitaryRep(MatrixFunction):
 
     Attributes:
         group: the underlying FiniteGroup.
-        dim: matrix dimension, read from the shape.
         matrices: (|G|, dim, dim) complex array, read-only.
+        dim: matrix dimension, read from the shape.
         character: per-conjugacy-class character values, read-only.
         is_irreducible: whether E|chi|^2 = 1 held, within 1e-6.
     """
@@ -182,12 +183,9 @@ class UnitaryRep(MatrixFunction):
     character: np.ndarray = field(init=False)
     is_irreducible: bool = field(init=False)
 
-    def __init__(self, group: FiniteGroup, matrices: np.ndarray):
-        shape = np.shape(matrices)
-        if len(shape) != 3:
-            raise ValueError(f"matrices must be (|G|, d, d), got {shape}")
-        super().__init__(group, shape[1], matrices)
-        character = _class_average(group, np.trace(self.matrices, axis1=1, axis2=2))
+    def __post_init__(self):
+        super().__post_init__()
+        character = _class_average(self.group, np.trace(self.matrices, axis1=1, axis2=2))
         character.setflags(write=False)
         object.__setattr__(self, "character", character)
         chi = self.character_on_elements()
@@ -215,7 +213,7 @@ class UnitaryRep(MatrixFunction):
         ToleranceViolation.
         """
         g, m = self.group, self.matrices
-        uerr = self.unitarity_residuals()
+        uerr = self.unitarity_residuals
         if uerr.max() > _UNITARITY:
             raise ToleranceViolation(
                 f"unitarity residual {uerr.max():.3e} above {_UNITARITY:.0e}")
@@ -375,6 +373,12 @@ def _sandwiches(left: np.ndarray, matrices: np.ndarray, right: np.ndarray) -> np
     half = matrices.reshape(n * e, e) @ right.transpose(1, 0, 2).reshape(e, k * d2)
     half = half.reshape(n, e, k, d2).transpose(2, 1, 0, 3).reshape(k, e, n * d2)
     return (left.conj().transpose(0, 2, 1) @ half).reshape(k, -1, n, d2)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only in place."""
+    array.setflags(write=False)
+    return array
 
 
 def _mean(matrices: np.ndarray) -> np.ndarray:

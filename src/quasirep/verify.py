@@ -39,7 +39,7 @@ from .approx import (
 )
 from .fourier import invert_matrix, transform_matrix
 from .groups import FiniteGroup
-from .homs import balanced_random_map, evaluate, lift_through_irrep, make_group_map
+from .homs import GroupMap, balanced_random_map, evaluate, lift_through_irrep
 from .irreps import IrrepTable, MatrixFunction, decompose
 
 __all__ = [
@@ -250,7 +250,7 @@ def _check_a1(ctx: VerifyContext) -> list[Comparison]:
         out.append(Comparison(f"{g.name}: irrep count vs class count", "~=",
                               float(len(table)), float(len(g.classes))))
         # the residuals decompose's validation measured, kept on each irrep
-        unitarity = max(rho.unitarity_residuals().max() for rho in table)
+        unitarity = max(rho.unitarity_residuals.max() for rho in table)
         out.append(Comparison(f"{g.name}: unitarity residual", "<=", unitarity, 1e-8))
         out.append(Comparison(f"{g.name}: Schur orthogonality residual", "<=",
                               _schur_residual(table), 1e-7))
@@ -274,8 +274,8 @@ def _check_a2(ctx: VerifyContext) -> list[Comparison]:
     sup = rel = 0.0
     for dim in (1, 3):
         shape = (g.order, dim, dim)
-        psi = MatrixFunction(g, dim, rng.standard_normal(shape)
-                             + 1j * rng.standard_normal(shape))
+        psi = MatrixFunction(g, rng.standard_normal(shape)
+                                + 1j * rng.standard_normal(shape))
         blocks = transform_matrix(psi, table)
         back = invert_matrix(blocks, table)
         sup = max(sup, float(np.abs(back - psi.matrices).max()))
@@ -346,7 +346,7 @@ def _check_a4(ctx: VerifyContext) -> list[Comparison]:
 _OPNORM_ROUNDOFF = 1e-12
 
 
-def _corpus(ctx: VerifyContext) -> Iterator[tuple[str, MatrixFunction, IrrepTable]]:
+def _corpus(ctx: VerifyContext) -> Iterator[tuple[MatrixFunction, IrrepTable]]:
     """Approximate-representation corpus spanning every construction kind.
 
     The cases are built one at a time as they are read, so that each, with
@@ -359,54 +359,41 @@ def _corpus(ctx: VerifyContext) -> Iterator[tuple[str, MatrixFunction, IrrepTabl
         if rho.is_trivial():
             continue
         for d_psi in range(1, rho.dim + 1):
-            yield (f"A5 minor d{rho.dim}->{d_psi} leading",
-                   minor_construction(rho, d_psi), a5)
-            yield (f"A5 minor d{rho.dim}->{d_psi} haar",
-                   minor_construction(rho, d_psi, subspace="haar",
-                                      seed=[ctx.seed, 5, 0, ri, d_psi]), a5)
-    for ri, rho in enumerate(p7):
+            yield minor_construction(rho, d_psi), a5
+            yield minor_construction(rho, d_psi, subspace="haar",
+                                     seed=[ctx.seed, 5, 0, ri, d_psi]), a5
+    for rho in p7:
         if rho.is_trivial():
             continue
         for d_psi in range(1, rho.dim + 1):
-            yield (f"psl2(7) minor d{rho.dim}->{d_psi} leading",
-                   minor_construction(rho, d_psi), p7)
+            yield minor_construction(rho, d_psi), p7
     rho5 = next(r for r in a6 if r.dim == 5)
     for d_psi in range(1, 6):
-        yield (f"A6 minor d5->{d_psi} leading", minor_construction(rho5, d_psi), a6)
+        yield minor_construction(rho5, d_psi), a6
     for ri, rho in enumerate(a5):
         if rho.is_trivial():
             continue
         for d_psi in range(1, rho.dim + 1):
-            yield (f"A5 polar d{rho.dim}->{d_psi}",
-                   polar_construction(rho, d_psi, seed=[ctx.seed, 5, 1, ri, d_psi]),
-                   a5)
+            yield polar_construction(rho, d_psi, seed=[ctx.seed, 5, 1, ri, d_psi]), a5
     for dim in (1, 2, 3):
         for j in range(2):
-            yield (f"A5 haar baseline d{dim} #{j}",
-                   haar_baseline(a5.group, dim, seed=[ctx.seed, 5, 2, dim, j]), a5)
+            yield haar_baseline(a5.group, dim, seed=[ctx.seed, 5, 2, dim, j]), a5
     for dim in (1, 2):
-        yield (f"A6 haar baseline d{dim}",
-               haar_baseline(a6.group, dim, seed=[ctx.seed, 5, 3, dim]), a6)
+        yield haar_baseline(a6.group, dim, seed=[ctx.seed, 5, 3, dim]), a6
     for j in range(4):
-        yield (f"A5 sign function #{j}",
-               random_sign_function(a5.group, seed=[ctx.seed, 5, 4, j]), a5)
+        yield random_sign_function(a5.group, seed=[ctx.seed, 5, 4, j]), a5
     for j in range(3):
-        yield (f"A6 sign function #{j}",
-               random_sign_function(a6.group, seed=[ctx.seed, 5, 5, j]), a6)
+        yield random_sign_function(a6.group, seed=[ctx.seed, 5, 5, j]), a6
     for j in range(3):
-        yield (f"psl2(7) sign function #{j}",
-               random_sign_function(p7.group, seed=[ctx.seed, 5, 6, j]), p7)
+        yield random_sign_function(p7.group, seed=[ctx.seed, 5, 6, j]), p7
     for ri, rho in enumerate(a5):
         if rho.dim < 3:
             continue
         for frac in (0.1, 0.3):
-            yield (f"A5 perturbed irrep d{rho.dim} f={frac}",
-                   perturbed_irrep(rho, frac, seed=[ctx.seed, 5, 7, ri, int(10 * frac)]),
-                   a5)
+            yield perturbed_irrep(rho, frac, seed=[ctx.seed, 5, 7, ri, int(10 * frac)]), a5
     for dim in (3, 6):
         rho = next(r for r in p7 if r.dim == dim)
-        yield (f"psl2(7) perturbed irrep d{dim} f=0.2",
-               perturbed_irrep(rho, 0.2, seed=[ctx.seed, 5, 8, dim]), p7)
+        yield perturbed_irrep(rho, 0.2, seed=[ctx.seed, 5, 8, dim]), p7
 
 
 def _largest_block_margin(blocks: tuple[np.ndarray, ...], table: IrrepTable, dim: int,
@@ -436,7 +423,7 @@ def _check_a5(ctx: VerifyContext) -> list[Comparison]:
     max_agree_margin = -np.inf
     max_block_margin = -np.inf
     violations = 0
-    for _, psi, table in _corpus(ctx):
+    for psi, table in _corpus(ctx):
         cases += 1
         rep = defect_direct(psi, table)
         dm = rep.defect - rep.thm1_bound
@@ -504,7 +491,7 @@ def _check_a7(ctx: VerifyContext) -> list[Comparison]:
         # every pair on which f agrees also agrees after the lift sigma(f(x))
         lifted = defect_direct(lift_through_irrep(f, sigma), a6).agreement_prob
         lift_gain = min(lift_gain, lifted - rep.agreement_prob)
-    ident = make_group_map(a5.group, a5.group, np.arange(a5.group.order))
+    ident = GroupMap(a5.group, a5.group, np.arange(a5.group.order))
     irep = evaluate(ident, a5, a5)
     return [
         Comparison("balanced maps: max (agreement - collision ceiling)", "<=",

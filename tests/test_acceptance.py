@@ -54,7 +54,7 @@ def test_negative_control_tampered_plancherel(ctx):
     rng = np.random.default_rng(123)
     shape = (g.order, 3, 3)
     psi = irreps.MatrixFunction(
-        g, 3, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     blocks = fourier.transform_matrix(psi, table)
     lhs = float(np.sum(np.abs(psi.matrices) ** 2)) / g.order
     rhs = float(sum(rho.dim * np.linalg.norm(w) ** 2
@@ -177,7 +177,7 @@ def test_a5_pruned_block_margin_is_the_exhaustive_maximum(seed):
     # the SVDs A5 skips cannot move its maximum, to the last bit: the
     # exhaustive maximum takes every block's SVD from a fresh transform
     pruned = exhaustive = -np.inf
-    for _, psi, table in verify._corpus(verify.VerifyContext(seed=seed)):
+    for psi, table in verify._corpus(verify.VerifyContext(seed=seed)):
         report = approx.defect_direct(psi, table)
         pruned = verify._largest_block_margin(report.blocks, table, psi.dim, pruned)
         for rho, w in zip(table, fourier.transform_matrix(psi, table)):

@@ -68,7 +68,7 @@ def test_minor_spot_value(a5_table):
 def test_minor_mean_and_admissibility(a5_table):
     psi = approx.minor_construction(irrep_of_dim(a5_table, 4), 2)
     assert psi.admissibility_residual() <= 1e-8
-    assert float(np.linalg.norm(psi.mean())) < 1e-10
+    assert float(np.linalg.norm(psi.mean)) < 1e-10
     trivial = approx.minor_construction(a5_table.irreps[0], 1)
     assert np.allclose(trivial.matrices, 1.0)
 
@@ -165,7 +165,7 @@ def scan_cases(g, table):
         noise = rng.standard_normal(rho.matrices.shape) + 1j * rng.standard_normal(
             rho.matrices.shape)
         cases.append((f"irrep + {eps} noise",
-                      irreps.MatrixFunction(g, rho.dim, rho.matrices + eps * noise)))
+                      irreps.MatrixFunction(g, rho.matrices + eps * noise)))
     cases += [(f"haar d{d}", approx.haar_baseline(g, d, seed=d)) for d in (1, 2, 3, 4)]
     return cases
 
@@ -258,7 +258,7 @@ def test_the_threshold_sits_far_above_roundoff_and_still_discriminates():
     rho = irrep_of_dim(p7, 3)
     mats = rho.matrices.copy()
     mats[1] += 1e-8
-    shifted = irreps.MatrixFunction(rho.group, 3, mats)
+    shifted = irreps.MatrixFunction(rho.group, mats)
     assert approx._full_scan(shifted)[1] < 1.0 - 2.0 / rho.group.order
 
 
@@ -295,7 +295,7 @@ def test_a_shifted_element_is_not_certified(a5_table, monkeypatch):
     rho = irrep_of_dim(a5_table, 5)
     mats = rho.matrices.copy()
     mats[7] += 1e-6
-    psi = irreps.MatrixFunction(rho.group, 5, mats)
+    psi = irreps.MatrixFunction(rho.group, mats)
     assert approx._agreement_bound(psi) > approx.AGREEMENT_TOL
     scans = spy_scans(monkeypatch)
     with warnings.catch_warnings():
@@ -313,9 +313,9 @@ def test_the_certificate_on_the_trivial_group():
     # roundoff margin alone at psi(e) = 1
     g = groups.named("cyclic", 1)
     assert g.generators == () == g.tree
-    one = irreps.MatrixFunction(g, 1, np.ones((1, 1, 1)))
+    one = irreps.MatrixFunction(g, np.ones((1, 1, 1)))
     assert 0.0 < approx._agreement_bound(one) <= 1e-14
-    two = irreps.MatrixFunction(g, 1, np.full((1, 1, 1), 2.0))
+    two = irreps.MatrixFunction(g, np.full((1, 1, 1), 2.0))
     assert approx._agreement_bound(two) >= 1.0
 
 
@@ -326,7 +326,7 @@ def test_an_ill_conditioned_representation_overflows_the_bound(monkeypatch):
     table = irreps.decompose(groups.named("dihedral", 350))
     rho = irrep_of_dim(table, 2)
     a = np.diag([100.0, 1.0])
-    psi = irreps.MatrixFunction(rho.group, 2, a @ rho.matrices @ np.linalg.inv(a))
+    psi = irreps.MatrixFunction(rho.group, a @ rho.matrices @ np.linalg.inv(a))
     assert approx._agreement_bound(psi) == np.inf
     scans = spy_scans(monkeypatch)
     with warnings.catch_warnings():
@@ -350,7 +350,7 @@ def few_valued_cases(a6_table):
     _, first, coset = np.unique(np.round(rho.matrices, 6).reshape(24, -1), axis=0,
                                 return_index=True, return_inverse=True)
     assert len(first) == 6
-    kernel_constant = irreps.MatrixFunction(rho.group, 2, rho.matrices[first[coset.ravel()]])
+    kernel_constant = irreps.MatrixFunction(rho.group, rho.matrices[first[coset.ravel()]])
     return [
         ("A6 sign", approx.random_sign_function(a6_table.group, seed=1), a6_table),
         ("psl2(11) sign", approx.random_sign_function(p11_table.group, seed=2), p11_table),
@@ -381,7 +381,7 @@ def test_histogram_cutoff_is_k_cubed_at_most_n_squared(monkeypatch, a6_table):
     a6, table = a6_table.group, a6_table
     values = approx.haar_baseline(a6, 2, seed=5).matrices
     for k, route in ((50, "_histogram_scan"), (51, "_screened_agreement")):
-        psi = irreps.MatrixFunction(a6, 2, values[np.arange(a6.order) % k])
+        psi = irreps.MatrixFunction(a6, values[np.arange(a6.order) % k])
         scans.clear()
         report = approx.defect_direct(psi, table)
         assert scans == [route], k
@@ -511,7 +511,7 @@ def test_the_screen_keeps_every_agreeing_pair_at_the_tolerance_boundary(a5_table
         mats = rho.matrices.copy()
         mats[[7, 23, 41]] += shift * np.outer(u, r.conj())
         mats[50] *= -1.0
-        psi = irreps.MatrixFunction(rho.group, 3, mats)
+        psi = irreps.MatrixFunction(rho.group, mats)
         sq = brute_force_pairs(psi)[0]
         kept.clear()
         agreeing = set(zip(*(a.tolist() for a in np.nonzero(sq <= approx.AGREEMENT_TOL ** 2))))
@@ -652,6 +652,12 @@ def test_polar_construction(a5_table):
     assert approx.polar_residual(psi) == pytest.approx(manual)
 
 
+def test_polar_construction_needs_a_seed(a5_table):
+    # like the Haar minor it is built from, not a TypeError from extending None
+    with pytest.raises(ValueError, match="^polar_construction needs a seed$"):
+        approx.polar_construction(irrep_of_dim(a5_table, 4), 2, None)
+
+
 def test_sign_function_balanced(a6):
     psi = approx.random_sign_function(a6, seed=1)
     assert psi.dim == 1
@@ -681,10 +687,15 @@ def test_perturbed_irrep(a5_table):
 
 
 def test_matrix_function_shape_check(s3):
-    with pytest.raises(ValueError):
-        irreps.MatrixFunction(s3, 1, np.ones(5))
-    with pytest.raises(ValueError):
-        irreps.MatrixFunction(s3, 2, np.ones((s3.order, 1, 1)))
+    with pytest.raises(ValueError, match=r"^matrices must be \(\|G\|, d, d\), got \(5,\)$"):
+        irreps.MatrixFunction(s3, np.ones(5))
+    with pytest.raises(ValueError, match=r"^matrices must be \(6, 2, 2\), got \(6, 2, 3\)$"):
+        irreps.MatrixFunction(s3, np.ones((s3.order, 2, 3)))
+    with pytest.raises(ValueError, match=r"^matrices must be \(6, 1, 1\), got \(5, 1, 1\)$"):
+        irreps.MatrixFunction(s3, np.ones((5, 1, 1)))
+    assert irreps.MatrixFunction(s3, np.ones((s3.order, 2, 2))).dim == 2
+    with pytest.raises(TypeError):
+        irreps.MatrixFunction(s3, 2, np.ones((s3.order, 2, 2)))
 
 
 def test_every_construction_returns_read_only_matrices(a5_table, s3_table):
@@ -746,11 +757,11 @@ def test_a_minor_and_its_report_form_its_gram_and_mean_once(a5_table, monkeypatc
 def test_the_certificate_reads_the_unitarity_residuals_validate_measured(a5_table,
                                                                        monkeypatch):
     rho = irrep_of_dim(a5_table, 4)
-    validated = rho.unitarity_residuals()
+    validated = rho.unitarity_residuals
     calls = formations(monkeypatch, "_unitarity_residuals")
     assert approx._agreement_bound(rho) <= approx.AGREEMENT_TOL
     assert approx.defect_direct(rho, a5_table).agreement_prob == 1.0
-    assert calls == [] and rho.unitarity_residuals() is validated
+    assert calls == [] and rho.unitarity_residuals is validated
 
 
 def test_the_screen_draws_its_vectors_once_per_dim(a5_table, monkeypatch):
@@ -772,7 +783,7 @@ def test_the_screen_draws_its_vectors_once_per_dim(a5_table, monkeypatch):
 
 
 def test_inadmissible_input_warns(s3, s3_table):
-    psi = irreps.MatrixFunction(s3, 1, np.full((6, 1, 1), 2.0 + 0.0j))
+    psi = irreps.MatrixFunction(s3, np.full((6, 1, 1), 2.0 + 0.0j))
     for route in (approx.defect_direct, approx.defect_via_fourier):
         with pytest.warns(RuntimeWarning) as record:
             route(psi, s3_table)

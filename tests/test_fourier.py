@@ -17,7 +17,7 @@ def random_function(group, dim, seed):
     rng = np.random.default_rng(seed)
     shape = (group.order, dim, dim)
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return irreps.MatrixFunction(group, dim, values)
+    return irreps.MatrixFunction(group, values)
 
 
 def plancherel_sides(psi, table, blocks):
@@ -33,7 +33,7 @@ def test_delta_at_identity(s3, s3_table):
     a = np.array([[1.0, 2.0j], [-0.5, 3.0]])
     values = np.zeros((s3.order, 2, 2), dtype=complex)
     values[s3.identity] = a
-    psi = irreps.MatrixFunction(s3, 2, values)
+    psi = irreps.MatrixFunction(s3, values)
     blocks = fourier.transform_matrix(psi, s3_table)
     for rho, block in zip(s3_table, blocks):
         assert np.allclose(block, np.kron(a, np.eye(rho.dim)) / s3.order, atol=1e-12)
@@ -46,7 +46,7 @@ def test_delta_at_identity(s3, s3_table):
 
 def test_constant_function(s3, s3_table):
     a = np.array([[2.0, 1.0j], [0.0, -1.0]])
-    psi = irreps.MatrixFunction(s3, 2, np.broadcast_to(a, (s3.order, 2, 2)))
+    psi = irreps.MatrixFunction(s3, np.broadcast_to(a, (s3.order, 2, 2)))
     blocks = fourier.transform_matrix(psi, s3_table)
     assert np.allclose(s3_table.irreps[0].matrices, 1.0)  # trivial irrep first
     assert np.allclose(blocks[0], a, atol=1e-12)
@@ -60,7 +60,7 @@ def test_translation_covariance(s3, s3_table):
     psi = random_function(s3, 2, 7)
     blocks = fourier.transform_matrix(psi, s3_table)
     for g in range(s3.order):
-        shifted = irreps.MatrixFunction(s3, 2, psi.matrices[s3.table[:, g]])
+        shifted = irreps.MatrixFunction(s3, psi.matrices[s3.table[:, g]])
         shifted_blocks = fourier.transform_matrix(shifted, s3_table)
         for rho, block, shifted_block in zip(s3_table, blocks, shifted_blocks):
             right = np.kron(np.eye(2), rho.matrices[g].conj().T)
@@ -95,7 +95,7 @@ def test_round_trip_and_plancherel(round_trip_tables, spec, dim, seed):
 def test_linearity(s3, s3_table, seed, scale):
     f = random_function(s3, 2, seed)
     g = random_function(s3, 2, seed + 1)
-    combo = irreps.MatrixFunction(s3, 2, f.matrices + scale * g.matrices)
+    combo = irreps.MatrixFunction(s3, f.matrices + scale * g.matrices)
     hf = fourier.transform_matrix(f, s3_table)
     hg = fourier.transform_matrix(g, s3_table)
     hc = fourier.transform_matrix(combo, s3_table)

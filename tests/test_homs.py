@@ -13,32 +13,56 @@ from quasirep import approx, groups, homs, irreps
 from quasirep.errors import MissingIrrepTable, NotAHomomorphism
 
 
-def test_make_group_map_validation(s3, z6):
-    with pytest.raises(ValueError):
-        homs.make_group_map(s3, z6, np.zeros(5, dtype=int))
-    with pytest.raises(ValueError):
-        homs.make_group_map(s3, z6, np.full(6, 6))
-    with pytest.raises(ValueError):
-        homs.make_group_map(s3, z6, np.full(6, -1))
+def test_group_map_validation(s3, z6):
+    with pytest.raises(ValueError, match=r"^values must have shape \(6,\), got \(5,\)$"):
+        homs.GroupMap(s3, z6, np.zeros(5, dtype=int))
+    with pytest.raises(ValueError, match="^map values outside the target index range$"):
+        homs.GroupMap(s3, z6, np.full(6, 6))
+    with pytest.raises(ValueError, match="^map values outside the target index range$"):
+        homs.GroupMap(s3, z6, np.full(6, -1))
 
 
 @pytest.mark.parametrize("values, dtype", [
     pytest.param(np.array([0.0, 1.9, 0.2, 1.0]), "float64", id="float"),
     pytest.param(np.array([False, True, False, True]), "bool", id="bool"),
 ])
-def test_make_group_map_refuses_values_without_an_integer_dtype(values, dtype):
+def test_group_map_refuses_values_without_an_integer_dtype(values, dtype):
     # a cast to int64 would load both as [0, 1, 0, 1]
     z4, z2 = groups.named("cyclic", 4), groups.named("cyclic", 2)
     with pytest.raises(ValueError, match=rf"^map values must be integers, got dtype {dtype}$"):
-        homs.make_group_map(z4, z2, values)
-    assert homs.make_group_map(z4, z2, [0, 1, 0, 1]).values.tolist() == [0, 1, 0, 1]
+        homs.GroupMap(z4, z2, values)
+    assert homs.GroupMap(z4, z2, [0, 1, 0, 1]).values.tolist() == [0, 1, 0, 1]
+
+
+def test_group_map_derives_its_pushforward(a5):
+    # p_f and epsilon follow from the values and cannot be supplied: a
+    # constant map given a uniform p_f and epsilon 0 would read as balanced
+    uniform = np.full(a5.order, 1.0 / a5.order)
+    with pytest.raises(TypeError):
+        homs.GroupMap(a5, a5, np.zeros(a5.order, dtype=int), uniform, 0.0)
+    with pytest.raises(TypeError):
+        homs.GroupMap(a5, a5, np.zeros(a5.order, dtype=int), p_f=uniform, epsilon=0.0)
+    constant = homs.GroupMap(a5, a5, np.zeros(a5.order, dtype=int))
+    for f in (constant, homs.random_map(a5, a5, seed=4)):
+        counts = [0] * a5.order
+        for v in f.values.tolist():
+            counts[v] += 1
+        p_f = [c / a5.order for c in counts]
+        assert f.p_f.tolist() == p_f
+        assert f.epsilon == pytest.approx(
+            a5.order * sum((p - 1 / a5.order) ** 2 for p in p_f), rel=1e-12)
+        assert not (f.values.flags.writeable or f.p_f.flags.writeable)
+    assert constant.epsilon == pytest.approx(59.0, rel=1e-12)
+    assert homs.evaluate(constant, *(irreps.degrees(a5),) * 2).collision_prob == 1.0
 
 
 def test_identity_map(s3, s3_table):
-    f = homs.make_group_map(s3, s3, np.arange(6))
+    f = homs.GroupMap(s3, s3, np.arange(6))
     assert homs.agreement_probability(f) == 1.0
     assert f.epsilon == 0.0
     report = homs.evaluate(f, s3_table, s3_table)
+    # a Python float like the report's other floats, not an np.float64
+    assert type(report.agreement_prob) is float
     assert report.collision_prob == pytest.approx(1.0 / 6.0)
 
 
@@ -46,7 +70,7 @@ def test_hand_counted_agreement_on_z2():
     z2 = groups.named("cyclic", 2)
     cases = [([0, 0], 1.0), ([0, 1], 1.0), ([1, 0], 0.0)]
     for values, expected in cases:
-        f = homs.make_group_map(z2, z2, values)
+        f = homs.GroupMap(z2, z2, values)
         assert homs.agreement_probability(f) == expected
 
 
@@ -61,7 +85,7 @@ def test_agreement_matches_a_double_loop_over_pairs(source, target, kind, width)
     g, h = groups.named(*source), groups.named(*target)
     assert np.min_scalar_type(h.order - 1) == width
     f = (homs.random_map(g, h, seed=3) if kind == "random"
-         else homs.make_group_map(g, h, np.arange(g.order)))
+         else homs.GroupMap(g, h, np.arange(g.order)))
     fv, gt, ht = f.values.tolist(), g.table.tolist(), h.table.tolist()
     count = sum(fv[gt[x][y]] == ht[fv[x]][fv[y]]
                 for x in range(g.order) for y in range(g.order))
@@ -152,7 +176,7 @@ def test_r_h_frozen_values(s3_table):
 
 
 def test_evaluate_identity_on_a5(a5, a5_table):
-    f = homs.make_group_map(a5, a5, np.arange(60))
+    f = homs.GroupMap(a5, a5, np.arange(60))
     report = homs.evaluate(f, a5_table, a5_table)
     assert report.agreement_prob == 1.0
     assert report.thm2_bound == pytest.approx(1.0, abs=1e-12)
@@ -179,7 +203,7 @@ def test_a_character_table_serves_as_an_irrep_table(a5, a5_table, s3, s3_table, 
     # evaluate reads only each table's group, dims and d_min: the degrees
     # alone give the same report, field for field
     target, table = (a5, a5_table) if kind == "identity" else (s3, s3_table)
-    f = (homs.make_group_map(a5, a5, np.arange(60)) if kind == "identity"
+    f = (homs.GroupMap(a5, a5, np.arange(60)) if kind == "identity"
          else homs.random_map(a5, s3, seed=2))
     degrees = irreps.degrees(a5), irreps.degrees(target)
     assert homs.evaluate(f, *degrees) == homs.evaluate(f, a5_table, table)

@@ -774,23 +774,23 @@ def test_a_matrix_function_owns_its_matrices_and_what_it_measures(s3):
     # the rule of the rep above, on the base class; each measured array is
     # formed on first use, kept, read-only and bitwise the kernel's value
     mats = haar_basis(np.random.default_rng(5), 2, 2, stack=(s3.order,)) * 1.5
-    psi = irreps.MatrixFunction(s3, 2, mats)
+    psi = irreps.MatrixFunction(s3, mats)
     assert psi.matrices is mats and not mats.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         mats[0, 0, 0] = 2.0
     with pytest.raises(ValueError, match="read-only"):
         psi.matrices[1, 1, 1] = 2.0
     real = mats.real.copy()
-    converted = irreps.MatrixFunction(s3, 2, real)
+    converted = irreps.MatrixFunction(s3, real)
     assert real.flags.writeable and not converted.matrices.flags.writeable
-    for measure, kernel in ((psi.mean, irreps._mean), (psi.mean_gram, irreps._gram),
-                            (psi.unitarity_residuals, irreps._unitarity_residuals)):
-        value = measure()
-        assert measure() is value and not value.flags.writeable
+    for name, kernel in (("mean", irreps._mean), ("mean_gram", irreps._gram),
+                         ("unitarity_residuals", irreps._unitarity_residuals)):
+        value = getattr(psi, name)
+        assert getattr(psi, name) is value and not value.flags.writeable
         assert np.array_equal(value, kernel(mats))
         with pytest.raises(ValueError, match="read-only"):
             value[0] = 0.0
-    assert psi.unitarity_residuals() == pytest.approx(np.full(s3.order, 1.25 * 2 ** 0.5))
+    assert psi.unitarity_residuals == pytest.approx(np.full(s3.order, 1.25 * 2 ** 0.5))
     assert psi.admissibility_residual() == pytest.approx(1.25 * 2 ** 0.5, rel=1e-14)
 
 

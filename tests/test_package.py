@@ -147,10 +147,10 @@ def test_value_types_refuse_assignment_and_deletion(name, s3, s3_table, a5_table
 
 def test_rebinding_the_matrices_raises_and_the_measurements_stand(s3):
     psi = approx.haar_baseline(s3, 2, 0)
-    mean = psi.mean()
+    mean = psi.mean
     with pytest.raises(dataclasses.FrozenInstanceError):
         psi.matrices = 2 * psi.matrices
-    assert psi.mean() is mean
+    assert psi.mean is mean
     assert np.array_equal(mean, psi.matrices.mean(axis=0))
 
 

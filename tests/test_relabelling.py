@@ -34,7 +34,7 @@ class Relabelled:
 
     def transport(self, psi: irreps.MatrixFunction) -> irreps.MatrixFunction:
         """psi on H: the matrix of H's y is psi's of G's back[y]."""
-        return irreps.MatrixFunction(self.h, psi.dim, psi.matrices[self.back])
+        return irreps.MatrixFunction(self.h, psi.matrices[self.back])
 
 
 @pytest.fixture(scope="module", params=CASES, ids=lambda p: f"{p[0][0]}{p[0][1]}-pi{p[1]}")
@@ -71,7 +71,7 @@ def test_a_transported_map_has_the_same_report(case):
     pair, _, _ = case
     target = groups.named("symmetric", 3)
     f = homs.balanced_random_map(pair.g, target, 7)
-    moved = homs.make_group_map(pair.h, target, f.values[pair.back])
+    moved = homs.GroupMap(pair.h, target, f.values[pair.back])
     tables = [irreps.degrees(x) for x in (pair.g, pair.h, target)]
     report = homs.evaluate(f, tables[0], tables[2])
     assert homs.evaluate(moved, tables[1], tables[2]) == report
