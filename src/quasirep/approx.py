@@ -52,7 +52,7 @@ plain MatrixFunction, except that the polar part (PolarFunction) keeps its
 minor for polar_residual. Each owns read-only matrices and forms its mean
 and Gram once: a minor's guarantee check and its defect report read the
 same two, and the check reads the parent irrep's own mean. Every Haar draw,
-subspace or unitary, is sampling.haar_basis.
+subspace or unitary, is sampling.haar_basis on a sampling.stream(seed).
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from .fourier import transform_matrix
 from .groups import FiniteGroup
 from .irreps import (IrrepTable, MatrixFunction, UnitaryRep, _block_rows, _right_residuals,
                      _sandwiches, _squared_frobenius)
-from .sampling import haar_basis
+from .sampling import haar_basis, stream
 
 __all__ = [
     "AGREEMENT_TOL",
@@ -240,7 +240,7 @@ def _screened_agreement(psi: MatrixFunction) -> float:
 def _screen_vectors(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The pair screen's fixed unit vectors u and r in C^d, read-only: one
     draw per d from the stream _SCREEN_SEED."""
-    u, r = haar_basis(np.random.default_rng(_SCREEN_SEED), d, 1, stack=(2,))[:, :, 0]
+    u, r = haar_basis(stream(_SCREEN_SEED), d, 1, stack=(2,))[:, :, 0]
     u.setflags(write=False)
     r.setflags(write=False)
     return u, r
@@ -342,15 +342,13 @@ def _spectral_report(psi: MatrixFunction,
     """
     if table is None:
         raise MissingIrrepTable("defect bounds need an irrep table for d_min")
-    if table.group is not psi.group:
-        raise ValueError("irrep table belongs to a different group")
+    blocks = transform_matrix(psi, table)
     gram = psi.mean_gram
     residual = psi.admissibility_residual()
     if residual > _ADMISSIBILITY:
         warnings.warn(
             f"psi is not admissible (||E psi' psi - 1||_F = {residual:.3e}); "
             "bounds assume admissibility", RuntimeWarning, stacklevel=3)
-    blocks = transform_matrix(psi, table)
     for w in blocks:
         w.setflags(write=False)
     # tr(W W' W) = sum_ij (W W')_ij W_ji
@@ -433,36 +431,28 @@ def defect_via_fourier(psi: MatrixFunction, table: IrrepTable | None) -> DefectR
     return _spectral_report(psi, table)[0]
 
 
-def minor_construction(rho: UnitaryRep, d_psi: int, subspace: str = "leading",
-                       seed=None) -> MatrixFunction:
+def minor_construction(rho: UnitaryRep, d_psi: int, seed=None) -> MatrixFunction:
     """Compress an irrep to a d_psi-dimensional subspace, rescaled to admissibility.
 
     psi(x) = sqrt(d_rho / d_psi) B' rho(x) B for an orthonormal d_rho x d_psi
     basis B.
 
-    subspace: "leading" takes the first d_psi coordinates; "haar" draws a
-    seeded Haar-random subspace (seed required). The result has E psi' psi = 1
+    With no seed, B is the first d_psi coordinates and nothing is drawn; a
+    seed draws a Haar-random B from stream(seed). The result has E psi' psi = 1
     and, for a nontrivial parent, mean zero, both up to numerical error in the
     input irrep.
     """
-    return _minor(rho, d_psi, subspace, seed)[0]
+    return _minor(rho, d_psi, None if seed is None else stream(seed))[0]
 
 
-def _minor(rho: UnitaryRep, d_psi: int, subspace: str,
-           seed) -> tuple[MatrixFunction, np.ndarray]:
-    """minor_construction's minor and its basis B."""
+def _minor(rho: UnitaryRep, d_psi: int, rng) -> tuple[MatrixFunction, np.ndarray]:
+    """minor_construction's minor and its basis B, the leading one when rng is None."""
     if not rho.is_irreducible:
         raise ValueError("minor construction needs an irreducible parent")
     if not 1 <= d_psi <= rho.dim:
         raise DimensionError(f"need 1 <= d_psi <= {rho.dim}, got {d_psi}")
-    if subspace == "leading":
-        basis = np.eye(rho.dim, d_psi, dtype=np.complex128)
-    elif subspace == "haar":
-        if seed is None:
-            raise ValueError("subspace='haar' needs a seed")
-        basis = haar_basis(np.random.default_rng(seed), rho.dim, d_psi)
-    else:
-        raise ValueError(f"unknown subspace {subspace!r}; use 'leading' or 'haar'")
+    basis = (np.eye(rho.dim, d_psi, dtype=np.complex128) if rng is None
+             else haar_basis(rng, rho.dim, d_psi))
     scale = np.sqrt(rho.dim / d_psi)
     out = MatrixFunction(rho.group, _sandwich(basis, rho, scale * basis))
     # the mean must agree with the compressed parent mean, which is zero
@@ -535,17 +525,13 @@ def polar_construction(rho: UnitaryRep, d_psi: int, seed) -> PolarFunction:
     polar factors come from an r x r eigenproblem per element
     (_complement_polar), with every element whose smallest singular value is
     below 1e-3 recomputed by polar_unitary; otherwise all of them come from
-    polar_unitary's batched SVD. The seed is required, as for a Haar minor:
-    None raises ValueError. Retries with derived seeds (up to 8) when some
+    polar_unitary's batched SVD. Attempt j draws its subspace from
+    stream(seed, j). Retries with derived seeds (up to 8) when some
     element of the minor is numerically rank deficient, then gives up with
     RankDeficient.
     """
-    if seed is None:
-        raise ValueError("polar_construction needs a seed")
     for attempt in range(8):
-        minor, basis = _minor(
-            rho, d_psi, "haar",
-            [seed, attempt] if np.isscalar(seed) else list(seed) + [attempt])
+        minor, basis = _minor(rho, d_psi, stream(seed, attempt))
         try:
             if rho.dim - d_psi < d_psi:
                 mats = _complement_polar(rho, minor, basis)
@@ -569,7 +555,7 @@ def random_sign_function(group: FiniteGroup, seed) -> MatrixFunction:
     n = group.order
     if n % 2:
         raise OddOrder(f"balanced sign function needs even order, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     values = np.ones(n)
     values[rng.permutation(n)[: n // 2]] = -1.0
     return MatrixFunction(group, values.reshape(n, 1, 1).astype(np.complex128))
@@ -577,15 +563,14 @@ def random_sign_function(group: FiniteGroup, seed) -> MatrixFunction:
 
 def haar_baseline(group: FiniteGroup, dim: int, seed) -> MatrixFunction:
     """Independent Haar unitary at every element; the no-structure baseline."""
-    return MatrixFunction(group, haar_basis(np.random.default_rng(seed), dim, dim,
-                                            stack=(group.order,)))
+    return MatrixFunction(group, haar_basis(stream(seed), dim, dim, stack=(group.order,)))
 
 
 def perturbed_irrep(rho: UnitaryRep, fraction: float, seed) -> MatrixFunction:
     """Copy of an irrep with a seeded fraction of elements replaced by Haar noise."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     mats = rho.matrices.copy()
     count = int(round(fraction * rho.group.order))
     replaced = rng.choice(rho.group.order, size=count, replace=False)
@@ -600,7 +585,7 @@ def random_admissible(group: FiniteGroup, dim: int, seed) -> MatrixFunction:
     produces admissible but nowhere-unitary functions; haar_baseline gives
     pointwise unitary ones.
     """
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     n = group.order
     a = (rng.standard_normal((n, dim, dim))
          + 1j * rng.standard_normal((n, dim, dim))) / np.sqrt(2.0 * dim)

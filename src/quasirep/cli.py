@@ -218,8 +218,7 @@ def cmd_sweep(args) -> int:
             for s in range(args.seeds):
                 seed = args.seed + s
                 if args.construction == "minor":
-                    psi = minor_construction(rho, d_psi, subspace="haar",
-                                             seed=[seed, ri, d_psi])
+                    psi = minor_construction(rho, d_psi, seed=[seed, ri, d_psi])
                 else:
                     psi = polar_construction(rho, d_psi, seed=[seed, ri, d_psi])
                 rep = defect_direct(psi, table)

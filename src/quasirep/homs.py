@@ -21,6 +21,7 @@ import numpy as np
 from .errors import MissingIrrepTable, NotAHomomorphism
 from .groups import FiniteGroup, _cayley_tree
 from .irreps import IrrepDegrees, MatrixFunction, UnitaryRep
+from .sampling import stream
 
 __all__ = [
     "GroupMap",
@@ -154,7 +155,7 @@ def lift_through_irrep(f: GroupMap, sigma: UnitaryRep) -> MatrixFunction:
 
 def random_map(source: FiniteGroup, target: FiniteGroup, seed) -> GroupMap:
     """Uniform independent image for every source element."""
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     return GroupMap(source, target, rng.integers(0, target.order, source.order))
 
 
@@ -163,7 +164,7 @@ def balanced_random_map(source: FiniteGroup, target: FiniteGroup, seed) -> Group
     n, h = source.order, target.order
     if n % h:
         raise ValueError(f"balanced map needs |H| | |G|, got {h} and {n}")
-    rng = np.random.default_rng(seed)
+    rng = stream(seed)
     values = np.repeat(np.arange(h), n // h)
     return GroupMap(source, target, values[rng.permutation(n)])
 

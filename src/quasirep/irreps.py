@@ -81,6 +81,7 @@ import numpy as np
 
 from .errors import DecompositionFailed, OrderCapExceeded, ToleranceViolation
 from .groups import FiniteGroup
+from .sampling import stream
 
 __all__ = [
     "MatrixFunction",
@@ -696,7 +697,7 @@ def _first_split(group: FiniteGroup, seed: int, finish: Callable):
     n = group.order
     if n > ORDER_CAP:
         raise OrderCapExceeded(f"order {n} above decomposition cap {ORDER_CAP}")
-    gauge = np.random.default_rng([seed, _RETRY_BUDGET])
+    gauge = stream(seed, _RETRY_BUDGET)
     width = math.isqrt(n)
     anchor = (gauge.standard_normal((n, width))
               + 1j * gauge.standard_normal((n, width)))
@@ -704,7 +705,7 @@ def _first_split(group: FiniteGroup, seed: int, finish: Callable):
     for attempt in range(_RETRY_BUDGET):
         try:
             stage = _class_algebra(group, gauge)
-            return finish(group, stage, anchor, np.random.default_rng([seed, attempt]))
+            return finish(group, stage, anchor, stream(seed, attempt))
         except _SplitFailed as exc:
             last = exc
     raise DecompositionFailed(

@@ -1,10 +1,17 @@
-"""The one Haar draw, shared by approx and twirl."""
+"""The seeded stream of every random draw, and the one Haar draw."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["haar_basis"]
+__all__ = ["stream", "haar_basis"]
+
+
+def stream(seed, *path: int) -> np.random.Generator:
+    """default_rng([*seed, *path]), an integer seed s taken as [s]; None is refused."""
+    if seed is None:
+        raise ValueError("a random draw needs a seed; got None")
+    return np.random.default_rng([*(seed if np.iterable(seed) else [seed]), *path])
 
 
 def _ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

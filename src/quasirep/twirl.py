@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateDimension
 from .irreps import UnitaryRep, _block_rows, _sandwiches
-from .sampling import haar_basis
+from .sampling import haar_basis, stream
 
 __all__ = [
     "CLASS_NAMES",
@@ -266,11 +266,11 @@ def _word_exponents(pi: tuple[int, ...]) -> list[int]:
     return [sum(1 if k % 2 else -1 for k in cyc) for cyc in _cycles(succ)]
 
 
-def error_term_audit(rho: UnitaryRep, d_psi: int, seed=0) -> TwirlAudit:
+def error_term_audit(rho: UnitaryRep, d_psi: int, seed) -> TwirlAudit:
     """Evaluate E_{Pi,x} tr[(Pi rho(x)' Pi rho(x))^2] two independent ways.
 
     Route (a): Monte Carlo over 200 Haar-random rank-d_psi projectors Pi
-    drawn from seed (the count is fixed), with the group average taken
+    drawn from stream(seed) (the count is fixed), with the group average taken
     exactly. Route (b): exact, through the twirl expansion;
     every permutation term reduces to character power-moments of rho. The
     leading-order prediction d_rho r^3 (2 - r) with r = d_psi / d_rho tags the
@@ -284,7 +284,7 @@ def error_term_audit(rho: UnitaryRep, d_psi: int, seed=0) -> TwirlAudit:
     # route (a): compressions C(x) = B' rho(x) B, integrand tr((C'C)^2)
     # one stacked draw; the compressions go a block of bases at a time, two
     # products per block, so that no temporary grows with samples x |G|
-    bases = haar_basis(np.random.default_rng(seed), d_rho, d_psi, stack=(_AUDIT_SAMPLES,))
+    bases = haar_basis(stream(seed), d_rho, d_psi, stack=(_AUDIT_SAMPLES,))
     vals = np.empty(_AUDIT_SAMPLES)
     step = _block_rows(n * d_rho * d_psi)
     for s0 in range(0, _AUDIT_SAMPLES, step):

@@ -101,7 +101,7 @@ def test_a8_catches_a_wrong_gram_coefficient(ctx, monkeypatch):
 def test_a8_catches_a_shifted_audit_expansion(ctx, monkeypatch):
     honest = twirl.error_term_audit
 
-    def shifted(rho, d_psi, seed=0):
+    def shifted(rho, d_psi, seed):
         audit = honest(rho, d_psi, seed=seed)
         return dataclasses.replace(
             audit, expansion=audit.expansion + 10 * audit.monte_carlo_stderr)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from quasirep import approx, groups, homs, irreps
 from quasirep.errors import (DimensionError, MissingIrrepTable, OddOrder, RankDeficient,
                              ToleranceViolation)
-from quasirep.sampling import haar_basis
+from quasirep.sampling import haar_basis, stream
 
 
 def irrep_of_dim(table, dim):
@@ -51,7 +51,7 @@ def test_every_irrep_is_a_psi_of_zero_defect(spec, monkeypatch):
                          [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (4, 4)])
 def test_minor_defect_matches_closed_form(a5_table, parent_dim, d_psi, subspace):
     rho = irrep_of_dim(a5_table, parent_dim)
-    psi = approx.minor_construction(rho, d_psi, subspace=subspace, seed=5)
+    psi = approx.minor_construction(rho, d_psi, seed=5 if subspace == "haar" else None)
     report = approx.defect_direct(psi, a5_table)
     expected = approx.thm4_defect(d_psi, parent_dim)
     assert report.defect == pytest.approx(expected, abs=1e-10)
@@ -79,10 +79,6 @@ def test_minor_rejects_bad_dimensions(a5_table, s3_reducible):
         approx.minor_construction(rho, 0)
     with pytest.raises(DimensionError):
         approx.minor_construction(rho, 4)
-    with pytest.raises(ValueError):
-        approx.minor_construction(rho, 2, subspace="haar")  # seed required
-    with pytest.raises(ValueError):
-        approx.minor_construction(rho, 2, subspace="diagonal")
     with pytest.raises(ValueError):
         approx.minor_construction(s3_reducible, 2)
 
@@ -112,8 +108,7 @@ def test_direct_matches_fourier(s3, s3_table, a5_table):
     inputs = [
         (approx.haar_baseline(s3, 3, seed=2), s3_table),
         (approx.random_sign_function(s3, seed=3), s3_table),
-        (approx.minor_construction(irrep_of_dim(a5_table, 4), 2,
-                                   subspace="haar", seed=4), a5_table),
+        (approx.minor_construction(irrep_of_dim(a5_table, 4), 2, seed=4), a5_table),
         (approx.polar_construction(irrep_of_dim(a5_table, 4), 2, seed=5), a5_table),
     ]
     for psi, table in inputs:
@@ -157,7 +152,7 @@ def scan_cases(g, table):
               for f in (0.1, 0.25, 0.5)]
     for d_psi in range(1, rho.dim + 1):
         cases.append((f"haar minor {d_psi}", approx.minor_construction(
-            rho, d_psi, subspace="haar", seed=[3, d_psi])))
+            rho, d_psi, seed=[3, d_psi])))
         cases.append((f"polar minor {d_psi}",
                       approx.polar_construction(rho, d_psi, seed=[4, d_psi])))
     cases.append(("sign", approx.random_sign_function(g, seed=2)))
@@ -245,7 +240,7 @@ def test_the_threshold_sits_far_above_roundoff_and_still_discriminates():
     d350 = irreps.decompose(groups.named("dihedral", 350))
     genuine = [r for r in p7 if r.dim >= 2] + [r for r in p11 if r.dim == 5]
     genuine += [r for r in d350 if r.dim == 2][:8]
-    inputs = genuine + [approx.minor_construction(r, r.dim, subspace="haar", seed=[0, r.dim])
+    inputs = genuine + [approx.minor_construction(r, r.dim, seed=[0, r.dim])
                         for r in p7 if r.dim >= 2]
     assert len(inputs) == 20
     for psi in inputs:
@@ -278,7 +273,7 @@ def test_the_certificate_agrees_with_the_full_scan(spec, monkeypatch):
     scans = spy_scans(monkeypatch)
     for i, rho in enumerate(genuine):
         for psi in (rho,
-                    approx.minor_construction(rho, rho.dim, subspace="haar", seed=[7, i])):
+                    approx.minor_construction(rho, rho.dim, seed=[7, i])):
             scans.clear()
             report = approx.defect_direct(psi, table)
             assert scans == ["_agreement_bound"], (i, rho.dim)
@@ -526,7 +521,7 @@ def test_the_screen_keeps_every_agreeing_pair_at_the_tolerance_boundary(a5_table
 def test_screen_vectors_do_not_change_the_report(monkeypatch, a5_table):
     rho = irrep_of_dim(a5_table, 5)
     inputs = [approx.polar_construction(rho, 4, seed=1),
-              approx.minor_construction(rho, 2, subspace="haar", seed=2),
+              approx.minor_construction(rho, 2, seed=2),
               approx.perturbed_irrep(rho, 0.1, seed=3),
               approx.haar_baseline(a5_table.group, 3, seed=4)]
     reports = [approx.defect_direct(psi, a5_table) for psi in inputs]
@@ -607,7 +602,7 @@ def test_thin_elements_fall_back_to_the_svd(monkeypatch):
     # sigma_min = 1.0e-5, where the complement formula loses digits
     rho = irreps.decompose(groups.named("psl2", 11)).irreps[7]
     assert rho.dim == 12
-    minor, basis = approx._minor(rho, 11, "haar", [0, 7, 11, 0])
+    minor, basis = approx._minor(rho, 11, stream([0, 7, 11], 0))
     sigma = np.linalg.svd(minor.matrices, compute_uv=False)[:, -1] / math.sqrt(12 / 11)
     thin = np.flatnonzero(sigma < 1e-3)
     assert len(thin) == 1 and 5e-6 < sigma[thin[0]] < 2e-5
@@ -626,7 +621,7 @@ def test_complement_polar_rejects_and_retries(monkeypatch, a6_table):
     rho = irrep_of_dim(a6_table, 10)
 
     def smallest(seed, attempt):
-        minor = approx.minor_construction(rho, 9, subspace="haar", seed=[seed, attempt])
+        minor = approx.minor_construction(rho, 9, seed=[seed, attempt])
         return np.linalg.svd(minor.matrices, compute_uv=False).min()
 
     # a seed whose first minor is thinner than its second: a singular-value
@@ -634,7 +629,7 @@ def test_complement_polar_rejects_and_retries(monkeypatch, a6_table):
     seed = next(s for s in range(20) if smallest(s, 0) < smallest(s, 1))
     monkeypatch.setattr(approx, "_MIN_SINGULAR", (smallest(seed, 0) + smallest(seed, 1)) / 2)
     psi = approx.polar_construction(rho, 9, seed=seed)
-    retry = approx.minor_construction(rho, 9, subspace="haar", seed=[seed, 1])
+    retry = approx.minor_construction(rho, 9, seed=[seed, 1])
     assert np.array_equal(psi.parent_minor.matrices, retry.matrices)
     assert np.abs(psi.matrices - approx.polar_unitary(retry.matrices)).max() <= 1e-11
     monkeypatch.setattr(approx, "_MIN_SINGULAR", 2.0)
@@ -653,8 +648,8 @@ def test_polar_construction(a5_table):
 
 
 def test_polar_construction_needs_a_seed(a5_table):
-    # like the Haar minor it is built from, not a TypeError from extending None
-    with pytest.raises(ValueError, match="^polar_construction needs a seed$"):
+    # refused by sampling.stream, as every draw is, not a TypeError from extending None
+    with pytest.raises(ValueError, match="^a random draw needs a seed; got None$"):
         approx.polar_construction(irrep_of_dim(a5_table, 4), 2, None)
 
 
@@ -704,7 +699,7 @@ def test_every_construction_returns_read_only_matrices(a5_table, s3_table):
     f = homs.balanced_random_map(a5_table.group, s3_table.group, seed=1)
     built = {
         "leading minor": approx.minor_construction(rho, 2),
-        "haar minor": approx.minor_construction(rho, 2, subspace="haar", seed=1),
+        "haar minor": approx.minor_construction(rho, 2, seed=1),
         "polar": polar,
         "polar's minor": polar.parent_minor,
         "sign function": approx.random_sign_function(a5_table.group, seed=1),
@@ -741,13 +736,13 @@ def formations(monkeypatch, *kernels):
     return calls
 
 
-@pytest.mark.parametrize("subspace, seed", [("leading", None), ("haar", 3)])
-def test_a_minor_and_its_report_form_its_gram_and_mean_once(a5_table, monkeypatch,
-                                                            subspace, seed):
+@pytest.mark.parametrize("seed", [pytest.param(None, id="leading-None"),
+                                  pytest.param(3, id="haar-3")])
+def test_a_minor_and_its_report_form_its_gram_and_mean_once(a5_table, monkeypatch, seed):
     # the minor's guarantee check and the spectral report share one of each
     calls = formations(monkeypatch, "_mean", "_gram", "_unitarity_residuals")
     rho = irrep_of_dim(a5_table, 5)
-    psi = approx.minor_construction(rho, 3, subspace=subspace, seed=seed)
+    psi = approx.minor_construction(rho, 3, seed=seed)
     approx.defect_direct(psi, a5_table)
     approx.defect_via_fourier(psi, a5_table)
     assert sorted(name for name, m in calls if m is psi.matrices) == ["_gram", "_mean"]
@@ -794,10 +789,16 @@ def test_inadmissible_input_warns(s3, s3_table):
 
 def test_missing_or_mismatched_table(s3, s3_table, a5_table):
     psi = approx.random_sign_function(s3, seed=2)
-    with pytest.raises(MissingIrrepTable):
-        approx.defect_direct(psi, None)
-    with pytest.raises(ValueError):
-        approx.defect_direct(psi, a5_table)
+    # not admissible, so a table it could be measured against would warn
+    wide = irreps.MatrixFunction(s3, 2.0 * psi.matrices)
+    for route in (approx.defect_direct, approx.defect_via_fourier):
+        with pytest.raises(MissingIrrepTable):
+            route(psi, None)
+        # the transform's own check, before any pair scan or warning
+        for f in (psi, wide):
+            with pytest.raises(ValueError,
+                               match="^function and irrep table belong to different groups$"):
+                route(f, a5_table)
 
 
 @settings(max_examples=15, deadline=None)

@@ -18,14 +18,12 @@ from quasirep import approx, groups, homs, irreps, twirl, verify
 # until it is added on purpose
 OPTIONAL_PARAMETERS = {
     "approx.minor_construction:seed",
-    "approx.minor_construction:subspace",
     "cli.main:argv",
     "errors.FileFormatError.__init__:line",
     "groups.from_permutation_generators:name",
     "groups.from_table:name",
     "irreps.decompose:seed",
     "sampling.haar_basis:stack",
-    "twirl.error_term_audit:seed",
     "verify.CheckResult.__init__:error",
     "verify.Comparison.__init__:slack",
     "verify.Comparison.__init__:timing",
@@ -106,7 +104,7 @@ VALUE_TYPES = {
     "HomReport": lambda fx: homs.evaluate(homs.random_map(fx.s3, fx.s3, 0),
                                           fx.s3_table, fx.s3_table),
     "TwirlExpansion": lambda fx: twirl.twirl_exact(6, 3),
-    "TwirlAudit": lambda fx: twirl.error_term_audit(fx.a5_table.irreps[4], 2),
+    "TwirlAudit": lambda fx: twirl.error_term_audit(fx.a5_table.irreps[4], 2, 0),
     "Comparison": lambda fx: verify.Comparison("x", "<=", 0.0, 1.0),
     "CheckResult": lambda fx: verify.run_check("A10", verify.VerifyContext()),
     "RunManifest": lambda fx: verify.RunManifest(

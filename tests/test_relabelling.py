@@ -81,7 +81,7 @@ def test_transported_functions_keep_their_defect_and_agreement(case):
     pair, table_g, table_h = case
     widest = table_g.irreps[-1]
     functions = [approx.random_sign_function(pair.g, 3),
-                 approx.minor_construction(widest, max(widest.dim - 1, 1), "haar", 5),
+                 approx.minor_construction(widest, max(widest.dim - 1, 1), 5),
                  approx.perturbed_irrep(widest, 0.1, 9),
                  *table_g.irreps]
     for psi in functions:
